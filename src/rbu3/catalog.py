@@ -33,7 +33,8 @@ from .operators import (Ansatz, Operator, bvar_name, check_lemma3,
                         generate_system, rb_residual, scale_operator)
 from .poly import MultiPoly, VarTable
 from .groebner import (Limits, PolySystem, ResourceLimitExceeded,
-                       autoreduce, buchberger, normal_form)
+                       _divisor_view, _normal_form_view, autoreduce,
+                       buchberger)
 from .transform import (AutoParams, build_psi, conjugate_operator, theta13)
 
 __all__ = [
@@ -767,7 +768,7 @@ def run_case(spec: CaseSpec, limits: Limits | None = None) -> CaseReport:
                       stats, memberships, solution_results)
 
 
-_MAX_POWER_CERt = 4
+_MAX_POWER_CERT = 4
 
 
 def _certify_membership(factors, text, claim, basis, work_system, gb_reduced,
@@ -781,13 +782,13 @@ def _certify_membership(factors, text, claim, basis, work_system, gb_reduced,
     Groebner basis.
     """
     order = work_system.order
-    nf = normal_form(claim, basis, order)
-    if nf.is_zero():
+    view = _divisor_view(basis, order)
+    if _normal_form_view(claim, view, order)[0].is_zero():
         return MembershipResult(factors, text, True, False, "ideal")
     power = claim
-    for k in range(2, _MAX_POWER_CERt + 1):
+    for k in range(2, _MAX_POWER_CERT + 1):
         power = power * claim
-        if normal_form(power, basis, order).is_zero():
+        if _normal_form_view(power, view, order)[0].is_zero():
             return MembershipResult(factors, text, True, False, f"power-{k}")
     try:
         localized = PolySystem(work_system.table, tuple(basis), order)

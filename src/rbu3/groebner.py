@@ -2,7 +2,7 @@
 
 The engine is deliberately plain: normal pair selection (minimal lcm degree,
 then smallest pair index), the product and chain criteria, full normal-form
-reduction, and monic auto-reduced output.  Two implementation notes:
+reduction, and monic auto-reduced output.  Three implementation notes:
 
 * Auto-reduction to a fixpoint under a degree-compatible order is exactly
   Gaussian elimination on the monomial matrix, so every linear polynomial in
@@ -12,6 +12,14 @@ reduction, and monic auto-reduced output.  Two implementation notes:
 * Whenever an S-polynomial reduces to something with a linear leading term,
   the run restarts on the auto-reduced basis (same ideal, far fewer
   variables in play).  Restarts are bounded by the variable count.
+* Each polynomial's leading data (order key, leading monomial and
+  coefficient, and a bitmask of the variables in the leading monomial) is
+  computed once and kept in a divisor view sorted by key, descending;
+  division takes terms from a heap, largest first, and tests the masks
+  before the exact divisibility test.  This is safe because nothing the
+  algorithm decides moves: the divisor is still the first match in stable
+  descending lead order, and pairs are still chosen in the same order, so
+  the counters and the bases are those of the plain loop.
 
 Resource limits are explicit inputs; exceeding one raises
 :class:`ResourceLimitExceeded` carrying the partial basis, never a wrong
@@ -20,10 +28,12 @@ answer.
 
 from __future__ import annotations
 
+import heapq
 import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .poly import (MonomialOrder, MultiPoly, VarTable, grevlex,
@@ -148,25 +158,25 @@ class GroebnerBasis:
     def verify(self) -> bool:
         """Recheck the defining properties (generators and S-pairs reduce to 0)."""
         order = self.system.order
+        entries = [_lead_entry(g, order) for g in self.basis]
+        view = sorted(entries, key=_by_key, reverse=True)
         for g in self.system.gens:
-            if not normal_form(g, self.basis, order).is_zero():
+            if not _normal_form_view(g, view, order)[0].is_zero():
                 return False
         m = len(self.basis)
         for i in range(m):
             for j in range(i + 1, m):
                 s = s_polynomial(self.basis[i], self.basis[j], order)
-                if not s.is_zero() and not normal_form(s, self.basis, order).is_zero():
+                if not _normal_form_view(s, view, order)[0].is_zero():
                     return False
         if self.reduced:
-            for i, g in enumerate(self.basis):
-                _, lc = g.leading(order)
+            for i, (_, _, lc, _, g) in enumerate(entries):
                 if lc != 1:
                     return False
-                for j, h in enumerate(self.basis):
-                    if i == j:
-                        continue
-                    lm_h, _ = h.leading(order)
-                    if any(mono_divides(lm_h, m) for m in g.terms):
+                for mono in g.terms:
+                    mask = _mask(mono)
+                    if any(j != i and not lead_mask & ~mask and mono_divides(lm, mono)
+                           for j, (_, lm, _, lead_mask, _) in enumerate(entries)):
                         return False
         return True
 
@@ -190,34 +200,93 @@ def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
     return left - right
 
 
-def _sorted_view(basis: Sequence[MultiPoly], order: MonomialOrder):
-    """Basis with cached leading data, sorted by leading monomial descending."""
-    view = []
-    for g in basis:
-        lm, lc = g.leading(order)
-        view.append((lm, lc, g))
-    view.sort(key=lambda t: order.key(t[0]), reverse=True)
-    return view
+def _mask(mono) -> int:
+    """Bit i set iff variable i occurs in ``mono``.
+
+    ``a`` can divide ``b`` only if ``_mask(a) & ~_mask(b)`` is 0, which
+    rules most candidate divisors out before the exact exponent test.
+    """
+    mask = 0
+    for i, e in enumerate(mono):
+        if e:
+            mask |= 1 << i
+    return mask
 
 
-def _normal_form_view(p: MultiPoly, view, order: MonomialOrder) -> MultiPoly:
-    if not view:
-        return p
-    work = dict(p.terms)
-    remainder = {}
+def _lead_entry(g: MultiPoly, order: MonomialOrder):
+    """(order key, leading monomial, leading coefficient, mask, g)."""
     key = order.key
-    while work:
-        mono = max(work, key=key)
+    lead_key, lm = max((key(m), m) for m in g.terms)
+    return (lead_key, lm, g.terms[lm], _mask(lm), g)
+
+
+_by_key = itemgetter(0)  # the order key of a lead entry
+
+
+def _divisor_view(basis: Iterable[MultiPoly], order: MonomialOrder) -> list:
+    """Lead entries of the nonzero elements, in stable descending key order."""
+    entries = [_lead_entry(g, order) for g in basis if not g.is_zero()]
+    entries.sort(key=_by_key, reverse=True)
+    return entries
+
+
+def _insert(view: list, entry) -> None:
+    """Insert ``entry`` after every entry whose key is not smaller: where a
+    stable descending sort of the basis with ``entry`` appended puts it."""
+    lead_key = entry[0]
+    lo, hi = 0, len(view)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if view[mid][0] >= lead_key:
+            lo = mid + 1
+        else:
+            hi = mid
+    view.insert(lo, entry)
+
+
+class _Term:
+    """Heap item for a monomial; the largest monomial pops first."""
+
+    __slots__ = ("key", "mono")
+
+    def __init__(self, key, mono):
+        self.key = key
+        self.mono = mono
+
+    def __lt__(self, other):
+        return self.key > other.key
+
+
+def _normal_form_view(p: MultiPoly, view, order: MonomialOrder):
+    """Remainder of ``p`` by the divisor view, and its leading key.
+
+    Terms leave a heap largest first.  A reduction step only adds terms
+    below the one it removes, so each monomial enters the heap once; one
+    that cancels stays there with coefficient 0 and is skipped when popped.
+    The remainder's terms are stored largest first, so its first term is
+    its leading term; the key is None when the remainder is zero.
+    """
+    key = order.key
+    work = dict(p.terms)
+    heap = [_Term(key(m), m) for m in work]
+    heapq.heapify(heap)
+    remainder = {}
+    lead_key = None
+    while heap:
+        top = heapq.heappop(heap)
+        mono = top.mono
         coeff = work.pop(mono)
-        divisor = None
-        for lm, lc, g in view:
-            if mono_divides(lm, mono):
-                divisor = (lm, lc, g)
+        if not coeff:
+            continue
+        mono_mask = _mask(mono)
+        for _, lm, lc, lead_mask, g in view:
+            if not lead_mask & ~mono_mask and mono_divides(lm, mono):
                 break
-        if divisor is None:
+        else:
+            if lead_key is None:
+                lead_key = top.key
             remainder[mono] = coeff
             continue
-        lm, lc, g = divisor
         shift = mono_div(mono, lm)
         factor = coeff / lc
         for m2, c2 in g.terms.items():
@@ -226,14 +295,21 @@ def _normal_form_view(p: MultiPoly, view, order: MonomialOrder) -> MultiPoly:
             target = mono_mul(shift, m2)
             acc = work.get(target)
             if acc is None:
-                acc = -factor * c2
+                work[target] = -factor * c2
+                heapq.heappush(heap, _Term(key(target), target))
             else:
-                acc = acc - factor * c2
-            if acc:
-                work[target] = acc
-            else:
-                work.pop(target, None)
-    return MultiPoly(p.table, remainder)
+                work[target] = acc - factor * c2
+    return MultiPoly(p.table, remainder), lead_key
+
+
+def _monic_entry(r: MultiPoly, lead_key):
+    """Lead entry of ``r`` made monic, for ``r`` from ``_normal_form_view``
+    (its first term leads, and ``lead_key`` is that term's key)."""
+    lm, lc = next(iter(r.terms.items()))
+    if lc != 1:
+        inv = Fraction(1) / lc
+        r = MultiPoly(r.table, {m: c * inv for m, c in r.terms.items()})
+    return (lead_key, lm, Fraction(1), _mask(lm), r)
 
 
 def normal_form(p: MultiPoly, basis: Sequence[MultiPoly],
@@ -243,40 +319,46 @@ def normal_form(p: MultiPoly, basis: Sequence[MultiPoly],
     Fully reduced: no term of the result is divisible by any leading
     monomial of the basis, and ``p - result`` lies in the ideal the basis
     generates.  Divisor choice is the first element in descending
-    leading-monomial order, which makes the result deterministic.
+    leading-monomial order (basis order among equal leading monomials),
+    which makes the result deterministic.
     """
     order = order or grevlex()
-    view = _sorted_view([g for g in basis if not g.is_zero()], order)
-    return _normal_form_view(p, view, order)
+    return _normal_form_view(p, _divisor_view(basis, order), order)[0]
 
 
 def autoreduce(polys: Iterable[MultiPoly],
-               order: MonomialOrder | None = None) -> list:
+               order: MonomialOrder | None = None, _check=None) -> list:
     """Reduce a set against itself to a fixpoint; output is monic.
 
     Under a degree-compatible order the fixpoint is the reduced row-echelon
     form of the coefficient matrix, so all linear consequences in the span
     become explicit basis elements.
+
+    ``_check`` (private to ``buchberger``) is called before each polynomial
+    is reduced, with a list that generates the same ideal; it raises to stop.
     """
     order = order or grevlex()
-    current = [p for p in polys if not p.is_zero()]
+    current = [_lead_entry(p, order) for p in polys if not p.is_zero()]
     changed = True
     while changed:
         changed = False
         nxt = []
-        for i, p in enumerate(current):
-            others = nxt + current[i + 1:]
-            r = normal_form(p, others, order)
-            if r.is_zero():
+        for i, entry in enumerate(current):
+            if _check is not None:
+                _check([e[4] for e in nxt] + [e[4] for e in current[i:]])
+            view = sorted(nxt + current[i + 1:], key=_by_key, reverse=True)
+            p = entry[4]
+            r, lead_key = _normal_form_view(p, view, order)
+            if lead_key is None:
                 changed = True
                 continue
-            r = r.monic(order)
-            if r != p:
+            reduced = _monic_entry(r, lead_key)
+            if reduced[4] != p:
                 changed = True
-            nxt.append(r)
+            nxt.append(reduced)
         current = nxt
-    current.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)
-    return current
+    current.sort(key=_by_key, reverse=True)
+    return [e[4] for e in current]
 
 
 def buchberger(system: PolySystem, limits: Limits | None = None) -> GroebnerBasis:
@@ -284,57 +366,57 @@ def buchberger(system: PolySystem, limits: Limits | None = None) -> GroebnerBasi
 
     Deterministic for identical input: normal selection strategy (minimal
     lcm degree, then lexicographically smallest pair index), tie-broken by
-    insertion order.
+    insertion order.  Limits are checked before each S-pair and before
+    each polynomial an autoreduce reduces.
     """
-    import heapq
-
     limits = limits or Limits()
     order = system.order
     stats = GBStats()
     start = time.monotonic()
 
-    basis = autoreduce(system.gens, order)
-    max_restarts = len(system.table) + 4
-
-    def check_limits():
+    def check_limits(partial):
         if limits.max_pairs is not None and stats.pairs_considered > limits.max_pairs:
             raise ResourceLimitExceeded(
                 f"resource limit: more than {limits.max_pairs} pairs",
-                list(basis), stats)
-        if limits.max_basis_size is not None and len(basis) > limits.max_basis_size:
+                list(partial), stats)
+        if limits.max_basis_size is not None and len(partial) > limits.max_basis_size:
             raise ResourceLimitExceeded(
                 f"resource limit: basis larger than {limits.max_basis_size}",
-                list(basis), stats)
+                list(partial), stats)
         if limits.deadline is not None and time.monotonic() - start > limits.deadline:
             raise ResourceLimitExceeded("resource limit: deadline exceeded",
-                                        list(basis), stats)
+                                        list(partial), stats)
+
+    basis = autoreduce(system.gens, order, _check=check_limits)
+    max_restarts = len(system.table) + 4
 
     while True:  # each iteration is one (re)start on an autoreduced basis
-        leads = [g.leading(order)[0] for g in basis]
-        view = _sorted_view(basis, order)
+        entries = [_lead_entry(g, order) for g in basis]
+        view = sorted(entries, key=_by_key, reverse=True)
         heap = []
         for j in range(len(basis)):
             for i in range(j):
-                l = mono_lcm(leads[i], leads[j])
+                l = mono_lcm(entries[i][1], entries[j][1])
                 heapq.heappush(heap, (mono_degree(l), i, j))
         completed = set()
         restart = False
 
         while heap:
             stats.pairs_considered += 1
-            check_limits()
+            check_limits(basis)
             _, i, j = heapq.heappop(heap)
-            l = mono_lcm(leads[i], leads[j])
+            _, lead_i, _, mask_i, _ = entries[i]
+            _, lead_j, _, mask_j, _ = entries[j]
+            l = mono_lcm(lead_i, lead_j)
             # product criterion: coprime leading monomials
-            if l == mono_mul(leads[i], leads[j]):
+            if l == mono_mul(lead_i, lead_j):
                 completed.add((i, j))
                 continue
             # chain criterion (conservative: both companion pairs fully treated)
+            l_mask = mask_i | mask_j
             skipped = False
-            for k in range(len(basis)):
-                if k in (i, j):
-                    continue
-                if not mono_divides(leads[k], l):
+            for k, (_, lead_k, _, mask_k, _) in enumerate(entries):
+                if k in (i, j) or mask_k & ~l_mask or not mono_divides(lead_k, l):
                     continue
                 p1 = (min(i, k), max(i, k))
                 p2 = (min(j, k), max(j, k))
@@ -345,48 +427,49 @@ def buchberger(system: PolySystem, limits: Limits | None = None) -> GroebnerBasi
                 completed.add((i, j))
                 continue
             s = s_polynomial(basis[i], basis[j], order)
-            h = _normal_form_view(s, view, order)
+            h, lead_key = _normal_form_view(s, view, order)
             stats.pairs_reduced += 1
             completed.add((i, j))
-            if h.is_zero():
+            if lead_key is None:
                 stats.zero_reductions += 1
                 continue
-            h = h.monic(order)
+            # h is reduced against the view, so its leading monomial is new
+            entry = _monic_entry(h, lead_key)
+            h, lm_h = entry[4], entry[1]
             basis.append(h)
-            lm_h = h.leading(order)[0]
-            leads.append(lm_h)
-            view = _sorted_view(basis, order)
+            entries.append(entry)
+            _insert(view, entry)
             new_index = len(basis) - 1
             for k in range(new_index):
-                l = mono_lcm(leads[k], lm_h)
+                l = mono_lcm(entries[k][1], lm_h)
                 heapq.heappush(heap, (mono_degree(l), k, new_index))
             if h.total_degree() <= 1 and stats.restarts < max_restarts:
                 stats.restarts += 1
-                basis = autoreduce(basis, order)
+                basis = autoreduce(basis, order, _check=check_limits)
                 restart = True
                 break
         if not restart:
             break
 
     # minimalize then tail-reduce: the unique reduced basis for this order
-    basis.sort(key=lambda g: order.key(g.leading(order)[0]))
+    entries.sort(key=_by_key)
     minimal = []
-    leads_done = []
-    for g in basis:
-        lm = g.leading(order)[0]
-        if any(mono_divides(other, lm) for other in leads_done):
+    for entry in entries:
+        _, lm, _, mask, _ = entry
+        if any(not m & ~mask and mono_divides(other, lm)
+               for _, other, _, m, _ in minimal):
             continue
-        minimal.append(g)
-        leads_done.append(lm)
+        minimal.append(entry)
+    view = minimal[::-1]  # leading monomials are distinct: no ties
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(g, others, order)
-        if not r.is_zero():
-            reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)
+    for entry in minimal:
+        others = [e for e in view if e is not entry]
+        r, lead_key = _normal_form_view(entry[4], others, order)
+        if lead_key is not None:
+            reduced.append(_monic_entry(r, lead_key))
+    reduced.sort(key=_by_key, reverse=True)
     stats.basis_size = len(reduced)
-    return GroebnerBasis(system, tuple(reduced), True, stats)
+    return GroebnerBasis(system, tuple(e[4] for e in reduced), True, stats)
 
 
 def ideal_member(p: MultiPoly, gb: GroebnerBasis) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 from typing import Iterable, Mapping, Union
 
 __all__ = [
@@ -144,13 +145,13 @@ class MonomialOrder:
         if self.kind == "lex":
             return mono
         if self.kind == "grevlex":
-            return (sum(mono), tuple(-e for e in reversed(mono)))
+            return (sum(mono), tuple(map(neg, reversed(mono))))
         head, tail = mono[: self.block], mono[self.block:]
         return (
             sum(head),
-            tuple(-e for e in reversed(head)),
+            tuple(map(neg, reversed(head))),
             sum(tail),
-            tuple(-e for e in reversed(tail)),
+            tuple(map(neg, reversed(tail))),
         )
 
     def greater(self, a: Monomial, b: Monomial) -> bool:

@@ -9,6 +9,26 @@ from rbu3.operators import Ansatz, generate_system, rb_residual
 
 FAST = Limits(max_pairs=100000, deadline=240.0)
 
+# The Groebner counters of each preset's run: (pairs considered, pairs
+# reduced, zero reductions, restarts, basis size).  They change whenever the
+# pair order or the divisor choice does; sec5-sub2.1 is the preset that
+# takes the restart path.
+GB_COUNTERS = {
+    "sec4.1": (7626, 1130, 1062, 0, 124),
+    "sec4.2": (990, 243, 237, 0, 45),
+    "sec4.3": (741, 196, 192, 0, 39),
+    "sec5-reduced": (276, 97, 83, 0, 24),
+    "sec5-sub2.1": (40, 15, 10, 5, 6),
+    "sec6": (9870, 1427, 1344, 0, 141),
+    "sec7": (406, 2, 2, 0, 29),
+}
+
+
+def assert_gb_counters(report):
+    s = report.stats
+    assert (s.pairs_considered, s.pairs_reduced, s.zero_reductions,
+            s.restarts, s.basis_size) == GB_COUNTERS[report.case]
+
 
 def test_preset_names():
     names = case_preset_names()
@@ -22,6 +42,7 @@ def test_preset_names():
 def test_sec41_full_case():
     report = run_case(case_preset("sec4.1"), FAST)
     assert report.variables == 15
+    assert_gb_counters(report)
     assert report.gb_reduced and not report.resource_limited
     assert report.all_pass(), report.to_text()
     # the three linear kernel facts and the quoted products all certify
@@ -33,6 +54,7 @@ def test_sec41_full_case():
 def test_sec42_case():
     report = run_case(case_preset("sec4.2"), FAST)
     assert report.variables == 12
+    assert_gb_counters(report)
     assert len(report.memberships) == 18
     assert report.all_pass(), report.to_text()
 
@@ -40,6 +62,7 @@ def test_sec42_case():
 def test_sec43_case():
     report = run_case(case_preset("sec4.3"), FAST)
     assert report.variables == 11
+    assert_gb_counters(report)
     assert len(report.memberships) == 20
     assert report.all_pass(), report.to_text()
 
@@ -63,6 +86,7 @@ def test_sec43_branch_conjugates_onto_the_corrected_r9():
 def test_sec5_reduced_case():
     report = run_case(case_preset("sec5-reduced"), FAST)
     assert report.variables == 9
+    assert_gb_counters(report)
     assert report.all_pass(), report.to_text()
     assert {tuple(m.factors) for m in report.memberships} == {
         ("f", "b"), ("f", "d"), ("f", "g"), ("j", "b"), ("j", "d"), ("j", "g")}
@@ -70,6 +94,7 @@ def test_sec5_reduced_case():
 
 def test_sec5_subcase_21_localization():
     report = run_case(case_preset("sec5-sub2.1"), FAST)
+    assert_gb_counters(report)
     assert report.all_pass(), report.to_text()
     # with i invertible the five letters vanish at ideal level
     assert all(m.certified_by == "ideal" for m in report.memberships)
@@ -79,6 +104,7 @@ def test_sec5_subcase_21_localization():
 def test_sec6_reduced_case():
     report = run_case(case_preset("sec6"), FAST)
     assert report.variables == 18
+    assert_gb_counters(report)
     assert len(report.memberships) == 42
     assert report.all_pass(), report.to_text()
 
@@ -86,6 +112,7 @@ def test_sec6_reduced_case():
 def test_sec7_full_case():
     report = run_case(case_preset("sec7"), FAST)
     assert report.variables == 30
+    assert_gb_counters(report)
     assert report.all_pass(), report.to_text()
     quad = [m for m in report.memberships if m.factors == ("b_33_23^2 - b_33_23",)]
     assert quad and quad[0].member

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rbu3.poly import MultiPoly, VarTable, grevlex, lex, parse_poly
+from rbu3.poly import (MultiPoly, VarTable, elimination, grevlex, lex,
+                       mono_div, mono_divides, mono_mul, parse_poly)
 from rbu3.groebner import (Limits, PolySystem, ResourceLimitExceeded,
-                           buchberger, eliminate, ideal_member,
+                           autoreduce, buchberger, eliminate, ideal_member,
                            normal_form, s_polynomial)
 
 XY = VarTable(["x", "y"])
@@ -125,6 +126,53 @@ def test_resource_limit_raises_with_partial_state():
         assert normal_form(g, info.value.partial, grevlex()).is_zero()
 
 
+def test_deadline_holds_inside_the_initial_autoreduce():
+    """sec7's 195 generators take a long autoreduce before the first S-pair;
+    an expired deadline stops it at its first polynomial."""
+    from rbu3.catalog import case_preset
+    from rbu3.operators import generate_system
+    system, _ = generate_system(case_preset("sec7").ansatz())
+    with pytest.raises(ResourceLimitExceeded) as info:
+        buchberger(system, Limits(deadline=0.0))
+    assert info.value.stats.pairs_considered == 0
+    assert info.value.partial
+    assert info.value.partial == list(system.gens)
+
+
+def test_autoreduce_stopped_midway_still_generates_the_ideal():
+    """A stop before any polynomial of any autoreduce pass leaves the
+    reduced part plus the unreduced rest: the same ideal, so the same
+    reduced Groebner basis."""
+    table = VarTable(["x", "y", "z"])
+    gens = tuple(parse_poly(t, table) for t in (
+        "x^2 - y*z", "2*x^2 - 2*y*z + x", "y^2 - x*z", "x + y - z",
+        "z^2 - x*y", "x*y + 3*y"))
+    expected = buchberger(PolySystem(table, gens, grevlex())).basis
+
+    class Stop(Exception):
+        pass
+
+    calls = 0
+    while True:
+        seen = []
+
+        def check(partial):
+            seen.append(partial)
+            if len(seen) > calls:
+                raise Stop
+
+        try:
+            autoreduce(gens, grevlex(), _check=check)
+        except Stop:
+            partial = seen[-1]
+            assert buchberger(PolySystem(table, tuple(partial),
+                                         grevlex())).basis == expected
+            calls += 1
+            continue
+        break
+    assert calls > len(gens)  # more than one pass was interrupted
+
+
 def test_system_json_round_trip(tmp_path):
     system = lex_system("x^2 - 1", "x*y - 1")
     path = tmp_path / "sys.json"
@@ -202,3 +250,74 @@ def small_systems(draw):
 def test_buchberger_output_verifies(system):
     gb = buchberger(system, Limits(max_pairs=20000))
     assert gb.verify()
+
+
+# -- division order: reference loop ---------------------------------------------
+
+
+def reference_normal_form(p, basis, order):
+    """Plain multivariate division: the largest remaining term found by a
+    full scan, divided by the first basis element in stable descending
+    leading-monomial order."""
+    view = [(*g.leading(order), g) for g in basis if not g.is_zero()]
+    view.sort(key=lambda t: order.key(t[0]), reverse=True)
+    work = dict(p.terms)
+    remainder = {}
+    while work:
+        mono = max(work, key=order.key)
+        coeff = work.pop(mono)
+        for lm, lc, g in view:
+            if mono_divides(lm, mono):
+                break
+        else:
+            remainder[mono] = coeff
+            continue
+        shift = mono_div(mono, lm)
+        for m2, c2 in g.terms.items():
+            if m2 != lm:
+                target = mono_mul(shift, m2)
+                acc = work.get(target, 0) - coeff / lc * c2
+                if acc:
+                    work[target] = acc
+                else:
+                    work.pop(target, None)
+    return MultiPoly(p.table, remainder)
+
+
+XYZ = VarTable(["x", "y", "z"])
+
+
+@st.composite
+def xyz_polys(draw, max_terms=4, max_exp=2):
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        mono = tuple(draw(st.integers(0, max_exp)) for _ in range(3))
+        terms[mono] = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+    return MultiPoly(XYZ, terms)
+
+
+@st.composite
+def division_problems(draw):
+    """A dividend, a basis that is generally not a Groebner basis, an order.
+
+    Leads over three variables of degree at most 2 are often disjoint in
+    support; a copy ``g + c`` or ``c * g`` of a basis element repeats its
+    leading monomial, so the tie order among equal leads matters too.
+    """
+    basis = [g for g in draw(st.lists(xyz_polys(), min_size=1, max_size=4))
+             if not g.is_constant()]
+    for g in list(basis):
+        if draw(st.booleans()):
+            c = Fraction(draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+            basis.append(g + c if draw(st.booleans()) else g * c)
+    basis = draw(st.permutations(basis))
+    p = draw(xyz_polys(max_terms=6, max_exp=3))
+    order = draw(st.sampled_from([lex(), grevlex(), elimination(1)]))
+    return p, basis, order
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(division_problems())
+def test_normal_form_matches_reference_division(problem):
+    p, basis, order = problem
+    assert normal_form(p, basis, order) == reference_normal_form(p, basis, order)
