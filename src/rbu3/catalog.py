@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -703,9 +704,12 @@ def run_case(spec: CaseSpec, limits: Limits | None = None) -> CaseReport:
     Membership certificates are sound even under a resource limit: a zero
     normal form against a partial basis still proves membership; only a
     nonzero normal form against a non-reduced basis is reported undecided.
+    The deadline bounds the whole case: each Groebner basis computation gets
+    only the time that remains.
     """
     limits = limits if limits is not None else Limits(max_pairs=200000,
                                                       deadline=600.0)
+    end = None if limits.deadline is None else time.monotonic() + limits.deadline
     system, shape = generate_system(spec.ansatz())
     work_system = system
     if spec.localize:
@@ -714,7 +718,7 @@ def run_case(spec: CaseSpec, limits: Limits | None = None) -> CaseReport:
     resource_limited = False
     stats = None
     try:
-        gb = buchberger(work_system, limits)
+        gb = buchberger(work_system, _time_left(limits, end))
         basis = list(gb.basis)
         gb_reduced = gb.reduced
         stats = gb.stats
@@ -737,7 +741,7 @@ def run_case(spec: CaseSpec, limits: Limits | None = None) -> CaseReport:
             memberships.append(MembershipResult(factors, text, True, True, "ansatz"))
             continue
         memberships.append(_certify_membership(
-            factors, text, claim, basis, work_system, gb_reduced, limits))
+            factors, text, claim, basis, work_system, gb_reduced, limits, end))
 
     solution_results = []
     ansatz = spec.ansatz()
@@ -771,15 +775,23 @@ def run_case(spec: CaseSpec, limits: Limits | None = None) -> CaseReport:
 _MAX_POWER_CERT = 4
 
 
+def _time_left(limits: Limits, end) -> Limits:
+    """``limits`` with the deadline cut to the seconds left before ``end``."""
+    if end is None:
+        return limits
+    return replace(limits, deadline=end - time.monotonic())
+
+
 def _certify_membership(factors, text, claim, basis, work_system, gb_reduced,
-                        limits) -> MembershipResult:
+                        limits, end) -> MembershipResult:
     """Certify that a relation vanishes on the case's solution set.
 
     Zero normal forms are sound against any partial basis.  A relation whose
     normal form is nonzero is retried as a power (p^k in the ideal implies p
     vanishes on the solution set) and then through the localization
     encoding, which decides vanishing exactly when the basis is a full
-    Groebner basis.
+    Groebner basis.  The localization is skipped once no time is left
+    before ``end``.
     """
     order = work_system.order
     view = _divisor_view(basis, order)
@@ -790,16 +802,18 @@ def _certify_membership(factors, text, claim, basis, work_system, gb_reduced,
         power = power * claim
         if _normal_form_view(power, view, order)[0].is_zero():
             return MembershipResult(factors, text, True, False, f"power-{k}")
-    try:
-        localized = PolySystem(work_system.table, tuple(basis), order)
-        localized = localized.localize(claim, "t_loc")
-        loc_gb = buchberger(localized, limits)
-        if len(loc_gb.basis) == 1 and loc_gb.basis[0].is_constant():
-            return MembershipResult(factors, text, True, False, "localization")
-        if gb_reduced:
-            return MembershipResult(factors, text, False, False, "localization")
-    except ResourceLimitExceeded:
-        pass
+    left = _time_left(limits, end)
+    if left.deadline is None or left.deadline > 0:
+        try:
+            localized = PolySystem(work_system.table, tuple(basis), order)
+            localized = localized.localize(claim, "t_loc")
+            loc_gb = buchberger(localized, left)
+            if len(loc_gb.basis) == 1 and loc_gb.basis[0].is_constant():
+                return MembershipResult(factors, text, True, False, "localization")
+            if gb_reduced:
+                return MembershipResult(factors, text, False, False, "localization")
+        except ResourceLimitExceeded:
+            pass
     return MembershipResult(factors, text, None if not gb_reduced else False,
                             False, "undecided")
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import MultiPoly, ParseError, VarTable, _tokenize
+from .poly import MultiPoly, ParseError, VarTable, format_terms, parse_terms
 
 __all__ = [
     "BasisIndex",
@@ -26,8 +26,10 @@ __all__ = [
     "basis_name",
     "name_to_index",
     "parse_matrix",
+    "rref",
     "exact_rank",
     "solve_exact",
+    "inverse_exact",
     "generic_rank",
 ]
 
@@ -237,29 +239,18 @@ class UTMatrix:
         Polynomial coefficients are flattened one monomial per term so the
         output stays inside the literal grammar and round-trips.
         """
-        if not self.entries:
-            return "0"
-        parts = []
+        pieces = []
         for idx in basis_indices(self.n):
             value = self.entries.get(idx)
             if value is None:
                 continue
             name = basis_name(idx)
             if isinstance(value, MultiPoly):
-                pieces = _poly_terms_for_matrix(value)
+                pieces.extend((coeff, f"{mono}*{name}" if mono else name)
+                              for coeff, mono in value.term_texts())
             else:
-                pieces = [(value, "")]
-            for coeff, body in pieces:
-                mag = abs(coeff)
-                text = name if not body else f"{body}*{name}"
-                if mag != 1:
-                    text = f"{mag}*{text}"
-                parts.append(("-" if coeff < 0 else "+", text))
-        sign, text = parts[0]
-        out = ("-" if sign == "-" else "") + text
-        for sign, text in parts[1:]:
-            out += f" {sign} {text}"
-        return out
+                pieces.append((value, name))
+        return format_terms(pieces)
 
     def __str__(self) -> str:
         return self.to_str()
@@ -268,93 +259,39 @@ class UTMatrix:
         return f"UTMatrix({self.n}, {self.to_str()!r})"
 
 
-def _poly_terms_for_matrix(poly: MultiPoly):
-    """Split a polynomial coefficient into (rational, monomial-text) pieces."""
-    from .poly import grevlex
-
-    order = grevlex()
-    pieces = []
-    names = poly.table.names
-    for mono in sorted(poly.terms, key=order.key, reverse=True):
-        coeff = poly.terms[mono]
-        factors = []
-        for i, e in enumerate(mono):
-            if e == 1:
-                factors.append(names[i])
-            elif e > 1:
-                factors.append(f"{names[i]}^{e}")
-        pieces.append((coeff, "*".join(factors)))
-    return pieces
-
-
 def parse_matrix(text: str, n: int = 3, table: VarTable | None = None) -> UTMatrix:
     """Parse a sum-of-terms matrix literal.
 
     Each term is ``[coef*]eIJ`` with ``coef`` built from integer/fraction
-    literals and (when ``table`` is given) parameter names, joined by ``*``.
-    Repeated basis elements accumulate.
+    literals and (when ``table`` is given) parameter names, joined by ``*``;
+    the term grammar is :func:`~rbu3.poly.parse_terms`.  Repeated basis
+    elements accumulate.
     """
     text = text.strip()
     if text == "0" or text == "":
         return UTMatrix(n)
-    tokens = _tokenize(text)
-    pos, count = 0, len(tokens)
     total = UTMatrix(n)
-    first = True
-    while pos < count:
-        sign = 1
-        while pos < count and tokens[pos][0] in "+-":
-            if tokens[pos][0] == "-":
-                sign = -sign
-            pos += 1
-            first = False
-        if pos >= count:
-            raise ParseError("dangling sign", tokens[-1][2])
-        first = False
-        coeff = Fraction(sign)
+    for coeff, names, term_at in parse_terms(text):
         if table is not None:
             coeff = MultiPoly.const(table, coeff)
         basis_idx = None
-        expect_factor = True
-        while pos < count:
-            kind, value, at = tokens[pos]
-            if kind == "num" and expect_factor:
-                coeff = coeff * value
-                pos += 1
-            elif kind == "name" and expect_factor:
-                exp = 1
-                if pos + 2 < count and tokens[pos + 1][0] == "^":
-                    if tokens[pos + 2][0] != "num":
-                        raise ParseError("expected exponent after '^'", at)
-                    exp_val = tokens[pos + 2][1]
-                    if exp_val.denominator != 1 or exp_val < 0:
-                        raise ParseError("exponent must be a non-negative integer",
-                                         tokens[pos + 2][2])
-                    exp = int(exp_val)
-                try:
-                    idx = name_to_index(value, n)
-                except ValueError:
-                    idx = None
-                if idx is not None:
-                    if basis_idx is not None:
-                        raise ParseError("two basis elements in one term", at)
-                    basis_idx = idx
-                    pos += 1
-                else:
-                    if table is None or value not in table.index:
-                        raise ParseError(f"unknown symbol {value!r}", at)
-                    coeff = coeff * table.var(value) ** exp
-                    pos += 1 if exp == 1 else 3
+        for name, exp, at in names:
+            try:
+                idx = name_to_index(name, n)
+            except ValueError:
+                idx = None
+            if idx is not None:
+                if basis_idx is not None:
+                    raise ParseError("two basis elements in one term", at)
+                if exp != 1:
+                    raise ParseError("a basis element takes no exponent", at)
+                basis_idx = idx
+            elif table is None or name not in table.index:
+                raise ParseError(f"unknown symbol {name!r}", at)
             else:
-                break
-            expect_factor = False
-            if pos < count and tokens[pos][0] == "*":
-                pos += 1
-                expect_factor = True
-        if expect_factor:
-            raise ParseError("dangling '*'", tokens[pos - 1][2] if pos else 0)
+                coeff = coeff * table.var(name) ** exp
         if basis_idx is None:
-            raise ParseError("term without a basis element", tokens[pos - 1][2])
+            raise ParseError("term without a basis element", term_at)
         total = total + UTMatrix(n, {basis_idx: coeff})
     return total
 
@@ -362,68 +299,69 @@ def parse_matrix(text: str, n: int = 3, table: VarTable | None = None) -> UTMatr
 # -- exact linear algebra helpers -------------------------------------------
 
 
-def exact_rank(rows: list) -> int:
-    """Rank of a rational matrix by fraction-exact Gaussian elimination."""
+def rref(rows: list, ncols: int | None = None):
+    """Reduced row echelon form of a rational matrix, by exact elimination.
+
+    Pivots run left to right over the first ``ncols`` columns (all of them
+    when ``ncols`` is None); each column's pivot is the first row at or
+    below the current rank with a nonzero entry there.  Any further columns
+    ride along as an augmented block.  Returns ``(rows, pivots)``: the
+    reduced rows, as new ``Fraction`` lists, and the pivot column of each of
+    the first ``len(pivots)`` rows.  The rows after those are zero in the
+    first ``ncols`` columns.
+    """
     rows = [list(map(Fraction, row)) for row in rows]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pivot_row = rows[rank]
-        inv = Fraction(1) / pivot_row[col]
-        rows[rank] = [v * inv for v in pivot_row]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+        inv = Fraction(1) / rows[rank][col]
+        pivot_row = rows[rank] = [v * inv for v in rows[rank]]
+        for r, row in enumerate(rows):
+            if r != rank and row[col]:
+                factor = row[col]
+                rows[r] = [a - factor * b for a, b in zip(row, pivot_row)]
+        pivots.append(col)
+    return rows, pivots
+
+
+def exact_rank(rows: list) -> int:
+    """Rank of a rational matrix by fraction-exact Gaussian elimination."""
+    return len(rref(rows)[1])
 
 
 def solve_exact(matrix: list, rhs: list):
     """Solve M x = rhs over the rationals; returns a solution list or None."""
-    m = len(matrix)
-    if m == 0:
+    if not matrix:
         return [] if not any(rhs) else None
     ncols = len(matrix[0])
-    aug = [list(map(Fraction, row)) + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, m):
-            if aug[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = Fraction(1) / aug[rank][col]
-        aug[rank] = [v * inv for v in aug[rank]]
-        for r in range(m):
-            if r != rank and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, m):
-        if aug[r][ncols]:
-            return None
+    rows, pivots = rref([list(row) + [b] for row, b in zip(matrix, rhs)], ncols)
+    if any(row[ncols] for row in rows[len(pivots):]):
+        return None
     solution = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        solution[col] = aug[r][ncols]
+    for row, col in zip(rows, pivots):
+        solution[col] = row[ncols]
     return solution
+
+
+def inverse_exact(matrix: list):
+    """Inverse of a square rational matrix as a list of rows, or None if singular.
+
+    One elimination of ``[M | I]``.
+    """
+    d = len(matrix)
+    rows, pivots = rref([list(row) + [int(r == c) for c in range(d)]
+                         for r, row in enumerate(matrix)], d)
+    if len(pivots) < d:
+        return None
+    return [row[d:] for row in rows]
 
 
 def generic_rank(rows: list) -> int:

@@ -23,7 +23,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .matrices import (BasisIndex, UTMatrix, basis_indices, basis_name,
-                       generic_rank, name_to_index, parse_matrix, solve_exact)
+                       exact_rank, generic_rank, inverse_exact, name_to_index,
+                       parse_matrix, rref, solve_exact)
 from .poly import MultiPoly, VarTable, grevlex
 from .groebner import PolySystem
 
@@ -377,29 +378,11 @@ def _solve_linear_constraints(ansatz: Ansatz):
             else:
                 row[mono.index(1)] = coeff
         rows.append(row)
-    # exact RREF with pivots chosen in canonical variable order
-    pivots = {}
-    rank = 0
-    for col in range(len(names)):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        pivots[col] = rank
-        rank += 1
-    for r in range(rank, len(rows)):
-        if rows[r][-1]:
-            raise ContradictoryAnsatz("contradictory ansatz")
+    # pivots chosen in canonical variable order; the constants ride along
+    rows, pivot_cols = rref(rows, len(names))
+    if any(row[-1] for row in rows[len(pivot_cols):]):
+        raise ContradictoryAnsatz("contradictory ansatz")
+    pivots = {col: r for r, col in enumerate(pivot_cols)}
     free_names = [names[c] for c in range(len(names)) if c not in pivots]
     free_table = VarTable(free_names)
     expressions = {}
@@ -486,7 +469,8 @@ def split_construction(b_basis: Sequence[UTMatrix], c_basis: Sequence[UTMatrix],
         raise ValueError("the split construction is a weight-zero construction")
     vectors = [m.to_vector() for m in list(b_basis) + list(c_basis)]
     d = len(basis_indices(n))
-    if len(vectors) != d or generic_rank(vectors) != d:
+    inverse = inverse_exact(vectors) if len(vectors) == d else None
+    if inverse is None:
         raise SplitHypothesisError("hypothesis failed: B and C do not form a basis")
     span_rows = [m.to_vector() for m in c_basis]
     span_rank = generic_rank(span_rows)
@@ -513,17 +497,15 @@ def split_construction(b_basis: Sequence[UTMatrix], c_basis: Sequence[UTMatrix],
         if not in_span_c(img):
             raise SplitHypothesisError("hypothesis failed: an image lies outside span(C)")
 
-    # express R on the canonical basis by solving the change of coordinates
+    # express R on the canonical basis: row `pos` of the inverse holds the
+    # coordinates of canonical basis element `pos` over B u C
     columns = {}
-    matrix = [[vectors[c][r] for c in range(d)] for r in range(d)]
     image_list = list(images) + [UTMatrix.zero(n)] * len(c_basis)
-    for pos, idx in enumerate(basis_indices(n)):
-        rhs = [Fraction(1) if r == pos else Fraction(0) for r in range(d)]
-        coords = solve_exact(matrix, rhs)
+    for idx, coords in zip(basis_indices(n), inverse):
         total = UTMatrix.zero(n)
-        for c, coeff in enumerate(coords):
+        for image, coeff in zip(image_list, coords):
             if coeff:
-                total = total + image_list[c].scale(coeff)
+                total = total + image.scale(coeff)
         columns[idx] = total
     op = Operator(n, columns, Fraction(0))
     if not rb_residual(op).is_zero():
@@ -575,7 +557,6 @@ def unit_in_image(op: Operator):
                 pieces.setdefault(("const",), {})[pos] = value
         for chunk in pieces.values():
             span_rows.append([chunk.get(p, Fraction(0)) for p in idxs])
-    from .matrices import exact_rank
     if not span_rows:
         return False
     base = exact_rank(span_rows)

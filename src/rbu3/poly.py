@@ -28,6 +28,8 @@ __all__ = [
     "lex",
     "elimination",
     "is_zero_identically",
+    "format_terms",
+    "parse_terms",
     "parse_poly",
 ]
 
@@ -430,40 +432,49 @@ class MultiPoly:
 
     # -- printing --------------------------------------------------------
 
-    def to_str(self, order: MonomialOrder | None = None) -> str:
-        if not self.terms:
-            return "0"
+    def term_texts(self, order: MonomialOrder | None = None):
+        """Yield ``(coefficient, monomial text)`` per term, largest first.
+
+        The order defaults to grevlex; the monomial text of the constant
+        term is empty.
+        """
         order = order or grevlex()
         names = self.table.names
-        parts = []
         for mono in sorted(self.terms, key=order.key, reverse=True):
-            coeff = self.terms[mono]
-            factors = []
-            for i, e in enumerate(mono):
-                if e == 1:
-                    factors.append(names[i])
-                elif e > 1:
-                    factors.append(f"{names[i]}^{e}")
-            body = "*".join(factors)
-            mag = abs(coeff)
-            if body and mag == 1:
-                text = body
-            elif body:
-                text = f"{mag}*{body}"
-            else:
-                text = str(mag)
-            parts.append(("-" if coeff < 0 else "+", text))
-        sign, text = parts[0]
-        out = ("-" if sign == "-" else "") + text
-        for sign, text in parts[1:]:
-            out += f" {sign} {text}"
-        return out
+            yield self.terms[mono], "*".join(
+                names[i] if e == 1 else f"{names[i]}^{e}"
+                for i, e in enumerate(mono) if e)
+
+    def to_str(self, order: MonomialOrder | None = None) -> str:
+        return format_terms(self.term_texts(order))
 
     def __str__(self) -> str:
         return self.to_str()
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.to_str()!r})"
+
+
+def format_terms(pieces) -> str:
+    """Join ``(coefficient, text)`` pieces into a sum-of-terms literal.
+
+    Each piece prints as ``text`` when its coefficient is 1 or -1, as
+    ``|c|*text`` otherwise, and as ``|c|`` when its text is empty; the signs
+    become the ``+``/``-`` between terms.  No pieces print as ``0``.
+    """
+    out = []
+    for coeff, text in pieces:
+        mag = abs(coeff)
+        if not text:
+            text = str(mag)
+        elif mag != 1:
+            text = f"{mag}*{text}"
+        if out:
+            out.append(" - " if coeff < 0 else " + ")
+        elif coeff < 0:
+            out.append("-")
+        out.append(text)
+    return "".join(out) or "0"
 
 
 # -- parsing ---------------------------------------------------------------
@@ -510,47 +521,44 @@ def _tokenize(text: str):
     return tokens
 
 
-def parse_poly(text: str, table: VarTable) -> MultiPoly:
-    """Parse the polynomial grammar ``coef*var1^k1*var2^k2 +/- ...``.
+def parse_terms(text: str) -> list:
+    """Split a sum-of-terms literal into its terms.
 
-    Coefficients are integer or fraction literals; ``+``/``-`` separate
-    terms.  Printing and parsing round-trip exactly.
+    A term is factors joined by ``*``; a factor is an integer or fraction
+    literal, or a name with an optional ``^k`` (k a non-negative integer).
+    Terms are separated by ``+`` or ``-`` (a run of signs multiplies out),
+    and the first term may carry a sign.  Returns one ``(coefficient,
+    [(name, exponent, position)], position)`` per term: the product of its
+    sign and numeric factors, its named factors in order, and where it
+    starts.  The meaning of the names is left to the caller.
     """
     tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty polynomial", 0)
-    result = MultiPoly(table, {})
-    pos = 0
-    n = len(tokens)
-    first = True
-    while pos < n:
+    terms = []
+    pos, count = 0, len(tokens)
+    while pos < count:
+        start = pos
         sign = Fraction(1)
-        while pos < n and tokens[pos][0] in "+-":
+        while pos < count and tokens[pos][0] in "+-":
             if tokens[pos][0] == "-":
                 sign = -sign
             pos += 1
-            first = False
-        if pos >= n:
+        if pos >= count:
             raise ParseError("dangling sign", tokens[-1][2])
-        if not first and tokens[pos][0] not in ("num", "name"):
+        if terms and pos == start:
+            raise ParseError("expected '+' or '-' between terms", tokens[pos][2])
+        if tokens[pos][0] not in ("num", "name"):
             raise ParseError("expected a term", tokens[pos][2])
-        first = False
-        coeff = sign
-        mono = [0] * len(table)
+        coeff, names, term_at = sign, [], tokens[pos][2]
         expect_factor = True
-        while pos < n:
+        while pos < count and expect_factor:
             kind, value, at = tokens[pos]
-            if kind == "num" and expect_factor:
+            pos += 1
+            if kind == "num":
                 coeff *= value
-                pos += 1
-            elif kind == "name" and expect_factor:
-                idx = table.index.get(value)
-                if idx is None:
-                    raise ParseError(f"unknown variable {value!r}", at)
+            elif kind == "name":
                 exp = 1
-                pos += 1
-                if pos < n and tokens[pos][0] == "^":
-                    if pos + 1 >= n or tokens[pos + 1][0] != "num":
+                if pos < count and tokens[pos][0] == "^":
+                    if pos + 1 >= count or tokens[pos + 1][0] != "num":
                         raise ParseError("expected exponent after '^'", at)
                     exp_val = tokens[pos + 1][1]
                     if exp_val.denominator != 1 or exp_val < 0:
@@ -558,14 +566,34 @@ def parse_poly(text: str, table: VarTable) -> MultiPoly:
                                          tokens[pos + 1][2])
                     exp = int(exp_val)
                     pos += 2
-                mono[idx] += exp
+                names.append((value, exp, at))
             else:
-                break
-            expect_factor = False
-            if pos < n and tokens[pos][0] == "*":
+                raise ParseError("expected a factor after '*'", at)
+            expect_factor = pos < count and tokens[pos][0] == "*"
+            if expect_factor:
                 pos += 1
-                expect_factor = True
         if expect_factor:
-            raise ParseError("dangling '*'", tokens[pos - 1][2] if pos else 0)
+            raise ParseError("dangling '*'", tokens[-1][2])
+        terms.append((coeff, names, term_at))
+    return terms
+
+
+def parse_poly(text: str, table: VarTable) -> MultiPoly:
+    """Parse the polynomial grammar ``coef*var1^k1*var2^k2 +/- ...``.
+
+    Coefficients are integer or fraction literals; ``+``/``-`` separate
+    terms.  Printing and parsing round-trip exactly.
+    """
+    terms = parse_terms(text)
+    if not terms:
+        raise ParseError("empty polynomial", 0)
+    result = MultiPoly(table, {})
+    for coeff, names, _ in terms:
+        mono = [0] * len(table)
+        for name, exp, at in names:
+            idx = table.index.get(name)
+            if idx is None:
+                raise ParseError(f"unknown variable {name!r}", at)
+            mono[idx] += exp
         result = result + MultiPoly(table, {tuple(mono): coeff})
     return result

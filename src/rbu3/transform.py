@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Mapping
 
-from .matrices import UTMatrix, basis_indices, solve_exact
+from .matrices import UTMatrix, basis_indices, inverse_exact
 from .operators import Operator, scale_operator
 from .poly import MultiPoly, VarTable, lex
 from .groebner import GroebnerBasis, Limits, PolySystem, buchberger
@@ -98,33 +99,22 @@ class AlgebraMap:
         self.inverse_columns()  # invertibility check
 
     def apply(self, x: UTMatrix) -> UTMatrix:
-        total = UTMatrix.zero(self.n)
-        for idx, coeff in x.entries.items():
-            total = total + self.columns[idx].scale(coeff)
-        return total
+        return _combine(self.columns, x, self.n)
 
     def inverse_columns(self):
         if self._inverse_columns is None:
+            # the column vectors are the rows of the transposed matrix, and the
+            # rows of its inverse are the inverse map's columns
             idxs = basis_indices(self.n)
-            d = len(idxs)
-            cols = [self.columns[idx].to_vector() for idx in idxs]
-            matrix = [[cols[c][r] for c in range(d)] for r in range(d)]
-            inverse = {}
-            for pos, idx in enumerate(idxs):
-                rhs = [Fraction(1) if r == pos else Fraction(0) for r in range(d)]
-                coords = solve_exact(matrix, rhs)
-                if coords is None:
-                    raise ValueError("map is not invertible")
-                inverse[idx] = UTMatrix.from_vector(self.n, coords)
-            self._inverse_columns = inverse
+            rows = inverse_exact([self.columns[idx].to_vector() for idx in idxs])
+            if rows is None:
+                raise ValueError("map is not invertible")
+            self._inverse_columns = {idx: UTMatrix.from_vector(self.n, row)
+                                     for idx, row in zip(idxs, rows)}
         return self._inverse_columns
 
     def inverse_apply(self, x: UTMatrix) -> UTMatrix:
-        inverse = self.inverse_columns()
-        total = UTMatrix.zero(self.n)
-        for idx, coeff in x.entries.items():
-            total = total + inverse[idx].scale(coeff)
-        return total
+        return _combine(self.inverse_columns(), x, self.n)
 
     def compose(self, other: "AlgebraMap") -> "AlgebraMap":
         """self after other (as linear maps)."""
@@ -143,6 +133,14 @@ class AlgebraMap:
                         for i in basis_indices(self.n)))
 
 
+def _combine(columns: Mapping, x: UTMatrix, n: int) -> UTMatrix:
+    """The linear map with the given columns applied to x."""
+    total = UTMatrix.zero(n)
+    for idx, coeff in x.entries.items():
+        total = total + columns[idx].scale(coeff)
+    return total
+
+
 def build_psi(params: AutoParams, n: int = 3) -> AlgebraMap:
     """The five-parameter automorphism of U_3.
 
@@ -155,19 +153,29 @@ def build_psi(params: AutoParams, n: int = 3) -> AlgebraMap:
     """
     if n != 3:
         raise ValueError("the five-parameter family is specific to U_3")
-    a, b, c = params.alpha, params.beta, params.gamma
-    d, e = params.delta, params.epsilon
+    d = params.delta
+    columns = _psi_columns(params.alpha, params.beta, params.gamma, d,
+                           params.epsilon, Fraction(1) / d, Fraction(1))
+    return AlgebraMap(3, "automorphism", columns)
+
+
+def _psi_columns(a, b, c, d, e, dinv, one):
+    """The columns of psi with ``dinv`` standing for 1/delta.
+
+    ``build_psi`` passes rationals; the conjugation search passes polynomial
+    unknowns, with ``dinv`` an exact inverse of delta modulo its auxiliary
+    relation, so every entry stays polynomial.
+    """
     m = lambda entries: UTMatrix(3, entries)
-    columns = {
-        (1, 1): m({(1, 1): Fraction(1), (1, 2): b, (1, 3): c}),
+    return {
+        (1, 1): m({(1, 1): one, (1, 2): b, (1, 3): c}),
         (1, 2): m({(1, 2): d, (1, 3): e}),
         (1, 3): m({(1, 3): a}),
-        (2, 2): m({(1, 2): -b, (1, 3): -b * e / d, (2, 2): Fraction(1),
-                   (2, 3): e / d}),
-        (2, 3): m({(1, 3): -a * b / d, (2, 3): a / d}),
-        (3, 3): m({(1, 3): b * e / d - c, (2, 3): -e / d, (3, 3): Fraction(1)}),
+        (2, 2): m({(1, 2): -b, (1, 3): -(b * e * dinv), (2, 2): one,
+                   (2, 3): e * dinv}),
+        (2, 3): m({(1, 3): -(a * b * dinv), (2, 3): a * dinv}),
+        (3, 3): m({(1, 3): b * e * dinv - c, (2, 3): -(e * dinv), (3, 3): one}),
     }
-    return AlgebraMap(3, "automorphism", columns)
 
 
 def theta13(n: int = 3) -> AlgebraMap:
@@ -386,33 +394,6 @@ _TRIAL_VALUES = (Fraction(1), Fraction(0), Fraction(-1), Fraction(2),
                  Fraction(-2), Fraction(1, 2))
 
 
-def _psi_columns_symbolic(table: VarTable, with_scale: bool):
-    """Columns of psi over the unknowns, with 1/delta written via the auxiliary.
-
-    The relation u * alpha * delta * k = 1 makes u*alpha*k an exact inverse
-    of delta, so every entry stays polynomial.
-    """
-    a = table.var("alpha")
-    b = table.var("beta")
-    c = table.var("gamma")
-    d = table.var("delta")
-    e = table.var("epsilon")
-    u = table.var("u_aux")
-    k = table.var("k_scale") if with_scale else MultiPoly.const(table, 1)
-    dinv = u * a * k
-    one = MultiPoly.const(table, 1)
-    m = lambda entries: UTMatrix(3, entries)
-    return {
-        (1, 1): m({(1, 1): one, (1, 2): b, (1, 3): c}),
-        (1, 2): m({(1, 2): d, (1, 3): e}),
-        (1, 3): m({(1, 3): a}),
-        (2, 2): m({(1, 2): -b, (1, 3): -(b * e * dinv), (2, 2): one,
-                   (2, 3): e * dinv}),
-        (2, 3): m({(1, 3): -(a * b * dinv), (2, 3): a * dinv}),
-        (3, 3): m({(1, 3): b * e * dinv - c, (2, 3): -(e * dinv), (3, 3): one}),
-    }
-
-
 def _rational_roots(coeffs):
     """Rational roots of a univariate polynomial given as {degree: Fraction}."""
     if not coeffs:
@@ -420,7 +401,7 @@ def _rational_roots(coeffs):
     max_deg = max(coeffs)
     dens = 1
     for c in coeffs.values():
-        dens = dens * c.denominator // _gcd(dens, c.denominator)
+        dens = dens * c.denominator // gcd(dens, c.denominator)
     ints = {d: int(c * dens) for d, c in coeffs.items()}
     low = min(d for d, c in ints.items() if c)
     roots = []
@@ -439,12 +420,6 @@ def _rational_roots(coeffs):
                 if not sum(c * cand**d for d, c in ints.items()):
                     roots.append(cand)
     return sorted(roots)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(value, cap=200000):
@@ -553,8 +528,12 @@ def _psi_only_search(source, target, allow_scaling, limits, budget):
     param_names = tuple(source.params()) + tuple(
         p for p in target.params() if p not in source.params())
     table = VarTable(names + param_names)
-    psi_cols = _psi_columns_symbolic(table, allow_scaling)
-    k = table.var("k_scale") if allow_scaling else MultiPoly.const(table, 1)
+    var = table.var
+    one = MultiPoly.const(table, 1)
+    k = var("k_scale") if allow_scaling else one
+    # u * alpha * delta * k = 1 makes u * alpha * k an exact inverse of delta
+    psi_cols = _psi_columns(var("alpha"), var("beta"), var("gamma"), var("delta"),
+                            var("epsilon"), var("u_aux") * var("alpha") * k, one)
 
     def lift(matrix: UTMatrix) -> UTMatrix:
         entries = {}
@@ -567,13 +546,10 @@ def _psi_only_search(source, target, allow_scaling, limits, budget):
 
     gens = []
     n_unknown = len(names)
+    source_cols = {idx: lift(source.image(idx)) for idx in basis_indices(3)}
     for idx in basis_indices(3):
-        lhs = _apply_lifted(source, psi_cols[idx], table)
-        s_col = lift(target.image(idx))
-        rhs = UTMatrix.zero(3)
-        for pos, coeff in s_col.entries.items():
-            rhs = rhs + psi_cols[pos].scale(coeff)
-        rhs = rhs.scale(k)
+        lhs = _combine(source_cols, psi_cols[idx], 3)
+        rhs = _combine(psi_cols, lift(target.image(idx)), 3).scale(k)
         diff = lhs - rhs
         for value in diff.entries.values():
             if isinstance(value, Fraction):
@@ -589,7 +565,7 @@ def _psi_only_search(source, target, allow_scaling, limits, budget):
                 poly = MultiPoly(table, terms)
                 if not poly.is_zero():
                     gens.append(poly)
-    relation = table.var("u_aux") * table.var("alpha") * table.var("delta") * k - 1
+    relation = var("u_aux") * var("alpha") * var("delta") * k - 1
     gens.append(relation)
     if param_names:
         # restrict to the unknown block: parameters were already split out
@@ -617,18 +593,3 @@ def _psi_only_search(source, target, allow_scaling, limits, budget):
             return ConjugationSearch("found", witness)
     return ConjugationSearch("none")
 
-
-def _apply_lifted(op: Operator, x: UTMatrix, table: VarTable) -> UTMatrix:
-    """Apply an operator (possibly with parameter entries) to a matrix over `table`."""
-    total = UTMatrix.zero(op.n)
-    for idx, coeff in x.entries.items():
-        image = op.columns.get(idx)
-        if image is None:
-            continue
-        entries = {}
-        for key, value in image.entries.items():
-            value = value.retable(table) if isinstance(value, MultiPoly) \
-                else MultiPoly.const(table, value)
-            entries[key] = value * coeff
-        total = total + UTMatrix(op.n, entries)
-    return total

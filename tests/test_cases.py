@@ -2,6 +2,7 @@
 
 import pytest
 
+from rbu3 import catalog
 from rbu3.catalog import (case_preset, case_preset_names, run_case,
                           unit_square_certificate)
 from rbu3.groebner import Limits, buchberger, normal_form
@@ -164,6 +165,26 @@ def test_resource_limited_case_reports_partial_state():
     # zero normal forms against the partial basis are still sound; nothing
     # may be reported as a definite non-member
     assert all(m.member in (True, None) for m in report.memberships)
+
+
+def test_deadline_bounds_the_whole_case(monkeypatch):
+    # with no time left after the first Groebner basis computation, every
+    # membership's localization try is skipped, not given a fresh deadline
+    calls = []
+    real_buchberger = catalog.buchberger
+
+    def spy(system, limits=None):
+        calls.append(limits)
+        return real_buchberger(system, limits)
+
+    monkeypatch.setattr(catalog, "buchberger", spy)
+    report = run_case(case_preset("sec4.1"), Limits(deadline=0.0))
+    assert len(calls) == 1
+    assert report.resource_limited and not report.gb_reduced
+    kinds = {m.certified_by for m in report.memberships}
+    assert "undecided" in kinds
+    assert all(kind in ("ideal", "ansatz", "undecided") or kind.startswith("power-")
+               for kind in kinds)
 
 
 def test_extra_branch_of_the_pm_e13_family_is_empty():

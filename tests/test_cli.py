@@ -53,6 +53,11 @@ def test_canonicalize_parse_error_exit_code(capsys):
     assert cli.main(["canonicalize", "e12 + +"]) == 2
 
 
+def test_canonicalize_rejects_juxtaposed_terms(capsys):
+    assert cli.main(["canonicalize", "e12 e13"]) == 2
+    assert "'+' or '-'" in capsys.readouterr().err
+
+
 def test_system_feeds_gb_and_member(tmp_path, capsys):
     sys_path = tmp_path / "system.json"
     assert cli.main(["system", "--preset", "sec5-reduced", "--json",

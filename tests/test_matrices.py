@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbu3.matrices import (IncompatibleOperands, UTMatrix, basis_indices,
-                           parse_matrix)
+                           exact_rank, generic_rank, inverse_exact, parse_matrix,
+                           solve_exact)
+from rbu3.poly import MultiPoly, ParseError, VarTable
 
 
 def e(i, j, n=3):
@@ -111,3 +113,104 @@ def test_distributivity_random(a, b, c):
 @given(matrices(strict=True))
 def test_strictly_upper_cube_vanishes(a):
     assert (a * a * a).is_zero()
+
+
+def test_parameter_with_explicit_first_power():
+    table = VarTable(["a"])
+    a = table.var("a")
+    assert parse_matrix("a^1*e12", 3, table) == UTMatrix(3, {(1, 2): a})
+    assert parse_matrix("2*a^1*e13 - a^2*e12", 3, table) == \
+        UTMatrix(3, {(1, 3): 2 * a, (1, 2): -a * a})
+
+
+def test_basis_element_takes_no_exponent():
+    with pytest.raises(ParseError, match="no exponent"):
+        parse_matrix("e12^2")
+
+
+def test_juxtaposed_terms_are_rejected():
+    for text in ("e12 e13", "2 e12", "e12 + 2 3*e13"):
+        with pytest.raises(ParseError, match="'[+]' or '-'"):
+            parse_matrix(text)
+
+
+TWO = VarTable(["kappa", "lam"])
+small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def poly_coefficients(draw):
+    terms = {(draw(st.integers(0, 2)), draw(st.integers(0, 2))): draw(small)
+             for _ in range(draw(st.integers(0, 3)))}
+    return MultiPoly(TWO, terms)
+
+
+@settings(derandomize=True, max_examples=60)
+@given(st.dictionaries(st.sampled_from(basis_indices(3)), poly_coefficients()))
+def test_matrix_literal_round_trip_with_parameters(entries):
+    m = UTMatrix(3, entries)
+    assert parse_matrix(m.to_str(), 3, TWO) == m
+
+
+# -- the exact elimination kernel ----------------------------------------------
+
+# small entries with many zeros, so that singular and rank-deficient
+# matrices come up often
+kernel_entries = st.sampled_from([Fraction(0)] * 4 + [
+    Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2)])
+
+
+@st.composite
+def rational_matrices(draw, rows=None, cols=None):
+    rows = draw(st.integers(1, 4)) if rows is None else rows
+    cols = draw(st.integers(1, 4)) if cols is None else cols
+    matrix = [[draw(kernel_entries) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        # force a dependent row: a combination of two others
+        i, j, k = (draw(st.integers(0, rows - 1)) for _ in range(3))
+        f, g = draw(kernel_entries), draw(kernel_entries)
+        matrix[k] = [f * x + g * y for x, y in zip(matrix[i], matrix[j])]
+    return matrix
+
+
+@st.composite
+def square_matrices(draw):
+    d = draw(st.integers(1, 4))
+    return draw(rational_matrices(d, d))
+
+
+def mat_vec(matrix, x):
+    return [sum(a * b for a, b in zip(row, x)) for row in matrix]
+
+
+@settings(derandomize=True, max_examples=200)
+@given(rational_matrices(), st.data())
+def test_solve_exact_solves_or_proves_inconsistency(matrix, data):
+    rhs = [data.draw(kernel_entries) for _ in matrix]
+    x = solve_exact(matrix, rhs)
+    augmented = [row + [b] for row, b in zip(matrix, rhs)]
+    if x is None:
+        assert exact_rank(augmented) > exact_rank(matrix)
+    else:
+        assert len(x) == len(matrix[0])
+        assert mat_vec(matrix, x) == rhs
+
+
+@settings(derandomize=True, max_examples=200)
+@given(square_matrices())
+def test_inverse_exact_inverts_or_reports_singular(matrix):
+    d = len(matrix)
+    inverse = inverse_exact(matrix)
+    if inverse is None:
+        assert exact_rank(matrix) < d
+    else:
+        identity = [[Fraction(int(r == c)) for c in range(d)] for r in range(d)]
+        product = [[sum(inverse[r][k] * matrix[k][c] for k in range(d))
+                    for c in range(d)] for r in range(d)]
+        assert product == identity
+
+
+@settings(derandomize=True, max_examples=200)
+@given(rational_matrices())
+def test_exact_rank_matches_fraction_free_rank(matrix):
+    assert exact_rank(matrix) == generic_rank(matrix)

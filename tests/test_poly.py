@@ -90,6 +90,14 @@ def test_parse_errors_carry_position():
         p("z + 1")
 
 
+def test_juxtaposed_terms_are_rejected():
+    # a term after the first must follow '+' or '-'
+    for text in ("2 3", "x y", "x^2 y", "x + 2 y"):
+        with pytest.raises(ParseError, match="'[+]' or '-'"):
+            p(text)
+    assert p("x - -y") == p("x + y")
+
+
 coeffs = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 6))
 
 
