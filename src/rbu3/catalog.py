@@ -186,24 +186,30 @@ def build_catalog(strict: bool = True) -> list:
     residual aborts the build with :class:`CatalogError`.  The reporting
     paths use ``strict=False`` and read the per-entry certification flags.
     """
-    entries = []
-    failures = []
-    for eid, (params, side, prov, images) in _CATALOG_DEFS.items():
-        op = Operator.from_images(images, n=3, params=params)
-        entry = CatalogEntry(eid, tuple(params), tuple(side), prov, op)
-        residual = rb_residual(op)
-        entry.residual_zero = residual.is_zero()
-        if not entry.residual_zero:
-            entry.first_failure = residual.first_nonzero()
-            failures.append((eid, entry.first_failure))
-        entries.append(entry)
+    entries = [_build_entry(eid) for eid in _CATALOG_DEFS]
+    failures = [(e.id, e.first_failure) for e in entries if not e.residual_zero]
     if strict and failures:
         raise CatalogError(failures)
     return entries
 
 
+def _build_entry(eid: str) -> CatalogEntry:
+    """One family, with its symbolic residual's verdict recorded."""
+    params, side, prov, images = _CATALOG_DEFS[eid]
+    op = Operator.from_images(images, n=3, params=params)
+    entry = CatalogEntry(eid, tuple(params), tuple(side), prov, op)
+    residual = rb_residual(op)
+    entry.residual_zero = residual.is_zero()
+    if not entry.residual_zero:
+        entry.first_failure = residual.first_nonzero()
+    return entry
+
+
 def get_entry(eid: str, entries=None) -> CatalogEntry:
-    for entry in entries or build_catalog(strict=False):
+    """The family ``eid``, from ``entries`` or else built on its own."""
+    if entries is None and eid in _CATALOG_DEFS:
+        return _build_entry(eid)
+    for entry in entries or ():
         if entry.id == eid:
             return entry
     raise KeyError(f"unknown family id {eid!r}")
@@ -1008,17 +1014,20 @@ def verify_all(samples: int = 0, families: Sequence[str] | None = None,
                seed: int = 0, jobs: int = 1) -> VerifyReport:
     """Residual certification plus the lemma suite over the whole catalog.
 
-    ``samples`` adds that many randomized scaling/conjugation closure trials
-    per entry (at random rational parameter values).  ``jobs`` > 1 spreads
-    entries across processes; results merge in catalog order either way.
+    With ``families`` only the named families are built, certified and
+    reported, in catalog order.  ``samples`` adds that many randomized
+    scaling/conjugation closure trials per entry (at random rational
+    parameter values).  ``jobs`` > 1 spreads entries across processes;
+    results merge in catalog order either way.
     """
-    entries = build_catalog(strict=False)
-    if families is not None:
+    if families is None:
+        entries = build_catalog(strict=False)
+    else:
         wanted = set(families)
-        unknown = wanted - set(catalog_ids())
+        unknown = wanted - set(_CATALOG_DEFS)
         if unknown:
             raise KeyError(f"unknown family id(s): {sorted(unknown)}")
-        entries = [e for e in entries if e.id in wanted]
+        entries = [_build_entry(eid) for eid in _CATALOG_DEFS if eid in wanted]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:

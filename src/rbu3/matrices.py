@@ -309,6 +309,9 @@ def rref(rows: list, ncols: int | None = None):
     reduced rows, as new ``Fraction`` lists, and the pivot column of each of
     the first ``len(pivots)`` rows.  The rows after those are zero in the
     first ``ncols`` columns.
+
+    Only the pivot row's nonzero columns are scaled and eliminated over: an
+    entry above or below a zero of the pivot row is left as it is.
     """
     rows = [list(map(Fraction, row)) for row in rows]
     if ncols is None:
@@ -322,12 +325,16 @@ def rref(rows: list, ncols: int | None = None):
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        pivot_row = rows[rank] = [v * inv for v in rows[rank]]
+        pivot_row = rows[rank]
+        support = [c for c, value in enumerate(pivot_row) if value]
+        inv = 1 / pivot_row[col]
+        for c in support:
+            pivot_row[c] *= inv
         for r, row in enumerate(rows):
-            if r != rank and row[col]:
-                factor = row[col]
-                rows[r] = [a - factor * b for a, b in zip(row, pivot_row)]
+            factor = row[col]
+            if r != rank and factor:
+                for c in support:
+                    row[c] -= factor * pivot_row[c]
         pivots.append(col)
     return rows, pivots
 

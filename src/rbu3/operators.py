@@ -246,22 +246,46 @@ class RBResidual:
 
 
 def rb_residual(op: Operator) -> RBResidual:
-    """The 36-cell residual table (for n = 3); exact, identically in parameters."""
+    """The 36-cell residual table (for n = 3); exact, identically in parameters.
+
+    Products with basis elements follow the structure constants
+    e_ij e_kl = delta_jk e_il: for u = e_ab and v = e_cd, R(u) v moves the
+    column-c entries of R(u) to column d, u R(v) moves the row-b entries of
+    R(v) to row a, and lambda u v is lambda at (a, d) when b = c.
+    """
     n = op.n
     idxs = basis_indices(n)
-    basis_mats = {idx: UTMatrix.basis(n, *idx) for idx in idxs}
     weight = op.weight
+    images = {idx: op.image(idx).entries for idx in idxs}
     cells = {}
     for u in idxs:
-        ru = op.image(u)
-        bu = basis_mats[u]
+        a, b = u
+        ru = images[u]
         for v in idxs:
-            rv = op.image(v)
-            bv = basis_mats[v]
-            inner = ru * bv + bu * rv
-            if weight:
-                inner = inner + (bu * bv).scale(weight)
-            cells[(u, v)] = ru * rv - op.apply(inner)
+            c, d = v
+            rv = images[v]
+            inner = {(i, d): x for (i, j), x in ru.items() if j == c}
+            for (k, l), y in rv.items():
+                if k == b:
+                    acc = inner.get((a, l))
+                    inner[(a, l)] = y if acc is None else acc + y
+            if weight and b == c:
+                acc = inner.get((a, d))
+                inner[(a, d)] = weight if acc is None else acc + weight
+            # R(u) R(v) - R(inner), accumulated in one dict
+            cell = {}
+            for (i, j), x in ru.items():
+                for (k, l), y in rv.items():
+                    if j == k:
+                        acc = cell.get((i, l))
+                        cell[(i, l)] = x * y if acc is None else acc + x * y
+            for idx, coeff in inner.items():
+                if not coeff:
+                    continue
+                for pos, value in images[idx].items():
+                    acc = cell.get(pos)
+                    cell[pos] = -(coeff * value) if acc is None else acc - coeff * value
+            cells[(u, v)] = UTMatrix(n, cell)
     return RBResidual(n, weight, cells)
 
 

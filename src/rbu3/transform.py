@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from typing import Mapping
 
@@ -85,16 +86,14 @@ class AlgebraMap:
             self._verify()
 
     def _verify(self):
-        idxs = basis_indices(self.n)
-        for u in idxs:
-            bu = UTMatrix.basis(self.n, *u)
-            mu = self.columns[u]
-            for v in idxs:
-                bv = UTMatrix.basis(self.n, *v)
-                mv = self.columns[v]
-                product = self.apply(bu * bv)
-                expected = mu * mv if self.kind == "automorphism" else mv * mu
-                if product != expected:
+        # phi(e_ij e_kl) is phi(e_il) when j = k and 0 otherwise
+        columns = self.columns
+        anti = self.kind == "antiautomorphism"
+        for (i, j), mu in columns.items():
+            for (k, l), mv in columns.items():
+                product = mv * mu if anti else mu * mv
+                ok = product == columns[(i, l)] if j == k else product.is_zero()
+                if not ok:
                     raise ValueError("map is not (anti)multiplicative")
         self.inverse_columns()  # invertibility check
 
@@ -178,8 +177,13 @@ def _psi_columns(a, b, c, d, e, dinv, one):
     }
 
 
+@cache
 def theta13(n: int = 3) -> AlgebraMap:
-    """The antidiagonal flip e_ij -> e_{n+1-j, n+1-i}; an involution."""
+    """The antidiagonal flip e_ij -> e_{n+1-j, n+1-i}; an involution.
+
+    The map is fixed, so it is built and verified once per ``n``; every
+    caller shares that one certified instance.
+    """
     columns = {}
     for (i, j) in basis_indices(n):
         columns[(i, j)] = UTMatrix.basis(n, n + 1 - j, n + 1 - i)
@@ -466,7 +470,7 @@ def _search_points(polys, table, idx, assignment, budget):
         for mono, coeff in smallest.terms.items():
             coeffs[mono[pos]] = coeffs.get(mono[pos], Fraction(0)) + coeff
         candidates = [r for r in _rational_roots(coeffs)
-                      if all(_eval_univariate(p, pos, r).is_zero()
+                      if all(p.substitute({name: r}).is_zero()
                              for p in univariate)]
     else:
         candidates = list(_TRIAL_VALUES)
@@ -478,10 +482,6 @@ def _search_points(polys, table, idx, assignment, budget):
         assignment[name] = value
         yield from _search_points(substituted, table, idx - 1, assignment, budget)
         del assignment[name]
-
-
-def _eval_univariate(p, pos, value):
-    return p.substitute({p.table.names[pos]: value})
 
 
 def find_conjugation(source: Operator, target: Operator,

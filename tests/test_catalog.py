@@ -132,6 +132,32 @@ def test_verify_families_subset_and_unknown():
         verify_all(families=["R99"])
 
 
+def test_named_families_are_built_alone(monkeypatch):
+    import rbu3.catalog as catalog
+    calls = []
+
+    def counting_residual(op):
+        calls.append(op)
+        return rb_residual(op)
+
+    monkeypatch.setattr(catalog, "rb_residual", counting_residual)
+    r13 = catalog.get_entry("R13")
+    assert len(calls) == 1
+    assert r13.operator == BY_ID["R13"].operator
+    assert not r13.residual_zero and r13.first_failure == BY_ID["R13"].first_failure
+    assert catalog.get_entry("R8", ENTRIES) is BY_ID["R8"] and len(calls) == 1
+    with pytest.raises(KeyError):
+        catalog.get_entry("R99")
+    verify_all(families=["R8", "R5"])
+    assert len(calls) == 3
+
+
+def test_parallel_report_equals_serial():
+    serial = verify_all(samples=2, families=["R5", "R8"], seed=3, jobs=1)
+    parallel = verify_all(samples=2, families=["R5", "R8"], seed=3, jobs=2)
+    assert parallel.to_json() == serial.to_json()
+
+
 def test_fault_injection_is_detected():
     """Twenty single-entry mutations must each produce a pinpointed nonzero
     residual cell, guarding against a vacuously-passing checker."""

@@ -4,6 +4,7 @@ import json
 import pathlib
 
 from rbu3 import cli
+from rbu3.operators import Operator
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -30,6 +31,14 @@ def test_check_shipped_operator(capsys):
     code = cli.main(["check", str(DATA / "operators" / "r5.json")])
     assert code == 0
     assert "RB weight 0: YES" in capsys.readouterr().out
+
+
+def test_check_projection_at_weight_minus_one(tmp_path, capsys):
+    path = tmp_path / "diagonal.json"
+    Operator.from_images({"e11": "e11", "e22": "e22", "e33": "e33"}).save(path)
+    assert cli.main(["check", str(path), "--weight", "-1"]) == 0
+    assert "RB weight -1: YES" in capsys.readouterr().out
+    assert cli.main(["check", str(path)]) == 1
 
 
 def test_check_rejects_missing_file(capsys):

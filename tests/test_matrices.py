@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rbu3.matrices import (IncompatibleOperands, UTMatrix, basis_indices,
                            exact_rank, generic_rank, inverse_exact, parse_matrix,
-                           solve_exact)
+                           rref, solve_exact)
 from rbu3.poly import MultiPoly, ParseError, VarTable
 
 
@@ -214,3 +214,30 @@ def test_inverse_exact_inverts_or_reports_singular(matrix):
 @given(rational_matrices())
 def test_exact_rank_matches_fraction_free_rank(matrix):
     assert exact_rank(matrix) == generic_rank(matrix)
+
+
+def dense_rref(rows, ncols):
+    """Gauss-Jordan elimination touching every entry of every row."""
+    rows = [list(map(Fraction, row)) for row in rows]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        rows[rank] = [v / rows[rank][col] for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    return rows, pivots
+
+
+@settings(derandomize=True, max_examples=200)
+@given(rational_matrices(), st.data())
+def test_rref_matches_dense_elimination(matrix, data):
+    # an augmented block rides along when ncols is short of the width
+    ncols = data.draw(st.integers(0, len(matrix[0])))
+    assert rref(matrix, ncols) == dense_rref(matrix, ncols)

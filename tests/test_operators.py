@@ -3,12 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbu3.matrices import UTMatrix, basis_indices, parse_matrix
 from rbu3.operators import (Ansatz, ContradictoryAnsatz, Operator,
                             SplitHypothesisError, check_lemma3,
                             generate_system, rb_residual, scale_operator,
                             split_construction)
+from rbu3.poly import MultiPoly, VarTable
 
 
 def e(i, j):
@@ -195,3 +197,82 @@ def test_lemma_checks_on_r5():
 def test_lemma_checks_on_zero_operator():
     report = check_lemma3(Operator.zero(3))
     assert report.all_hold()
+
+
+# -- the residual kernel against the plain matrix formula ----------------------
+
+
+def oracle_residual_cells(op):
+    """R(u) R(v) - R(R(u) v + u R(v) + lambda u v) by general matrix products."""
+    cells = {}
+    for u in basis_indices(3):
+        ru, bu = op.image(u), e(*u)
+        for v in basis_indices(3):
+            rv, bv = op.image(v), e(*v)
+            inner = ru * bv + bu * rv
+            if op.weight:
+                inner = inner + (bu * bv).scale(op.weight)
+            cells[(u, v)] = ru * rv - op.apply(inner)
+    return cells
+
+
+TWO = VarTable(["kappa", "lam"])
+small = st.sampled_from([Fraction(0)] * 3 + [
+    Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 4)])
+weights = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-3)])
+
+
+@st.composite
+def poly_entries(draw):
+    terms = {(draw(st.integers(0, 2)), draw(st.integers(0, 2))): draw(small)
+             for _ in range(draw(st.integers(0, 2)))}
+    return MultiPoly(TWO, terms)
+
+
+@st.composite
+def operators(draw, entries):
+    # each column may be missing altogether, and each entry may be zero
+    sources = draw(st.sets(st.sampled_from(basis_indices(3))))
+    columns = {src: UTMatrix(3, draw(st.dictionaries(
+        st.sampled_from(basis_indices(3)), entries, max_size=4)))
+        for src in sources}
+    return Operator(3, columns, draw(weights))
+
+
+@settings(derandomize=True, max_examples=150)
+@given(st.one_of(operators(small), operators(poly_entries())))
+def test_residual_matches_the_matrix_product_formula(op):
+    cells = rb_residual(op).cells
+    expected = oracle_residual_cells(op)
+    assert set(cells) == set(expected) and len(cells) == 36
+    for pair, cell in expected.items():
+        assert cells[pair] == cell, pair
+
+
+# -- nonzero weights -------------------------------------------------------------
+
+DIAGONAL = Operator(3, {(i, i): e(i, i) for i in (1, 2, 3)})
+STRICT_UPPER = Operator(3, {idx: e(*idx) for idx in ((1, 2), (1, 3), (2, 3))})
+
+
+def with_weight(op, weight):
+    return Operator(op.n, op.columns, Fraction(weight))
+
+
+def test_projections_of_a_subalgebra_splitting_have_weight_minus_one():
+    # U_3 = D + N with D (diagonal) and N (strictly upper) both subalgebras
+    assert rb_residual(with_weight(DIAGONAL, -1)).is_zero()
+    assert rb_residual(with_weight(STRICT_UPPER, -1)).is_zero()
+
+
+def test_minus_lambda_identity_has_weight_lambda():
+    weight = Fraction(1, 2)
+    op = Operator(3, {idx: e(*idx).scale(-weight) for idx in basis_indices(3)},
+                  weight)
+    assert rb_residual(op).is_zero()
+
+
+def test_diagonal_projection_fails_at_weight_zero():
+    residual = rb_residual(DIAGONAL)
+    assert not residual.is_zero()
+    assert residual.first_nonzero() == (((1, 1), (1, 1)), (1, 1), Fraction(-1))

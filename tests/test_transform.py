@@ -56,10 +56,34 @@ def test_theta_is_an_involution_swapping_corners():
 
 def test_maps_are_verified_at_construction():
     from rbu3.transform import AlgebraMap
-    columns = {idx: UTMatrix.basis(3, *idx) for idx in basis_indices(3)}
-    columns[(1, 2)] = e(1, 3)  # breaks multiplicativity
-    with pytest.raises(ValueError):
-        AlgebraMap(3, "automorphism", columns)
+    identity = {idx: UTMatrix.basis(3, *idx) for idx in basis_indices(3)}
+    broken = dict(identity)
+    broken[(1, 2)] = e(1, 3)  # breaks multiplicativity
+    # e11 -> e11 + e22 respects every product e_ij e_jl, but sends the zero
+    # product e22 e11 to e22 (e11 + e22) = e22
+    leaky = dict(identity)
+    leaky[(1, 1)] = e(1, 1) + e(2, 2)
+    psi = random_psi(random.Random(3))
+    bad_maps = [
+        ("automorphism", broken, "multiplicative"),
+        ("automorphism", leaky, "multiplicative"),
+        ("automorphism", theta13().columns, "multiplicative"),
+        ("antiautomorphism", psi.columns, "multiplicative"),
+        # the zero map is multiplicative, but not invertible
+        ("automorphism", {idx: UTMatrix.zero(3) for idx in identity},
+         "not invertible"),
+    ]
+    for kind, columns, message in bad_maps:
+        with pytest.raises(ValueError, match=message):
+            AlgebraMap(3, kind, columns)
+
+
+def test_theta_is_one_shared_certified_involution():
+    th = theta13()
+    assert theta13() is th
+    square = th.compose(th)
+    for idx in basis_indices(3):
+        assert square.apply(e(*idx)) == e(*idx)
 
 
 R5 = Operator.from_images({"e12": "e11"})
