@@ -710,8 +710,8 @@ def run_case(spec: CaseSpec, limits: Limits | None = None) -> CaseReport:
     Membership certificates are sound even under a resource limit: a zero
     normal form against a partial basis still proves membership; only a
     nonzero normal form against a non-reduced basis is reported undecided.
-    The deadline bounds the whole case: each Groebner basis computation gets
-    only the time that remains.
+    The deadline bounds the whole case: each Groebner basis computation, and
+    the autoreduce of a partial basis, gets only the time that remains.
     """
     limits = limits if limits is not None else Limits(max_pairs=200000,
                                                       deadline=600.0)
@@ -729,7 +729,13 @@ def run_case(spec: CaseSpec, limits: Limits | None = None) -> CaseReport:
         gb_reduced = gb.reduced
         stats = gb.stats
     except ResourceLimitExceeded as exc:
-        basis = autoreduce(exc.partial, work_system.order)
+        try:
+            basis = autoreduce(exc.partial, work_system.order,
+                               _check=_deadline_check(end, exc.stats))
+        except ResourceLimitExceeded as stop:
+            # what the stopped autoreduce carries generates the same ideal,
+            # so zero normal forms against it stay sound
+            basis = stop.partial
         gb_reduced = False
         resource_limited = True
         stats = exc.stats
@@ -786,6 +792,18 @@ def _time_left(limits: Limits, end) -> Limits:
     if end is None:
         return limits
     return replace(limits, deadline=end - time.monotonic())
+
+
+def _deadline_check(end, stats):
+    """An ``autoreduce`` check that stops it once ``end`` has passed."""
+    if end is None:
+        return None
+
+    def check(partial):
+        if time.monotonic() >= end:
+            raise ResourceLimitExceeded("resource limit: deadline exceeded",
+                                        list(partial), stats)
+    return check
 
 
 def _certify_membership(factors, text, claim, basis, work_system, gb_reduced,

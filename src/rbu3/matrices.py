@@ -80,6 +80,15 @@ class UTMatrix:
                     clean[(i, j)] = value
         self.entries = clean
 
+    @staticmethod
+    def _filtered(n: int, entries: dict) -> "UTMatrix":
+        """A result of the algebra's own operations, whose indices are valid
+        by construction: only its zero entries are dropped."""
+        result = UTMatrix.__new__(UTMatrix)
+        result.n = n
+        result.entries = {k: v for k, v in entries.items() if not _is_zero(v)}
+        return result
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -142,19 +151,20 @@ class UTMatrix:
                 entries[key] = entries[key] + value
             else:
                 entries[key] = value
-        return UTMatrix(self.n, entries)
+        return UTMatrix._filtered(self.n, entries)
 
     def __sub__(self, other: "UTMatrix") -> "UTMatrix":
         self._check(other)
         return self + (-other)
 
     def __neg__(self) -> "UTMatrix":
-        return UTMatrix(self.n, {k: -v for k, v in self.entries.items()})
+        return UTMatrix._filtered(self.n, {k: -v for k, v in self.entries.items()})
 
     def scale(self, scalar) -> "UTMatrix":
         if _is_zero(scalar):
             return UTMatrix(self.n)
-        return UTMatrix(self.n, {k: scalar * v for k, v in self.entries.items()})
+        return UTMatrix._filtered(self.n,
+                                  {k: scalar * v for k, v in self.entries.items()})
 
     def __rmul__(self, scalar) -> "UTMatrix":
         if isinstance(scalar, (int, Fraction, MultiPoly)):
@@ -176,7 +186,7 @@ class UTMatrix:
                 key = (i, l)
                 acc = entries.get(key)
                 entries[key] = x * y if acc is None else acc + x * y
-        return UTMatrix(self.n, entries)
+        return UTMatrix._filtered(self.n, entries)
 
     def power(self, k: int) -> "UTMatrix":
         if k < 1:

@@ -28,6 +28,7 @@ __all__ = [
     "lex",
     "elimination",
     "is_zero_identically",
+    "add_terms",
     "format_terms",
     "parse_terms",
     "parse_poly",
@@ -122,6 +123,25 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 def mono_degree(a: Monomial) -> int:
     return sum(a)
+
+
+def add_terms(terms: dict, items) -> dict:
+    """Add ``(monomial, coefficient)`` items into ``terms`` in place.
+
+    A sum that cancels removes its monomial, so a later item brings it back
+    last: the term order of a sum is the order in which monomials appear.
+    """
+    for mono, coeff in items:
+        acc = terms.get(mono)
+        if acc is None:
+            terms[mono] = coeff
+        else:
+            acc = acc + coeff
+            if acc:
+                terms[mono] = acc
+            else:
+                del terms[mono]
+    return terms
 
 
 @dataclass(frozen=True)
@@ -282,20 +302,9 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = terms.get(mono)
-            if acc is None:
-                terms[mono] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    terms[mono] = acc
-                else:
-                    del terms[mono]
         result = MultiPoly.__new__(MultiPoly)
         result.table = self.table
-        result.terms = terms
+        result.terms = add_terms(dict(self.terms), other.terms.items())
         return result
 
     __radd__ = __add__
@@ -395,39 +404,66 @@ class MultiPoly:
         over ``table``, or exact scalars).  Variables without a binding must
         exist in the target table and map to themselves.  Binding a name not
         present in this polynomial's table is an error.
+
+        One pass over the terms: a scalar binding folds into the coefficient
+        as a ``Fraction`` power, an unbound variable moves its exponent to
+        its slot in the target table, and only a polynomial binding is
+        multiplied out as a ``MultiPoly`` (in variable order, after the
+        monomial the rest of the term gives).
         """
         for name in bindings:
             if name not in self.table.index:
                 raise ValueError(f"unknown variable {name!r} in bindings")
         target = table if table is not None else self.table
-        repl = {}
-        for name, value in bindings.items():
+        # per source slot: a Fraction, a MultiPoly, or the target slot (int);
+        # None marks a variable the target table lacks
+        slots = []
+        for name in self.table.names:
+            if name not in bindings:
+                slots.append(target.index.get(name))
+                continue
+            value = bindings[name]
             if isinstance(value, MultiPoly):
                 if value.table != target:
                     raise ValueError(
                         f"binding for {name!r} is not over the target table")
-                repl[name] = value
             else:
-                repl[name] = MultiPoly.const(target, value)
-        result = MultiPoly(target, {})
-        for mono, coeff in self.terms.items():
-            term = MultiPoly.const(target, coeff)
-            for i, e in enumerate(mono):
-                if not e:
+                value = _as_fraction(value)
+            slots.append(value)
+        width = len(target)
+
+        def substituted():
+            for mono, coeff in self.terms.items():
+                out = [0] * width
+                factors = []
+                for i, e in enumerate(mono):
+                    if not e:
+                        continue
+                    value = slots[i]
+                    if type(value) is int:
+                        out[value] += e
+                    elif isinstance(value, Fraction):
+                        coeff = coeff * value**e
+                    elif value is None:
+                        raise ValueError(f"variable {self.table.names[i]!r} "
+                                         "missing from the target table")
+                    else:
+                        factors.append(value**e)
+                if not coeff:
                     continue
-                name = self.table.names[i]
-                value = repl.get(name)
-                if value is None:
-                    if name not in target.index:
-                        raise ValueError(
-                            f"variable {name!r} missing from the target table")
-                    value = target.var(name)
-                term = term * value**e
-            result = result + term
+                term = {tuple(out): coeff}
+                for factor in factors:
+                    term = (MultiPoly(target, term) * factor).terms
+                yield from term.items()
+
+        result = MultiPoly.__new__(MultiPoly)
+        result.table = target
+        result.terms = add_terms({}, substituted())
         return result
 
     def retable(self, table: VarTable) -> "MultiPoly":
-        """Re-express over `table` (which must contain every occurring name)."""
+        """Re-express over `table` (which must contain every occurring name):
+        a pure exponent remap."""
         return self.substitute({}, table)
 
     # -- printing --------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Mapping
 
 from .matrices import UTMatrix, basis_indices, inverse_exact
 from .operators import Operator, scale_operator
-from .poly import MultiPoly, VarTable, lex
+from .poly import MultiPoly, VarTable, add_terms, lex, mono_mul
 from .groebner import GroebnerBasis, Limits, PolySystem, buchberger
 
 __all__ = [
@@ -498,6 +498,18 @@ def find_conjugation(source: Operator, target: Operator,
     nonzero).  A rational witness point is extracted from the lex Groebner
     basis by triangular back-substitution and re-verified by replay; a basis
     equal to {1} certifies that no conjugation of the searched family exists.
+
+    The constraint is bilinear in the operators' entries and the psi
+    unknowns, so it is built without polynomial products: each term of
+    ``R psi(e_idx) - k psi(S e_idx)`` is one coefficient product keyed by
+    (unknown monomial, parameter monomial), summed cell by cell.  Each cell
+    splits into one generator per parameter monomial, since the identity
+    must hold for every parameter value.  Ordering rule: cells, terms and
+    parameter buckets come out in first appearance as the sums run (source
+    side over psi's cells, then target side over S's cells, then their
+    difference), and a term or cell that cancels leaves and re-enters last,
+    as in summing the matrices; the generator tuple, and so the Groebner
+    run, does not depend on how the sums are stored.
     """
     if source.n != 3 or target.n != 3:
         raise ValueError("the search is specific to U_3")
@@ -522,56 +534,105 @@ def find_conjugation(source: Operator, target: Operator,
     return ConjugationSearch("none")
 
 
-def _psi_only_search(source, target, allow_scaling, limits, budget):
+@cache
+def _search_psi(allow_scaling: bool):
+    """psi's columns over the search unknowns, built once per scaling mode.
+
+    They are the fixed factor of the bilinear constraint ``R psi = k psi S``:
+    a search multiplies their coefficients with the operators' rational
+    coefficients term by term, in the term order kept here, and builds no
+    polynomial products of its own (``find_conjugation`` states the
+    ordering rule).
+
+    Returns ``(table, columns, k, relation)``.  ``table`` holds only the
+    unknowns of ``_SEARCH_VARS`` (without ``k_scale`` when scaling is off).
+    ``columns[idx]`` lists the cells of psi(e_idx) in order, each as
+    ``(cell, ((monomial, coefficient), ...))``.  ``k`` is the exponent
+    vector of the scale (all zero when scaling is off), and ``relation`` is
+    ``u * alpha * delta * k - 1``, which makes ``u * alpha * k`` an exact
+    inverse of delta.
+    """
     names = _SEARCH_VARS if allow_scaling else tuple(
         v for v in _SEARCH_VARS if v != "k_scale")
-    param_names = tuple(source.params()) + tuple(
-        p for p in target.params() if p not in source.params())
-    table = VarTable(names + param_names)
+    table = VarTable(names)
     var = table.var
     one = MultiPoly.const(table, 1)
     k = var("k_scale") if allow_scaling else one
-    # u * alpha * delta * k = 1 makes u * alpha * k an exact inverse of delta
-    psi_cols = _psi_columns(var("alpha"), var("beta"), var("gamma"), var("delta"),
-                            var("epsilon"), var("u_aux") * var("alpha") * k, one)
+    psi = _psi_columns(var("alpha"), var("beta"), var("gamma"), var("delta"),
+                       var("epsilon"), var("u_aux") * var("alpha") * k, one)
+    columns = {idx: tuple((cell, tuple(value.terms.items()))
+                          for cell, value in psi[idx].entries.items())
+               for idx in basis_indices(3)}
+    relation = var("u_aux") * var("alpha") * var("delta") * k - 1
+    (k_mono,) = k.terms
+    return table, columns, k_mono, relation
 
-    def lift(matrix: UTMatrix) -> UTMatrix:
-        entries = {}
-        for key, value in matrix.entries.items():
-            if isinstance(value, MultiPoly):
-                entries[key] = value.retable(table)
-            else:
-                entries[key] = MultiPoly.const(table, value)
-        return UTMatrix(3, entries)
 
-    gens = []
-    n_unknown = len(names)
-    source_cols = {idx: lift(source.image(idx)) for idx in basis_indices(3)}
+def _image_terms(op: Operator, params: VarTable) -> dict:
+    """Each image entry of ``op``, read once as ``(parameter monomial,
+    coefficient)`` pairs over ``params``: ``{idx: [(cell, pairs)]}``.
+
+    A parametric entry's exponents move to their slots here, where a
+    ``retable`` would build one polynomial per entry and search."""
+    zero = (0,) * len(params)
+    images = {}
     for idx in basis_indices(3):
-        lhs = _combine(source_cols, psi_cols[idx], 3)
-        rhs = _combine(psi_cols, lift(target.image(idx)), 3).scale(k)
-        diff = lhs - rhs
-        for value in diff.entries.values():
-            if isinstance(value, Fraction):
-                value = MultiPoly.const(table, value)
+        cells = []
+        for cell, value in op.image(idx).entries.items():
+            if not isinstance(value, MultiPoly):
+                cells.append((cell, ((zero, Fraction(value)),)))
+                continue
+            slots = [params.index[name] for name in value.table.names]
+            pairs = []
+            for mono, coeff in value.terms.items():
+                lifted = list(zero)
+                for slot, e in zip(slots, mono):
+                    lifted[slot] += e
+                pairs.append((tuple(lifted), coeff))
+            cells.append((cell, pairs))
+        images[idx] = cells
+    return images
+
+
+def _accumulate(cells: dict, cell, products) -> None:
+    """Add products into ``cells[cell]`` as summing matrices does: a cell
+    that cancels leaves, and re-enters last if a later product brings it
+    back."""
+    if not add_terms(cells.setdefault(cell, {}), products):
+        del cells[cell]
+
+
+def _psi_only_search(source, target, allow_scaling, limits, budget):
+    table, psi, k, relation = _search_psi(allow_scaling)
+    params = VarTable(tuple(source.params()) + tuple(
+        p for p in target.params() if p not in source.params()))
+    src = _image_terms(source, params)
+    tgt = _image_terms(target, params)
+    gens = []
+    for idx in basis_indices(3):
+        # terms are keyed (unknown monomial, parameter monomial)
+        lhs = {}  # R psi(e_idx) = sum over psi's cells p of psi_p * R(e_p)
+        for p, psi_terms in psi[idx]:
+            for cell, pairs in src[p]:
+                _accumulate(lhs, cell, (((u, r), c1 * c2)
+                                        for u, c1 in psi_terms
+                                        for r, c2 in pairs))
+        rhs = {}  # k psi(S e_idx) = sum over S's cells q of S_q * k psi(e_q)
+        for q, pairs in tgt[idx]:
+            for cell, psi_terms in psi[q]:
+                _accumulate(rhs, cell, (((mono_mul(u, k), r), c1 * c2)
+                                        for r, c1 in pairs
+                                        for u, c2 in psi_terms))
+        for cell, terms in rhs.items():
+            _accumulate(lhs, cell, ((key, -c) for key, c in terms.items()))
+        for terms in lhs.values():
             # split by parameter monomials so the identity holds for every
             # parameter value, not just some
             buckets = {}
-            for mono, coeff in value.terms.items():
-                param_part = mono[n_unknown:]
-                unknown_part = mono[:n_unknown] + (0,) * len(param_names)
-                buckets.setdefault(param_part, {})[unknown_part] = coeff
-            for terms in buckets.values():
-                poly = MultiPoly(table, terms)
-                if not poly.is_zero():
-                    gens.append(poly)
-    relation = var("u_aux") * var("alpha") * var("delta") * k - 1
+            for (u, r), coeff in terms.items():
+                buckets.setdefault(r, {})[u] = coeff
+            gens.extend(MultiPoly(table, bucket) for bucket in buckets.values())
     gens.append(relation)
-    if param_names:
-        # restrict to the unknown block: parameters were already split out
-        unknown_table = VarTable(names)
-        gens = [g.retable(unknown_table) for g in gens]
-        table = unknown_table
     system = PolySystem(table, tuple(dict.fromkeys(gens)), lex())
     gb = buchberger(system, limits)
     if len(gb.basis) == 1 and gb.basis[0].is_constant():

@@ -187,6 +187,27 @@ def test_deadline_bounds_the_whole_case(monkeypatch):
                for kind in kinds)
 
 
+def test_deadline_covers_the_partial_autoreduce(monkeypatch):
+    # once the deadline has passed, the autoreduce of the partial basis stops
+    # before its first polynomial and the case keeps the partial it carries
+    passes = []
+    real_autoreduce = catalog.autoreduce
+
+    def spy(polys, order=None, _check=None):
+        passes.append("started")
+        result = real_autoreduce(polys, order, _check=_check)
+        passes.append("finished")
+        return result
+
+    monkeypatch.setattr(catalog, "autoreduce", spy)
+    report = run_case(case_preset("sec6"), Limits(deadline=0.0))
+    assert passes == ["started"]
+    assert report.resource_limited and not report.gb_reduced
+    # zero normal forms against the unreduced partial are still sound
+    assert all(m.member in (True, None) for m in report.memberships)
+    assert any(m.certified_by == "ideal" for m in report.memberships)
+
+
 def test_extra_branch_of_the_pm_e13_family_is_empty():
     """The case R(1) = 0, R(e33) = R(e12) = 0, R(e13) = e12,
     R(e23) = e11 + e22 + s e12 admits no solution with R(e22) != 0: every

@@ -4,6 +4,7 @@ import json
 import pathlib
 
 from rbu3 import cli
+from rbu3.catalog import build_catalog
 from rbu3.operators import Operator
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -140,6 +141,17 @@ def test_json_reports_are_deterministic(tmp_path, capsys):
     for path in paths:
         cli.main(["case", "--preset", "sec5-sub2.1", "--json", str(path)])
     assert paths[0].read_bytes() == paths[1].read_bytes()
+    families = {e.id: e.operator for e in build_catalog(strict=False)}
+    for source, target, status in (("R31", "R39", "found"),
+                                   ("R5", "R6", "disjoint")):
+        files = []
+        for name in (source, target):
+            files.append(str(tmp_path / f"{name}.json"))
+            families[name].save(files[-1])
+        for path in paths:
+            cli.main(["find-conj", *files, "--allow-theta", "--json", str(path)])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert json.loads(paths[0].read_text())["status"] == status
 
 
 def test_report_json_reparses(tmp_path, capsys):

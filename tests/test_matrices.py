@@ -45,6 +45,20 @@ def test_size_mismatch_rejected():
         e(1, 2) * UTMatrix.basis(2, 1, 2)
 
 
+def test_outside_entries_are_checked_and_internal_results_drop_zeros():
+    with pytest.raises(ValueError, match="outside the upper triangle"):
+        UTMatrix(3, {(2, 1): Fraction(1)})
+    with pytest.raises(ValueError, match="outside the upper triangle"):
+        UTMatrix(3, {(1, 4): Fraction(1)})
+    a = e(1, 2) + e(1, 3).scale(Fraction(2))
+    assert (a - a).entries == {}
+    assert (a + (-e(1, 2))).entries == {(1, 3): Fraction(2)}
+    assert a.scale(Fraction(3)).entries == {(1, 2): 3, (1, 3): 6}
+    assert (e(1, 2) * e(2, 3) - e(1, 3)).entries == {}
+    x = VarTable(["x"]).var("x")
+    assert (e(1, 2).scale(x) * e(2, 2).scale(-x) + e(1, 2).scale(x * x)).entries == {}
+
+
 def test_nilpotency_degrees():
     assert (e(1, 2) + e(2, 3)).nilpotency_degree() == 3
     assert e(1, 3).nilpotency_degree() == 2

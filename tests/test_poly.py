@@ -139,3 +139,108 @@ def test_substitute_distributes(a, b):
     bind = {"x": p("2*y - 1"), "y": p("x + 3")}
     assert (a + b).substitute(bind) == a.substitute(bind) + b.substitute(bind)
     assert (a * b).substitute(bind) == a.substitute(bind) * b.substitute(bind)
+
+
+# -- substitution against the reference loop ----------------------------------
+
+
+def reference_substitute(poly, bindings, table=None):
+    """Substitution as a product of powers per term: every variable becomes a
+    polynomial over the target table and each term is multiplied out."""
+    for name in bindings:
+        if name not in poly.table.index:
+            raise ValueError(f"unknown variable {name!r} in bindings")
+    target = table if table is not None else poly.table
+    repl = {}
+    for name, value in bindings.items():
+        if isinstance(value, MultiPoly):
+            if value.table != target:
+                raise ValueError(
+                    f"binding for {name!r} is not over the target table")
+            repl[name] = value
+        else:
+            repl[name] = MultiPoly.const(target, value)
+    result = MultiPoly(target, {})
+    for mono, coeff in poly.terms.items():
+        term = MultiPoly.const(target, coeff)
+        for i, e in enumerate(mono):
+            if not e:
+                continue
+            name = poly.table.names[i]
+            value = repl.get(name)
+            if value is None:
+                if name not in target.index:
+                    raise ValueError(
+                        f"variable {name!r} missing from the target table")
+                value = target.var(name)
+            term = term * value**e
+        result = result + term
+    return result
+
+
+XYZ = VarTable(["x", "y", "z"])
+# what happens to each variable: kept (in the target table), bound to a
+# scalar, bound to a polynomial over the target table, or dropped (unbound
+# and missing from the target table)
+MODES = ("keep", "scalar", "poly", "drop")
+
+
+def outcome(call):
+    """The result with its term order, or the error message."""
+    try:
+        result = call()
+    except ValueError as exc:
+        return "error", str(exc)
+    return result.table, list(result.terms.items())
+
+
+@st.composite
+def substitutions(draw):
+    source = draw(polys(XYZ, max_terms=5))
+    modes = {name: draw(st.sampled_from(MODES)) for name in XYZ.names}
+    names = [n for n in XYZ.names if modes[n] == "keep"]
+    names += draw(st.lists(st.sampled_from(["w", "v"]), unique=True))
+    target = VarTable(draw(st.permutations(names)))
+    bindings = {}
+    for name, mode in modes.items():
+        if mode == "scalar":
+            bindings[name] = draw(st.one_of(st.sampled_from([0, -1, -2]), coeffs))
+        elif mode == "poly":
+            bindings[name] = draw(polys(target, max_terms=3, max_exp=2))
+    use_table = target != XYZ or draw(st.booleans())
+    return source, bindings, target if use_table else None
+
+
+@settings(derandomize=True, max_examples=300)
+@given(substitutions())
+def test_substitute_matches_reference_loop(case):
+    source, bindings, table = case
+    got = outcome(lambda: source.substitute(bindings, table))
+    assert got == outcome(lambda: reference_substitute(source, bindings, table))
+    if not bindings and table is not None:
+        assert outcome(lambda: source.retable(table)) == got
+
+
+@settings(derandomize=True, max_examples=100)
+@given(polys(XYZ, max_terms=5), st.permutations(XYZ.names),
+       st.lists(st.sampled_from(["w", "v", "u"]), unique=True))
+def test_retable_to_permuted_and_wider_tables(source, names, extra):
+    for table in (VarTable(names), VarTable(list(names) + extra),
+                  VarTable(extra + list(names))):
+        moved = source.retable(table)
+        assert outcome(lambda: moved) == outcome(
+            lambda: reference_substitute(source, {}, table))
+        assert moved.retable(XYZ) == source
+
+
+def test_substitute_error_messages():
+    with pytest.raises(ValueError, match="unknown variable 'w' in bindings"):
+        p("x + y").substitute({"w": 1})
+    with pytest.raises(ValueError, match="variable 'y' missing from the target"):
+        p("x*y + 1").substitute({"x": 2}, VarTable(["x"]))
+    with pytest.raises(ValueError, match="variable 'y' missing from the target"):
+        p("x + y").retable(VarTable(["x"]))
+    with pytest.raises(ValueError, match="not over the target table"):
+        p("x").substitute({"x": p("y")}, VarTable(["y", "x"]))
+    # a variable that does not occur need not be in the target table
+    assert p("2*x").retable(VarTable(["x"])) == VarTable(["x"]).parse("2*x")

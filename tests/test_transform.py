@@ -1,12 +1,17 @@
 """Automorphism action: psi, the flip, conjugation, canonical forms, search."""
 
+import json
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
+from rbu3 import transform
+from rbu3.catalog import build_catalog
 from rbu3.matrices import UTMatrix, basis_indices, parse_matrix
 from rbu3.operators import Operator, rb_residual
+from rbu3.poly import MultiPoly, VarTable
 from rbu3.transform import (AutoParams, PsiStep, ThetaStep, Witness, build_psi,
                             canonicalize_idempotent, canonicalize_nilpotent,
                             conjugate_operator, find_conjugation, theta13)
@@ -261,3 +266,157 @@ def test_witness_json_round_trip():
     again = Witness.from_json(w.to_json())
     assert again.scalar == w.scalar
     assert again.combined() == w.combined()
+
+
+# -- the search's generators against the matrix-product construction ----------
+
+
+def reference_combine(columns, x):
+    total = UTMatrix.zero(3)
+    for idx, coeff in x.entries.items():
+        total = total + columns[idx].scale(coeff)
+    return total
+
+
+def reference_generators(source, target, allow_scaling):
+    """``R psi - k psi S`` built as products of polynomial matrices over one
+    table of unknowns and parameters, each cell split by parameter monomial,
+    then moved to the table of unknowns."""
+    names = transform._SEARCH_VARS if allow_scaling else tuple(
+        v for v in transform._SEARCH_VARS if v != "k_scale")
+    param_names = tuple(source.params()) + tuple(
+        p for p in target.params() if p not in source.params())
+    table = VarTable(names + param_names)
+    var = table.var
+    one = MultiPoly.const(table, 1)
+    k = var("k_scale") if allow_scaling else one
+    psi_cols = transform._psi_columns(
+        var("alpha"), var("beta"), var("gamma"), var("delta"), var("epsilon"),
+        var("u_aux") * var("alpha") * k, one)
+
+    def lift(matrix):
+        entries = {}
+        for key, value in matrix.entries.items():
+            if isinstance(value, MultiPoly):
+                entries[key] = value.retable(table)
+            else:
+                entries[key] = MultiPoly.const(table, value)
+        return UTMatrix(3, entries)
+
+    gens = []
+    n_unknown = len(names)
+    source_cols = {idx: lift(source.image(idx)) for idx in basis_indices(3)}
+    for idx in basis_indices(3):
+        lhs = reference_combine(source_cols, psi_cols[idx])
+        rhs = reference_combine(psi_cols, lift(target.image(idx))).scale(k)
+        for value in (lhs - rhs).entries.values():
+            buckets = {}
+            for mono, coeff in value.terms.items():
+                unknown_part = mono[:n_unknown] + (0,) * len(param_names)
+                buckets.setdefault(mono[n_unknown:], {})[unknown_part] = coeff
+            gens.extend(MultiPoly(table, terms) for terms in buckets.values())
+    gens.append(var("u_aux") * var("alpha") * var("delta") * k - 1)
+    unknown_table = VarTable(names)
+    return tuple(dict.fromkeys(g.retable(unknown_table) for g in gens))
+
+
+def as_terms(gens):
+    """Generators with their term order, which the engine's input keeps."""
+    return [(g.table, list(g.terms.items())) for g in gens]
+
+
+@cache
+def certified_families():
+    return {e.id: e.operator for e in build_catalog(strict=False)
+            if e.residual_zero}
+
+
+def renamed(op, old, new):
+    data = op.to_json()
+    data["images"] = {k: v.replace(old, new) for k, v in data["images"].items()}
+    data["params"] = [new if p == old else p for p in data["params"]]
+    return Operator.from_json(data)
+
+
+def planted_target():
+    source = certified_families()["R31"].substitute_params({"kappa": Fraction(-3, 2)})
+    witness = Witness((PsiStep(AutoParams(alpha=Fraction(5, 2), beta=3,
+                                          gamma=-1, delta=Fraction(-2, 3),
+                                          epsilon=4)), ThetaStep()),
+                      Fraction(-7, 4))
+    return source, witness.transform_operator(source)
+
+
+def search_cases():
+    """name -> (source, target, allow_theta, allow_scaling, systems searched)."""
+    fam = certified_families()
+    return {
+        "R5-R5": (fam["R5"], fam["R5"], True, True, 1),
+        "R31-R39": (fam["R31"], fam["R39"], True, True, 2),
+        "R15-theta-R16": (fam["R15"], conjugate_operator(fam["R16"], theta13()),
+                            False, True, 1),
+        "R22-R24-unscaled": (fam["R22"], fam["R24"], True, False, 2),
+        "planted-R31": planted_target() + (True, True, 2),
+        "a-b": (renamed(fam["R31"], "kappa", "a"), renamed(fam["R39"], "kappa", "b"),
+                 True, True, 2),
+        "R1-R40": (fam["R1"], fam["R40"], True, True, 2),
+        # several parameter terms in one cell, met by psi's two-term cells
+        "shared-a-new-b": (
+            renamed(fam["R31"], "kappa", "a"),
+            Operator.from_images({"e11": "a*e33 - b*e33 + 2*e12",
+                                  "e23": "b*e11 + e13 - a^2*b*e13",
+                                  "e33": "e22 + a*e22"}, params=("a", "b")),
+            True, True, 2),
+    }
+
+
+@pytest.mark.parametrize("name", list(search_cases()))
+def test_search_generators_match_the_matrix_product_construction(name, monkeypatch):
+    source, target, allow_theta, allow_scaling, searched = search_cases()[name]
+    systems = []
+    real_buchberger = transform.buchberger
+
+    def spy(system, limits=None):
+        systems.append(system)
+        return real_buchberger(system, limits)
+
+    monkeypatch.setattr(transform, "buchberger", spy)
+    find_conjugation(source, target, allow_theta=allow_theta,
+                     allow_scaling=allow_scaling)
+    assert len(systems) == searched
+    # the second search, when there is one, is against the flipped target
+    targets = [target, conjugate_operator(target, theta13())]
+    for system, adjusted in zip(systems, targets):
+        expected = reference_generators(source, adjusted, allow_scaling)
+        assert system.gens == expected
+        assert as_terms(system.gens) == as_terms(expected)
+
+
+FOUND_PAIRS = {"R15|R16", "R22|R24", "R31|R39", "R32|R38", "R34|R35",
+               "R34|R36", "R35|R36"}
+
+
+def test_every_certified_family_pair():
+    families = list(certified_families().items())
+    statuses = {}
+    for i, (a, source) in enumerate(families):
+        for b, target in families[i + 1:]:
+            result = find_conjugation(source, target, allow_theta=True)
+            statuses[f"{a}|{b}"] = result.status
+            if result.status == "found":
+                assert result.witness.transform_operator(source) == target
+                replayed = Witness.from_json(json.loads(json.dumps(
+                    result.witness.to_json())))
+                assert replayed.transform_operator(source) == target
+    assert len(statuses) == 741
+    assert {pair for pair, s in statuses.items() if s == "found"} == FOUND_PAIRS
+    assert sum(s == "disjoint" for s in statuses.values()) == 734
+
+
+def test_parameters_named_like_search_unknowns():
+    # parameters are split out of the search's generators, so a family whose
+    # parameter shares a name with a psi unknown is searched like any other
+    op = renamed(certified_families()["R31"], "kappa", "alpha")
+    result = find_conjugation(op, op)
+    assert result.status == "found"
+    assert result.witness.transform_operator(op) == op
