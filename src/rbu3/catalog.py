@@ -33,9 +33,8 @@ from .matrices import UTMatrix, basis_indices, basis_name
 from .operators import (Ansatz, Operator, bvar_name, check_lemma3,
                         generate_system, rb_residual, scale_operator)
 from .poly import MultiPoly, VarTable
-from .groebner import (Limits, PolySystem, ResourceLimitExceeded,
-                       _divisor_view, _normal_form_view, autoreduce,
-                       buchberger)
+from .groebner import (GroebnerBasis, Limits, PolySystem,
+                       ResourceLimitExceeded, autoreduce, buchberger)
 from .transform import (AutoParams, build_psi, conjugate_operator, theta13)
 
 __all__ = [
@@ -721,24 +720,17 @@ def run_case(spec: CaseSpec, limits: Limits | None = None) -> CaseReport:
     if spec.localize:
         q = shape.expand(spec.localize, spec.aliases)
         work_system = system.localize(q)
-    resource_limited = False
-    stats = None
     try:
         gb = buchberger(work_system, _time_left(limits, end))
-        basis = list(gb.basis)
-        gb_reduced = gb.reduced
-        stats = gb.stats
     except ResourceLimitExceeded as exc:
         try:
-            basis = autoreduce(exc.partial, work_system.order,
-                               _check=_deadline_check(end, exc.stats))
+            partial = autoreduce(exc.partial, work_system.order,
+                                 _check=_deadline_check(end, exc.stats))
         except ResourceLimitExceeded as stop:
             # what the stopped autoreduce carries generates the same ideal,
             # so zero normal forms against it stay sound
-            basis = stop.partial
-        gb_reduced = False
-        resource_limited = True
-        stats = exc.stats
+            partial = stop.partial
+        gb = GroebnerBasis(work_system, tuple(partial), False, exc.stats)
 
     memberships = []
     for factors in spec.relations:
@@ -753,7 +745,7 @@ def run_case(spec: CaseSpec, limits: Limits | None = None) -> CaseReport:
             memberships.append(MembershipResult(factors, text, True, True, "ansatz"))
             continue
         memberships.append(_certify_membership(
-            factors, text, claim, basis, work_system, gb_reduced, limits, end))
+            factors, text, claim, gb, limits, end))
 
     solution_results = []
     ansatz = spec.ansatz()
@@ -780,8 +772,8 @@ def run_case(spec: CaseSpec, limits: Limits | None = None) -> CaseReport:
             solution.name, solution.resolves_to, ok_ansatz, ok_system))
 
     return CaseReport(spec.name, spec.title, len(work_system.table),
-                      len(work_system.gens), gb_reduced, resource_limited,
-                      stats, memberships, solution_results)
+                      len(work_system.gens), gb.reduced, not gb.reduced,
+                      gb.stats, memberships, solution_results)
 
 
 _MAX_POWER_CERT = 4
@@ -806,39 +798,36 @@ def _deadline_check(end, stats):
     return check
 
 
-def _certify_membership(factors, text, claim, basis, work_system, gb_reduced,
-                        limits, end) -> MembershipResult:
+def _certify_membership(factors, text, claim, gb, limits, end) -> MembershipResult:
     """Certify that a relation vanishes on the case's solution set.
 
-    Zero normal forms are sound against any partial basis.  A relation whose
-    normal form is nonzero is retried as a power (p^k in the ideal implies p
-    vanishes on the solution set) and then through the localization
-    encoding, which decides vanishing exactly when the basis is a full
-    Groebner basis.  The localization is skipped once no time is left
-    before ``end``.
+    Zero normal forms against ``gb`` are sound even when it is a partial
+    basis.  A relation whose normal form is nonzero is retried as a power
+    (p^k in the ideal implies p vanishes on the solution set) and then
+    through the localization encoding, which decides vanishing exactly when
+    ``gb`` is a full Groebner basis.  The localization is skipped once no
+    time is left before ``end``.
     """
-    order = work_system.order
-    view = _divisor_view(basis, order)
-    if _normal_form_view(claim, view, order)[0].is_zero():
+    if gb.contains(claim):
         return MembershipResult(factors, text, True, False, "ideal")
     power = claim
     for k in range(2, _MAX_POWER_CERT + 1):
         power = power * claim
-        if _normal_form_view(power, view, order)[0].is_zero():
+        if gb.contains(power):
             return MembershipResult(factors, text, True, False, f"power-{k}")
     left = _time_left(limits, end)
     if left.deadline is None or left.deadline > 0:
         try:
-            localized = PolySystem(work_system.table, tuple(basis), order)
-            localized = localized.localize(claim, "t_loc")
-            loc_gb = buchberger(localized, left)
+            system = gb.system
+            localized = PolySystem(system.table, gb.basis, system.order)
+            loc_gb = buchberger(localized.localize(claim, "t_loc"), left)
             if len(loc_gb.basis) == 1 and loc_gb.basis[0].is_constant():
                 return MembershipResult(factors, text, True, False, "localization")
-            if gb_reduced:
+            if gb.reduced:
                 return MembershipResult(factors, text, False, False, "localization")
         except ResourceLimitExceeded:
             pass
-    return MembershipResult(factors, text, None if not gb_reduced else False,
+    return MembershipResult(factors, text, False if gb.reduced else None,
                             False, "undecided")
 
 

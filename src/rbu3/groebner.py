@@ -4,11 +4,16 @@ The engine is deliberately plain: normal pair selection (minimal lcm degree,
 then smallest pair index), the product and chain criteria, full normal-form
 reduction, and monic auto-reduced output.  Three implementation notes:
 
-* Auto-reduction to a fixpoint under a degree-compatible order is exactly
-  Gaussian elimination on the monomial matrix, so every linear polynomial in
-  the linear span of the current basis gets exposed and immediately
-  substitutes itself into the rest.  The quadratic systems produced by the
-  operator-coefficient ansatzes collapse dramatically under this cascade.
+* Auto-reduction divides each element by the others' leading terms and
+  their monomial multiples, pass after pass, and stops after the first pass
+  in which no surviving leading monomial moved: every element is then
+  reduced against the others.  This is more than Gaussian elimination on
+  the coefficient rows (under grevlex ``[x^2 - y, x - 1]`` becomes
+  ``[x - 1, y - 1]``), so linear elements substitute themselves into the
+  rest.  The quadratic systems produced by the operator-coefficient
+  ansatzes collapse dramatically under this cascade.  It is the engine's
+  one interreduction: applied to a Groebner basis it gives the unique
+  reduced basis, so ``buchberger`` ends with it.
 * Whenever an S-polynomial reduces to something with a linear leading term,
   the run restarts on the auto-reduced basis (same ideal, far fewer
   variables in play).  Restarts are bounded by the variable count.
@@ -33,6 +38,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -66,7 +72,6 @@ class ResourceLimitExceeded(RuntimeError):
 @dataclass
 class Limits:
     max_pairs: int | None = None
-    max_basis_size: int | None = None
     deadline: float | None = None  # wall-clock seconds for this invocation
 
 
@@ -102,13 +107,6 @@ class PolySystem:
                 raise ValueError("generators must be polynomials over the shared table")
             if g.is_zero():
                 raise ValueError("generators must be nonzero")
-
-    @staticmethod
-    def from_strings(var_names: Sequence[str], gen_texts: Sequence[str],
-                     order: MonomialOrder | None = None) -> "PolySystem":
-        table = VarTable(var_names)
-        gens = tuple(parse_poly(t, table) for t in gen_texts)
-        return PolySystem(table, gens, order or grevlex())
 
     def localize(self, q: MultiPoly, name: str = "u_inv") -> "PolySystem":
         """Adjoin ``name`` with relation ``name * q - 1`` (forces q invertible)."""
@@ -152,31 +150,34 @@ class GroebnerBasis:
     reduced: bool
     stats: GBStats
 
+    @cached_property
+    def _view(self) -> list:
+        return _divisor_view(self.basis, self.system.order)
+
     def contains(self, p: MultiPoly) -> bool:
-        return normal_form(p, self.basis, self.system.order).is_zero()
+        """Zero normal form against the basis: proves membership for any
+        basis, and decides it when the basis is a Groebner basis."""
+        return _normal_form_view(p, self._view, self.system.order)[0].is_zero()
 
     def verify(self) -> bool:
         """Recheck the defining properties (generators and S-pairs reduce to 0)."""
         order = self.system.order
-        entries = [_lead_entry(g, order) for g in self.basis]
-        view = sorted(entries, key=_by_key, reverse=True)
-        for g in self.system.gens:
-            if not _normal_form_view(g, view, order)[0].is_zero():
-                return False
-        m = len(self.basis)
-        for i in range(m):
-            for j in range(i + 1, m):
-                s = s_polynomial(self.basis[i], self.basis[j], order)
-                if not _normal_form_view(s, view, order)[0].is_zero():
-                    return False
+        basis = self.basis
+        if not all(self.contains(g) for g in self.system.gens):
+            return False
+        if not all(self.contains(s_polynomial(f, g, order))
+                   for i, f in enumerate(basis) for g in basis[i + 1:]):
+            return False
         if self.reduced:
-            for i, (_, _, lc, _, g) in enumerate(entries):
+            for entry in self._view:
+                _, _, lc, _, g = entry
                 if lc != 1:
                     return False
                 for mono in g.terms:
                     mask = _mask(mono)
-                    if any(j != i and not lead_mask & ~mask and mono_divides(lm, mono)
-                           for j, (_, lm, _, lead_mask, _) in enumerate(entries)):
+                    if any(other is not entry and not other[3] & ~mask
+                           and mono_divides(other[1], mono)
+                           for other in self._view):
                         return False
         return True
 
@@ -328,33 +329,35 @@ def normal_form(p: MultiPoly, basis: Sequence[MultiPoly],
 
 def autoreduce(polys: Iterable[MultiPoly],
                order: MonomialOrder | None = None, _check=None) -> list:
-    """Reduce a set against itself to a fixpoint; output is monic.
+    """Reduce a set against itself to a fixpoint; output is monic, sorted by
+    leading monomial, descending.
 
-    Under a degree-compatible order the fixpoint is the reduced row-echelon
-    form of the coefficient matrix, so all linear consequences in the span
-    become explicit basis elements.
+    Each pass divides every element by the leading terms of the others
+    (their monomial multiples included, so this is not Gaussian elimination
+    on the coefficient rows) and drops zero remainders.  Whether a set is
+    reduced depends only on its leading monomials, so the loop stops after
+    the first pass in which no surviving element's leading monomial moved:
+    each element was then divided by the others' final leads.  Applied to a
+    set containing a Groebner basis, the result is the unique reduced basis.
 
     ``_check`` (private to ``buchberger``) is called before each polynomial
     is reduced, with a list that generates the same ideal; it raises to stop.
     """
     order = order or grevlex()
     current = [_lead_entry(p, order) for p in polys if not p.is_zero()]
-    changed = True
-    while changed:
-        changed = False
+    moved = True
+    while moved:
+        moved = False
         nxt = []
         for i, entry in enumerate(current):
             if _check is not None:
                 _check([e[4] for e in nxt] + [e[4] for e in current[i:]])
             view = sorted(nxt + current[i + 1:], key=_by_key, reverse=True)
-            p = entry[4]
-            r, lead_key = _normal_form_view(p, view, order)
+            r, lead_key = _normal_form_view(entry[4], view, order)
             if lead_key is None:
-                changed = True
                 continue
             reduced = _monic_entry(r, lead_key)
-            if reduced[4] != p:
-                changed = True
+            moved = moved or reduced[1] != entry[1]
             nxt.append(reduced)
         current = nxt
     current.sort(key=_by_key, reverse=True)
@@ -367,7 +370,7 @@ def buchberger(system: PolySystem, limits: Limits | None = None) -> GroebnerBasi
     Deterministic for identical input: normal selection strategy (minimal
     lcm degree, then lexicographically smallest pair index), tie-broken by
     insertion order.  Limits are checked before each S-pair and before
-    each polynomial an autoreduce reduces.
+    each polynomial an autoreduce reduces, the closing one included.
     """
     limits = limits or Limits()
     order = system.order
@@ -378,10 +381,6 @@ def buchberger(system: PolySystem, limits: Limits | None = None) -> GroebnerBasi
         if limits.max_pairs is not None and stats.pairs_considered > limits.max_pairs:
             raise ResourceLimitExceeded(
                 f"resource limit: more than {limits.max_pairs} pairs",
-                list(partial), stats)
-        if limits.max_basis_size is not None and len(partial) > limits.max_basis_size:
-            raise ResourceLimitExceeded(
-                f"resource limit: basis larger than {limits.max_basis_size}",
                 list(partial), stats)
         if limits.deadline is not None and time.monotonic() - start > limits.deadline:
             raise ResourceLimitExceeded("resource limit: deadline exceeded",
@@ -451,25 +450,9 @@ def buchberger(system: PolySystem, limits: Limits | None = None) -> GroebnerBasi
         if not restart:
             break
 
-    # minimalize then tail-reduce: the unique reduced basis for this order
-    entries.sort(key=_by_key)
-    minimal = []
-    for entry in entries:
-        _, lm, _, mask, _ = entry
-        if any(not m & ~mask and mono_divides(other, lm)
-               for _, other, _, m, _ in minimal):
-            continue
-        minimal.append(entry)
-    view = minimal[::-1]  # leading monomials are distinct: no ties
-    reduced = []
-    for entry in minimal:
-        others = [e for e in view if e is not entry]
-        r, lead_key = _normal_form_view(entry[4], others, order)
-        if lead_key is not None:
-            reduced.append(_monic_entry(r, lead_key))
-    reduced.sort(key=_by_key, reverse=True)
-    stats.basis_size = len(reduced)
-    return GroebnerBasis(system, tuple(e[4] for e in reduced), True, stats)
+    basis = autoreduce(basis, order, _check=check_limits)
+    stats.basis_size = len(basis)
+    return GroebnerBasis(system, tuple(basis), True, stats)
 
 
 def ideal_member(p: MultiPoly, gb: GroebnerBasis) -> bool:

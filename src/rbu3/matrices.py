@@ -188,14 +188,6 @@ class UTMatrix:
                 entries[key] = x * y if acc is None else acc + x * y
         return UTMatrix._filtered(self.n, entries)
 
-    def power(self, k: int) -> "UTMatrix":
-        if k < 1:
-            raise ValueError("power must be positive")
-        result = self
-        for _ in range(k - 1):
-            result = result * self
-        return result
-
     # -- predicates ----------------------------------------------------------
 
     def nilpotency_degree(self):

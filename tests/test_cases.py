@@ -1,5 +1,8 @@
 """Case driver: system regeneration, membership certificates, solutions."""
 
+import json
+import pathlib
+
 import pytest
 
 from rbu3 import catalog
@@ -18,17 +21,39 @@ GB_COUNTERS = {
     "sec4.1": (7626, 1130, 1062, 0, 124),
     "sec4.2": (990, 243, 237, 0, 45),
     "sec4.3": (741, 196, 192, 0, 39),
+    "sec5": (5356, 664, 613, 0, 104),
     "sec5-reduced": (276, 97, 83, 0, 24),
     "sec5-sub2.1": (40, 15, 10, 5, 6),
     "sec6": (9870, 1427, 1344, 0, 141),
     "sec7": (406, 2, 2, 0, 29),
+    "sec7-reduced": (253, 2, 2, 0, 23),
 }
+
+REF_CASES = pathlib.Path(__file__).parent.parent / "perfbench" / "ref" / "cases.json"
+
+
+def gb_counters(stats):
+    return (stats.pairs_considered, stats.pairs_reduced, stats.zero_reductions,
+            stats.restarts, stats.basis_size)
 
 
 def assert_gb_counters(report):
-    s = report.stats
-    assert (s.pairs_considered, s.pairs_reduced, s.zero_reductions,
-            s.restarts, s.basis_size) == GB_COUNTERS[report.case]
+    assert gb_counters(report.stats) == GB_COUNTERS[report.case]
+
+
+def test_every_preset_basis_matches_the_recorded_reference():
+    """Each preset's reduced basis, term order included, equals the one
+    recorded in the benchmark's reference file (read here, never written)."""
+    ref = json.loads(REF_CASES.read_text())
+    assert sorted(ref) == sorted(case_preset_names()) == sorted(GB_COUNTERS)
+    for name in case_preset_names():
+        spec = case_preset(name)
+        system, shape = generate_system(spec.ansatz())
+        if spec.localize:
+            system = system.localize(shape.expand(spec.localize, spec.aliases))
+        gb = buchberger(system, Limits(max_pairs=200000, deadline=600.0))
+        assert gb.to_json()["basis"] == ref[name]["basis"], name
+        assert gb_counters(gb.stats) == GB_COUNTERS[name], name
 
 
 def test_preset_names():

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from rbu3 import groebner
+from rbu3.matrices import rref
 from rbu3.poly import (MultiPoly, VarTable, elimination, grevlex, lex,
                        mono_div, mono_divides, mono_mul, parse_poly)
 from rbu3.groebner import (Limits, PolySystem, ResourceLimitExceeded,
@@ -173,6 +175,41 @@ def test_autoreduce_stopped_midway_still_generates_the_ideal():
     assert calls > len(gens)  # more than one pass was interrupted
 
 
+def test_autoreduce_divides_by_monomial_multiples():
+    """Autoreduction is more than row reduction: x - 1 reduces x^2 - y
+    through its multiple x*(x - 1), while the reduced row-echelon form of
+    the coefficient rows (columns x^2, x, y, 1) leaves x^2 - y in place."""
+    out = autoreduce([p("x^2 - y"), p("x - 1")], grevlex())
+    assert [g.to_str(grevlex()) for g in out] == ["x - 1", "y - 1"]
+    rows = [[1, 0, -1, 0], [0, 1, 0, -1]]
+    assert rref(rows)[0] == rows
+
+
+def test_buchberger_closes_with_a_checked_autoreduce(monkeypatch):
+    """The reduced basis comes from an autoreduce that holds the limits."""
+    calls = []
+    original = groebner.autoreduce
+
+    def spy(polys, order=None, _check=None):
+        out = original(polys, order, _check=_check)
+        calls.append((_check, out))
+        return out
+
+    monkeypatch.setattr(groebner, "autoreduce", spy)
+    table = VarTable(["x", "y", "z"])
+    system = PolySystem(table, tuple(parse_poly(t, table) for t in
+                                     ("x^2 - y*z", "y^2 - x*z", "z^2 - x*y")),
+                        grevlex())
+    gb = buchberger(system, Limits(max_pairs=1000))
+    assert len(calls) == gb.stats.restarts + 2  # initial, restarts, closing
+    check, out = calls[-1]
+    assert check is not None and out == list(gb.basis)
+    # the check is the run's own pair limit, read from the run's stats
+    gb.stats.pairs_considered = 1001
+    with pytest.raises(ResourceLimitExceeded):
+        check(out)
+
+
 def test_system_json_round_trip(tmp_path):
     system = lex_system("x^2 - 1", "x*y - 1")
     path = tmp_path / "sys.json"
@@ -321,3 +358,93 @@ def division_problems(draw):
 def test_normal_form_matches_reference_division(problem):
     p, basis, order = problem
     assert normal_form(p, basis, order) == reference_normal_form(p, basis, order)
+
+
+# -- autoreduce: reference loop -------------------------------------------------
+
+
+def reference_autoreduce(polys, order):
+    """The fixpoint loop that stops only after a pass that changes nothing:
+    each element, in turn, is divided by the already reduced ones and the
+    rest, made monic, and dropped when zero."""
+    current = [g for g in polys if not g.is_zero()]
+    changed = True
+    while changed:
+        changed = False
+        done = []
+        for i, g in enumerate(current):
+            r = normal_form(g, done + current[i + 1:], order)
+            if r.is_zero():
+                changed = True
+                continue
+            lc = r.leading(order)[1]
+            r = MultiPoly(r.table, {m: c / lc for m, c in r.terms.items()})
+            changed = changed or r != g
+            done.append(r)
+        current = done
+    return sorted(current, key=lambda g: order.key(g.leading(order)[0]),
+                  reverse=True)
+
+
+def same_with_term_order(got, expected):
+    return got == expected and [list(g.terms) for g in got] == [
+        list(g.terms) for g in expected]
+
+
+LINEAR = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
+
+
+@st.composite
+def linear_polys(draw):
+    monos = draw(st.lists(st.sampled_from(LINEAR), min_size=1, max_size=3))
+    return MultiPoly(XYZ, {m: Fraction(draw(st.integers(-3, 3)),
+                                       draw(st.integers(1, 2))) for m in monos})
+
+
+@st.composite
+def autoreduce_inputs(draw):
+    """Small sets with zeros, duplicates, scaled or shifted copies, and
+    linear elements, whose substitutions move leads across passes."""
+    polys = draw(st.lists(st.one_of(xyz_polys(), linear_polys()),
+                          min_size=1, max_size=5))
+    for g in list(polys):
+        if draw(st.booleans()):
+            c = Fraction(draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+            polys.append(draw(st.sampled_from([g, g * c, g + c])))
+    if draw(st.booleans()):
+        polys.append(XYZ.zero())
+    order = draw(st.sampled_from([lex(), grevlex(), elimination(1)]))
+    return draw(st.permutations(polys)), order
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(autoreduce_inputs())
+@example(([parse_poly(t, XYZ) for t in ("x*y + z", "y - x", "x + 2*z")],
+          lex()))  # a lead still moves in the second pass
+def test_autoreduce_matches_reference_loop(problem):
+    polys, order = problem
+    assert same_with_term_order(autoreduce(polys, order),
+                                reference_autoreduce(polys, order))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(xyz_polys(max_terms=3), min_size=1, max_size=3),
+       st.sampled_from([lex(), grevlex(), elimination(1)]), st.randoms())
+def test_autoreduce_of_a_groebner_basis_and_its_multiples(gens, order, rng):
+    """A set that contains a Groebner basis autoreduces to the reduced
+    basis, whatever else of the ideal it holds."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return
+    try:
+        basis = list(buchberger(PolySystem(XYZ, tuple(gens), order),
+                                Limits(max_pairs=300)).basis)
+    except ResourceLimitExceeded:
+        return
+    extras = [MultiPoly(XYZ, {mono: Fraction(rng.randint(1, 3))}) * g
+              for g in basis
+              for mono in [tuple(rng.randint(0, 1) for _ in range(3))]]
+    extras += [f + g for i, f in enumerate(basis) for g in basis[i + 1:]]
+    mixed = basis + extras
+    rng.shuffle(mixed)
+    assert same_with_term_order(autoreduce(mixed, order), basis)
