@@ -689,17 +689,16 @@ class CaseReport:
 
 
 def _solution_bvalues(solution: CaseSolution):
-    """b-variable -> value polynomial (over the solution's parameter table)."""
+    """b-variable -> value (over the solution's parameter table): a
+    polynomial, or a ``Fraction`` that ``substitute`` folds into the
+    coefficient."""
     op = solution.operator()
     table = VarTable(solution.params)
     values = {}
     for src in basis_indices(3):
         image = op.image(src)
         for dst in basis_indices(3):
-            value = image.entries.get(dst, Fraction(0))
-            if not isinstance(value, MultiPoly):
-                value = MultiPoly.const(table, value)
-            values[bvar_name(src, dst)] = value
+            values[bvar_name(src, dst)] = image.entries.get(dst, Fraction(0))
     return table, values
 
 

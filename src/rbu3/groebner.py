@@ -17,14 +17,18 @@ reduction, and monic auto-reduced output.  Three implementation notes:
 * Whenever an S-polynomial reduces to something with a linear leading term,
   the run restarts on the auto-reduced basis (same ideal, far fewer
   variables in play).  Restarts are bounded by the variable count.
-* Each polynomial's leading data (order key, leading monomial and
-  coefficient, and a bitmask of the variables in the leading monomial) is
-  computed once and kept in a divisor view sorted by key, descending;
-  division takes terms from a heap, largest first, and tests the masks
-  before the exact divisibility test.  This is safe because nothing the
-  algorithm decides moves: the divisor is still the first match in stable
-  descending lead order, and pairs are still chosen in the same order, so
-  the counters and the bases are those of the plain loop.
+* Inside the engine a monomial is one int (Bachmann and Schoenemann,
+  ISSAC 1998): a field per variable, whose top bit is a guard kept clear,
+  under an order key linear in the exponents.  So ints compare as their
+  monomials, a product or quotient is one addition or subtraction, and
+  divisibility and lcm are masks on one subtraction's guard bits.  Fields
+  are as narrow as the input's exponents allow; a product that reaches a
+  guard bit raises, and the call is redone with fields twice as wide.
+  Polynomials are packed on entry to each public function and unpacked on
+  exit.  Leading data are computed once per polynomial and kept in a
+  divisor view in stable descending lead order, and division takes terms
+  from a heap, largest first: the divisor is the first match in that
+  order, so counters and bases are those of the plain loop.
 
 Resource limits are explicit inputs; exceeding one raises
 :class:`ResourceLimitExceeded` carrying the partial basis, never a wrong
@@ -35,16 +39,18 @@ from __future__ import annotations
 
 import heapq
 import json
+import struct
 import time
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .poly import (MonomialOrder, MultiPoly, VarTable, grevlex,
-                   elimination, mono_degree, mono_div, mono_divides,
-                   mono_lcm, mono_mul, parse_poly)
+from .poly import (MonomialOrder, MultiPoly, VarTable, add_terms, grevlex,
+                   elimination, parse_poly)
 
 __all__ = [
     "PolySystem",
@@ -151,13 +157,22 @@ class GroebnerBasis:
     stats: GBStats
 
     @cached_property
-    def _view(self) -> list:
-        return _divisor_view(self.basis, self.system.order)
+    def _width(self) -> int:
+        return _fit(self.basis)
+
+    @cached_property
+    def _views(self) -> dict:  # the basis as a divisor view, by packing
+        return {}
 
     def contains(self, p: MultiPoly) -> bool:
         """Zero normal form against the basis: proves membership for any
         basis, and decides it when the basis is a Groebner basis."""
-        return _normal_form_view(p, self._view, self.system.order)[0].is_zero()
+        def run(pk):
+            if pk not in self._views:
+                self._views[pk] = pk.view(self.basis)
+            return not _reduce(pk.terms(p), self._views[pk], pk)
+        return _packed(run, [p], self.system.table, self.system.order,
+                       self._width)
 
     def verify(self) -> bool:
         """Recheck the defining properties (generators and S-pairs reduce to 0)."""
@@ -169,16 +184,14 @@ class GroebnerBasis:
                    for i, f in enumerate(basis) for g in basis[i + 1:]):
             return False
         if self.reduced:
-            for entry in self._view:
-                _, _, lc, _, g = entry
-                if lc != 1:
+            pk = _packing(len(self.system.table), order, self._width)
+            view = pk.view(basis)
+            for entry in view:
+                lead, _, _, terms, _ = entry
+                if terms[lead] != 1 or any(
+                        other is not entry and pk.divides(other[1], m)
+                        for m in terms for other in view):
                     return False
-                for mono in g.terms:
-                    mask = _mask(mono)
-                    if any(other is not entry and not other[3] & ~mask
-                           and mono_divides(other[1], mono)
-                           for other in self._view):
-                        return False
         return True
 
     def to_json(self) -> dict:
@@ -189,128 +202,190 @@ class GroebnerBasis:
         return data
 
 
-def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
-    """S(f,g) = (lcm/lt(f)) f - (lcm/lt(g)) g, built monically."""
-    if f.is_zero() or g.is_zero():
-        raise ValueError("S-polynomial of a zero polynomial")
-    lm_f, lc_f = f.leading(order)
-    lm_g, lc_g = g.leading(order)
-    l = mono_lcm(lm_f, lm_g)
-    left = MultiPoly(f.table, {mono_div(l, lm_f): Fraction(1) / lc_f}) * f
-    right = MultiPoly(g.table, {mono_div(l, lm_g): Fraction(1) / lc_g}) * g
-    return left - right
+class _Overflow(Exception):
+    """An exponent reached the guard bit of its field; carries the width."""
 
 
-def _mask(mono) -> int:
-    """Bit i set iff variable i occurs in ``mono``.
+class _Packing:
+    """Monomials in ``n`` variables under ``order``, ``width`` bytes a field.
 
-    ``a`` can divide ``b`` only if ``_mask(a) & ~_mask(b)`` is 0, which
-    rules most candidate divisors out before the exact exponent test.
+    The exponent word holds variable i in field i from the low end (field
+    n-1-i under lex, so the word itself is ordered); a packed monomial is
+    ``(key << n*w) + word``.  The key is 0 under lex, and under elimination(k)
+    (grevlex: k = n) ``(d_h << A) - (E_h << B) + (d_t << C) - E_t``, for the
+    words E_h of the first k fields and E_t of the rest, of degrees d_h and
+    d_t: each part stays in its bits, so keys compare as order keys do.
     """
-    mask = 0
-    for i, e in enumerate(mono):
-        if e:
-            mask |= 1 << i
-    return mask
 
-
-def _lead_entry(g: MultiPoly, order: MonomialOrder):
-    """(order key, leading monomial, leading coefficient, mask, g)."""
-    key = order.key
-    lead_key, lm = max((key(m), m) for m in g.terms)
-    return (lead_key, lm, g.terms[lm], _mask(lm), g)
-
-
-_by_key = itemgetter(0)  # the order key of a lead entry
-
-
-def _divisor_view(basis: Iterable[MultiPoly], order: MonomialOrder) -> list:
-    """Lead entries of the nonzero elements, in stable descending key order."""
-    entries = [_lead_entry(g, order) for g in basis if not g.is_zero()]
-    entries.sort(key=_by_key, reverse=True)
-    return entries
-
-
-def _insert(view: list, entry) -> None:
-    """Insert ``entry`` after every entry whose key is not smaller: where a
-    stable descending sort of the basis with ``entry`` appended puts it."""
-    lead_key = entry[0]
-    lo, hi = 0, len(view)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if view[mid][0] >= lead_key:
-            lo = mid + 1
+    def __init__(self, n: int, order: MonomialOrder, width: int):
+        w = 8 * width
+        self.n, self.width, self.bits = n, width, n * w
+        self.lex = order.kind == "lex"
+        self.low = (1 << self.bits) - 1
+        self.guards = sum(1 << (i * w + w - 1) for i in range(n))
+        self.byteorder = byteorder = "big" if self.lex else "little"
+        code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(width)  # struct codes
+        if code is not None:
+            layout = struct.Struct(f"{'>' if self.lex else '<'}{n}{code}")
+            self._to_bytes, self._from_bytes = layout.pack, layout.unpack
         else:
-            hi = mid
-    view.insert(lo, entry)
+            self._to_bytes = lambda *mono: b"".join(
+                e.to_bytes(width, byteorder) for e in mono)
+            self._from_bytes = lambda data: tuple(
+                int.from_bytes(data[i:i + width], byteorder)
+                for i in range(0, len(data), width))
+        self.k = k = min(order.block, n) if order.kind == "elim" else n
+        self.head = (1 << (k * w)) - 1
+        self.head_bits = k * w
+        self.C = (n - k) * w
+        self.B = self.C + w + n.bit_length()  # d_t < n * 2**(w-1) fits
+        self.A = self.B + k * w
+
+    def pack(self, mono) -> int:
+        word = int.from_bytes(self._to_bytes(*mono), self.byteorder)
+        if self.lex:
+            return word
+        k = self.k
+        key = (sum(mono[:k]) << self.A) - ((word & self.head) << self.B)
+        if k < self.n:
+            key += (sum(mono[k:]) << self.C) - (word >> self.head_bits)
+        return (key << self.bits) + word
+
+    def unpack(self, m: int) -> tuple:
+        return self._from_bytes((m & self.low).to_bytes(self.bits // 8,
+                                                        self.byteorder))
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether monomial ``a`` divides ``b`` (packed, or words)."""
+        g = self.guards
+        return ((b | g) - (a & self.low)) & g == g
+
+    def lcm(self, a: int, b: int) -> int:
+        """The word of the lcm of two monomials (packed, or words)."""
+        a &= self.low
+        b &= self.low
+        ge = ((a | self.guards) - b) & self.guards  # guard set where a >= b
+        take_a = ge - (ge >> (8 * self.width - 1))
+        return b ^ ((a ^ b) & take_a)
+
+    def terms(self, p: MultiPoly) -> dict:
+        return {self.pack(m): c for m, c in p.terms.items()}
+
+    def poly(self, table: VarTable, terms: dict) -> MultiPoly:
+        return MultiPoly(table, {self.unpack(m): c for m, c in terms.items()})
+
+    def entry(self, terms: dict, poly: MultiPoly | None = None):
+        """(lead, lead word, tail, terms, poly); the tail pairs each other
+        term with -c/lc, what a division step adds per unit of the term."""
+        lead = max(terms)
+        lc = terms[lead]
+        tail = [(m, -c if lc == 1 else -c / lc)
+                for m, c in terms.items() if m != lead]
+        return (lead, lead & self.low, tail, terms, poly)
+
+    def view(self, polys: Iterable[MultiPoly]) -> list:
+        """Lead entries of the polynomials, in stable descending lead order."""
+        entries = [self.entry(self.terms(g)) for g in polys if not g.is_zero()]
+        entries.sort(key=_lead, reverse=True)
+        return entries
 
 
-class _Term:
-    """Heap item for a monomial; the largest monomial pops first."""
-
-    __slots__ = ("key", "mono")
-
-    def __init__(self, key, mono):
-        self.key = key
-        self.mono = mono
-
-    def __lt__(self, other):
-        return self.key > other.key
+@cache
+def _packing(n: int, order: MonomialOrder, width: int) -> _Packing:
+    return _Packing(n, order, width)
 
 
-def _normal_form_view(p: MultiPoly, view, order: MonomialOrder):
-    """Remainder of ``p`` by the divisor view, and its leading key.
+def _fit(polys: Iterable[MultiPoly]) -> int:
+    """The least field width in bytes (1, 2, 4, ...) whose 8 * width - 1
+    value bits, below the guard, hold every exponent of ``polys``."""
+    top = max(chain.from_iterable(chain.from_iterable(p.terms for p in polys)),
+              default=0)
+    return 1 << (top.bit_length() // 8).bit_length()
+
+
+def _packed(run, polys, table: VarTable, order: MonomialOrder, width: int = 1):
+    """``run(packing)`` at the narrowest width that holds ``polys`` (and at
+    least ``width``), redone with fields twice as wide after an overflow."""
+    width = max(width, _fit(polys))
+    while True:
+        try:
+            return run(_packing(len(table), order, width))
+        except _Overflow as exc:
+            width = 2 * exc.args[0]
+
+
+_lead = itemgetter(0)  # the packed leading monomial of a lead entry
+
+
+def _reduce(work: dict, view: list, pk: _Packing) -> dict:
+    """Remainder of the packed terms ``work`` (consumed) by the divisor view.
 
     Terms leave a heap largest first.  A reduction step only adds terms
     below the one it removes, so each monomial enters the heap once; one
     that cancels stays there with coefficient 0 and is skipped when popped.
-    The remainder's terms are stored largest first, so its first term is
-    its leading term; the key is None when the remainder is zero.
+    The remainder's terms are stored largest first, so its first term leads.
     """
-    key = order.key
-    work = dict(p.terms)
-    heap = [_Term(key(m), m) for m in work]
+    guards, low = pk.guards, pk.low
+    heap = [-m for m in work]
     heapq.heapify(heap)
     remainder = {}
-    lead_key = None
     while heap:
-        top = heapq.heappop(heap)
-        mono = top.mono
-        coeff = work.pop(mono)
+        m = -heapq.heappop(heap)
+        coeff = work.pop(m)
         if not coeff:
             continue
-        mono_mask = _mask(mono)
-        for _, lm, lc, lead_mask, g in view:
-            if not lead_mask & ~mono_mask and mono_divides(lm, mono):
+        probe = (m & low) | guards
+        for entry in view:
+            if (probe - entry[1]) & guards == guards:
                 break
         else:
-            if lead_key is None:
-                lead_key = top.key
-            remainder[mono] = coeff
+            remainder[m] = coeff
             continue
-        shift = mono_div(mono, lm)
-        factor = coeff / lc
-        for m2, c2 in g.terms.items():
-            if m2 == lm:
-                continue
-            target = mono_mul(shift, m2)
-            acc = work.get(target)
+        shift = m - entry[0]
+        for t, c in entry[2]:
+            t += shift
+            if t & guards:
+                raise _Overflow(pk.width)
+            acc = work.get(t)
             if acc is None:
-                work[target] = -factor * c2
-                heapq.heappush(heap, _Term(key(target), target))
+                work[t] = coeff * c
+                heapq.heappush(heap, -t)
             else:
-                work[target] = acc - factor * c2
-    return MultiPoly(p.table, remainder), lead_key
+                work[t] = acc + coeff * c
+    return remainder
 
 
-def _monic_entry(r: MultiPoly, lead_key):
-    """Lead entry of ``r`` made monic, for ``r`` from ``_normal_form_view``
-    (its first term leads, and ``lead_key`` is that term's key)."""
-    lm, lc = next(iter(r.terms.items()))
+def _s_terms(pk: _Packing, f, g, lcm: int) -> dict:
+    """Packed S(f, g) = (lcm/lt f) f - (lcm/lt g) g for lead entries f, g and
+    the word of their leads' lcm, built monically; the leads cancel."""
+    lcm = pk.pack(pk.unpack(lcm))
+    shift_f, shift_g = lcm - f[0], lcm - g[0]
+    terms = {shift_f + m: -c for m, c in f[2]}
+    add_terms(terms, ((shift_g + m, c) for m, c in g[2]))
+    if any(m & pk.guards for m in terms):
+        raise _Overflow(pk.width)
+    return terms
+
+
+def _monic_entry(pk: _Packing, r: dict, table: VarTable):
+    """Lead entry, with its polynomial, of the remainder ``r`` made monic."""
+    lc = next(iter(r.values()))
     if lc != 1:
         inv = Fraction(1) / lc
-        r = MultiPoly(r.table, {m: c * inv for m, c in r.terms.items()})
-    return (lead_key, lm, Fraction(1), _mask(lm), r)
+        r = {m: c * inv for m, c in r.items()}
+    return pk.entry(r, pk.poly(table, r))
+
+
+def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
+    """S(f,g) = (lcm/lt(f)) f - (lcm/lt(g)) g, built monically."""
+    if f.is_zero() or g.is_zero():
+        raise ValueError("S-polynomial of a zero polynomial")
+    if f.table != g.table:
+        raise ValueError("incompatible operands: different variable tables")
+    def run(pk):
+        ef, eg = pk.entry(pk.terms(f)), pk.entry(pk.terms(g))
+        return pk.poly(f.table, _s_terms(pk, ef, eg, pk.lcm(ef[1], eg[1])))
+    return _packed(run, (f, g), f.table, order)
 
 
 def normal_form(p: MultiPoly, basis: Sequence[MultiPoly],
@@ -324,7 +399,10 @@ def normal_form(p: MultiPoly, basis: Sequence[MultiPoly],
     which makes the result deterministic.
     """
     order = order or grevlex()
-    return _normal_form_view(p, _divisor_view(basis, order), order)[0]
+    basis = list(basis)
+    return _packed(lambda pk: pk.poly(
+        p.table, _reduce(pk.terms(p), pk.view(basis), pk)),
+        [p, *basis], p.table, order)
 
 
 def autoreduce(polys: Iterable[MultiPoly],
@@ -343,25 +421,31 @@ def autoreduce(polys: Iterable[MultiPoly],
     ``_check`` (private to ``buchberger``) is called before each polynomial
     is reduced, with a list that generates the same ideal; it raises to stop.
     """
-    order = order or grevlex()
-    current = [_lead_entry(p, order) for p in polys if not p.is_zero()]
-    moved = True
-    while moved:
-        moved = False
-        nxt = []
-        for i, entry in enumerate(current):
-            if _check is not None:
-                _check([e[4] for e in nxt] + [e[4] for e in current[i:]])
-            view = sorted(nxt + current[i + 1:], key=_by_key, reverse=True)
-            r, lead_key = _normal_form_view(entry[4], view, order)
-            if lead_key is None:
-                continue
-            reduced = _monic_entry(r, lead_key)
-            moved = moved or reduced[1] != entry[1]
-            nxt.append(reduced)
-        current = nxt
-    current.sort(key=_by_key, reverse=True)
-    return [e[4] for e in current]
+    polys = [p for p in polys if not p.is_zero()]
+    if not polys:
+        return []
+    table = polys[0].table
+
+    def run(pk):
+        current = [pk.entry(pk.terms(p), p) for p in polys]
+        moved = True
+        while moved:
+            moved = False
+            nxt = []
+            for i, entry in enumerate(current):
+                if _check is not None:
+                    _check([e[4] for e in nxt] + [e[4] for e in current[i:]])
+                view = sorted(nxt + current[i + 1:], key=_lead, reverse=True)
+                r = _reduce(dict(entry[3]), view, pk)
+                if not r:
+                    continue
+                reduced = _monic_entry(pk, r, table)
+                moved = moved or reduced[0] != entry[0]
+                nxt.append(reduced)
+            current = nxt
+        current.sort(key=_lead, reverse=True)
+        return [e[4] for e in current]
+    return _packed(run, polys, table, order or grevlex())
 
 
 def buchberger(system: PolySystem, limits: Limits | None = None) -> GroebnerBasis:
@@ -372,10 +456,17 @@ def buchberger(system: PolySystem, limits: Limits | None = None) -> GroebnerBasi
     insertion order.  Limits are checked before each S-pair and before
     each polynomial an autoreduce reduces, the closing one included.
     """
-    limits = limits or Limits()
-    order = system.order
-    stats = GBStats()
     start = time.monotonic()
+    return _packed(lambda pk: _buchberger(system, limits, start, pk.width),
+                   system.gens, system.table, system.order)
+
+
+def _buchberger(system: PolySystem, limits: Limits | None, start: float,
+                width: int) -> GroebnerBasis:
+    """One run of ``buchberger`` with fields at least ``width`` bytes wide."""
+    limits = limits or Limits()
+    order, table = system.order, system.table
+    stats = GBStats()
 
     def check_limits(partial):
         if limits.max_pairs is not None and stats.pairs_considered > limits.max_pairs:
@@ -387,61 +478,57 @@ def buchberger(system: PolySystem, limits: Limits | None = None) -> GroebnerBasi
                                         list(partial), stats)
 
     basis = autoreduce(system.gens, order, _check=check_limits)
-    max_restarts = len(system.table) + 4
+    max_restarts = len(table) + 4
 
     while True:  # each iteration is one (re)start on an autoreduced basis
-        entries = [_lead_entry(g, order) for g in basis]
-        view = sorted(entries, key=_by_key, reverse=True)
-        heap = []
-        for j in range(len(basis)):
-            for i in range(j):
-                l = mono_lcm(entries[i][1], entries[j][1])
-                heapq.heappush(heap, (mono_degree(l), i, j))
-        completed = set()
+        pk = _packing(len(table), order, max(width, _fit(basis)))
+        guards = pk.guards
+        entries = [pk.entry(pk.terms(g), g) for g in basis]
+        leads = [e[1] for e in entries]
+        view = sorted(entries, key=_lead, reverse=True)
+
+        def pair(i, j):
+            lcm = pk.lcm(leads[i], leads[j])
+            return (sum(pk.unpack(lcm)), i, j, lcm)
+
+        heap = [pair(i, j) for j in range(len(basis)) for i in range(j)]
+        heapq.heapify(heap)
+        done = [set() for _ in basis]  # done[i]: each k whose pair with i is treated
         restart = False
 
         while heap:
             stats.pairs_considered += 1
             check_limits(basis)
-            _, i, j = heapq.heappop(heap)
-            _, lead_i, _, mask_i, _ = entries[i]
-            _, lead_j, _, mask_j, _ = entries[j]
-            l = mono_lcm(lead_i, lead_j)
+            _, i, j, lcm = heapq.heappop(heap)
+            done_i, done_j = done[i], done[j]
             # product criterion: coprime leading monomials
-            if l == mono_mul(lead_i, lead_j):
-                completed.add((i, j))
-                continue
-            # chain criterion (conservative: both companion pairs fully treated)
-            l_mask = mask_i | mask_j
-            skipped = False
-            for k, (_, lead_k, _, mask_k, _) in enumerate(entries):
-                if k in (i, j) or mask_k & ~l_mask or not mono_divides(lead_k, l):
-                    continue
-                p1 = (min(i, k), max(i, k))
-                p2 = (min(j, k), max(j, k))
-                if p1 in completed and p2 in completed:
-                    skipped = True
-                    break
+            skipped = lcm == leads[i] + leads[j]
+            if not skipped:
+                # chain criterion (conservative: both companion pairs fully treated)
+                probe = lcm | guards
+                skipped = any((probe - leads[k]) & guards == guards
+                              for k in done_i & done_j)
+            done_i.add(j)
+            done_j.add(i)
             if skipped:
-                completed.add((i, j))
                 continue
-            s = s_polynomial(basis[i], basis[j], order)
-            h, lead_key = _normal_form_view(s, view, order)
+            r = _reduce(_s_terms(pk, entries[i], entries[j], lcm), view, pk)
             stats.pairs_reduced += 1
-            completed.add((i, j))
-            if lead_key is None:
+            if not r:
                 stats.zero_reductions += 1
                 continue
-            # h is reduced against the view, so its leading monomial is new
-            entry = _monic_entry(h, lead_key)
-            h, lm_h = entry[4], entry[1]
+            # r is reduced against the view, so its leading monomial is new
+            entry = _monic_entry(pk, r, table)
+            h = entry[4]
             basis.append(h)
             entries.append(entry)
-            _insert(view, entry)
+            leads.append(entry[1])
+            done.append(set())
+            # after every entry whose lead is not smaller, as a stable sort would
+            insort(view, entry, key=lambda e: -e[0])
             new_index = len(basis) - 1
             for k in range(new_index):
-                l = mono_lcm(entries[k][1], lm_h)
-                heapq.heappush(heap, (mono_degree(l), k, new_index))
+                heapq.heappush(heap, pair(k, new_index))
             if h.total_degree() <= 1 and stats.restarts < max_restarts:
                 stats.restarts += 1
                 basis = autoreduce(basis, order, _check=check_limits)
@@ -484,9 +571,6 @@ def eliminate(system: PolySystem, keep: Iterable[str],
     )
     gb = buchberger(reordered, limits)
     kept_table = VarTable(kept)
-    kept_gens = []
-    block = len(dropped)
-    for g in gb.basis:
-        if all(not any(m[:block]) for m in g.terms):
-            kept_gens.append(g.retable(kept_table))
+    kept_gens = [g.retable(kept_table) for g in gb.basis
+                 if g.variables() <= keep_set]
     return PolySystem(kept_table, tuple(kept_gens), grevlex())

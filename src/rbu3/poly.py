@@ -27,7 +27,6 @@ __all__ = [
     "grevlex",
     "lex",
     "elimination",
-    "is_zero_identically",
     "add_terms",
     "format_terms",
     "parse_terms",
@@ -191,11 +190,6 @@ class MonomialOrder:
         if isinstance(data, dict) and "elim" in data:
             return MonomialOrder("elim", int(data["elim"]))
         raise ValueError(f"bad monomial order spec {data!r}")
-
-
-def is_zero_identically(p: "MultiPoly") -> bool:
-    """True iff p is the zero polynomial (empty canonical term map)."""
-    return p.is_zero()
 
 
 def lex() -> MonomialOrder:

@@ -56,6 +56,17 @@ def test_every_preset_basis_matches_the_recorded_reference():
         assert gb_counters(gb.stats) == GB_COUNTERS[name], name
 
 
+def test_every_preset_report_matches_the_recorded_reference():
+    """Each preset's ``run_case`` report without its counters (memberships,
+    certificates and solution checks) equals the one the benchmark
+    recorded (read here, never written)."""
+    ref = json.loads(REF_CASES.read_text())
+    for name in case_preset_names():
+        report = run_case(case_preset(name)).to_json()
+        report.pop("stats")
+        assert report == ref[name]["report"], name
+
+
 def test_preset_names():
     names = case_preset_names()
     for required in ("sec4.1", "sec5", "sec5-reduced", "sec5-sub2.1",

@@ -1,13 +1,26 @@
 """Command-line surface: exit codes, JSON determinism, round-trips."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 from rbu3 import cli
 from rbu3.catalog import build_catalog
 from rbu3.operators import Operator
 
-DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
+
+
+def test_python_dash_m_runs_the_cli():
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-m", "rbu3", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: rbu3")
 
 
 def test_verify_catalog_single_family(capsys):

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from rbu3 import groebner
 from rbu3.matrices import rref
 from rbu3.poly import (MultiPoly, VarTable, elimination, grevlex, lex,
-                       mono_div, mono_divides, mono_mul, parse_poly)
+                       mono_degree, mono_div, mono_divides, mono_lcm, mono_mul,
+                       parse_poly)
 from rbu3.groebner import (Limits, PolySystem, ResourceLimitExceeded,
                            autoreduce, buchberger, eliminate, ideal_member,
                            normal_form, s_polynomial)
@@ -208,6 +209,101 @@ def test_buchberger_closes_with_a_checked_autoreduce(monkeypatch):
     gb.stats.pairs_considered = 1001
     with pytest.raises(ResourceLimitExceeded):
         check(out)
+
+
+def test_partial_and_basis_hold_polynomials_over_the_system_table():
+    table = VarTable(["x", "y", "z"])
+    system = PolySystem(table, tuple(parse_poly(t, table) for t in
+                                     ("x^2 - y*z", "y^2 - x*z", "z^2 - x*y")),
+                        grevlex())
+    with pytest.raises(ResourceLimitExceeded) as info:
+        buchberger(system, Limits(max_pairs=2))
+    gb = buchberger(system)
+    for polys in (info.value.partial, gb.basis):
+        assert polys and all(isinstance(g, MultiPoly) and g.table == table
+                             for g in polys)
+
+
+# -- packed monomials ------------------------------------------------------------
+
+
+@st.composite
+def packed_cases(draw):
+    """A packing (0 to 5 variables, every order, an elimination block up to
+    one past the last variable, widths 1, 2 and the generic 16 bytes) and
+    two monomials with exponents below the guard bits."""
+    n = draw(st.integers(0, 5))
+    order = draw(st.sampled_from(
+        [lex(), grevlex()] + [elimination(k) for k in range(1, n + 2)]))
+    width = draw(st.sampled_from([1, 2, 16]))
+    top = draw(st.sampled_from([3, (1 << (8 * width - 1)) - 1]))
+    monos = st.tuples(*[st.integers(0, top)] * n)
+    return groebner._packing(n, order, width), order, draw(monos), draw(monos)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(packed_cases())
+@example((groebner._packing(0, grevlex(), 1), grevlex(), (), ()))
+@example((groebner._packing(2, elimination(2), 1), elimination(2),
+          (1, 2), (2, 1)))
+@example((groebner._packing(5, elimination(2), 1), elimination(2),
+          (0, 1, 127, 127, 127), (1, 0, 0, 0, 0)))
+@example((groebner._packing(3, elimination(1), 1), elimination(1),
+          (1, 1, 0), (1, 0, 1)))  # tied head and tail degree
+def test_packed_kernels_match_the_tuple_kernels(case):
+    pk, order, a, b = case
+    pa, pb = pk.pack(a), pk.pack(b)
+    assert pk.unpack(pa) == a and pk.unpack(pb) == b
+    assert (pa < pb) == (order.key(a) < order.key(b))
+    assert (pa == pb) == (a == b)
+    assert pk.divides(pa, pb) == mono_divides(a, b)
+    if mono_divides(b, a):
+        assert pa - pb == pk.pack(mono_div(a, b))
+    lcm = pk.lcm(pa, pb)
+    assert pk.unpack(lcm) == mono_lcm(a, b)
+    assert sum(pk.unpack(lcm)) == mono_degree(mono_lcm(a, b))
+    # halved, the exponents of a product stay below the guard bits
+    a, b = tuple(e >> 1 for e in a), tuple(e >> 1 for e in b)
+    product = pk.pack(a) + pk.pack(b)
+    assert product == pk.pack(mono_mul(a, b)) and not product & pk.guards
+
+
+def test_widths_are_derived_from_the_largest_exponent():
+    def width(text):
+        return groebner._fit([p(text)])
+    assert [width("x + 1"), width("x^127"), width("x^128*y"), width("y^32767"),
+            width("x^32768"), width("x^40000")] == [1, 1, 2, 2, 4, 4]
+
+
+def test_wide_exponents_take_wide_fields():
+    """x - y^40000 reduces by y^2 - 1 to x - 1 in 20000 steps; the fields
+    are derived four bytes wide from the input."""
+    gb = buchberger(lex_system("x - y^40000", "y^2 - 1"))
+    assert [g.to_str(lex()) for g in gb.basis] == ["x - 1", "y^2 - 1"]
+
+
+def test_overflowing_products_widen_the_fields():
+    """The inputs fit one-byte fields (exponents below 128), but their
+    S-pair holds y^220 and their basis y^320: a product that reaches a
+    guard bit raises, and the call is redone with wider fields instead of
+    wrapping an exponent into the next field."""
+    gens = ("x^2 - y^120", "x*y^100 - 1")
+    pk = groebner._packing(2, lex(), groebner._fit([p(t) for t in gens]))
+    assert pk.width == 1
+    f, g = (pk.entry(pk.terms(p(t))) for t in gens)
+    with pytest.raises(groebner._Overflow):
+        groebner._s_terms(pk, f, g, pk.lcm(f[1], g[1]))
+    with pytest.raises(groebner._Overflow):
+        groebner._reduce(pk.terms(p("x*y^120")), pk.view([p("x - y^100")]), pk)
+    assert s_polynomial(p(gens[0]), p(gens[1]), lex()) == p("x - y^220")
+    # with x = y^-100 from the second generator, the first says y^320 = 1
+    gb = buchberger(lex_system(*gens))
+    assert [g.to_str(lex()) for g in gb.basis] == ["x - y^220", "y^320 - 1"]
+    assert gb.verify()
+    assert gb.contains(p("x^2 - y^440"))
+    assert normal_form(p("x*y^200"), [p("x - y^100")], lex()) == p("y^300")
+    assert autoreduce([p("x*y^100 - 1"), p("x - y^100")], lex()) == [
+        p("x - y^100"), p("y^200 - 1")]
 
 
 def test_system_json_round_trip(tmp_path):
