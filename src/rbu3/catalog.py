@@ -21,18 +21,17 @@ for transparency (see the README):
 
 from __future__ import annotations
 
-import json
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .matrices import UTMatrix, basis_indices, basis_name
-from .operators import (Ansatz, Operator, bvar_name, check_lemma3,
+from .operators import (Ansatz, Operator, bvar_name, check_lemma3, failure_json,
                         generate_system, rb_residual, scale_operator)
-from .poly import MultiPoly, VarTable
+from .poly import MultiPoly, VarTable, write_json
 from .groebner import (GroebnerBasis, Limits, PolySystem,
                        ResourceLimitExceeded, autoreduce, buchberger)
 from .transform import (AutoParams, build_psi, conjugate_operator, theta13)
@@ -275,20 +274,7 @@ class CaseSpec:
         return Ansatz(3, Fraction(0), list(self.constraints))
 
     def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "name": self.name,
-            "title": self.title,
-            "constraints": list(self.constraints),
-            "aliases": dict(self.aliases),
-            "relations": [list(r) for r in self.relations],
-            "solutions": [{"name": s.name, "params": list(s.params),
-                           "images": dict(s.images),
-                           "resolves_to": list(s.resolves_to)}
-                          for s in self.solutions],
-            "localize": self.localize,
-            "notes": self.notes,
-        }
+        return {"schema": 1, **asdict(self)}
 
 
 def _unit_constraints(target: str) -> list:
@@ -598,7 +584,8 @@ def case_preset_names() -> list:
 def case_preset(name: str) -> CaseSpec:
     builder = _CASE_BUILDERS.get(name)
     if builder is None:
-        raise KeyError(f"unknown case preset {name!r}")
+        raise KeyError(f"unknown case preset {name!r}; "
+                       f"presets: {', '.join(_CASE_BUILDERS)}")
     return builder()
 
 
@@ -747,26 +734,16 @@ def run_case(spec: CaseSpec, limits: Limits | None = None) -> CaseReport:
             factors, text, claim, gb, limits, end))
 
     solution_results = []
-    ansatz = spec.ansatz()
-    bnames = VarTable(ansatz.all_bvars())
+    bnames = VarTable(spec.ansatz().all_bvars())
     for solution in spec.solutions:
         table, values = _solution_bvalues(solution)
-        ok_ansatz = True
-        for constraint in spec.constraints:
-            poly = bnames.parse(constraint)
+
+        def vanishes(poly):
             bound = {name: values[name] for name in poly.variables()}
-            if not poly.substitute(bound, table).is_zero():
-                ok_ansatz = False
-                break
-        ok_system = True
-        if ok_ansatz:
-            for gen in system.gens:
-                bound = {name: values[name] for name in gen.variables()}
-                if not gen.substitute(bound, table).is_zero():
-                    ok_system = False
-                    break
-        else:
-            ok_system = False
+            return poly.substitute(bound, table).is_zero()
+
+        ok_ansatz = all(vanishes(bnames.parse(c)) for c in spec.constraints)
+        ok_system = ok_ansatz and all(vanishes(gen) for gen in system.gens)
         solution_results.append(SolutionResult(
             solution.name, solution.resolves_to, ok_ansatz, ok_system))
 
@@ -891,30 +868,13 @@ class EntryReport:
                 and self.closure_failures == 0)
 
     def to_json(self) -> dict:
-        failure = None
-        if self.first_failure is not None:
-            (u, v), pos, value = self.first_failure
-            failure = {"pair": [basis_name(u), basis_name(v)],
-                       "position": basis_name(pos), "value": str(value)}
-        return {
-            "id": self.id,
-            "params": list(self.params),
-            "side_conditions": list(self.side_conditions),
-            "provenance": self.provenance,
-            "residual_zero": self.residual_zero,
-            "first_failure": failure,
-            "power_vanish_index": self.power_vanish_index,
-            "r2_nonzero": self.r2_nonzero,
-            "image_dim": self.image_dim,
-            "unit_not_in_image": self.unit_not_in_image,
-            "kernel_check": self.kernel_check,
-            "unit_power_identity": self.unit_power_identity,
-            "unit_image_nilpotent": self.unit_image_nilpotent,
-            "unit_column_consistent": self.unit_column_consistent,
-            "closure_trials": self.closure_trials,
-            "closure_failures": self.closure_failures,
-            "all_pass": self.all_pass(),
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        failure = self.first_failure
+        data.update(params=list(self.params),
+                    side_conditions=list(self.side_conditions),
+                    first_failure=None if failure is None else failure_json(failure),
+                    all_pass=self.all_pass())
+        return data
 
 
 @dataclass
@@ -1060,18 +1020,13 @@ def export_data(root) -> list:
     root.mkdir(parents=True, exist_ok=True)
     catalog_path = root / "catalog.json"
     entries = build_catalog(strict=False)
-    with open(catalog_path, "w") as fh:
-        json.dump({"schema": 1, "entries": [e.to_json() for e in entries]},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(catalog_path, {"schema": 1, "entries": [e.to_json() for e in entries]})
     written.append(catalog_path)
     cases_dir = root / "cases"
     cases_dir.mkdir(exist_ok=True)
     for name in case_preset_names():
         path = cases_dir / f"{name.replace('.', '_')}.json"
-        with open(path, "w") as fh:
-            json.dump(case_preset(name).to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, case_preset(name).to_json())
         written.append(path)
     ops_dir = root / "operators"
     ops_dir.mkdir(exist_ok=True)

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parse error,
-3 resource limit.  Text output is human-oriented; the ``--json`` reports are
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage, parse or input
+error, 3 resource limit.  Text output is human-oriented; the ``--json`` reports are
 the stable contract (schema-versioned, sorted keys, byte-identical across
 identical invocations).
 """
@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from .matrices import parse_matrix
-from .operators import Operator, check_lemma3, rb_residual
-from .poly import ParseError, parse_poly
+from .operators import Operator, check_lemma3, failure_json, rb_residual
+from .poly import ParseError, parse_poly, read_json, write_json
 from .groebner import (Limits, PolySystem, ResourceLimitExceeded, buchberger)
 from .transform import (AutoParams, PsiStep, ThetaStep, Witness,
                         canonicalize_idempotent, canonicalize_nilpotent,
@@ -28,30 +29,17 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _dump_json(data, path):
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
 def _limits(args) -> Limits:
     return Limits(max_pairs=getattr(args, "max_pairs", None),
                   deadline=getattr(args, "deadline", None))
 
 
 def cmd_verify_catalog(args) -> int:
-    try:
-        report = cat.verify_all(samples=args.samples, families=args.family or None,
-                                seed=args.seed, jobs=args.jobs)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
+    report = cat.verify_all(samples=args.samples, families=args.family or None,
+                            seed=args.seed, jobs=args.jobs)
     print(report.to_text())
     if args.json:
-        _dump_json(report.to_json(), args.json)
+        write_json(args.json, report.to_json())
     return EXIT_OK if report.all_pass() else EXIT_CHECK_FAILED
 
 
@@ -64,12 +52,9 @@ def cmd_check(args) -> int:
     print(f"RB weight {op.weight}: {'YES' if ok else 'NO'}")
     data = {"schema": 1, "weight": str(op.weight), "is_rb": ok}
     if not ok:
-        (u, v), pos, value = residual.first_nonzero()
-        from .matrices import basis_name
-        print(f"  first nonzero residual: pair ({basis_name(u)},{basis_name(v)}) "
-              f"position {basis_name(pos)} value {value}")
-        data["first_failure"] = {"pair": [basis_name(u), basis_name(v)],
-                                 "position": basis_name(pos), "value": str(value)}
+        failure = data["first_failure"] = failure_json(residual.first_nonzero())
+        print(f"  first nonzero residual: pair ({','.join(failure['pair'])}) "
+              f"position {failure['position']} value {failure['value']}")
     else:
         lemma = check_lemma3(op)
         data["lemma_checks"] = {
@@ -78,7 +63,7 @@ def cmd_check(args) -> int:
             "unit_power_identity": lemma.unit_power_identity,
         }
     if args.json:
-        _dump_json(data, args.json)
+        write_json(args.json, data)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -88,15 +73,14 @@ def cmd_system(args) -> int:
         from .operators import generate_system
         system, _ = generate_system(spec.ansatz())
     else:
-        with open(args.ansatz) as fh:
-            data = json.load(fh)
+        data = read_json(args.ansatz)
         from .operators import Ansatz, generate_system
         ansatz = Ansatz(int(data.get("n", 3)), Fraction(data.get("weight", "0")),
                         list(data.get("constraints", ())))
         system, _ = generate_system(ansatz)
     print(f"{len(system.table)} variables, {len(system.gens)} generators")
     if args.json:
-        _dump_json(system.to_json(), args.json)
+        write_json(args.json, system.to_json())
     return EXIT_OK
 
 
@@ -107,36 +91,24 @@ def cmd_gb(args) -> int:
         order = MonomialOrder.from_json(
             {"elim": args.elim} if args.order == "elim" else args.order)
         system = PolySystem(system.table, system.gens, order)
-    try:
-        gb = buchberger(system, _limits(args))
-    except ResourceLimitExceeded as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    gb = buchberger(system, _limits(args))
     print(f"reduced basis with {len(gb.basis)} elements "
           f"({gb.stats.pairs_considered} pairs)")
     for g in gb.basis:
         print(f"  {g.to_str(system.order)}")
     if args.json:
-        _dump_json(gb.to_json(), args.json)
+        write_json(args.json, gb.to_json())
     return EXIT_OK
 
 
 def cmd_member(args) -> int:
     system = PolySystem.load(args.file)
-    try:
-        poly = parse_poly(args.poly, system.table)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        gb = buchberger(system, _limits(args))
-    except ResourceLimitExceeded as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    poly = parse_poly(args.poly, system.table)
+    gb = buchberger(system, _limits(args))
     member = gb.contains(poly)
     print(f"member: {'YES' if member else 'NO'}")
     if args.json:
-        _dump_json({"schema": 1, "poly": args.poly, "member": member}, args.json)
+        write_json(args.json, {"schema": 1, "poly": args.poly, "member": member})
     return EXIT_OK if member else EXIT_CHECK_FAILED
 
 
@@ -153,8 +125,9 @@ def cmd_canonicalize(args) -> int:
     print(f"form: {result.label}")
     print(f"witness: {json.dumps(result.witness.to_json(), sort_keys=True)}")
     if args.json:
-        _dump_json({"schema": 1, "input": args.matrix, "form": result.label,
-                    "witness": result.witness.to_json()}, args.json)
+        write_json(args.json, {"schema": 1, "input": args.matrix,
+                               "form": result.label,
+                               "witness": result.witness.to_json()})
     return EXIT_OK
 
 
@@ -163,50 +136,41 @@ def cmd_conjugate(args) -> int:
     steps = []
     if args.theta:
         steps.append(ThetaStep())
-    if any(v is not None for v in (args.alpha, args.beta, args.gamma,
-                                   args.delta, args.epsilon)):
-        params = AutoParams(
-            alpha=Fraction(args.alpha if args.alpha is not None else "1"),
-            beta=Fraction(args.beta if args.beta is not None else "0"),
-            gamma=Fraction(args.gamma if args.gamma is not None else "0"),
-            delta=Fraction(args.delta if args.delta is not None else "1"),
-            epsilon=Fraction(args.epsilon if args.epsilon is not None else "0"))
-        steps.append(PsiStep(params))
+    given = {f.name: getattr(args, f.name) for f in fields(AutoParams)
+             if getattr(args, f.name) is not None}
+    if given:
+        steps.append(PsiStep(AutoParams(**given)))
     if not steps:
         print("error: give --theta and/or automorphism parameters", file=sys.stderr)
         return EXIT_USAGE
     witness = Witness(tuple(steps))
     result = witness.transform_operator(op)
     data = result.to_json()
-    print(json.dumps(data, indent=2, sort_keys=True))
+    write_json("-", data)
     if args.json:
-        _dump_json(data, args.json)
+        write_json(args.json, data)
     return EXIT_OK
 
 
 def cmd_find_conj(args) -> int:
     source = Operator.load(args.source)
     target = Operator.load(args.target)
-    try:
-        result = find_conjugation(source, target, allow_theta=args.allow_theta,
-                                  allow_scaling=args.allow_scaling,
-                                  limits=_limits(args))
-    except ResourceLimitExceeded as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    result = find_conjugation(source, target, allow_theta=args.allow_theta,
+                              allow_scaling=args.allow_scaling,
+                              limits=_limits(args))
     if result.status == "found":
         print("witness found")
-        print(json.dumps(result.witness.to_json(), indent=2, sort_keys=True))
+        write_json("-", result.witness.to_json())
         if args.json:
-            _dump_json({"schema": 1, "status": "found",
-                        "witness": result.witness.to_json()}, args.json)
+            write_json(args.json, {"schema": 1, "status": "found",
+                                   "witness": result.witness.to_json()})
         return EXIT_OK
     if result.status == "disjoint":
         print("none found (the searched family has no conjugation: unit ideal)")
     else:
         print("none found (no rational witness)")
     if args.json:
-        _dump_json({"schema": 1, "status": result.status}, args.json)
+        write_json(args.json, {"schema": 1, "status": result.status})
     return EXIT_CHECK_FAILED
 
 
@@ -218,21 +182,16 @@ def cmd_rb_index(args) -> int:
         return EXIT_CHECK_FAILED
     print(f"least k with R^k = 0: {k}")
     if args.json:
-        _dump_json({"schema": 1, "power_vanish_index": k}, args.json)
+        write_json(args.json, {"schema": 1, "power_vanish_index": k})
     return EXIT_OK
 
 
 def cmd_case(args) -> int:
-    try:
-        spec = cat.case_preset(args.preset)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}; presets: {', '.join(cat.case_preset_names())}",
-              file=sys.stderr)
-        return EXIT_USAGE
+    spec = cat.case_preset(args.preset)
     report = cat.run_case(spec, _limits(args))
     print(report.to_text())
     if args.json:
-        _dump_json(report.to_json(), args.json)
+        write_json(args.json, report.to_json())
     if report.resource_limited and not report.all_pass():
         return EXIT_RESOURCE
     return EXIT_OK if report.all_pass() else EXIT_CHECK_FAILED
@@ -301,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjugate", help="conjugate an operator by psi/theta")
     p.add_argument("file")
     p.add_argument("--theta", action="store_true")
-    for name in ("alpha", "beta", "gamma", "delta", "epsilon"):
-        p.add_argument(f"--{name}", metavar="Q")
+    for f in fields(AutoParams):
+        p.add_argument(f"--{f.name}", metavar="Q")
     p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=cmd_conjugate)
 
@@ -344,12 +303,15 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ResourceLimitExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except (FileNotFoundError, KeyError, ValueError) as exc:
+        # input errors: a missing file, an unknown name (a KeyError, whose
+        # text is its only argument) or a value the input may not take
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -38,11 +38,10 @@ answer.
 from __future__ import annotations
 
 import heapq
-import json
 import struct
 import time
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain
@@ -50,7 +49,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .poly import (MonomialOrder, MultiPoly, VarTable, add_terms, grevlex,
-                   elimination, parse_poly)
+                   elimination, parse_poly, read_json, write_json)
 
 __all__ = [
     "PolySystem",
@@ -90,13 +89,7 @@ class GBStats:
     basis_size: int = 0
 
     def to_json(self):
-        return {
-            "pairs_considered": self.pairs_considered,
-            "pairs_reduced": self.pairs_reduced,
-            "zero_reductions": self.zero_reductions,
-            "restarts": self.restarts,
-            "basis_size": self.basis_size,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -139,14 +132,11 @@ class PolySystem:
         return PolySystem(table, gens, order)
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
     @staticmethod
     def load(path) -> "PolySystem":
-        with open(path) as fh:
-            return PolySystem.from_json(json.load(fh))
+        return PolySystem.from_json(read_json(path, "vars", "gens"))
 
 
 @dataclass

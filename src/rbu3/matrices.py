@@ -26,6 +26,7 @@ __all__ = [
     "basis_name",
     "name_to_index",
     "parse_matrix",
+    "combine",
     "rref",
     "exact_rank",
     "solve_exact",
@@ -295,6 +296,22 @@ def parse_matrix(text: str, n: int = 3, table: VarTable | None = None) -> UTMatr
         if basis_idx is None:
             raise ParseError("term without a basis element", term_at)
         total = total + UTMatrix(n, {basis_idx: coeff})
+    return total
+
+
+def combine(columns, coords, n: int) -> UTMatrix:
+    """The linear combination of ``columns`` with coefficients ``coords``.
+
+    Both are mappings keyed alike: the sum, in the order of ``coords``, of
+    ``coeff * columns[key]``, where a key without a column adds nothing.
+    With a linear map's images as ``columns`` and an element's entries as
+    ``coords`` this applies the map to the element.
+    """
+    total = UTMatrix(n)
+    for key, coeff in coords.items():
+        column = columns.get(key)
+        if column is not None:
+            total = total + column.scale(coeff)
     return total
 
 

@@ -17,15 +17,14 @@ the whole algebra, so R is Rota-Baxter iff every residual cell vanishes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .matrices import (BasisIndex, UTMatrix, basis_indices, basis_name,
+from .matrices import (BasisIndex, UTMatrix, basis_indices, basis_name, combine,
                        exact_rank, generic_rank, inverse_exact, name_to_index,
                        parse_matrix, rref, solve_exact)
-from .poly import MultiPoly, VarTable, grevlex
+from .poly import MultiPoly, VarTable, grevlex, read_json, write_json
 from .groebner import PolySystem
 
 __all__ = [
@@ -37,6 +36,7 @@ __all__ = [
     "SplitHypothesisError",
     "Lemma3Report",
     "rb_residual",
+    "failure_json",
     "scale_operator",
     "generate_system",
     "bvar_name",
@@ -108,12 +108,7 @@ class Operator:
         """Matrix-vector product in the canonical basis."""
         if x.n != self.n:
             raise ValueError("incompatible operands")
-        total = UTMatrix.zero(self.n)
-        for idx, coeff in x.entries.items():
-            image = self.columns.get(idx)
-            if image is not None:
-                total = total + image.scale(coeff)
-        return total
+        return combine(self.columns, x.entries, self.n)
 
     def compose(self, other: "Operator") -> "Operator":
         """self after other."""
@@ -208,14 +203,11 @@ class Operator:
                                     weight=Fraction(data.get("weight", "0")))
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
     @staticmethod
     def load(path) -> "Operator":
-        with open(path) as fh:
-            return Operator.from_json(json.load(fh))
+        return Operator.from_json(read_json(path, "images"))
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{basis_name(idx)} -> {self.columns[idx]}"
@@ -243,6 +235,13 @@ class RBResidual:
                     if pos in cell.entries:
                         return pair, pos, cell.entries[pos]
         return None
+
+
+def failure_json(failure) -> dict:
+    """A residual's first failure ``((u, v), position, value)`` as JSON."""
+    (u, v), pos, value = failure
+    return {"pair": [basis_name(u), basis_name(v)], "position": basis_name(pos),
+            "value": str(value)}
 
 
 def rb_residual(op: Operator) -> RBResidual:
@@ -410,16 +409,9 @@ def _solve_linear_constraints(ansatz: Ansatz):
     free_names = [names[c] for c in range(len(names)) if c not in pivots]
     free_table = VarTable(free_names)
     expressions = {}
-    free_pos = {name: i for i, name in enumerate(free_names)}
-    width = len(free_names)
-
-    def unit_poly(name):
-        mono = tuple(1 if i == free_pos[name] else 0 for i in range(width))
-        return MultiPoly(free_table, {mono: Fraction(1)})
-
     for col, name in enumerate(names):
         if col not in pivots:
-            expressions[name] = unit_poly(name)
+            expressions[name] = free_table.var(name)
             continue
         row = rows[pivots[col]]
         value = MultiPoly.const(free_table, -row[-1])
@@ -427,7 +419,7 @@ def _solve_linear_constraints(ansatz: Ansatz):
             if other == col or not row[other]:
                 continue
             # pivoted columns to the right of `col` cannot appear after RREF
-            value = value - row[other] * unit_poly(names[other])
+            value = value - row[other] * free_table.var(names[other])
         expressions[name] = value
     return free_table, expressions
 
@@ -455,7 +447,6 @@ def generate_system(ansatz: Ansatz) -> tuple:
     residual = rb_residual(op)
     order = grevlex()
     gens = []
-    seen = set()
     for pair in sorted(residual.cells):
         cell = residual.cells[pair]
         for pos in idxs:
@@ -468,13 +459,8 @@ def generate_system(ansatz: Ansatz) -> tuple:
                 continue
             # a nonzero constant component means no specialization satisfies
             # the identity: the system degenerates to the unit ideal
-            value = value.monic(order)
-            key = (tuple(sorted(value.terms.items())))
-            if key in seen:
-                continue
-            seen.add(key)
-            gens.append(value)
-    return PolySystem(free_table, tuple(gens), order), solution
+            gens.append(value.monic(order))
+    return PolySystem(free_table, tuple(dict.fromkeys(gens)), order), solution
 
 
 # -- the triangular split construction ----------------------------------------
@@ -522,16 +508,11 @@ def split_construction(b_basis: Sequence[UTMatrix], c_basis: Sequence[UTMatrix],
             raise SplitHypothesisError("hypothesis failed: an image lies outside span(C)")
 
     # express R on the canonical basis: row `pos` of the inverse holds the
-    # coordinates of canonical basis element `pos` over B u C
-    columns = {}
-    image_list = list(images) + [UTMatrix.zero(n)] * len(c_basis)
-    for idx, coords in zip(basis_indices(n), inverse):
-        total = UTMatrix.zero(n)
-        for image, coeff in zip(image_list, coords):
-            if coeff:
-                total = total + image.scale(coeff)
-        columns[idx] = total
-    op = Operator(n, columns, Fraction(0))
+    # coordinates of canonical basis element `pos` over B u C, and R(C) = 0
+    b_images = dict(enumerate(images))
+    op = Operator(n, {idx: combine(b_images, dict(enumerate(coords)), n)
+                      for idx, coords in zip(basis_indices(n), inverse)},
+                  Fraction(0))
     if not rb_residual(op).is_zero():
         raise SplitHypothesisError("internal error: residual nonzero after split")
     return op

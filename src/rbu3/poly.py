@@ -13,10 +13,12 @@ operands, and equal polynomials have identical term maps.
 
 from __future__ import annotations
 
+import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import neg
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 __all__ = [
     "VarTable",
@@ -31,10 +33,11 @@ __all__ = [
     "format_terms",
     "parse_terms",
     "parse_poly",
+    "read_json",
+    "write_json",
 ]
 
 Monomial = tuple  # exponent vector, one entry per variable in the table
-Coefficient = Union[int, Fraction, "MultiPoly"]
 
 
 class ParseError(ValueError):
@@ -228,6 +231,15 @@ class MultiPoly:
     # -- construction ----------------------------------------------------
 
     @staticmethod
+    def _of(table: VarTable, terms: dict) -> "MultiPoly":
+        """A result of the ring's own operations, whose term map is canonical
+        by construction: nothing is checked or copied."""
+        result = MultiPoly.__new__(MultiPoly)
+        result.table = table
+        result.terms = terms
+        return result
+
+    @staticmethod
     def const(table: VarTable, value) -> "MultiPoly":
         value = _as_fraction(value)
         if not value:
@@ -296,18 +308,13 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        result = MultiPoly.__new__(MultiPoly)
-        result.table = self.table
-        result.terms = add_terms(dict(self.terms), other.terms.items())
-        return result
+        return MultiPoly._of(self.table,
+                             add_terms(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        result = MultiPoly.__new__(MultiPoly)
-        result.table = self.table
-        result.terms = {m: -c for m, c in self.terms.items()}
-        return result
+        return MultiPoly._of(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -326,10 +333,8 @@ class MultiPoly:
             other = _as_fraction(other)
             if not other:
                 return MultiPoly(self.table, {})
-            result = MultiPoly.__new__(MultiPoly)
-            result.table = self.table
-            result.terms = {m: c * other for m, c in self.terms.items()}
-            return result
+            return MultiPoly._of(self.table,
+                                 {m: c * other for m, c in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -346,10 +351,7 @@ class MultiPoly:
                         terms[mono] = acc
                     else:
                         del terms[mono]
-        result = MultiPoly.__new__(MultiPoly)
-        result.table = self.table
-        result.terms = terms
-        return result
+        return MultiPoly._of(self.table, terms)
 
     __rmul__ = __mul__
 
@@ -380,13 +382,7 @@ class MultiPoly:
 
     def monic(self, order: MonomialOrder) -> "MultiPoly":
         _, lc = self.leading(order)
-        if lc == 1:
-            return self
-        inv = Fraction(1) / lc
-        result = MultiPoly.__new__(MultiPoly)
-        result.table = self.table
-        result.terms = {m: c * inv for m, c in self.terms.items()}
-        return result
+        return self if lc == 1 else self * (1 / lc)
 
     # -- substitution ----------------------------------------------------
 
@@ -450,10 +446,7 @@ class MultiPoly:
                     term = (MultiPoly(target, term) * factor).terms
                 yield from term.items()
 
-        result = MultiPoly.__new__(MultiPoly)
-        result.table = target
-        result.terms = add_terms({}, substituted())
-        return result
+        return MultiPoly._of(target, add_terms({}, substituted()))
 
     def retable(self, table: VarTable) -> "MultiPoly":
         """Re-express over `table` (which must contain every occurring name):
@@ -627,3 +620,32 @@ def parse_poly(text: str, table: VarTable) -> MultiPoly:
             mono[idx] += exp
         result = result + MultiPoly(table, {tuple(mono): coeff})
     return result
+
+
+# -- the JSON file format --------------------------------------------------
+
+
+def write_json(path, data) -> None:
+    """Write ``data`` as JSON with sorted keys, a 2-space indent and a final
+    newline, to the file ``path``, or to standard output when ``path`` is
+    ``"-"``.  Every report and data file this package writes goes here."""
+    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
+def read_json(path, *keys) -> dict:
+    """Read the JSON object in ``path``, which must have each of ``keys``:
+    a file of another kind is refused with a ``ValueError``."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ValueError(f"{path}: not the expected kind of file "
+                         f"(no {', '.join(map(repr, missing))})")
+    return data

@@ -14,13 +14,13 @@ re-checks that claim and refuses to hand back a broken witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
 from math import gcd
 from typing import Mapping
 
-from .matrices import UTMatrix, basis_indices, inverse_exact
+from .matrices import UTMatrix, basis_indices, combine, inverse_exact
 from .operators import Operator, scale_operator
 from .poly import MultiPoly, VarTable, add_terms, lex, mono_mul
 from .groebner import GroebnerBasis, Limits, PolySystem, buchberger
@@ -52,14 +52,13 @@ class AutoParams:
     epsilon: Fraction = Fraction(0)
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "delta", "epsilon"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+        for f in fields(self):
+            object.__setattr__(self, f.name, Fraction(getattr(self, f.name)))
         if not self.alpha or not self.delta:
             raise ValueError("alpha and delta must be invertible")
 
     def to_json(self):
-        return {name: str(getattr(self, name))
-                for name in ("alpha", "beta", "gamma", "delta", "epsilon")}
+        return {f.name: str(getattr(self, f.name)) for f in fields(self)}
 
     @staticmethod
     def from_json(data) -> "AutoParams":
@@ -98,7 +97,7 @@ class AlgebraMap:
         self.inverse_columns()  # invertibility check
 
     def apply(self, x: UTMatrix) -> UTMatrix:
-        return _combine(self.columns, x, self.n)
+        return combine(self.columns, x.entries, self.n)
 
     def inverse_columns(self):
         if self._inverse_columns is None:
@@ -113,7 +112,7 @@ class AlgebraMap:
         return self._inverse_columns
 
     def inverse_apply(self, x: UTMatrix) -> UTMatrix:
-        return _combine(self.inverse_columns(), x, self.n)
+        return combine(self.inverse_columns(), x.entries, self.n)
 
     def compose(self, other: "AlgebraMap") -> "AlgebraMap":
         """self after other (as linear maps)."""
@@ -130,14 +129,6 @@ class AlgebraMap:
         return (self.n == other.n and self.kind == other.kind
                 and all(self.columns[i] == other.columns[i]
                         for i in basis_indices(self.n)))
-
-
-def _combine(columns: Mapping, x: UTMatrix, n: int) -> UTMatrix:
-    """The linear map with the given columns applied to x."""
-    total = UTMatrix.zero(n)
-    for idx, coeff in x.entries.items():
-        total = total + columns[idx].scale(coeff)
-    return total
 
 
 def build_psi(params: AutoParams, n: int = 3) -> AlgebraMap:
@@ -283,7 +274,18 @@ class CanonicalForm:
     witness: Witness
 
 
-_NILPOTENT_LABELS = ("zero", "e12", "e13", "e12+e23")
+def _check_rational_u3(x: UTMatrix) -> None:
+    if x.n != 3:
+        raise ValueError("canonical forms are specific to U_3")
+    if any(isinstance(value, MultiPoly) for value in x.entries.values()):
+        raise TypeError("rational entries required")
+
+
+def _certified(x: UTMatrix, result: CanonicalForm) -> CanonicalForm:
+    """``result``, once its witness sends ``x`` to its form exactly."""
+    if result.witness.act_element(x) != result.form:
+        raise AssertionError("witness failed to certify the canonical form")
+    return result
 
 
 def canonicalize_nilpotent(nil: UTMatrix) -> CanonicalForm:
@@ -292,13 +294,9 @@ def canonicalize_nilpotent(nil: UTMatrix) -> CanonicalForm:
     The form is one of 0, e12, e13, e12 + e23, and the witness certifies it:
     witness.act_element(input) equals the form exactly.
     """
-    if nil.n != 3:
-        raise ValueError("canonical forms are specific to U_3")
     if not nil.is_strictly_upper():
         raise ValueError("input must be nilpotent (strictly upper-triangular)")
-    for value in nil.entries.values():
-        if isinstance(value, MultiPoly):
-            raise TypeError("rational entries required")
+    _check_rational_u3(nil)
     a = nil.entry(1, 2)
     b = nil.entry(1, 3)
     c = nil.entry(2, 3)
@@ -317,9 +315,7 @@ def canonicalize_nilpotent(nil: UTMatrix) -> CanonicalForm:
         steps = (PsiStep(AutoParams(alpha=a * c, delta=a, epsilon=b)),)
         form = UTMatrix(3, {(1, 2): Fraction(1), (2, 3): Fraction(1)})
         result = CanonicalForm("e12+e23", form, Witness(steps))
-    if result.witness.act_element(nil) != result.form:
-        raise AssertionError("witness failed to certify the canonical form")
-    return result
+    return _certified(nil, result)
 
 
 def canonicalize_idempotent(idem: UTMatrix) -> CanonicalForm:
@@ -328,11 +324,7 @@ def canonicalize_idempotent(idem: UTMatrix) -> CanonicalForm:
     Rank 1 lands on e11 or e22; rank 2 on e11+e22 or e11+e33.  The witness
     replays the constructive parameter choices and certifies the output.
     """
-    if idem.n != 3:
-        raise ValueError("canonical forms are specific to U_3")
-    for value in idem.entries.values():
-        if isinstance(value, MultiPoly):
-            raise TypeError("rational entries required")
+    _check_rational_u3(idem)
     if not idem.is_idempotent():
         raise ValueError("input is not idempotent")
     rank = idem.rank()
@@ -370,9 +362,7 @@ def canonicalize_idempotent(idem: UTMatrix) -> CanonicalForm:
                      PsiStep(AutoParams(gamma=idem.entry(1, 3),
                                         epsilon=idem.entry(1, 2))))
             result = CanonicalForm("e11+e22", e(1, 1) + e(2, 2), Witness(steps))
-    if result.witness.act_element(idem) != result.form:
-        raise AssertionError("witness failed to certify the canonical form")
-    return result
+    return _certified(idem, result)
 
 
 # -- conjugation search -------------------------------------------------------------
@@ -402,7 +392,6 @@ def _rational_roots(coeffs):
     """Rational roots of a univariate polynomial given as {degree: Fraction}."""
     if not coeffs:
         return []
-    max_deg = max(coeffs)
     dens = 1
     for c in coeffs.values():
         dens = dens * c.denominator // gcd(dens, c.denominator)

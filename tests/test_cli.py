@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from rbu3 import cli
 from rbu3.catalog import build_catalog
 from rbu3.operators import Operator
@@ -189,3 +191,97 @@ def test_check_at_nonzero_weight(tmp_path, capsys):
     code = cli.main(["check", str(path), "--weight", "1/2"])
     out = capsys.readouterr().out
     assert code == 0 and "RB weight 1/2: YES" in out
+
+
+def _system_file(tmp_path, capsys, preset="sec5-reduced"):
+    path = tmp_path / "system.json"
+    assert cli.main(["system", "--preset", preset, "--json", str(path)]) == 0
+    capsys.readouterr()
+    return str(path)
+
+
+def test_input_errors_exit_2_with_one_error_line(tmp_path, capsys):
+    path = _system_file(tmp_path, capsys)
+    r5 = str(DATA / "operators" / "r5.json")
+    listing = tmp_path / "list.json"
+    listing.write_text("[]\n")
+    for argv, message in (
+            (["system", "--preset", "nope"], "unknown case preset 'nope'"),
+            (["system", "--ansatz", str(listing)], f"{listing}: not a JSON object"),
+            (["canonicalize", "e11 + e22 + e33"], "rank must be 1 or 2"),
+            (["gb", path, "--order", "elim", "--elim", "0"],
+             "elimination order needs a positive block size"),
+            (["conjugate", r5, "--alpha", "0"],
+             "alpha and delta must be invertible")):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}"), argv
+        assert captured.err.count("\n") == 1 and captured.out == "", argv
+
+
+def test_unknown_preset_reads_the_same_for_case_and_system(capsys):
+    assert cli.main(["case", "--preset", "nope"]) == 2
+    case_err = capsys.readouterr().err
+    assert cli.main(["system", "--preset", "nope"]) == 2
+    assert capsys.readouterr().err == case_err
+    assert case_err.startswith("error: unknown case preset 'nope'; presets: sec4.1, ")
+
+
+def test_failed_witness_self_check_is_not_an_input_error(monkeypatch, capsys):
+    from rbu3 import transform
+    monkeypatch.setattr(transform.Witness, "act_element",
+                        lambda self, x: x.scale(2))
+    with pytest.raises(AssertionError):
+        cli.main(["canonicalize", "e12"])
+
+
+def test_operator_commands_refuse_a_system_file(tmp_path, capsys):
+    path = _system_file(tmp_path, capsys)
+    for argv in (["check", path], ["rb-index", path], ["conjugate", path, "--theta"]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: ") and "'images'" in captured.err
+
+
+def test_system_commands_refuse_an_operator_file(capsys):
+    r5 = str(DATA / "operators" / "r5.json")
+    for argv in (["gb", r5], ["member", r5, "b_11_11"]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'vars'" in err and "'gens'" in err
+
+
+def test_check_reports_the_first_failure(tmp_path, capsys):
+    path = tmp_path / "diagonal.json"
+    Operator.from_images({"e11": "e11", "e22": "e22", "e33": "e33"}).save(path)
+    out_path = tmp_path / "check.json"
+    assert cli.main(["check", str(path), "--json", str(out_path)]) == 1
+    assert capsys.readouterr().out == (
+        "RB weight 0: NO\n"
+        "  first nonzero residual: pair (e11,e11) position e11 value -1\n")
+    data = json.loads(out_path.read_text())
+    assert data["first_failure"] == {"pair": ["e11", "e11"], "position": "e11",
+                                     "value": "-1"}
+    assert data["is_rb"] is False and "lemma_checks" not in data
+
+
+def test_conjugate_by_psi_with_default_parameters(tmp_path, capsys):
+    out_path = tmp_path / "conj.json"
+    code = cli.main(["conjugate", str(DATA / "operators" / "r5.json"),
+                     "--beta", "2", "--epsilon", "-1", "--json", str(out_path)])
+    assert code == 0
+    data = json.loads(out_path.read_text())
+    assert data["images"] == {"e11": "2*e11 - 4*e12 - 4*e13",
+                              "e12": "e11 - 2*e12 - 2*e13",
+                              "e22": "-2*e11 + 4*e12 + 4*e13"}
+    # the same report goes to standard output
+    assert capsys.readouterr().out == out_path.read_text()
+
+
+def test_resource_limit_exit_code_for_every_engine_command(tmp_path, capsys):
+    path = _system_file(tmp_path, capsys, "sec4.1")
+    r5 = str(DATA / "operators" / "r5.json")
+    for argv in (["gb", path], ["member", path, "b_22_12"], ["find-conj", r5, r5]):
+        assert cli.main([*argv, "--max-pairs", "0"]) == 3, argv
+        assert capsys.readouterr().err.startswith("resource limit:"), argv

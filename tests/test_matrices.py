@@ -255,3 +255,12 @@ def test_rref_matches_dense_elimination(matrix, data):
     # an augmented block rides along when ncols is short of the width
     ncols = data.draw(st.integers(0, len(matrix[0])))
     assert rref(matrix, ncols) == dense_rref(matrix, ncols)
+
+
+def test_combine_sums_coefficient_times_column():
+    from rbu3.matrices import combine
+    columns = {"u": parse_matrix("e11 + e12"), "v": parse_matrix("e12 - e33")}
+    coords = {"v": Fraction(2), "u": Fraction(-1), "w": Fraction(5)}
+    # a key without a column adds nothing
+    assert combine(columns, coords, 3) == parse_matrix("-e11 + e12 - 2*e33")
+    assert combine(columns, {}, 3).is_zero()

@@ -244,3 +244,19 @@ def test_substitute_error_messages():
         p("x").substitute({"x": p("y")}, VarTable(["y", "x"]))
     # a variable that does not occur need not be in the target table
     assert p("2*x").retable(VarTable(["x"])) == VarTable(["x"]).parse("2*x")
+
+
+def test_write_json_format_and_standard_output(tmp_path, capsys):
+    from rbu3.poly import read_json, write_json
+    path = tmp_path / "data.json"
+    write_json(path, {"b": [1, 2], "a": "x"})
+    text = '{\n  "a": "x",\n  "b": [\n    1,\n    2\n  ]\n}\n'
+    assert path.read_text() == text
+    write_json("-", {"b": [1, 2], "a": "x"})
+    assert capsys.readouterr().out == text
+    assert read_json(path, "a", "b") == {"a": "x", "b": [1, 2]}
+    with pytest.raises(ValueError, match="'c'"):
+        read_json(path, "a", "c")
+    path.write_text("[1, 2]\n")
+    with pytest.raises(ValueError, match="not a JSON object"):
+        read_json(path)
