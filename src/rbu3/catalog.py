@@ -26,12 +26,12 @@ import time
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .matrices import UTMatrix, basis_indices, basis_name
 from .operators import (Ansatz, Operator, bvar_name, check_lemma3, failure_json,
                         generate_system, rb_residual, scale_operator)
-from .poly import MultiPoly, VarTable, write_json
+from .poly import VarTable, write_json
 from .groebner import (GroebnerBasis, Limits, PolySystem,
                        ResourceLimitExceeded, autoreduce, buchberger)
 from .transform import (AutoParams, build_psi, conjugate_operator, theta13)
@@ -219,22 +219,22 @@ class RBIndexReport:
     degrees: dict        # id -> least k with R^k = 0
     r2_nonzero: tuple    # ids with R^2 != 0, catalog order
 
-    def to_json(self):
-        return {"rb_index": self.index, "degrees": self.degrees,
-                "r2_nonzero": list(self.r2_nonzero)}
+
+def _r2_nonzero(k) -> bool:
+    """R^2 != 0, read from the least k with R^k = 0 (None: none up to the cap)."""
+    return k is not None and k > 2
+
+
+def _rb_index_report(degrees: dict) -> RBIndexReport:
+    """The max of ``degrees`` (id -> least k with R^k = 0), with the R^2 != 0 list."""
+    return RBIndexReport(max(k for k in degrees.values() if k is not None), degrees,
+                         tuple(eid for eid, k in degrees.items() if _r2_nonzero(k)))
 
 
 def rb_index(entries) -> RBIndexReport:
     """max over the catalog of the least n with R^n = 0, with the R^2 != 0 list."""
-    degrees = {}
-    r2 = []
-    for entry in entries:
-        k = entry.operator.power_vanish_index(cap=8)
-        degrees[entry.id] = k
-        if k is not None and k > 2:
-            r2.append(entry.id)
-    index = max(v for v in degrees.values() if v is not None)
-    return RBIndexReport(index, degrees, tuple(r2))
+    return _rb_index_report({entry.id: entry.operator.power_vanish_index(cap=8)
+                             for entry in entries})
 
 
 def image_dimension(entry: CatalogEntry, at: Mapping[str, Fraction] | None = None) -> int:
@@ -277,26 +277,14 @@ class CaseSpec:
         return {"schema": 1, **asdict(self)}
 
 
-def _unit_constraints(target: str) -> list:
-    return Ansatz(3).fix_unit_image(target).constraints
-
-
-def _fix(name: str, value: str) -> list:
-    return Ansatz(3).fix_image(name, value).constraints
-
-
-def _span(name: str, allowed) -> list:
-    return Ansatz(3).restrict_span(name, allowed).constraints
-
-
 def _cross(lefts, rights):
     return tuple((l, r) for l in lefts for r in rights)
 
 
 def _sec41() -> CaseSpec:
-    constraints = _unit_constraints("0")
+    ansatz = Ansatz(3).fix_unit_image("0")
     for name in ("e11", "e12", "e13", "e22", "e23", "e33"):
-        constraints += _span(name, ["e12", "e13", "e23"])
+        ansatz.restrict_span(name, ["e12", "e13", "e23"])
     aliases = {"a": "b_12_13", "b": "b_12_23", "c": "b_23_12", "d": "b_23_13",
                "e": "b_22_12", "f": "b_22_13", "g": "b_22_23",
                "h": "b_33_12", "i": "b_33_13", "j": "b_33_23"}
@@ -321,12 +309,11 @@ def _sec41() -> CaseSpec:
                      ("R1",)),
     )
     return CaseSpec("sec4.1", "R(1) = 0, image nilpotent (15 unknowns)",
-                    tuple(constraints), aliases, relations, solutions)
+                    tuple(ansatz.constraints), aliases, relations, solutions)
 
 
 def _sec42() -> CaseSpec:
-    constraints = _unit_constraints("0")
-    constraints += _fix("e11", "0")
+    constraints = Ansatz(3).fix_unit_image("0").fix_image("e11", "0").constraints
     constraints += [
         "b_12_22", "b_12_33", "b_12_12 + b_33_11",
         "b_13_22", "b_13_33", "b_13_13 - b_33_11", "b_13_12 - b_23_11",
@@ -363,8 +350,7 @@ def _sec42() -> CaseSpec:
 
 
 def _sec43() -> CaseSpec:
-    constraints = _unit_constraints("0")
-    constraints += _fix("e22", "0")
+    constraints = Ansatz(3).fix_unit_image("0").fix_image("e22", "0").constraints
     constraints += [
         "b_12_11", "b_12_12", "b_12_33",
         "b_13_11", "b_13_13", "b_13_22", "b_13_33",
@@ -423,7 +409,7 @@ _SEC5_QUADS = _cross(("f", "j"), ("b", "d", "g"))
 
 
 def _sec5() -> CaseSpec:
-    constraints = _unit_constraints("e12")
+    constraints = Ansatz(3).fix_unit_image("e12").constraints
     relations = tuple((bvar_name((1, 2), dst),) for dst in basis_indices(3))
     relations += tuple((v,) for v in
                        ("b_22_11", "b_22_22", "b_22_23", "b_22_33",
@@ -437,13 +423,11 @@ def _sec5() -> CaseSpec:
 
 
 def _sec5_reduced_constraints() -> list:
-    constraints = _unit_constraints("e12")
-    constraints += _fix("e12", "0")
-    constraints += _span("e22", ["e12", "e13"])
-    constraints += _span("e33", ["e12", "e13"])
-    constraints += _span("e13", ["e12"])
-    constraints += ["b_13_12 - b_23_22 + b_23_11", "b_23_23"]
-    return constraints
+    ansatz = (Ansatz(3).fix_unit_image("e12").fix_image("e12", "0")
+              .restrict_span("e22", ["e12", "e13"])
+              .restrict_span("e33", ["e12", "e13"])
+              .restrict_span("e13", ["e12"]))
+    return ansatz.constraints + ["b_13_12 - b_23_22 + b_23_11", "b_23_23"]
 
 
 def _sec5_reduced() -> CaseSpec:
@@ -471,8 +455,7 @@ _SEC6_ALIASES = {"a": "b_22_11", "b": "b_22_12", "c": "b_22_13",
 
 
 def _sec6() -> CaseSpec:
-    constraints = _unit_constraints("e13")
-    constraints += _fix("e13", "0")
+    constraints = Ansatz(3).fix_unit_image("e13").fix_image("e13", "0").constraints
     constraints += [
         "b_22_33 - b_22_11",
         "b_33_33 - b_33_11",
@@ -543,7 +526,7 @@ _SEC7_PRINTED_LINEAR = "b_11_12 - b_33_23 + 1"
 
 
 def _sec7() -> CaseSpec:
-    constraints = _unit_constraints("e12 + e23")
+    constraints = Ansatz(3).fix_unit_image("e12 + e23").constraints
     return CaseSpec("sec7", "R(1) = e12 + e23 (full 30-unknown system)",
                     tuple(constraints), {},
                     _SEC7_UNIT_SQUARE + _SEC7_HEADLINE, _SEC7_SOLUTIONS,
@@ -554,7 +537,7 @@ def _sec7() -> CaseSpec:
 
 
 def _sec7_reduced() -> CaseSpec:
-    constraints = _unit_constraints("e12 + e23")
+    constraints = Ansatz(3).fix_unit_image("e12 + e23").constraints
     constraints += [r[0] for r in _SEC7_UNIT_SQUARE]
     return CaseSpec("sec7-reduced",
                     "R(1) = e12 + e23 with the unit-square reduction imposed "
@@ -650,11 +633,8 @@ class CaseReport:
             "memberships": [{
                 "claim": m.text, "member": m.member, "vacuous": m.vacuous,
                 "certified_by": m.certified_by} for m in self.memberships],
-            "solutions": [{
-                "name": s.name, "resolves_to": list(s.resolves_to),
-                "satisfies_ansatz": s.satisfies_ansatz,
-                "annihilates_system": s.annihilates_system}
-                for s in self.solutions],
+            "solutions": [dict(asdict(s), resolves_to=list(s.resolves_to))
+                          for s in self.solutions],
             "all_pass": self.all_pass(),
         }
 
@@ -822,20 +802,10 @@ def unit_square_certificate(case_name: str = "sec7") -> bool:
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             total = total + cells[((i, i), (j, j))]
-    for factors in _SEC7_UNIT_SQUARE:
-        expected = -shape.expand(factors[0], spec.aliases)
-        dst = None
-        # each claim is supported on a single matrix position: find it
-        for pos in basis_indices(3):
-            value = total.entries.get(pos, Fraction(0))
-            if not isinstance(value, MultiPoly):
-                value = MultiPoly.const(shape.table, value)
-            if value == expected and not value.is_zero():
-                dst = pos
-                break
-        if dst is None:
-            return False
-    return True
+    # each claim is, up to sign, one nonzero component of the sum
+    components = list(total.entries.values())
+    return all(-shape.expand(factors[0], spec.aliases) in components
+               for factors in _SEC7_UNIT_SQUARE)
 
 
 # -- whole-catalog verification ---------------------------------------------------
@@ -956,7 +926,7 @@ def _entry_report(entry: CatalogEntry, samples: int, seed: int) -> EntryReport:
         id=entry.id, params=entry.params, side_conditions=entry.side_conditions,
         provenance=entry.provenance, residual_zero=entry.residual_zero,
         first_failure=entry.first_failure, power_vanish_index=k,
-        r2_nonzero=(k is not None and k > 2),
+        r2_nonzero=_r2_nonzero(k),
         image_dim=op.image_dimension(),
         unit_not_in_image=lemma.unit_not_in_image,
         kernel_check=lemma.kernel_contains_image,
@@ -968,7 +938,7 @@ def _entry_report(entry: CatalogEntry, samples: int, seed: int) -> EntryReport:
         rng = random.Random((seed, entry.id).__repr__())
         failures = 0
         for _ in range(samples):
-            instance = entry.specialize(rng=rng) if entry.params else op
+            instance = entry.specialize(rng=rng)
             if not _closure_trial(instance, rng):
                 failures += 1
         report.closure_trials = samples
@@ -1002,7 +972,7 @@ def verify_all(samples: int = 0, families: Sequence[str] | None = None,
             reports = [f.result() for f in futures]
     else:
         reports = [_entry_report(e, samples, seed) for e in entries]
-    idx = rb_index(entries)
+    idx = _rb_index_report({r.id: r.power_vanish_index for r in reports})
     return VerifyReport(reports, idx.index, idx.r2_nonzero, samples)
 
 

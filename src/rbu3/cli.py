@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 from .matrices import parse_matrix
-from .operators import Operator, check_lemma3, failure_json, rb_residual
-from .poly import ParseError, parse_poly, read_json, write_json
+from .operators import (Ansatz, Operator, check_lemma3, failure_json,
+                        generate_system, rb_residual)
+from .poly import MonomialOrder, ParseError, parse_poly, read_json, write_json
 from .groebner import (Limits, PolySystem, ResourceLimitExceeded, buchberger)
 from .transform import (AutoParams, PsiStep, ThetaStep, Witness,
                         canonicalize_idempotent, canonicalize_nilpotent,
@@ -30,8 +31,7 @@ EXIT_RESOURCE = 3
 
 
 def _limits(args) -> Limits:
-    return Limits(max_pairs=getattr(args, "max_pairs", None),
-                  deadline=getattr(args, "deadline", None))
+    return Limits(max_pairs=args.max_pairs, deadline=args.deadline)
 
 
 def cmd_verify_catalog(args) -> int:
@@ -56,12 +56,7 @@ def cmd_check(args) -> int:
         print(f"  first nonzero residual: pair ({','.join(failure['pair'])}) "
               f"position {failure['position']} value {failure['value']}")
     else:
-        lemma = check_lemma3(op)
-        data["lemma_checks"] = {
-            "unit_not_in_image": lemma.unit_not_in_image,
-            "kernel_contains_image": lemma.kernel_contains_image,
-            "unit_power_identity": lemma.unit_power_identity,
-        }
+        data["lemma_checks"] = asdict(check_lemma3(op))
     if args.json:
         write_json(args.json, data)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -69,15 +64,12 @@ def cmd_check(args) -> int:
 
 def cmd_system(args) -> int:
     if args.preset:
-        spec = cat.case_preset(args.preset)
-        from .operators import generate_system
-        system, _ = generate_system(spec.ansatz())
+        ansatz = cat.case_preset(args.preset).ansatz()
     else:
         data = read_json(args.ansatz)
-        from .operators import Ansatz, generate_system
         ansatz = Ansatz(int(data.get("n", 3)), Fraction(data.get("weight", "0")),
                         list(data.get("constraints", ())))
-        system, _ = generate_system(ansatz)
+    system, _ = generate_system(ansatz)
     print(f"{len(system.table)} variables, {len(system.gens)} generators")
     if args.json:
         write_json(args.json, system.to_json())
@@ -87,7 +79,6 @@ def cmd_system(args) -> int:
 def cmd_gb(args) -> int:
     system = PolySystem.load(args.file)
     if args.order:
-        from .poly import MonomialOrder
         order = MonomialOrder.from_json(
             {"elim": args.elim} if args.order == "elim" else args.order)
         system = PolySystem(system.table, system.gens, order)
@@ -158,20 +149,18 @@ def cmd_find_conj(args) -> int:
     result = find_conjugation(source, target, allow_theta=args.allow_theta,
                               allow_scaling=args.allow_scaling,
                               limits=_limits(args))
+    data = {"schema": 1, "status": result.status}
     if result.status == "found":
         print("witness found")
-        write_json("-", result.witness.to_json())
-        if args.json:
-            write_json(args.json, {"schema": 1, "status": "found",
-                                   "witness": result.witness.to_json()})
-        return EXIT_OK
-    if result.status == "disjoint":
+        data["witness"] = result.witness.to_json()
+        write_json("-", data["witness"])
+    elif result.status == "disjoint":
         print("none found (the searched family has no conjugation: unit ideal)")
     else:
         print("none found (no rational witness)")
     if args.json:
-        write_json(args.json, {"schema": 1, "status": result.status})
-    return EXIT_CHECK_FAILED
+        write_json(args.json, data)
+    return EXIT_OK if result.status == "found" else EXIT_CHECK_FAILED
 
 
 def cmd_rb_index(args) -> int:
@@ -210,82 +199,78 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification of weight-zero Rota-Baxter operators "
                     "on 3x3 upper-triangular matrices.")
     sub = parser.add_subparsers(dest="command", required=True)
+    json_opt = argparse.ArgumentParser(add_help=False)
+    json_opt.add_argument("--json", metavar="PATH")
+    limits_opt = argparse.ArgumentParser(add_help=False, parents=[json_opt])
+    limits_opt.add_argument("--max-pairs", type=int, dest="max_pairs")
+    limits_opt.add_argument("--deadline", type=float)
 
-    p = sub.add_parser("verify-catalog", help="certify the family catalog")
+    p = sub.add_parser("verify-catalog", parents=[json_opt],
+                       help="certify the family catalog")
     p.add_argument("--family", action="append", metavar="ID",
                    help="restrict to the given family ids")
     p.add_argument("--samples", type=int, default=0,
                    help="randomized closure trials per entry")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1, help="parallel worker cap")
-    p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=cmd_verify_catalog)
 
-    p = sub.add_parser("check", help="check an operator file for the identity")
+    p = sub.add_parser("check", parents=[json_opt],
+                       help="check an operator file for the identity")
     p.add_argument("file")
     p.add_argument("--weight", metavar="Q")
-    p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("system", help="generate a case polynomial system")
+    p = sub.add_parser("system", parents=[json_opt],
+                       help="generate a case polynomial system")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", metavar="NAME")
     group.add_argument("--ansatz", metavar="FILE")
-    p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=cmd_system)
 
-    p = sub.add_parser("gb", help="reduced Groebner basis of a system file")
+    p = sub.add_parser("gb", parents=[limits_opt],
+                       help="reduced Groebner basis of a system file")
     p.add_argument("file")
     p.add_argument("--order", choices=("lex", "grevlex", "elim"))
     p.add_argument("--elim", type=int, default=1, metavar="K")
-    p.add_argument("--max-pairs", type=int, dest="max_pairs")
-    p.add_argument("--deadline", type=float)
-    p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=cmd_gb)
 
-    p = sub.add_parser("member", help="ideal membership of a polynomial")
+    p = sub.add_parser("member", parents=[limits_opt],
+                       help="ideal membership of a polynomial")
     p.add_argument("file", help="system file")
     p.add_argument("poly")
-    p.add_argument("--max-pairs", type=int, dest="max_pairs")
-    p.add_argument("--deadline", type=float)
-    p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=cmd_member)
 
-    p = sub.add_parser("canonicalize",
+    p = sub.add_parser("canonicalize", parents=[json_opt],
                        help="orbit form of a nilpotent or idempotent matrix")
     p.add_argument("matrix", help='matrix literal, e.g. "e12 + 2*e13"')
-    p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=cmd_canonicalize)
 
-    p = sub.add_parser("conjugate", help="conjugate an operator by psi/theta")
+    p = sub.add_parser("conjugate", parents=[json_opt],
+                       help="conjugate an operator by psi/theta")
     p.add_argument("file")
     p.add_argument("--theta", action="store_true")
     for f in fields(AutoParams):
         p.add_argument(f"--{f.name}", metavar="Q")
-    p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=cmd_conjugate)
 
-    p = sub.add_parser("find-conj", help="search for a conjugation witness")
+    p = sub.add_parser("find-conj", parents=[limits_opt],
+                       help="search for a conjugation witness")
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("--allow-theta", action="store_true", dest="allow_theta")
     p.add_argument("--no-scaling", action="store_false", dest="allow_scaling")
-    p.add_argument("--max-pairs", type=int, dest="max_pairs")
-    p.add_argument("--deadline", type=float)
-    p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=cmd_find_conj)
 
-    p = sub.add_parser("rb-index", help="least vanishing power of an operator")
+    p = sub.add_parser("rb-index", parents=[json_opt],
+                       help="least vanishing power of an operator")
     p.add_argument("file")
     p.add_argument("--cap", type=int, default=8)
-    p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=cmd_rb_index)
 
-    p = sub.add_parser("case", help="replay a classification case")
+    p = sub.add_parser("case", parents=[limits_opt],
+                       help="replay a classification case")
     p.add_argument("--preset", required=True, metavar="NAME")
-    p.add_argument("--max-pairs", type=int, dest="max_pairs")
-    p.add_argument("--deadline", type=float)
-    p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=cmd_case)
 
     p = sub.add_parser("export-data", help="write the shipped data files")
@@ -304,7 +289,7 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitExceeded as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_RESOURCE
     except (FileNotFoundError, KeyError, ValueError) as exc:
         # input errors: a missing file, an unknown name (a KeyError, whose

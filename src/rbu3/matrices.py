@@ -59,10 +59,6 @@ def name_to_index(name: str, n: int) -> BasisIndex:
     raise ValueError(f"not a basis element of U_{n}: {name!r}")
 
 
-def _is_zero(value) -> bool:
-    return not value
-
-
 class UTMatrix:
     """An element of the upper-triangular matrix algebra U_n."""
 
@@ -77,7 +73,7 @@ class UTMatrix:
             for (i, j), value in entries.items():
                 if not (1 <= i <= j <= n):
                     raise ValueError(f"index ({i},{j}) outside the upper triangle")
-                if not _is_zero(value):
+                if value:
                     clean[(i, j)] = value
         self.entries = clean
 
@@ -87,7 +83,7 @@ class UTMatrix:
         by construction: only its zero entries are dropped."""
         result = UTMatrix.__new__(UTMatrix)
         result.n = n
-        result.entries = {k: v for k, v in entries.items() if not _is_zero(v)}
+        result.entries = {k: v for k, v in entries.items() if v}
         return result
 
     # -- constructors ------------------------------------------------------
@@ -130,13 +126,7 @@ class UTMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, UTMatrix):
             return NotImplemented
-        if self.n != other.n:
-            return False
-        keys = set(self.entries) | set(other.entries)
-        return all(self.entry(i, j) == other.entry(i, j) for (i, j) in keys)
-
-    def __hash__(self):
-        raise TypeError("UTMatrix is not hashable")
+        return self.n == other.n and self.entries == other.entries
 
     # -- vector space operations --------------------------------------------
 
@@ -162,7 +152,7 @@ class UTMatrix:
         return UTMatrix._filtered(self.n, {k: -v for k, v in self.entries.items()})
 
     def scale(self, scalar) -> "UTMatrix":
-        if _is_zero(scalar):
+        if not scalar:
             return UTMatrix(self.n)
         return UTMatrix._filtered(self.n,
                                   {k: scalar * v for k, v in self.entries.items()})
@@ -210,17 +200,11 @@ class UTMatrix:
 
     def rank(self) -> int:
         """Rank by exact Gaussian elimination (rational entries only)."""
-        rows = []
-        for i in range(1, self.n + 1):
-            row = []
-            for j in range(1, self.n + 1):
-                value = self.entries.get((i, j), Fraction(0)) if i <= j else Fraction(0)
-                if isinstance(value, MultiPoly):
-                    raise TypeError("rank needs rational entries; "
-                                    "use generic_rank for polynomial matrices")
-                row.append(Fraction(value))
-            rows.append(row)
-        return exact_rank(rows)
+        if any(isinstance(value, MultiPoly) for value in self.entries.values()):
+            raise TypeError("rank needs rational entries; "
+                            "use generic_rank for polynomial matrices")
+        span = range(1, self.n + 1)
+        return exact_rank([[self.entry(i, j) for j in span] for i in span])
 
     # -- coordinates -----------------------------------------------------------
 
@@ -406,7 +390,7 @@ def generic_rank(rows: list) -> int:
     for col in range(cols):
         pivot = None
         for r in range(rank, row_count):
-            if not _is_zero(work[r][col]):
+            if work[r][col]:
                 pivot = r
                 break
         if pivot is None:
@@ -414,7 +398,7 @@ def generic_rank(rows: list) -> int:
         work[rank], work[pivot] = work[pivot], work[rank]
         pivot_val = work[rank][col]
         for r in range(rank + 1, row_count):
-            if _is_zero(work[r][col]):
+            if not work[r][col]:
                 continue
             factor = work[r][col]
             work[r] = [pivot_val * a - factor * b

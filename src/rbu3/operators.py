@@ -150,20 +150,13 @@ class Operator:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Operator):
             return NotImplemented
-        if self.n != other.n:
-            return False
-        return all(self.image(idx) == other.image(idx)
-                   for idx in basis_indices(self.n))
+        return self.n == other.n and self.columns == other.columns
 
     def params(self) -> tuple:
-        names = []
-        for image in self.columns.values():
-            for value in image.entries.values():
-                if isinstance(value, MultiPoly):
-                    for name in value.table.names:
-                        if name not in names:
-                            names.append(name)
-        return tuple(names)
+        return tuple(dict.fromkeys(
+            name for image in self.columns.values()
+            for value in image.entries.values() if isinstance(value, MultiPoly)
+            for name in value.table.names))
 
     def substitute_params(self, values: Mapping[str, Fraction]) -> "Operator":
         """Specialize every polynomial entry at the given parameter values."""
@@ -389,7 +382,7 @@ def _solve_linear_constraints(ansatz: Ansatz):
     table = VarTable(names)
     rows = []
     for text in ansatz.constraints:
-        poly = text if isinstance(text, MultiPoly) else table.parse(text)
+        poly = table.parse(text)
         if poly.total_degree() > 1:
             raise ContradictoryAnsatz("constraints must be linear")
         if poly.is_zero():
@@ -406,21 +399,21 @@ def _solve_linear_constraints(ansatz: Ansatz):
     if any(row[-1] for row in rows[len(pivot_cols):]):
         raise ContradictoryAnsatz("contradictory ansatz")
     pivots = {col: r for r, col in enumerate(pivot_cols)}
-    free_names = [names[c] for c in range(len(names)) if c not in pivots]
-    free_table = VarTable(free_names)
+    free_cols = [c for c in range(len(names)) if c not in pivots]
+    free_table = VarTable(names[c] for c in free_cols)
+    # each free column's monomial over the free table; the constants at -1
+    monos = {c: tuple(int(c == f) for f in free_cols) for c in free_cols}
+    monos[-1] = (0,) * len(free_cols)
     expressions = {}
     for col, name in enumerate(names):
         if col not in pivots:
             expressions[name] = free_table.var(name)
             continue
         row = rows[pivots[col]]
-        value = MultiPoly.const(free_table, -row[-1])
-        for other in range(len(names)):
-            if other == col or not row[other]:
-                continue
-            # pivoted columns to the right of `col` cannot appear after RREF
-            value = value - row[other] * free_table.var(names[other])
-        expressions[name] = value
+        # -(constant) - sum of the free columns: the other pivot columns are
+        # zero in this row after RREF
+        expressions[name] = MultiPoly._of(free_table, {
+            monos[c]: -row[c] for c in (-1, *free_cols) if row[c]})
     return free_table, expressions
 
 
@@ -526,7 +519,6 @@ class Lemma3Report:
     unit_not_in_image: bool
     kernel_contains_image: bool | None  # None when R(1) != 0, so no claim
     unit_power_identity: bool
-    details: dict = field(default_factory=dict)
 
     def all_hold(self) -> bool:
         return (self.unit_not_in_image
@@ -574,15 +566,9 @@ def check_lemma3(op: Operator, max_power: int = 3) -> Lemma3Report:
     (a) the unit is not in the image; (b) when R(1) = 0, the image sits in
     the kernel and R^2 = 0; (c) R(1)^m = m! R^m(1) for m = 1..max_power.
     """
-    details = {}
     a_ok = not unit_in_image(op)
     r1 = op.unit_image()
-    if r1.is_zero():
-        rr = op.compose(op)
-        b_ok = rr.is_zero()
-        details["r_squared_zero"] = b_ok
-    else:
-        b_ok = None
+    b_ok = op.compose(op).is_zero() if r1.is_zero() else None
     c_ok = True
     factorial = 1
     power = UTMatrix.unit(op.n)
@@ -593,6 +579,5 @@ def check_lemma3(op: Operator, max_power: int = 3) -> Lemma3Report:
         iterate = op.apply(iterate)
         if power != iterate.scale(Fraction(factorial)):
             c_ok = False
-            details["unit_power_failure_at"] = m
             break
-    return Lemma3Report(a_ok, b_ok, c_ok, details)
+    return Lemma3Report(a_ok, b_ok, c_ok)

@@ -97,9 +97,6 @@ class VarTable:
         mono = tuple(1 if j == i else 0 for j in range(len(self.names)))
         return MultiPoly(self, {mono: Fraction(1)})
 
-    def const(self, value) -> "MultiPoly":
-        return MultiPoly.const(self, value)
-
     def zero(self) -> "MultiPoly":
         return MultiPoly(self, {})
 
@@ -610,7 +607,7 @@ def parse_poly(text: str, table: VarTable) -> MultiPoly:
     terms = parse_terms(text)
     if not terms:
         raise ParseError("empty polynomial", 0)
-    result = MultiPoly(table, {})
+    items = []
     for coeff, names, _ in terms:
         mono = [0] * len(table)
         for name, exp, at in names:
@@ -618,8 +615,9 @@ def parse_poly(text: str, table: VarTable) -> MultiPoly:
             if idx is None:
                 raise ParseError(f"unknown variable {name!r}", at)
             mono[idx] += exp
-        result = result + MultiPoly(table, {tuple(mono): coeff})
-    return result
+        if coeff:
+            items.append((tuple(mono), coeff))
+    return MultiPoly._of(table, add_terms({}, items))
 
 
 # -- the JSON file format --------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, isqrt
 from typing import Mapping
 
 from .matrices import UTMatrix, basis_indices, combine, inverse_exact
@@ -421,14 +421,8 @@ def _divisors(value, cap=200000):
         # entries this large do not occur in the searched systems; fall back
         # to small candidates only
         return [1, 2, 3, 5, value]
-    out = []
-    d = 1
-    while d * d <= value:
-        if value % d == 0:
-            out.append(d)
-            out.append(value // d)
-        d += 1
-    return sorted(set(out))
+    small = [d for d in range(1, isqrt(value) + 1) if value % d == 0]
+    return sorted(set(small + [value // d for d in small]))
 
 
 def _search_points(polys, table, idx, assignment, budget):
@@ -508,15 +502,10 @@ def find_conjugation(source: Operator, target: Operator,
         variants.append((ThetaStep(),))
     outcomes = []
     for tail in variants:
-        adjusted = target
-        for step in tail:
-            adjusted = conjugate_operator(adjusted, step.map())
-        result = _psi_only_search(source, adjusted, allow_scaling, limits, budget)
+        result = _psi_only_search(source, target, tail, allow_scaling, limits,
+                                  budget)
         if result.status == "found":
-            witness = Witness(result.witness.steps + tail, result.witness.scalar)
-            if witness.transform_operator(source) == target:
-                return ConjugationSearch("found", witness)
-            result = ConjugationSearch("none")
+            return result
         outcomes.append(result)
     if outcomes and all(r.status == "disjoint" for r in outcomes):
         return ConjugationSearch("disjoint", certificate=outcomes[0].certificate)
@@ -591,12 +580,19 @@ def _accumulate(cells: dict, cell, products) -> None:
         del cells[cell]
 
 
-def _psi_only_search(source, target, allow_scaling, limits, budget):
+def _psi_only_search(source, target, tail, allow_scaling, limits, budget):
+    """psi and k with ``conjugate(source, psi then tail) = k * target``: the
+    system is built against ``target`` conjugated by ``tail`` (the same
+    condition, as the flip is an involution), and each point is replayed
+    once, as the full witness against ``target``."""
+    adjusted = target
+    for step in tail:
+        adjusted = conjugate_operator(adjusted, step.map())
     table, psi, k, relation = _search_psi(allow_scaling)
     params = VarTable(tuple(source.params()) + tuple(
-        p for p in target.params() if p not in source.params()))
+        p for p in adjusted.params() if p not in source.params()))
     src = _image_terms(source, params)
-    tgt = _image_terms(target, params)
+    tgt = _image_terms(adjusted, params)
     gens = []
     for idx in basis_indices(3):
         # terms are keyed (unknown monomial, parameter monomial)
@@ -638,7 +634,7 @@ def _psi_only_search(source, target, allow_scaling, limits, budget):
         scalar = point.get("k_scale", Fraction(1))
         if not scalar:
             continue
-        witness = Witness((PsiStep(params),), scalar)
+        witness = Witness((PsiStep(params),) + tail, scalar)
         if witness.transform_operator(source) == target:
             return ConjugationSearch("found", witness)
     return ConjugationSearch("none")

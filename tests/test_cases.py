@@ -178,6 +178,13 @@ def test_sec7_unit_square_certificate():
     assert unit_square_certificate("sec7")
 
 
+def test_unit_square_certificate_refuses_a_perturbed_claim(monkeypatch):
+    claims = list(catalog._SEC7_UNIT_SQUARE)
+    claims[2] = ("2*b_12_13 + 2*b_23_13 - 2",)
+    monkeypatch.setattr(catalog, "_SEC7_UNIT_SQUARE", tuple(claims))
+    assert not unit_square_certificate("sec7")
+
+
 def test_solutions_are_certified_families():
     for name in ("sec4.1", "sec5", "sec6", "sec7"):
         for solution in case_preset(name).solutions:

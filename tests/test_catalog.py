@@ -205,3 +205,15 @@ def test_export_matches_shipped_data(tmp_path):
             fresh = fh.read()
         with open(shipped / rel) as fh:
             assert fh.read() == fresh, f"stale shipped file: {rel}"
+
+
+def test_verify_all_rb_index_agrees_with_rb_index():
+    report = verify_all(samples=0)
+    direct = rb_index(build_catalog(strict=False))
+    assert report.r2_nonzero == direct.r2_nonzero
+    assert report.rb_index == direct.index
+
+
+def test_verify_all_on_one_family_reports_its_square():
+    report = verify_all(families=["R25"])
+    assert report.r2_nonzero == ("R25",) and report.rb_index == 3

@@ -285,3 +285,27 @@ def test_resource_limit_exit_code_for_every_engine_command(tmp_path, capsys):
     for argv in (["gb", path], ["member", path, "b_22_12"], ["find-conj", r5, r5]):
         assert cli.main([*argv, "--max-pairs", "0"]) == 3, argv
         assert capsys.readouterr().err.startswith("resource limit:"), argv
+
+
+def test_resource_limit_message_is_printed_once(tmp_path, capsys):
+    path = _system_file(tmp_path, capsys, "sec4.1")
+    r5 = str(DATA / "operators" / "r5.json")
+    for argv in (["gb", path], ["member", path, "b_22_12"], ["find-conj", r5, r5]):
+        assert cli.main([*argv, "--max-pairs", "0"]) == 3, argv
+        assert capsys.readouterr().err == "resource limit: more than 0 pairs\n", argv
+
+
+def test_every_command_help_lists_its_options():
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    limited = {"gb", "member", "find-conj", "case"}
+    commands = ("verify-catalog", "check", "system", "gb", "member",
+                "canonicalize", "conjugate", "find-conj", "rb-index", "case",
+                "export-data")
+    for command in commands:
+        done = subprocess.run([sys.executable, "-m", "rbu3", command, "--help"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, (command, done.stderr)
+        assert ("--json" in done.stdout) == (command != "export-data"), command
+        for option in ("--max-pairs", "--deadline"):
+            assert (option in done.stdout) == (command in limited), (command, option)

@@ -264,3 +264,18 @@ def test_combine_sums_coefficient_times_column():
     # a key without a column adds nothing
     assert combine(columns, coords, 3) == parse_matrix("-e11 + e12 - 2*e33")
     assert combine(columns, {}, 3).is_zero()
+
+
+def test_constant_polynomial_entries_equal_rationals():
+    table = VarTable(["t"])
+    poly = UTMatrix(3, {(1, 2): MultiPoly.const(table, 2)})
+    rational = UTMatrix(3, {(1, 2): Fraction(2)})
+    assert poly == rational and rational == poly
+    assert poly != UTMatrix(3, {(1, 2): Fraction(3)})
+    other = UTMatrix(3, {(1, 2): VarTable(["s"]).var("s")})
+    assert UTMatrix(3, {(1, 2): table.var("t")}) != other
+
+
+def test_utmatrix_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(UTMatrix.unit(3))

@@ -276,3 +276,13 @@ def test_diagonal_projection_fails_at_weight_zero():
     residual = rb_residual(DIAGONAL)
     assert not residual.is_zero()
     assert residual.first_nonzero() == (((1, 1), (1, 1)), (1, 1), Fraction(-1))
+
+
+def test_operator_equality_mixes_constant_polynomials_and_rationals():
+    table = VarTable(["t"])
+    poly = Operator(3, {(1, 2): UTMatrix(3, {(1, 1): MultiPoly.const(table, 2)})})
+    rational = Operator.from_images({"e12": "2*e11"})
+    assert poly == rational and rational == poly
+    assert poly != Operator.from_images({"e12": "3*e11"})
+    assert (Operator.from_images({"e12": "t*e11"}, params=("t",))
+            != Operator.from_images({"e12": "s*e11"}, params=("s",)))

@@ -260,3 +260,8 @@ def test_write_json_format_and_standard_output(tmp_path, capsys):
     path.write_text("[1, 2]\n")
     with pytest.raises(ValueError, match="not a JSON object"):
         read_json(path)
+
+
+def test_parse_poly_drops_zero_and_cancelled_terms():
+    assert p("0*x + y").terms == {(0, 1): 1}
+    assert p("x + y - x").terms == {(0, 1): 1}

@@ -420,3 +420,20 @@ def test_parameters_named_like_search_unknowns():
     result = find_conjugation(op, op)
     assert result.status == "found"
     assert result.witness.transform_operator(op) == op
+
+
+def test_found_witness_with_the_flip_is_replayed_once(monkeypatch):
+    entries = {entry.id: entry for entry in build_catalog(strict=False)}
+    calls = []
+    replay = Witness.transform_operator
+
+    def counting(self, op):
+        calls.append(self)
+        return replay(self, op)
+
+    monkeypatch.setattr(Witness, "transform_operator", counting)
+    result = find_conjugation(entries["R31"].operator, entries["R39"].operator,
+                              allow_theta=True)
+    assert result.status == "found"
+    assert result.witness.steps[-1] == ThetaStep()
+    assert calls == [result.witness]
