@@ -255,8 +255,8 @@ class CaseSolution:
     images: dict           # basis name -> matrix literal over the params
     resolves_to: tuple
 
-    def operator(self) -> Operator:
-        return Operator.from_images(self.images, n=3, params=self.params)
+    def operator(self, weight=Fraction(0)) -> Operator:
+        return Operator.from_images(self.images, 3, self.params, weight)
 
 
 @dataclass
@@ -655,20 +655,6 @@ class CaseReport:
         return "\n".join(lines)
 
 
-def _solution_bvalues(solution: CaseSolution):
-    """b-variable -> value (over the solution's parameter table): a
-    polynomial, or a ``Fraction`` that ``substitute`` folds into the
-    coefficient."""
-    op = solution.operator()
-    table = VarTable(solution.params)
-    values = {}
-    for src in basis_indices(3):
-        image = op.image(src)
-        for dst in basis_indices(3):
-            values[bvar_name(src, dst)] = image.entries.get(dst, Fraction(0))
-    return table, values
-
-
 def run_case(spec: CaseSpec, limits: Limits | None = None) -> CaseReport:
     """Replay one case: system, Groebner basis, memberships, solutions.
 
@@ -681,7 +667,8 @@ def run_case(spec: CaseSpec, limits: Limits | None = None) -> CaseReport:
     limits = limits if limits is not None else Limits(max_pairs=200000,
                                                       deadline=600.0)
     end = None if limits.deadline is None else time.monotonic() + limits.deadline
-    system, shape = generate_system(spec.ansatz())
+    ansatz = spec.ansatz()
+    system, shape = generate_system(ansatz)
     work_system = system
     if spec.localize:
         q = shape.expand(spec.localize, spec.aliases)
@@ -714,16 +701,16 @@ def run_case(spec: CaseSpec, limits: Limits | None = None) -> CaseReport:
             factors, text, claim, gb, limits, end))
 
     solution_results = []
-    bnames = VarTable(spec.ansatz().all_bvars())
+    bnames = VarTable(ansatz.all_bvars())
     for solution in spec.solutions:
-        table, values = _solution_bvalues(solution)
-
-        def vanishes(poly):
-            bound = {name: values[name] for name in poly.variables()}
-            return poly.substitute(bound, table).is_zero()
-
-        ok_ansatz = all(vanishes(bnames.parse(c)) for c in spec.constraints)
-        ok_system = ok_ansatz and all(vanishes(gen) for gen in system.gens)
+        op = solution.operator(ansatz.weight)
+        values = {bvar_name(src, dst): op.image(src).entries.get(dst, Fraction(0))
+                  for src in basis_indices(3) for dst in basis_indices(3)}
+        table = VarTable(solution.params)
+        ok_ansatz = all(bnames.parse(c).substitute(values, table).is_zero()
+                        for c in spec.constraints)
+        # the generators are the residual's components under the constraints
+        ok_system = ok_ansatz and rb_residual(op).is_zero()
         solution_results.append(SolutionResult(
             solution.name, solution.resolves_to, ok_ansatz, ok_system))
 

@@ -44,7 +44,7 @@ from bisect import insort
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -314,18 +314,26 @@ def _reduce(work: dict, view: list, pk: _Packing) -> dict:
     below the one it removes, so each monomial enters the heap once; one
     that cancels stays there with coefficient 0 and is skipped when popped.
     The remainder's terms are stored largest first, so its first term leads.
+
+    The view is in descending lead order and popped terms only decrease, so
+    the scan starts at ``start``, past every lead larger than the term: such
+    a lead divides no later term either, and the divisor found is still the
+    first dividing entry in view order.
     """
     guards, low = pk.guards, pk.low
     heap = [-m for m in work]
     heapq.heapify(heap)
     remainder = {}
+    start, size = 0, len(view)
     while heap:
         m = -heapq.heappop(heap)
         coeff = work.pop(m)
         if not coeff:
             continue
+        while start < size and view[start][0] > m:
+            start += 1
         probe = (m & low) | guards
-        for entry in view:
+        for entry in islice(view, start, None) if start else view:
             if (probe - entry[1]) & guards == guards:
                 break
         else:

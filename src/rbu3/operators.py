@@ -150,7 +150,8 @@ class Operator:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Operator):
             return NotImplemented
-        return self.n == other.n and self.columns == other.columns
+        return (self.n == other.n and self.weight == other.weight
+                and self.columns == other.columns)
 
     def params(self) -> tuple:
         return tuple(dict.fromkeys(

@@ -358,12 +358,13 @@ class MultiPoly:
         result = MultiPoly.const(self.table, 1)
         base = self
         e = exponent
-        while e:
+        while True:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     # -- leading terms ---------------------------------------------------
 

@@ -2,6 +2,8 @@
 
 import json
 import pathlib
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +11,9 @@ from rbu3 import catalog
 from rbu3.catalog import (case_preset, case_preset_names, run_case,
                           unit_square_certificate)
 from rbu3.groebner import Limits, buchberger, normal_form
-from rbu3.operators import Ansatz, generate_system, rb_residual
+from rbu3.matrices import basis_indices
+from rbu3.operators import Ansatz, bvar_name, generate_system, rb_residual
+from rbu3.poly import MultiPoly, VarTable
 
 FAST = Limits(max_pairs=100000, deadline=240.0)
 
@@ -270,3 +274,97 @@ def test_extra_branch_of_the_pm_e13_family_is_empty():
         coord = shape.expand(f"b_22_{dst}")
         # vanishing on the solution set: a small power falls into the ideal
         assert normal_form(coord * coord, gb.basis, system.order).is_zero(), dst
+
+
+# -- solution checks: the substitution route as the oracle -------------------
+
+
+def substitution_route(spec, system, solution):
+    """(satisfies_ansatz, annihilates_system) by substituting the
+    solution's b-values into each constraint and each generator."""
+    op = solution.operator()
+    table = VarTable(solution.params)
+    values = {bvar_name(src, dst): op.image(src).entries.get(dst, Fraction(0))
+              for src in basis_indices(3) for dst in basis_indices(3)}
+
+    def vanishes(poly):
+        bound = {name: values[name] for name in poly.variables()}
+        return poly.substitute(bound, table).is_zero()
+
+    bnames = VarTable(spec.ansatz().all_bvars())
+    ok_ansatz = all(vanishes(bnames.parse(c)) for c in spec.constraints)
+    return ok_ansatz, ok_ansatz and all(vanishes(g) for g in system.gens)
+
+
+def moved(solution, term, src, dst=None):
+    """The solution with ``term`` added to R(src) and taken from R(dst)."""
+    images = dict(solution.images)
+    images[src] = f"{images[src]} + {term}" if src in images else term
+    if dst is not None:
+        images[dst] = f"{images[dst]} - {term}" if dst in images else f"-{term}"
+    return replace(solution, name=f"{solution.name}+{term}", images=images)
+
+
+# Per preset, a solution and a parameter-dependent term added to R(src) and
+# taken from R(dst) (or from nowhere): R(1) and every other constraint still
+# hold, the identity fails.
+IDENTITY_BREAKING = {
+    "sec4.1": ("im-in-L(e12,e13)", "c*c*e23", "e11", "e22"),
+    "sec4.2": ("opposite-corner-branch", "e*e*e11", "e12", None),
+    "sec4.3": ("matched-pair-branch", "a*a*e13", "e11", "e33"),
+    "sec5": ("j-zero-branch", "a*a*e11", "e11", "e22"),
+    "sec5-reduced": ("j-zero-branch", "a*a*e13", "e11", "e22"),
+    "sec5-sub2.1": ("i-invertible-branch", "c*c*e12", "e11", "e22"),
+    "sec6": ("im-in-L(e12,e13)", "b*b*e23", "e11", "e22"),
+    "sec7": ("lower-branch", "b*b*e11", "e11", "e22"),
+    "sec7-reduced": ("lower-branch", "b*b*e12", "e11", "e22"),
+}
+
+
+@pytest.mark.parametrize("name", case_preset_names())
+def test_solution_checks_agree_with_the_substitution_route(name):
+    """``run_case`` checks each solution by its residual; substituting into
+    every constraint and generator gives the same verdicts, on the listed
+    solutions and on perturbed ones that both must refuse."""
+    spec = case_preset(name)
+    system, _ = generate_system(spec.ansatz())
+    by_name = {s.name: s for s in spec.solutions}
+    sol_name, term, src, dst = IDENTITY_BREAKING[name]
+    breaks_identity = moved(by_name[sol_name], term, src, dst)
+    breaks_ansatz = moved(by_name[sol_name], term, "e11")  # R(1) moves
+    assert not rb_residual(breaks_identity.operator()).is_zero()
+    solutions = spec.solutions + (breaks_identity, breaks_ansatz)
+    report = run_case(replace(spec, solutions=solutions), FAST)
+    verdicts = [(r.satisfies_ansatz, r.annihilates_system)
+                for r in report.solutions]
+    assert verdicts == [substitution_route(spec, system, s) for s in solutions]
+    assert verdicts[:-2] == [(True, True)] * len(spec.solutions)
+    assert verdicts[-2:] == [(True, False), (False, False)]
+
+
+def proportional(a, b):
+    """Whether the nonzero polynomials ``a`` and ``b`` are scalar multiples."""
+    if a.terms.keys() != b.terms.keys():
+        return False
+    ratios = {a.terms[m] / b.terms[m] for m in a.terms}
+    return len(ratios) == 1
+
+
+@pytest.mark.parametrize("name", case_preset_names())
+def test_generators_are_the_residual_components(name):
+    """Each generator is a multiple of a nonzero residual component of the
+    constrained ansatz operator, and each such component a multiple of a
+    generator: the equivalence behind checking solutions by the residual."""
+    system, shape = generate_system(case_preset(name).ansatz())
+    components = []
+    for cell in rb_residual(shape.operator).cells.values():
+        for value in cell.entries.values():
+            if not isinstance(value, MultiPoly):
+                value = MultiPoly.const(system.table, value)
+            if not value.is_zero():
+                components.append(value)
+    assert components and system.gens
+    for gen in system.gens:
+        assert any(proportional(gen, c) for c in components), gen
+    for c in components:
+        assert any(proportional(c, gen) for gen in system.gens), c

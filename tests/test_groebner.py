@@ -1,5 +1,6 @@
 """Groebner engine against hand-computed oracles and its own invariants."""
 
+import heapq
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rbu3 import groebner
+from rbu3.catalog import case_preset
 from rbu3.matrices import rref
 from rbu3.poly import (MultiPoly, VarTable, elimination, grevlex, lex,
                        mono_degree, mono_div, mono_divides, mono_lcm, mono_mul,
@@ -14,6 +16,7 @@ from rbu3.poly import (MultiPoly, VarTable, elimination, grevlex, lex,
 from rbu3.groebner import (Limits, PolySystem, ResourceLimitExceeded,
                            autoreduce, buchberger, eliminate, ideal_member,
                            normal_form, s_polynomial)
+from rbu3.operators import generate_system
 
 XY = VarTable(["x", "y"])
 
@@ -544,3 +547,99 @@ def test_autoreduce_of_a_groebner_basis_and_its_multiples(gens, order, rng):
     mixed = basis + extras
     rng.shuffle(mixed)
     assert same_with_term_order(autoreduce(mixed, order), basis)
+
+
+# -- divisor choice: the scan from the top of the view ---------------------------
+
+
+def reference_reduce(work, view, pk, chosen):
+    """``groebner._reduce`` with every popped term scanning the view from
+    its first entry; appends each chosen divisor's view position to
+    ``chosen``."""
+    guards, low = pk.guards, pk.low
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        m = -heapq.heappop(heap)
+        coeff = work.pop(m)
+        if not coeff:
+            continue
+        probe = (m & low) | guards
+        for pos, entry in enumerate(view):
+            if (probe - entry[1]) & guards == guards:
+                break
+        else:
+            remainder[m] = coeff
+            continue
+        chosen.append(pos)
+        shift = m - entry[0]
+        for t, c in entry[2]:
+            t += shift
+            acc = work.get(t)
+            if acc is None:
+                work[t] = coeff * c
+                heapq.heappush(heap, -t)
+            else:
+                work[t] = acc + coeff * c
+    return remainder
+
+
+class TrackedEntry(tuple):
+    """A view entry that logs its view position when its tail is read,
+    which ``_reduce`` does only for the divisor it chose."""
+
+    def __getitem__(self, i):
+        if i == 2:
+            self.log.append(self.pos)
+        return tuple.__getitem__(self, i)
+
+
+def assert_same_divisions(pk, dividends, view):
+    """``_reduce`` picks the reference's divisors and leaves its remainder,
+    terms in the same order, for every dividend; returns the remainders."""
+    log = []
+    tracked = []
+    for pos, entry in enumerate(view):
+        entry = TrackedEntry(entry)
+        entry.pos, entry.log = pos, log
+        tracked.append(entry)
+    remainders = []
+    for terms in dividends:
+        chosen = []
+        expected = reference_reduce(dict(terms), view, pk, chosen)
+        log.clear()
+        got = groebner._reduce(dict(terms), tracked, pk)
+        assert list(got.items()) == list(expected.items())
+        assert log == chosen
+        remainders.append(got)
+    return remainders
+
+
+def preset_system_and_basis(name):
+    spec = case_preset(name)
+    system, _ = generate_system(spec.ansatz())
+    gb = buchberger(system, Limits(max_pairs=200000, deadline=600.0))
+    pk = groebner._packing(len(system.table), system.order,
+                           groebner._fit(system.gens + gb.basis))
+    return system, gb, pk
+
+
+def test_forward_scan_keeps_the_divisors_on_the_sec7_s_polynomials():
+    _, gb, pk = preset_system_and_basis("sec7")
+    view = pk.view(gb.basis)
+    dividends = [groebner._s_terms(pk, f, g, pk.lcm(f[1], g[1]))
+                 for i, f in enumerate(view) for g in view[i + 1:]]
+    assert len(dividends) == 406
+    assert not any(assert_same_divisions(pk, dividends, view))
+
+
+def test_forward_scan_keeps_the_divisors_on_the_sec6_generators():
+    system, gb, pk = preset_system_and_basis("sec6")
+    dividends = [pk.terms(g) for g in system.gens]
+    assert not any(assert_same_divisions(pk, dividends, pk.view(gb.basis)))
+    # nonzero remainders too: each generator by the view of the later ones
+    remainders = [
+        assert_same_divisions(pk, [terms], pk.view(system.gens[i + 1:]))[0]
+        for i, terms in enumerate(dividends)]
+    assert sum(map(bool, remainders)) > len(remainders) // 2

@@ -286,3 +286,9 @@ def test_operator_equality_mixes_constant_polynomials_and_rationals():
     assert poly != Operator.from_images({"e12": "3*e11"})
     assert (Operator.from_images({"e12": "t*e11"}, params=("t",))
             != Operator.from_images({"e12": "s*e11"}, params=("s",)))
+
+
+def test_operators_of_different_weights_are_unequal():
+    assert with_weight(DIAGONAL, -1) != DIAGONAL
+    assert DIAGONAL != with_weight(DIAGONAL, -1)
+    assert with_weight(DIAGONAL, -1) == with_weight(DIAGONAL, -1)

@@ -21,6 +21,31 @@ def test_square_of_sum():
     assert p("x + y") ** 2 == p("x^2 + 2*x*y + y^2")
 
 
+@pytest.mark.parametrize("k", range(7))
+def test_power_is_the_repeated_product_without_a_wasted_square(k, monkeypatch):
+    base = p("2*x - y + 1")
+    expected = MultiPoly.const(XY, 1)
+    for _ in range(k):
+        expected = expected * base
+    products = []
+    real_mul = MultiPoly.__mul__
+
+    def counting_mul(a, b):
+        products.append(b)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
+    assert base ** k == expected
+    # one square per bit below the top one, one product per set bit
+    assert len(products) == max(k.bit_length() - 1, 0) + bin(k).count("1")
+
+
+@pytest.mark.parametrize("exponent", [-1, 1.0, Fraction(2), "2"])
+def test_power_refuses_negative_and_non_integer_exponents(exponent):
+    with pytest.raises(ValueError):
+        p("x + y") ** exponent
+
+
 def test_substitute_root():
     assert p("x^2 - 1").substitute({"x": 1}).is_zero()
 

@@ -260,6 +260,20 @@ def test_find_conjugation_with_flip():
     assert result.witness.transform_operator(op) == target
 
 
+@pytest.mark.parametrize("allow_theta", [False, True])
+@pytest.mark.parametrize("allow_scaling", [False, True])
+def test_conjugation_never_changes_the_weight(allow_theta, allow_scaling):
+    # the diagonal projection is Rota-Baxter at weight -1, not at weight 0;
+    # equal images at different weights are not conjugate
+    images = {(i, i): e(i, i) for i in (1, 2, 3)}
+    weighted = Operator(3, images, Fraction(-1))
+    plain = Operator(3, images)
+    for a, b in ((weighted, plain), (plain, weighted)):
+        result = find_conjugation(a, b, allow_theta=allow_theta,
+                                  allow_scaling=allow_scaling)
+        assert result.status != "found", (a.weight, b.weight)
+
+
 def test_witness_json_round_trip():
     w = Witness((ThetaStep(), PsiStep(AutoParams(alpha=Fraction(1, 2)))),
                 Fraction(3))
