@@ -702,13 +702,14 @@ def run_case(spec: CaseSpec, limits: Limits | None = None) -> CaseReport:
 
     solution_results = []
     bnames = VarTable(ansatz.all_bvars())
+    constraints = [bnames.parse(c) for c in spec.constraints]
     for solution in spec.solutions:
         op = solution.operator(ansatz.weight)
         values = {bvar_name(src, dst): op.image(src).entries.get(dst, Fraction(0))
                   for src in basis_indices(3) for dst in basis_indices(3)}
         table = VarTable(solution.params)
-        ok_ansatz = all(bnames.parse(c).substitute(values, table).is_zero()
-                        for c in spec.constraints)
+        ok_ansatz = all(c.substitute(values, table).is_zero()
+                        for c in constraints)
         # the generators are the residual's components under the constraints
         ok_system = ok_ansatz and rb_residual(op).is_zero()
         solution_results.append(SolutionResult(

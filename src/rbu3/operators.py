@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .matrices import (BasisIndex, UTMatrix, basis_indices, basis_name, combine,
@@ -68,8 +69,9 @@ class Operator:
         self.weight = Fraction(weight) if isinstance(weight, (int, str)) else weight
         cols = {}
         if columns:
+            valid = set(basis_indices(n))
             for idx, image in columns.items():
-                if idx not in set(basis_indices(n)):
+                if idx not in valid:
                     raise ValueError(f"bad basis index {idx!r}")
                 if image.n != n:
                     raise ValueError("image size mismatch")
@@ -245,11 +247,28 @@ def rb_residual(op: Operator) -> RBResidual:
     e_ij e_kl = delta_jk e_il: for u = e_ab and v = e_cd, R(u) v moves the
     column-c entries of R(u) to column d, u R(v) moves the row-b entries of
     R(v) to row a, and lambda u v is lambda at (a, d) when b = c.
+
+    The residual is quadratic in R and linear in lambda, so it runs on D R
+    and D lambda, with D the lcm of the denominators of the rational entries
+    and of the weight: rationals become ints, polynomial entries are scaled
+    by D, and each cell entry is divided by D^2 at the end.
     """
     n = op.n
     idxs = basis_indices(n)
-    weight = op.weight
     images = {idx: op.image(idx).entries for idx in idxs}
+    D = lcm(op.weight.denominator, *(
+        x.denominator for image in images.values() for x in image.values()
+        if not isinstance(x, MultiPoly)))
+
+    def lift(x):  # an int entry is lifted like a Fraction
+        if isinstance(x, MultiPoly):
+            return x * D if D != 1 else x
+        return x.numerator * (D // x.denominator)
+
+    images = {idx: {pos: lift(x) for pos, x in image.items()}
+              for idx, image in images.items()}
+    weight = lift(op.weight)
+    scale = Fraction(1, D * D)
     cells = {}
     for u in idxs:
         a, b = u
@@ -278,8 +297,11 @@ def rb_residual(op: Operator) -> RBResidual:
                 for pos, value in images[idx].items():
                     acc = cell.get(pos)
                     cell[pos] = -(coeff * value) if acc is None else acc - coeff * value
-            cells[(u, v)] = UTMatrix(n, cell)
-    return RBResidual(n, weight, cells)
+            cells[(u, v)] = UTMatrix._filtered(n, {
+                pos: (value * scale if D != 1 else value)
+                if isinstance(value, MultiPoly) else Fraction(value, D * D)
+                for pos, value in cell.items() if value})
+    return RBResidual(n, op.weight, cells)
 
 
 def scale_operator(op: Operator, k) -> Operator:

@@ -23,7 +23,8 @@ from typing import Mapping
 from .matrices import UTMatrix, basis_indices, combine, inverse_exact
 from .operators import Operator, scale_operator
 from .poly import MultiPoly, VarTable, add_terms, lex, mono_mul
-from .groebner import GroebnerBasis, Limits, PolySystem, buchberger
+from .groebner import (GroebnerBasis, Limits, PolySystem, buchberger,
+                       normal_form)
 
 __all__ = [
     "AutoParams",
@@ -69,7 +70,10 @@ class AlgebraMap:
     """An invertible linear map on U_n that is multiplicative or antimultiplicative.
 
     Both properties are verified on all basis pairs at construction time, so
-    holding an instance is holding a certificate.
+    holding an instance is holding a certificate.  Two kinds skip the check
+    because they are certified otherwise: the maps of :func:`build_psi`, by
+    one symbolic proof for the whole family (``_psi_certificate``), and
+    compositions of certified maps.
     """
 
     __slots__ = ("n", "kind", "columns", "_inverse_columns")
@@ -132,7 +136,7 @@ class AlgebraMap:
 
 
 def build_psi(params: AutoParams, n: int = 3) -> AlgebraMap:
-    """The five-parameter automorphism of U_3.
+    """The five-parameter automorphism of U_3, with its inverse preset.
 
     Columns (images of the basis), with a = alpha, b = beta, c = gamma,
     d = delta, e = epsilon:
@@ -140,13 +144,26 @@ def build_psi(params: AutoParams, n: int = 3) -> AlgebraMap:
         e11 -> e11 + b e12 + c e13          e12 -> d e12 + e e13
         e13 -> a e13                        e22 -> -b e12 - (b e/d) e13 + e22 + (e/d) e23
         e23 -> -(a b/d) e13 + (a/d) e23     e33 -> (b e/d - c) e13 - (e/d) e23 + e33
+
+    The inverse is psi at (1/a, -b/d, (b e/d - c)/a, 1/d, -e/(a d)).  No
+    instance is checked on its own: ``_psi_certificate`` proves once, over
+    the parameters as symbols, that the columns are multiplicative and that
+    the inverse columns undo them.  ``_psi_columns`` uses only ring
+    operations, so evaluating at rationals with a, d != 0 keeps both
+    identities.
     """
     if n != 3:
         raise ValueError("the five-parameter family is specific to U_3")
-    d = params.delta
-    columns = _psi_columns(params.alpha, params.beta, params.gamma, d,
-                           params.epsilon, Fraction(1) / d, Fraction(1))
-    return AlgebraMap(3, "automorphism", columns)
+    _psi_certificate()
+    a, b, c, d, e = (params.alpha, params.beta, params.gamma, params.delta,
+                     params.epsilon)
+    one = Fraction(1)
+    ainv, dinv = one / a, one / d
+    psi = AlgebraMap(3, "automorphism",
+                     _psi_columns(a, b, c, d, e, dinv, one), _skip_checks=True)
+    psi._inverse_columns = _psi_columns(*_psi_inverse_params(a, b, c, d, e,
+                                                             ainv, dinv), one)
+    return psi
 
 
 def _psi_columns(a, b, c, d, e, dinv, one):
@@ -166,6 +183,49 @@ def _psi_columns(a, b, c, d, e, dinv, one):
         (2, 3): m({(1, 3): -(a * b * dinv), (2, 3): a * dinv}),
         (3, 3): m({(1, 3): b * e * dinv - c, (2, 3): -(e * dinv), (3, 3): one}),
     }
+
+
+def _psi_inverse_params(a, b, c, d, e, ainv, dinv):
+    """The arguments of ``_psi_columns`` that give psi's inverse, with
+    ``ainv`` and ``dinv`` standing for 1/alpha and 1/delta."""
+    return (ainv, -(b * dinv), (b * e * dinv - c) * ainv, dinv,
+            -(e * ainv * dinv), d)
+
+
+@cache
+def _psi_certificate() -> None:
+    """Prove, once, that ``build_psi`` hands out automorphisms.
+
+    Over Q[alpha, beta, gamma, delta, epsilon, 1/alpha, 1/delta], with the
+    inverses as symbols modulo ``alpha * ainv - 1`` and ``delta * dinv - 1``
+    (a Groebner basis: the leading monomials are coprime), it checks the 36
+    products psi(e_ij) psi(e_kl) = psi(e_ij e_kl) and that the inverse
+    columns send psi(e_idx) back to e_idx.  Every entry must have normal form
+    zero; any other outcome raises ``ValueError``.
+    """
+    table = VarTable(("alpha", "beta", "gamma", "delta", "epsilon",
+                      "ainv", "dinv"))
+    a, b, c, d, e, ainv, dinv = (table.var(name) for name in table.names)
+    one = MultiPoly.const(table, 1)
+    relations = [a * ainv - 1, d * dinv - 1]
+
+    def vanishes(x: UTMatrix) -> bool:
+        # a rational entry left in x is a nonzero constant
+        return all(isinstance(value, MultiPoly)
+                   and normal_form(value, relations).is_zero()
+                   for value in x.entries.values())
+
+    columns = _psi_columns(a, b, c, d, e, dinv, one)
+    for (i, j), mu in columns.items():
+        for (k, l), mv in columns.items():
+            expected = columns[(i, l)] if j == k else UTMatrix.zero(3)
+            if not vanishes(mu * mv - expected):
+                raise ValueError("psi is not multiplicative")
+    inverse = _psi_columns(*_psi_inverse_params(a, b, c, d, e, ainv, dinv), one)
+    for idx, column in columns.items():
+        if not vanishes(combine(inverse, column.entries, 3)
+                        - UTMatrix.basis(3, *idx)):
+            raise ValueError("psi's inverse columns do not invert it")
 
 
 @cache

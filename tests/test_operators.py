@@ -249,6 +249,54 @@ def test_residual_matches_the_matrix_product_formula(op):
         assert cells[pair] == cell, pair
 
 
+# the residual runs on cleared denominators: mixed entries with denominators
+# 3, 5 and 7 and rational weights make the common denominator D > 1
+rationals_357 = st.sampled_from([Fraction(0)] * 2 + [
+    Fraction(1), Fraction(-2, 3), Fraction(4, 5), Fraction(-1, 7), Fraction(5, 21)])
+mixed_weights = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(-3, 2)])
+
+
+@st.composite
+def mixed_operators(draw):
+    entries = st.one_of(rationals_357, poly_entries())
+    sources = draw(st.sets(st.sampled_from(basis_indices(3))))
+    columns = {src: UTMatrix(3, draw(st.dictionaries(
+        st.sampled_from(basis_indices(3)), entries, max_size=4)))
+        for src in sources}
+    return Operator(3, columns, draw(mixed_weights))
+
+
+@settings(derandomize=True, max_examples=150)
+@given(st.one_of(mixed_operators(), operators(rationals_357)))
+def test_residual_over_cleared_denominators_matches_the_formula(op):
+    cells = rb_residual(op).cells
+    expected = oracle_residual_cells(op)
+    assert set(cells) == set(expected) and len(cells) == 36
+    for pair, cell in expected.items():
+        assert cells[pair] == cell, pair
+        # Fraction(3) == 3, so equality alone would let an int through
+        assert all(type(v) in (Fraction, MultiPoly)
+                   for v in cells[pair].entries.values()), pair
+
+
+def test_int_entries_give_rational_residual_entries():
+    # R(e11) = 2 e11 at weight 1/3: 4 - 2 (2 + 2 + 1/3) = -14/3 at (e11, e11)
+    op = Operator(3, {(1, 1): UTMatrix(3, {(1, 1): 2})}, Fraction(1, 3))
+    residual = rb_residual(op)
+    assert residual.first_nonzero() == (((1, 1), (1, 1)), (1, 1), Fraction(-14, 3))
+    assert type(residual.first_nonzero()[2]) is Fraction
+    assert residual.weight == Fraction(1, 3)
+
+
+def test_first_failure_at_weight_one_third_is_exact():
+    # R = 2/5 id at weight 1/3: the (e11, e11) cell at e11 is
+    # (2/5)^2 - (2/5) (4/5 + 1/3) = 4/25 - 34/75 = -22/75
+    op = Operator(3, {idx: e(*idx).scale(Fraction(2, 5))
+                      for idx in basis_indices(3)}, Fraction(1, 3))
+    assert rb_residual(op).first_nonzero() == (((1, 1), (1, 1)), (1, 1),
+                                                Fraction(-22, 75))
+
+
 # -- nonzero weights -------------------------------------------------------------
 
 DIAGONAL = Operator(3, {(i, i): e(i, i) for i in (1, 2, 3)})

@@ -6,10 +6,11 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbu3 import transform
 from rbu3.catalog import build_catalog
-from rbu3.matrices import UTMatrix, basis_indices, parse_matrix
+from rbu3.matrices import UTMatrix, basis_indices, inverse_exact, parse_matrix
 from rbu3.operators import Operator, rb_residual
 from rbu3.poly import MultiPoly, VarTable
 from rbu3.transform import (AutoParams, PsiStep, ThetaStep, Witness, build_psi,
@@ -81,6 +82,72 @@ def test_maps_are_verified_at_construction():
     for kind, columns, message in bad_maps:
         with pytest.raises(ValueError, match=message):
             AlgebraMap(3, kind, columns)
+
+
+# -- psi in closed form, certified by one symbolic proof ------------------------
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+invertible = rationals.filter(bool)
+auto_params = st.builds(AutoParams, invertible, rationals, rationals,
+                        invertible, rationals)
+
+
+def inverse_by_elimination(phi):
+    """The inverse columns by one exact elimination: the per-instance route."""
+    idxs = basis_indices(3)
+    rows = inverse_exact([phi.columns[idx].to_vector() for idx in idxs])
+    return {idx: UTMatrix.from_vector(3, row) for idx, row in zip(idxs, rows)}
+
+
+@settings(derandomize=True, max_examples=150)
+@given(auto_params)
+def test_closed_form_inverse_matches_elimination(params):
+    from rbu3.transform import AlgebraMap
+    psi = build_psi(params)
+    expected = inverse_by_elimination(psi)
+    got = psi.inverse_columns()
+    assert list(got) == list(expected)
+    for idx in basis_indices(3):
+        # same entries in the same order, all of them rationals
+        assert (list(got[idx].entries.items())
+                == list(expected[idx].entries.items()))
+        assert all(type(v) is Fraction for v in got[idx].entries.values())
+    # the per-instance check still accepts psi and its inverse
+    assert AlgebraMap(3, "automorphism", psi.columns) == psi
+    inverse = AlgebraMap(3, "automorphism", got)
+    for composite in (inverse.compose(psi), psi.compose(inverse)):
+        for idx in basis_indices(3):
+            assert composite.apply(e(*idx)) == e(*idx)
+
+
+def test_psi_is_proved_before_it_is_handed_out():
+    transform._psi_certificate.cache_clear()
+    build_psi(AutoParams(alpha=2, delta=3))
+    assert transform._psi_certificate.cache_info().currsize == 1
+
+
+# psi sends e_ij into the span of the e_kl with k <= i and l >= j
+PSI_CELLS = [(idx, cell) for idx in basis_indices(3)
+             for cell in basis_indices(3) if cell[0] <= idx[0] and cell[1] >= idx[1]]
+
+
+@pytest.mark.parametrize("idx, cell", PSI_CELLS)
+def test_a_wrong_psi_cell_fails_the_proof(idx, cell, monkeypatch):
+    columns = transform._psi_columns
+
+    def wrong(*args):
+        result = columns(*args)
+        one = args[-1]
+        result[idx] = result[idx] + UTMatrix(3, {cell: one})
+        return result
+
+    monkeypatch.setattr(transform, "_psi_columns", wrong)
+    transform._psi_certificate.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="psi"):
+            transform._psi_certificate()
+    finally:
+        transform._psi_certificate.cache_clear()
 
 
 def test_theta_is_one_shared_certified_involution():
