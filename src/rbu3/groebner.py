@@ -13,7 +13,9 @@ reduction, and monic auto-reduced output.  Three implementation notes:
   rest.  The quadratic systems produced by the operator-coefficient
   ansatzes collapse dramatically under this cascade.  It is the engine's
   one interreduction: applied to a Groebner basis it gives the unique
-  reduced basis, so ``buchberger`` ends with it.
+  reduced basis, so ``buchberger`` ends with it.  It returns ``[1]`` as
+  soon as an element is, or reduces to, a nonzero constant: 1 divides
+  every monomial, so that is the fixpoint the remaining passes would reach.
 * Whenever an S-polynomial reduces to something with a linear leading term,
   the run restarts on the auto-reduced basis (same ideal, far fewer
   variables in play).  Restarts are bounded by the variable count.
@@ -416,6 +418,9 @@ def autoreduce(polys: Iterable[MultiPoly],
     each element was then divided by the others' final leads.  Applied to a
     set containing a Groebner basis, the result is the unique reduced basis.
 
+    As soon as an element is, or reduces to, a nonzero constant the result
+    is ``[1]``: 1 divides every monomial, so that is the fixpoint.
+
     ``_check`` (private to ``buchberger``) is called before each polynomial
     is reduced, with a list that generates the same ideal; it raises to stop.
     """
@@ -423,6 +428,8 @@ def autoreduce(polys: Iterable[MultiPoly],
     if not polys:
         return []
     table = polys[0].table
+    if any(p.is_constant() for p in polys):
+        return [MultiPoly.const(table, 1)]
 
     def run(pk):
         current = [pk.entry(pk.terms(p), p) for p in polys]
@@ -438,6 +445,8 @@ def autoreduce(polys: Iterable[MultiPoly],
                 if not r:
                     continue
                 reduced = _monic_entry(pk, r, table)
+                if not reduced[0]:  # the constant monomial packs to 0
+                    return [reduced[4]]
                 moved = moved or reduced[0] != entry[0]
                 nxt.append(reduced)
             current = nxt

@@ -16,7 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import MultiPoly, ParseError, VarTable, format_terms, parse_terms
+from .poly import (MultiPoly, ParseError, VarTable, add_terms, format_terms,
+                   parse_terms)
 
 __all__ = [
     "BasisIndex",
@@ -290,13 +291,18 @@ def combine(columns, coords, n: int) -> UTMatrix:
     ``coeff * columns[key]``, where a key without a column adds nothing.
     With a linear map's images as ``columns`` and an element's entries as
     ``coords`` this applies the map to the element.
+
+    The products are summed into one dict by ``add_terms``, in the entry
+    order of summing scaled columns: a zero product never enters.
     """
-    total = UTMatrix(n)
+    entries = {}
     for key, coeff in coords.items():
         column = columns.get(key)
         if column is not None:
-            total = total + column.scale(coeff)
-    return total
+            add_terms(entries, ((cell, product)
+                                for cell, value in column.entries.items()
+                                if (product := coeff * value)))
+    return UTMatrix._filtered(n, entries)
 
 
 # -- exact linear algebra helpers -------------------------------------------

@@ -435,7 +435,8 @@ class ConjugationSearch:
     ``status`` is one of ``found`` (with a replay-verified witness),
     ``disjoint`` (the constraint ideal is the unit ideal: no conjugation of
     the searched family exists, a certificate), or ``none`` (no rational
-    witness found within the search budget).
+    witness found within the search budget, or operators of different
+    weights, which no conjugation relates).
     """
 
     status: str
@@ -449,7 +450,12 @@ _TRIAL_VALUES = (Fraction(1), Fraction(0), Fraction(-1), Fraction(2),
 
 
 def _rational_roots(coeffs):
-    """Rational roots of a univariate polynomial given as {degree: Fraction}."""
+    """Rational roots of a univariate polynomial given as {degree: Fraction}.
+
+    Candidates are ``s/q`` in lowest terms with s dividing the constant and q
+    the leading coefficient of the integer polynomial f; each is tested in
+    integers as ``q^n f(s/q) = 0``, for f of degree n.
+    """
     if not coeffs:
         return []
     dens = 1
@@ -461,17 +467,24 @@ def _rational_roots(coeffs):
     if low > 0:
         roots.append(Fraction(0))
         ints = {d - low: c for d, c in ints.items() if c}
+    n = max(ints)
     a0 = abs(ints.get(0, 0))
-    an = abs(ints[max(ints)])
+    an = abs(ints[n])
     if a0 == 0 or an == 0:
         return roots
-    for p in _divisors(a0):
+    # highest degree first, zeros included, for Horner's rule
+    dense = [ints.get(d, 0) for d in range(n, -1, -1)]
+    for s in _divisors(a0):
         for q in _divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                if not sum(c * cand**d for d, c in ints.items()):
-                    roots.append(cand)
+            if gcd(s, q) != 1:
+                continue
+            for signed in (s, -s):
+                value, qpow = 0, 1
+                for c in dense:  # sum of c_d s^d q^(n-d)
+                    value = value * signed + c * qpow
+                    qpow *= q
+                if not value:
+                    roots.append(Fraction(signed, q))
     return sorted(roots)
 
 
@@ -547,15 +560,23 @@ def find_conjugation(source: Operator, target: Operator,
     ``R psi(e_idx) - k psi(S e_idx)`` is one coefficient product keyed by
     (unknown monomial, parameter monomial), summed cell by cell.  Each cell
     splits into one generator per parameter monomial, since the identity
-    must hold for every parameter value.  Ordering rule: cells, terms and
-    parameter buckets come out in first appearance as the sums run (source
-    side over psi's cells, then target side over S's cells, then their
-    difference), and a term or cell that cancels leaves and re-enters last,
-    as in summing the matrices; the generator tuple, and so the Groebner
-    run, does not depend on how the sums are stored.
+    must hold for every parameter value.  Ordering rule: the relation comes
+    first, so that a monomial generator in u, k, alpha and delta turns it
+    into a constant at its first reduction, and ``autoreduce`` then stops at
+    once with ``[1]``.  After it, cells, terms and parameter buckets come out
+    in first appearance as the sums run (source side over psi's cells, then
+    target side over S's cells, then their difference), and a term or cell
+    that cancels leaves and re-enters last, as in summing the matrices; the
+    generator tuple, and so the Groebner run, does not depend on how the
+    sums are stored.
+
+    Operators of different weights are answered ``none`` before any system
+    is built, since conjugation and scaling preserve the weight.
     """
     if source.n != 3 or target.n != 3:
         raise ValueError("the search is specific to U_3")
+    if source.weight != target.weight:
+        return ConjugationSearch("none")
 
     variants = [()]
     if allow_theta:
@@ -653,7 +674,7 @@ def _psi_only_search(source, target, tail, allow_scaling, limits, budget):
         p for p in adjusted.params() if p not in source.params()))
     src = _image_terms(source, params)
     tgt = _image_terms(adjusted, params)
-    gens = []
+    gens = [relation]
     for idx in basis_indices(3):
         # terms are keyed (unknown monomial, parameter monomial)
         lhs = {}  # R psi(e_idx) = sum over psi's cells p of psi_p * R(e_p)
@@ -677,7 +698,6 @@ def _psi_only_search(source, target, tail, allow_scaling, limits, budget):
             for (u, r), coeff in terms.items():
                 buckets.setdefault(r, {})[u] = coeff
             gens.extend(MultiPoly(table, bucket) for bucket in buckets.values())
-    gens.append(relation)
     system = PolySystem(table, tuple(dict.fromkeys(gens)), lex())
     gb = buchberger(system, limits)
     if len(gb.basis) == 1 and gb.basis[0].is_constant():

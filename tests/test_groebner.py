@@ -549,6 +549,101 @@ def test_autoreduce_of_a_groebner_basis_and_its_multiples(gens, order, rng):
     assert same_with_term_order(autoreduce(mixed, order), basis)
 
 
+# -- autoreduce: the constant rule ----------------------------------------------
+
+
+def fixpoint_autoreduce(polys, order):
+    """``autoreduce`` without the constant rule: after a constant appears
+    the loop runs on, reducing every element against it, until a pass moves
+    no leading monomial."""
+    polys = [p for p in polys if not p.is_zero()]
+    if not polys:
+        return []
+    table = polys[0].table
+
+    def run(pk):
+        current = [pk.entry(pk.terms(p), p) for p in polys]
+        moved = True
+        while moved:
+            moved = False
+            nxt = []
+            for i, entry in enumerate(current):
+                view = sorted(nxt + current[i + 1:], key=groebner._lead,
+                              reverse=True)
+                r = groebner._reduce(dict(entry[3]), view, pk)
+                if not r:
+                    continue
+                reduced = groebner._monic_entry(pk, r, table)
+                moved = moved or reduced[0] != entry[0]
+                nxt.append(reduced)
+            current = nxt
+        current.sort(key=groebner._lead, reverse=True)
+        return [e[4] for e in current]
+    return groebner._packed(run, polys, table, order)
+
+
+ONE = MultiPoly.const(XYZ, 1)
+
+
+@st.composite
+def systems_with_a_unit(draw):
+    """Small sets holding a nonzero constant, or a monomial m next to
+    ``m + c`` or ``m*q + c``, which reduce to the constant c when m is their
+    divisor."""
+    polys = draw(st.lists(xyz_polys(), min_size=0, max_size=4))
+    c = Fraction(draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+    kind = draw(st.sampled_from(["constant", "shift", "multiple"]))
+    if kind == "constant":
+        polys.append(MultiPoly.const(XYZ, c))
+    else:
+        m = MultiPoly(XYZ, {tuple(draw(st.integers(0, 2)) for _ in range(3)):
+                            Fraction(draw(st.integers(1, 3)))})
+        q = ONE if kind == "shift" else draw(xyz_polys(max_terms=3))
+        polys += [m, m * q + c]
+    order = draw(st.sampled_from([lex(), grevlex(), elimination(1)]))
+    return draw(st.permutations(polys)), order
+
+
+def xyz(*texts):
+    return [parse_poly(t, XYZ) for t in texts]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(systems_with_a_unit())
+# a constant appears in the second pass, and in the third
+@example((xyz("3/2*x^2*y - 2*y^2", "-2*x^2*y + 3/2", "-2*x^2 + 1"), lex()))
+@example((xyz("-3*y*z - 1", "2*x^2 - x*y^2*z^2 - y^2",
+              "3/2*x*y^2*z^2 + 1/2*y^2", "3/2*y*z^2 + 1/2*y"), lex()))
+def test_autoreduce_stops_at_the_first_constant(problem):
+    polys, order = problem
+    expected = fixpoint_autoreduce(polys, order)
+    got = autoreduce(polys, order)
+    assert same_with_term_order(got, expected)
+    if any(g.is_constant() for g in polys if not g.is_zero()):
+        assert got == [ONE]
+
+
+def test_autoreduce_returns_one_in_the_pass_that_finds_it():
+    # x*y*z - 1 reduces to -1 by the monomial x*y*z, first in the first pass
+    checks = []
+    out = autoreduce(xyz("x*y*z - 1", "x^2 + y", "x*y*z"), lex(),
+                     _check=checks.append)
+    assert out == [ONE] and len(checks) == 1
+    # a constant input is answered before any reduction
+    checks.clear()
+    assert autoreduce(xyz("x - y", "3/2"), lex(), _check=checks.append) == [ONE]
+    assert checks == []
+
+
+@pytest.mark.parametrize("order", [lex(), grevlex()])
+def test_a_constant_generator_needs_no_pair(order):
+    system = PolySystem(XYZ, tuple(xyz("x^2 - y*z", "y^2 - x*z", "-2/3")),
+                        order)
+    gb = buchberger(system)
+    assert gb.basis == (ONE,)
+    assert gb.stats == groebner.GBStats(0, 0, 0, 0, 1)
+
+
 # -- divisor choice: the scan from the top of the view ---------------------------
 
 

@@ -266,6 +266,48 @@ def test_combine_sums_coefficient_times_column():
     assert combine(columns, {}, 3).is_zero()
 
 
+def per_term_combine(columns, coords, n):
+    """``combine`` as a sum of scaled columns, one matrix per term."""
+    total = UTMatrix(n)
+    for key, coeff in coords.items():
+        column = columns.get(key)
+        if column is not None:
+            total = total + column.scale(coeff)
+    return total
+
+
+TS = VarTable(["t", "s"])
+T, S = TS.var("t"), TS.var("s")
+# few values, opposite pairs among them, so that sums cancel often
+SMALL = [Fraction(1), Fraction(-1), Fraction(2), Fraction(0), T, -T, T * S,
+         MultiPoly.const(TS, -2), T + 1]
+
+
+@st.composite
+def combinations(draw):
+    """Columns with rational and polynomial entries, and coordinates over
+    their keys and one key without a column."""
+    small = st.sampled_from(SMALL)
+    columns = {idx: UTMatrix(3, draw(st.dictionaries(
+        st.sampled_from(basis_indices(3)), small, max_size=4)))
+        for idx in basis_indices(3)}
+    keys = st.sampled_from(basis_indices(3) + [(4, 4)])
+    return columns, draw(st.dictionaries(keys, small, max_size=6))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(combinations())
+def test_combine_matches_the_per_term_sum(problem):
+    from rbu3.matrices import combine
+    columns, coords = problem
+    got = combine(columns, coords, 3).entries
+    expected = per_term_combine(columns, coords, 3).entries
+    # entry order (a cancelled entry re-enters last) and entry types
+    assert list(got.items()) == list(expected.items())
+    assert [type(v) for v in got.values()] == [type(v) for v in expected.values()]
+    assert all(got.values())
+
+
 def test_constant_polynomial_entries_equal_rationals():
     table = VarTable(["t"])
     poly = UTMatrix(3, {(1, 2): MultiPoly.const(table, 2)})

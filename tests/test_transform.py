@@ -1,14 +1,15 @@
 """Automorphism action: psi, the flip, conjugation, canonical forms, search."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from rbu3 import transform
+from rbu3 import groebner, transform
 from rbu3.catalog import build_catalog
 from rbu3.matrices import UTMatrix, basis_indices, inverse_exact, parse_matrix
 from rbu3.operators import Operator, rb_residual
@@ -341,12 +342,99 @@ def test_conjugation_never_changes_the_weight(allow_theta, allow_scaling):
         assert result.status != "found", (a.weight, b.weight)
 
 
+@pytest.mark.parametrize("allow_theta", [False, True])
+@pytest.mark.parametrize("allow_scaling", [False, True])
+def test_mixed_weights_are_refused_before_any_system(allow_theta, allow_scaling,
+                                                     monkeypatch):
+    calls = []
+    monkeypatch.setattr(transform, "buchberger",
+                        lambda *args, **kwargs: calls.append(args))
+    images = {(i, i): e(i, i) for i in (1, 2, 3)}
+    weighted = Operator(3, images, Fraction(-1))
+    plain = Operator(3, images)
+    for a, b in ((weighted, plain), (plain, weighted)):
+        result = find_conjugation(a, b, allow_theta=allow_theta,
+                                  allow_scaling=allow_scaling)
+        assert result.status == "none"
+        assert result.witness is None and result.certificate is None
+    assert calls == []
+
+
 def test_witness_json_round_trip():
     w = Witness((ThetaStep(), PsiStep(AutoParams(alpha=Fraction(1, 2)))),
                 Fraction(3))
     again = Witness.from_json(w.to_json())
     assert again.scalar == w.scalar
     assert again.combined() == w.combined()
+
+
+# -- rational roots: the Fraction evaluation --------------------------------------
+
+
+def fraction_rational_roots(coeffs):
+    """``_rational_roots`` evaluating each candidate ``p/q`` as a sum of
+    ``Fraction`` powers, for every divisor pair."""
+    if not coeffs:
+        return []
+    dens = 1
+    for c in coeffs.values():
+        dens = dens * c.denominator // math.gcd(dens, c.denominator)
+    ints = {d: int(c * dens) for d, c in coeffs.items()}
+    low = min(d for d, c in ints.items() if c)
+    roots = []
+    if low > 0:
+        roots.append(Fraction(0))
+        ints = {d - low: c for d, c in ints.items() if c}
+    a0 = abs(ints.get(0, 0))
+    an = abs(ints[max(ints)])
+    if a0 == 0 or an == 0:
+        return roots
+    for p in transform._divisors(a0):
+        for q in transform._divisors(an):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if cand in roots:
+                    continue
+                if not sum(c * cand**d for d, c in ints.items()):
+                    roots.append(cand)
+    return sorted(roots)
+
+
+@st.composite
+def root_problems(draw):
+    """{degree: Fraction} of degree 1 to 4: rational linear factors, maybe an
+    irreducible quadratic, a power of x for the zero root, and a non-unit
+    content."""
+    def times(poly, factor):
+        out = {}
+        for d, c in poly.items():
+            for d2, f in factor.items():
+                out[d + d2] = out.get(d + d2, 0) + c * f
+        return out
+
+    left = draw(st.integers(1, 4))
+    poly = {0: Fraction(1)}
+    if left >= 2 and draw(st.booleans()):
+        poly = times(poly, {0: Fraction(draw(st.sampled_from([1, 2, 3, -2]))),
+                            2: Fraction(1)})
+        left -= 2
+    zeros = draw(st.integers(0, left))
+    poly = times(poly, {zeros: Fraction(1)})
+    for _ in range(left - zeros):
+        q = draw(st.integers(1, 6))
+        poly = times(poly, {0: -Fraction(draw(st.integers(-12, 12)), q),
+                            1: Fraction(1)})
+    content = Fraction(draw(st.sampled_from([1, -1, 2, 6, -15])),
+                       draw(st.sampled_from([1, 4, 7])))
+    return {d: c * content for d, c in poly.items()}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(root_problems())
+@example({1: Fraction(6), 0: Fraction(-4)})  # non-unit content, root 2/3
+@example({4: Fraction(3, 2), 2: Fraction(-3, 2)})  # roots -1, 0, 1
+@example({3: Fraction(2), 0: Fraction(0)})  # a zero coefficient kept
+def test_rational_roots_match_the_fraction_evaluation(coeffs):
+    assert transform._rational_roots(coeffs) == fraction_rational_roots(coeffs)
 
 
 # -- the search's generators against the matrix-product construction ----------
@@ -360,9 +448,9 @@ def reference_combine(columns, x):
 
 
 def reference_generators(source, target, allow_scaling):
-    """``R psi - k psi S`` built as products of polynomial matrices over one
-    table of unknowns and parameters, each cell split by parameter monomial,
-    then moved to the table of unknowns."""
+    """The relation, then ``R psi - k psi S`` built as products of
+    polynomial matrices over one table of unknowns and parameters, each cell
+    split by parameter monomial, then moved to the table of unknowns."""
     names = transform._SEARCH_VARS if allow_scaling else tuple(
         v for v in transform._SEARCH_VARS if v != "k_scale")
     param_names = tuple(source.params()) + tuple(
@@ -384,7 +472,7 @@ def reference_generators(source, target, allow_scaling):
                 entries[key] = MultiPoly.const(table, value)
         return UTMatrix(3, entries)
 
-    gens = []
+    gens = [var("u_aux") * var("alpha") * var("delta") * k - 1]
     n_unknown = len(names)
     source_cols = {idx: lift(source.image(idx)) for idx in basis_indices(3)}
     for idx in basis_indices(3):
@@ -396,7 +484,6 @@ def reference_generators(source, target, allow_scaling):
                 unknown_part = mono[:n_unknown] + (0,) * len(param_names)
                 buckets.setdefault(mono[n_unknown:], {})[unknown_part] = coeff
             gens.extend(MultiPoly(table, terms) for terms in buckets.values())
-    gens.append(var("u_aux") * var("alpha") * var("delta") * k - 1)
     unknown_table = VarTable(names)
     return tuple(dict.fromkeys(g.retable(unknown_table) for g in gens))
 
@@ -492,6 +579,54 @@ def test_every_certified_family_pair():
     assert len(statuses) == 741
     assert {pair for pair, s in statuses.items() if s == "found"} == FOUND_PAIRS
     assert sum(s == "disjoint" for s in statuses.values()) == 734
+
+
+@pytest.mark.parametrize("pair", [("R1", "R40"), ("R5", "R31")])
+def test_a_unit_generator_settles_the_search_in_one_pass(pair, monkeypatch):
+    """The relation comes first, so a constant generator, or a monomial one
+    in the invertible unknowns, turns the system into [1] at the first
+    reduction of the first autoreduce pass, before any S-pair."""
+    invertible = {"u_aux", "k_scale", "alpha", "delta"}
+    passes = []  # (inputs, checks) of each autoreduce call
+    real_autoreduce = groebner.autoreduce
+
+    def counting(polys, order=None, _check=None):
+        polys = [g for g in polys if not g.is_zero()]
+        checks = []
+
+        def check(partial):
+            checks.append(partial)
+            if _check is not None:
+                _check(partial)
+        out = real_autoreduce(polys, order, _check=check)
+        passes.append((len(polys), len(checks)))
+        return out
+
+    settled = []
+    real_buchberger = transform.buchberger
+
+    def spy(system, limits=None):
+        passes.clear()
+        gb = real_buchberger(system, limits)
+        unit_gen = any(g.is_constant() or (len(g.terms) == 1
+                                           and g.variables() <= invertible)
+                       for g in system.gens)
+        if unit_gen and gb.basis[0].is_constant():
+            (inputs, checks), closing = passes
+            assert gb.stats.pairs_considered == 0
+            # the relation, reduced first, gives the constant, unless a
+            # generator already is one; a later pass would check more
+            assert checks <= 1 < inputs
+            assert closing == (1, 0)
+            settled.append(system)
+        return gb
+
+    monkeypatch.setattr(groebner, "autoreduce", counting)
+    monkeypatch.setattr(transform, "buchberger", spy)
+    fam = certified_families()
+    source, target = (fam[name] for name in pair)
+    assert find_conjugation(source, target).status == "disjoint"
+    assert len(settled) == 2  # with and without the flip
 
 
 def test_parameters_named_like_search_unknowns():
