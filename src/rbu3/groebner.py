@@ -2,7 +2,7 @@
 
 The engine is deliberately plain: normal pair selection (minimal lcm degree,
 then smallest pair index), the product and chain criteria, full normal-form
-reduction, and monic auto-reduced output.  Three implementation notes:
+reduction, and monic auto-reduced output.  Four implementation notes:
 
 * Auto-reduction divides each element by the others' leading terms and
   their monomial multiples, pass after pass, and stops after the first pass
@@ -31,6 +31,12 @@ reduction, and monic auto-reduced output.  Three implementation notes:
   divisor view in stable descending lead order, and division takes terms
   from a heap, largest first: the divisor is the first match in that
   order, so counters and bases are those of the plain loop.
+* Inside the engine an integral coefficient is an ``int`` (``as_int``,
+  on packing and on making a remainder monic), so most products a
+  division takes are int products.  Every division goes through
+  ``Fraction``, as ``/`` of two ints would give a float, and unpacking
+  turns the ints back into ``Fraction``: values, and so divisors,
+  counters and bases, are those of an all-``Fraction`` engine.
 
 Resource limits are explicit inputs; exceeding one raises
 :class:`ResourceLimitExceeded` carrying the partial basis, never a wrong
@@ -50,8 +56,8 @@ from itertools import chain, islice
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .poly import (MonomialOrder, MultiPoly, VarTable, add_terms, grevlex,
-                   elimination, parse_poly, read_json, write_json)
+from .poly import (MonomialOrder, MultiPoly, VarTable, add_terms, as_int,
+                   grevlex, elimination, parse_poly, read_json, write_json)
 
 __all__ = [
     "PolySystem",
@@ -214,7 +220,9 @@ class _Packing:
         self.n, self.width, self.bits = n, width, n * w
         self.lex = order.kind == "lex"
         self.low = (1 << self.bits) - 1
-        self.guards = sum(1 << (i * w + w - 1) for i in range(n))
+        self.ones = sum(1 << (i * w) for i in range(n))  # a 1 in each field
+        self.guards = self.ones << (w - 1)
+        self.field, self.top = (1 << w) - 1, self.bits - w
         self.byteorder = byteorder = "big" if self.lex else "little"
         code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(width)  # struct codes
         if code is not None:
@@ -247,6 +255,14 @@ class _Packing:
         return self._from_bytes((m & self.low).to_bytes(self.bits // 8,
                                                         self.byteorder))
 
+    def degree(self, word: int, bound: int) -> int:
+        """Total degree of a word whose degree is at most ``bound``.  Below
+        the field limit no prefix sum of the fields carries, so the word
+        times ``ones`` holds the sum in its top field."""
+        if bound > self.field:
+            return sum(self.unpack(word))
+        return (word * self.ones >> self.top) & self.field
+
     def divides(self, a: int, b: int) -> bool:
         """Whether monomial ``a`` divides ``b`` (packed, or words)."""
         g = self.guards
@@ -261,7 +277,7 @@ class _Packing:
         return b ^ ((a ^ b) & take_a)
 
     def terms(self, p: MultiPoly) -> dict:
-        return {self.pack(m): c for m, c in p.terms.items()}
+        return {self.pack(m): as_int(c) for m, c in p.terms.items()}
 
     def poly(self, table: VarTable, terms: dict) -> MultiPoly:
         return MultiPoly(table, {self.unpack(m): c for m, c in terms.items()})
@@ -271,8 +287,8 @@ class _Packing:
         term with -c/lc, what a division step adds per unit of the term."""
         lead = max(terms)
         lc = terms[lead]
-        tail = [(m, -c if lc == 1 else -c / lc)
-                for m, c in terms.items() if m != lead]
+        inv = -1 if lc == 1 else Fraction(-1) / lc  # int / int gives a float
+        tail = [(m, as_int(c * inv)) for m, c in terms.items() if m != lead]
         return (lead, lead & self.low, tail, terms, poly)
 
     def view(self, polys: Iterable[MultiPoly]) -> list:
@@ -372,7 +388,7 @@ def _monic_entry(pk: _Packing, r: dict, table: VarTable):
     lc = next(iter(r.values()))
     if lc != 1:
         inv = Fraction(1) / lc
-        r = {m: c * inv for m, c in r.items()}
+        r = {m: as_int(c * inv) for m, c in r.items()}
     return pk.entry(r, pk.poly(table, r))
 
 
@@ -492,11 +508,12 @@ def _buchberger(system: PolySystem, limits: Limits | None, start: float,
         guards = pk.guards
         entries = [pk.entry(pk.terms(g), g) for g in basis]
         leads = [e[1] for e in entries]
+        degs = [sum(pk.unpack(m)) for m in leads]
         view = sorted(entries, key=_lead, reverse=True)
 
         def pair(i, j):
             lcm = pk.lcm(leads[i], leads[j])
-            return (sum(pk.unpack(lcm)), i, j, lcm)
+            return (pk.degree(lcm, degs[i] + degs[j]), i, j, lcm)
 
         heap = [pair(i, j) for j in range(len(basis)) for i in range(j)]
         heapq.heapify(heap)
@@ -530,6 +547,7 @@ def _buchberger(system: PolySystem, limits: Limits | None, start: float,
             basis.append(h)
             entries.append(entry)
             leads.append(entry[1])
+            degs.append(sum(pk.unpack(entry[1])))
             done.append(set())
             # after every entry whose lead is not smaller, as a stable sort would
             insort(view, entry, key=lambda e: -e[0])

@@ -17,7 +17,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import neg
+from operator import add, neg
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "lex",
     "elimination",
     "add_terms",
+    "as_int",
     "format_terms",
     "parse_terms",
     "parse_poly",
@@ -105,7 +106,7 @@ class VarTable:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -122,6 +123,12 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 def mono_degree(a: Monomial) -> int:
     return sum(a)
+
+
+def as_int(c):
+    """``c`` as an ``int`` when it is integral, else ``c`` itself: int
+    products are far cheaper than ``Fraction`` ones, at the same value."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def add_terms(terms: dict, items) -> dict:

@@ -22,7 +22,7 @@ from typing import Mapping
 
 from .matrices import UTMatrix, basis_indices, combine, inverse_exact
 from .operators import Operator, scale_operator
-from .poly import MultiPoly, VarTable, add_terms, lex, mono_mul
+from .poly import MultiPoly, VarTable, add_terms, as_int, lex, mono_mul
 from .groebner import (GroebnerBasis, Limits, PolySystem, buchberger,
                        normal_form)
 
@@ -571,12 +571,15 @@ def find_conjugation(source: Operator, target: Operator,
     sums are stored.
 
     Operators of different weights are answered ``none`` before any system
-    is built, since conjugation and scaling preserve the weight.
+    is built, since conjugation preserves the weight.  At a nonzero weight
+    lambda the scale is fixed to k = 1, whatever ``allow_scaling`` says:
+    (1/k) R has weight lambda/k, so no other k keeps the weight.
     """
     if source.n != 3 or target.n != 3:
         raise ValueError("the search is specific to U_3")
     if source.weight != target.weight:
         return ConjugationSearch("none")
+    allow_scaling = allow_scaling and not source.weight
 
     variants = [()]
     if allow_theta:
@@ -601,7 +604,8 @@ def _search_psi(allow_scaling: bool):
     a search multiplies their coefficients with the operators' rational
     coefficients term by term, in the term order kept here, and builds no
     polynomial products of its own (``find_conjugation`` states the
-    ordering rule).
+    ordering rule).  They and ``_image_terms`` hold integral coefficients
+    as ints (``as_int``), so most of those products are int products.
 
     Returns ``(table, columns, k, relation)``.  ``table`` holds only the
     unknowns of ``_SEARCH_VARS`` (without ``k_scale`` when scaling is off).
@@ -619,7 +623,8 @@ def _search_psi(allow_scaling: bool):
     k = var("k_scale") if allow_scaling else one
     psi = _psi_columns(var("alpha"), var("beta"), var("gamma"), var("delta"),
                        var("epsilon"), var("u_aux") * var("alpha") * k, one)
-    columns = {idx: tuple((cell, tuple(value.terms.items()))
+    columns = {idx: tuple((cell, tuple((m, as_int(c))
+                                       for m, c in value.terms.items()))
                           for cell, value in psi[idx].entries.items())
                for idx in basis_indices(3)}
     relation = var("u_aux") * var("alpha") * var("delta") * k - 1
@@ -639,7 +644,7 @@ def _image_terms(op: Operator, params: VarTable) -> dict:
         cells = []
         for cell, value in op.image(idx).entries.items():
             if not isinstance(value, MultiPoly):
-                cells.append((cell, ((zero, Fraction(value)),)))
+                cells.append((cell, ((zero, as_int(Fraction(value))),)))
                 continue
             slots = [params.index[name] for name in value.table.names]
             pairs = []
@@ -647,7 +652,7 @@ def _image_terms(op: Operator, params: VarTable) -> dict:
                 lifted = list(zero)
                 for slot, e in zip(slots, mono):
                     lifted[slot] += e
-                pairs.append((tuple(lifted), coeff))
+                pairs.append((tuple(lifted), as_int(coeff)))
             cells.append((cell, pairs))
         images[idx] = cells
     return images

@@ -271,6 +271,42 @@ def test_packed_kernels_match_the_tuple_kernels(case):
     assert product == pk.pack(mono_mul(a, b)) and not product & pk.guards
 
 
+@st.composite
+def lcm_degree_cases(draw):
+    """A packing 1 or 2 bytes wide and two monomials with exponents up to
+    the guard bit, so the degree sum of the two often passes the field
+    limit 2**(8 * width)."""
+    n = draw(st.integers(1, 5))
+    order = draw(st.sampled_from([lex(), grevlex(), elimination(1)]))
+    width = draw(st.sampled_from([1, 2]))
+    top = (1 << (8 * width - 1)) - 1
+    exps = st.integers(0, 3) | st.integers(top - 3, top) | st.integers(0, top)
+    monos = st.tuples(*[exps] * n)
+    return groebner._packing(n, order, width), draw(monos), draw(monos)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(lcm_degree_cases())
+@example((groebner._packing(3, grevlex(), 1), (127, 0, 0), (0, 127, 1)))
+@example((groebner._packing(3, grevlex(), 1), (127, 0, 0), (0, 127, 2)))
+@example((groebner._packing(3, lex(), 1), (127, 1, 0), (127, 1, 0)))
+@example((groebner._packing(3, grevlex(), 2), (32767, 0, 0), (0, 32767, 1)))
+@example((groebner._packing(3, lex(), 2), (32767, 0, 0), (0, 32767, 2)))
+def test_lcm_degree_matches_the_unpacked_sum(case):
+    pk, a, b = case
+    lcm = pk.lcm(pk.pack(a), pk.pack(b))
+    assert pk.degree(lcm, sum(a) + sum(b)) == sum(pk.unpack(lcm))
+    assert pk.degree(pk.pack(a) & pk.low, sum(a)) == sum(a)
+
+
+def test_lcm_degree_at_the_field_limit_takes_the_unpacked_sum():
+    pk = groebner._packing(3, grevlex(), 1)
+    word = pk.lcm(pk.pack((127, 0, 0)), pk.pack((0, 127, 2)))
+    # the top field of the product wraps to 256 mod 256: the sum carried
+    assert (word * pk.ones >> pk.top) & pk.field == 0
+    assert pk.degree(word, 256) == 256
+
+
 def test_widths_are_derived_from_the_largest_exponent():
     def width(text):
         return groebner._fit([p(text)])
@@ -738,3 +774,91 @@ def test_forward_scan_keeps_the_divisors_on_the_sec6_generators():
         assert_same_divisions(pk, [terms], pk.view(system.gens[i + 1:]))[0]
         for i, terms in enumerate(dividends)]
     assert sum(map(bool, remainders)) > len(remainders) // 2
+
+
+# -- integral coefficients as ints ------------------------------------------------
+
+
+def fraction_reduce(work, view, pk):
+    """The oracle for ``groebner._reduce``: the same division with every
+    coefficient a ``Fraction``, scanning the view from its first entry."""
+    view = [(lead, word, [(m, Fraction(c)) for m, c in tail], terms, poly)
+            for lead, word, tail, terms, poly in view]
+    remainder = reference_reduce({m: Fraction(c) for m, c in work.items()},
+                                 view, pk, [])
+    assert all(type(c) is Fraction for c in remainder.values())
+    return remainder
+
+
+def fraction_engine(run):
+    """``run()`` with the engine on ``Fraction`` coefficients only: packed
+    terms keep their ``Fraction`` and ``_reduce`` is the oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "as_int", lambda c: c)
+        mp.setattr(groebner, "_reduce", fraction_reduce)
+        return run()
+
+
+def all_fractions(polys):
+    return all(type(c) is Fraction for g in polys for c in g.terms.values())
+
+
+@st.composite
+def scaled_polys(draw):
+    """A polynomial over x, y, z scaled so that its lead coefficient under
+    grevlex is an integer other than 1, a non-integral rational, or 1."""
+    g = draw(xyz_polys(max_terms=3))
+    if g.is_zero():
+        return g
+    lc = g.leading(grevlex())[1]
+    return g * (draw(st.sampled_from(
+        [Fraction(1), Fraction(2), Fraction(-3), Fraction(3, 2),
+         Fraction(-1, 3)])) / lc)
+
+
+@st.composite
+def integral_path_problems(draw):
+    polys = [g for g in draw(st.lists(scaled_polys(), min_size=1, max_size=3))
+             if not g.is_zero()]
+    order = draw(st.sampled_from(
+        [lex(), grevlex(), elimination(1), elimination(2)]))
+    return draw(scaled_polys()), polys, order
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(integral_path_problems())
+def test_integral_coefficients_match_the_fraction_engine(problem):
+    dividend, polys, order = problem
+    nf = normal_form(dividend, polys, order)
+    assert all_fractions([nf])
+    assert same_with_term_order(
+        [nf], [fraction_engine(lambda: normal_form(dividend, polys, order))])
+    reduced = autoreduce(polys, order)
+    assert all_fractions(reduced)
+    assert same_with_term_order(
+        reduced, fraction_engine(lambda: autoreduce(polys, order)))
+    system = PolySystem(XYZ, tuple(polys), order)
+
+    def run():
+        try:
+            gb = buchberger(system, Limits(max_pairs=100))
+        except ResourceLimitExceeded as exc:
+            return exc.partial, exc.stats
+        return list(gb.basis), gb.stats
+    basis, stats = run()
+    assert all_fractions(basis)
+    expected_basis, expected_stats = fraction_engine(run)
+    assert same_with_term_order(basis, expected_basis)
+    assert stats == expected_stats
+
+
+def test_a_non_monic_division_leaves_a_fraction():
+    nf = normal_form(p("x"), [p("2*x - 1")], lex())
+    assert nf.terms == {(0, 0): Fraction(1, 2)}
+    assert type(nf.terms[(0, 0)]) is Fraction
+    pk = groebner._packing(2, lex(), 1)
+    terms = pk.terms(p("2*x - 3/2"))
+    assert terms == {pk.pack((1, 0)): 2, pk.pack((0, 0)): Fraction(-3, 2)}
+    assert [type(c) for c in terms.values()] == [int, Fraction]
+    tail = pk.entry(pk.terms(p("2*x - 3")))[2]
+    assert tail == [(pk.pack((0, 0)), Fraction(3, 2))]

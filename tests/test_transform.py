@@ -360,6 +360,42 @@ def test_mixed_weights_are_refused_before_any_system(allow_theta, allow_scaling,
     assert calls == []
 
 
+def test_a_nonzero_weight_fixes_the_scale_to_one():
+    # 2P has weight -2 as soon as P has weight -1, so P and 2P, both
+    # declared at weight -1, are not related by a scale; the search answers
+    # without a scaled witness, and P against itself is still found
+    images = {(i, i): e(i, i) for i in (1, 2, 3)}
+    weighted = Operator(3, images, Fraction(-1))
+    doubled = Operator(3, {idx: m.scale(2) for idx, m in images.items()},
+                       Fraction(-1))
+    result = find_conjugation(weighted, doubled)
+    assert result.status == "disjoint" and result.witness is None
+    result = find_conjugation(weighted, weighted)
+    assert result.status == "found"
+    assert result.witness.scalar == 1
+    assert result.witness.transform_operator(weighted) == weighted
+
+
+def test_search_polynomials_hold_fractions(monkeypatch):
+    """The search builds on ints where coefficients are integral; every
+    generator and basis it hands on still holds ``Fraction`` coefficients."""
+    seen = []
+    real_buchberger = transform.buchberger
+
+    def spy(system, limits=None):
+        gb = real_buchberger(system, limits)
+        seen.extend(system.gens + gb.basis)
+        return gb
+
+    monkeypatch.setattr(transform, "buchberger", spy)
+    source, target = planted_target()
+    assert find_conjugation(source, target).status == "found"
+    r6 = Operator.from_images({"e13": "e11"})
+    assert find_conjugation(R5, r6).status == "disjoint"
+    assert seen and all(type(c) is Fraction
+                        for g in seen for c in g.terms.values())
+
+
 def test_witness_json_round_trip():
     w = Witness((ThetaStep(), PsiStep(AutoParams(alpha=Fraction(1, 2)))),
                 Fraction(3))
