@@ -155,7 +155,8 @@ def cmd_find_conj(args) -> int:
         data["witness"] = result.witness.to_json()
         write_json("-", data["witness"])
     elif result.status == "disjoint":
-        print("none found (the searched family has no conjugation: unit ideal)")
+        print("none found (unit ideal: no single map and scale fits every "
+              "parameter value; members may still be conjugate at some values)")
     else:
         print("none found (no rational witness)")
     if args.json:

@@ -2,7 +2,7 @@
 
 The engine is deliberately plain: normal pair selection (minimal lcm degree,
 then smallest pair index), the product and chain criteria, full normal-form
-reduction, and monic auto-reduced output.  Four implementation notes:
+reduction, and monic auto-reduced output.  Three implementation notes:
 
 * Auto-reduction divides each element by the others' leading terms and
   their monomial multiples, pass after pass, and stops after the first pass
@@ -16,9 +16,6 @@ reduction, and monic auto-reduced output.  Four implementation notes:
   reduced basis, so ``buchberger`` ends with it.  It returns ``[1]`` as
   soon as an element is, or reduces to, a nonzero constant: 1 divides
   every monomial, so that is the fixpoint the remaining passes would reach.
-* Whenever an S-polynomial reduces to something with a linear leading term,
-  the run restarts on the auto-reduced basis (same ideal, far fewer
-  variables in play).  Restarts are bounded by the variable count.
 * Inside the engine a monomial is one int (Bachmann and Schoenemann,
   ISSAC 1998): a field per variable, whose top bit is a guard kept clear,
   under an order key linear in the exponents.  So ints compare as their
@@ -93,6 +90,8 @@ class GBStats:
     pairs_considered: int = 0
     pairs_reduced: int = 0
     zero_reductions: int = 0
+    # always 0: the engine has one pair loop and never restarts, but the
+    # field stays part of the ``stats`` JSON of ``gb`` and ``case``
     restarts: int = 0
     basis_size: int = 0
 
@@ -501,66 +500,54 @@ def _buchberger(system: PolySystem, limits: Limits | None, start: float,
                                         list(partial), stats)
 
     basis = autoreduce(system.gens, order, _check=check_limits)
-    max_restarts = len(table) + 4
+    pk = _packing(len(table), order, max(width, _fit(basis)))
+    guards = pk.guards
+    entries = [pk.entry(pk.terms(g), g) for g in basis]
+    leads = [e[1] for e in entries]
+    degs = [sum(pk.unpack(m)) for m in leads]
+    view = sorted(entries, key=_lead, reverse=True)
 
-    while True:  # each iteration is one (re)start on an autoreduced basis
-        pk = _packing(len(table), order, max(width, _fit(basis)))
-        guards = pk.guards
-        entries = [pk.entry(pk.terms(g), g) for g in basis]
-        leads = [e[1] for e in entries]
-        degs = [sum(pk.unpack(m)) for m in leads]
-        view = sorted(entries, key=_lead, reverse=True)
+    def pair(i, j):
+        lcm = pk.lcm(leads[i], leads[j])
+        return (pk.degree(lcm, degs[i] + degs[j]), i, j, lcm)
 
-        def pair(i, j):
-            lcm = pk.lcm(leads[i], leads[j])
-            return (pk.degree(lcm, degs[i] + degs[j]), i, j, lcm)
+    heap = [pair(i, j) for j in range(len(basis)) for i in range(j)]
+    heapq.heapify(heap)
+    done = [set() for _ in basis]  # done[i]: each k whose pair with i is treated
 
-        heap = [pair(i, j) for j in range(len(basis)) for i in range(j)]
-        heapq.heapify(heap)
-        done = [set() for _ in basis]  # done[i]: each k whose pair with i is treated
-        restart = False
-
-        while heap:
-            stats.pairs_considered += 1
-            check_limits(basis)
-            _, i, j, lcm = heapq.heappop(heap)
-            done_i, done_j = done[i], done[j]
-            # product criterion: coprime leading monomials
-            skipped = lcm == leads[i] + leads[j]
-            if not skipped:
-                # chain criterion (conservative: both companion pairs fully treated)
-                probe = lcm | guards
-                skipped = any((probe - leads[k]) & guards == guards
-                              for k in done_i & done_j)
-            done_i.add(j)
-            done_j.add(i)
-            if skipped:
-                continue
-            r = _reduce(_s_terms(pk, entries[i], entries[j], lcm), view, pk)
-            stats.pairs_reduced += 1
-            if not r:
-                stats.zero_reductions += 1
-                continue
-            # r is reduced against the view, so its leading monomial is new
-            entry = _monic_entry(pk, r, table)
-            h = entry[4]
-            basis.append(h)
-            entries.append(entry)
-            leads.append(entry[1])
-            degs.append(sum(pk.unpack(entry[1])))
-            done.append(set())
-            # after every entry whose lead is not smaller, as a stable sort would
-            insort(view, entry, key=lambda e: -e[0])
-            new_index = len(basis) - 1
-            for k in range(new_index):
-                heapq.heappush(heap, pair(k, new_index))
-            if h.total_degree() <= 1 and stats.restarts < max_restarts:
-                stats.restarts += 1
-                basis = autoreduce(basis, order, _check=check_limits)
-                restart = True
-                break
-        if not restart:
-            break
+    while heap:
+        stats.pairs_considered += 1
+        check_limits(basis)
+        _, i, j, lcm = heapq.heappop(heap)
+        done_i, done_j = done[i], done[j]
+        # product criterion: coprime leading monomials
+        skipped = lcm == leads[i] + leads[j]
+        if not skipped:
+            # chain criterion (conservative: both companion pairs fully treated)
+            probe = lcm | guards
+            skipped = any((probe - leads[k]) & guards == guards
+                          for k in done_i & done_j)
+        done_i.add(j)
+        done_j.add(i)
+        if skipped:
+            continue
+        r = _reduce(_s_terms(pk, entries[i], entries[j], lcm), view, pk)
+        stats.pairs_reduced += 1
+        if not r:
+            stats.zero_reductions += 1
+            continue
+        # r is reduced against the view, so its leading monomial is new
+        entry = _monic_entry(pk, r, table)
+        basis.append(entry[4])
+        entries.append(entry)
+        leads.append(entry[1])
+        degs.append(sum(pk.unpack(entry[1])))
+        done.append(set())
+        # after every entry whose lead is not smaller, as a stable sort would
+        insort(view, entry, key=lambda e: -e[0])
+        new_index = len(basis) - 1
+        for k in range(new_index):
+            heapq.heappush(heap, pair(k, new_index))
 
     basis = autoreduce(basis, order, _check=check_limits)
     stats.basis_size = len(basis)

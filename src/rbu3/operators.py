@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 from .matrices import (BasisIndex, UTMatrix, basis_indices, basis_name, combine,
                        exact_rank, generic_rank, inverse_exact, name_to_index,
-                       parse_matrix, rref, solve_exact)
+                       parse_matrix, rref)
 from .poly import MultiPoly, VarTable, grevlex, read_json, write_json
 from .groebner import PolySystem
 
@@ -467,12 +467,10 @@ def generate_system(ansatz: Ansatz) -> tuple:
         cell = residual.cells[pair]
         for pos in idxs:
             value = cell.entries.get(pos)
-            if value is None:
+            if value is None:  # a zero component: cells store none
                 continue
             if isinstance(value, Fraction):
                 value = MultiPoly.const(free_table, value)
-            if value.is_zero():
-                continue
             # a nonzero constant component means no specialization satisfies
             # the identity: the system degenerates to the unit ideal
             gens.append(value.monic(order))
@@ -552,19 +550,16 @@ class Lemma3Report:
 def unit_in_image(op: Operator):
     """Decide whether the identity matrix lies in Im(R).
 
-    Rational entries: exact solvability of R x = 1.  Polynomial entries: a
-    rational functional certificate, valid for every parameter value; returns
-    False only with such a certificate, True if the unit lies in the rational
-    span of the coefficient vectors (conservative).
+    Each image splits into one rational vector per parameter monomial (a
+    rational image is one such vector), and the answer is whether the unit
+    lies in the rational span of those vectors.  For a rational operator
+    that is exact solvability of R x = 1.  For polynomial entries, False
+    comes with a rational functional certificate valid for every parameter
+    value, and True is conservative.
     """
     n = op.n
     idxs = basis_indices(n)
     unit_vec = UTMatrix.unit(n).to_vector()
-    symbolic = any(isinstance(v, MultiPoly)
-                   for img in op.columns.values() for v in img.entries.values())
-    if not symbolic:
-        rows = op.coefficient_rows()
-        return solve_exact(rows, unit_vec) is not None
     span_rows = []
     for idx in idxs:
         image = op.image(idx)

@@ -135,7 +135,7 @@ class AlgebraMap:
                         for i in basis_indices(self.n)))
 
 
-def build_psi(params: AutoParams, n: int = 3) -> AlgebraMap:
+def build_psi(params: AutoParams) -> AlgebraMap:
     """The five-parameter automorphism of U_3, with its inverse preset.
 
     Columns (images of the basis), with a = alpha, b = beta, c = gamma,
@@ -152,8 +152,6 @@ def build_psi(params: AutoParams, n: int = 3) -> AlgebraMap:
     operations, so evaluating at rationals with a, d != 0 keeps both
     identities.
     """
-    if n != 3:
-        raise ValueError("the five-parameter family is specific to U_3")
     _psi_certificate()
     a, b, c, d, e = (params.alpha, params.beta, params.gamma, params.delta,
                      params.epsilon)
@@ -280,21 +278,12 @@ class Witness:
 
     On an operator: conjugate by each map in order, then scale by the stored
     scalar (the Lemma-1 action R -> (1/k) R).  On an element x the action is
-    phi^{-1}(x) for the combined map phi, which matches how R(1) transforms
+    phi^{-1}(x) for the composed map phi, which matches how R(1) transforms
     under operator conjugation.
     """
 
     steps: tuple = ()
     scalar: Fraction = Fraction(1)
-
-    def combined(self) -> AlgebraMap:
-        maps = [step.map() for step in self.steps]
-        if not maps:
-            return build_psi(AutoParams())
-        total = maps[0]
-        for m in maps[1:]:
-            total = total.compose(m)
-        return total
 
     def transform_operator(self, op: Operator) -> Operator:
         result = op
@@ -305,7 +294,9 @@ class Witness:
         return result
 
     def act_element(self, x: UTMatrix) -> UTMatrix:
-        return self.combined().inverse_apply(x)
+        for step in self.steps:
+            x = step.map().inverse_apply(x)
+        return x
 
     def to_json(self):
         return {"maps": [step.to_json() for step in self.steps],
@@ -433,10 +424,12 @@ class ConjugationSearch:
     """Outcome of a conjugation-orbit search.
 
     ``status`` is one of ``found`` (with a replay-verified witness),
-    ``disjoint`` (the constraint ideal is the unit ideal: no conjugation of
-    the searched family exists, a certificate), or ``none`` (no rational
-    witness found within the search budget, or operators of different
-    weights, which no conjugation relates).
+    ``disjoint`` (the constraint ideal is the unit ideal: no single psi,
+    with or without theta13 as allowed, and one scale, all independent of
+    the parameters matched by name, work for every parameter value; members
+    of the two families may still be conjugate at particular values), or
+    ``none`` (no rational witness found within the search budget, or
+    operators of different weights, which no conjugation relates).
     """
 
     status: str
@@ -447,6 +440,8 @@ class ConjugationSearch:
 _SEARCH_VARS = ("u_aux", "k_scale", "epsilon", "gamma", "beta", "delta", "alpha")
 _TRIAL_VALUES = (Fraction(1), Fraction(0), Fraction(-1), Fraction(2),
                  Fraction(-2), Fraction(1, 2))
+_BUDGET = 4000  # candidate values tried per back-substitution
+_DIVISOR_CAP = 200000  # above its square, _divisors lists small ones only
 
 
 def _rational_roots(coeffs):
@@ -488,9 +483,9 @@ def _rational_roots(coeffs):
     return sorted(roots)
 
 
-def _divisors(value, cap=200000):
+def _divisors(value):
     value = abs(value)
-    if value > cap * cap:
+    if value > _DIVISOR_CAP * _DIVISOR_CAP:
         # entries this large do not occur in the searched systems; fall back
         # to small candidates only
         return [1, 2, 3, 5, value]
@@ -542,8 +537,7 @@ def _search_points(polys, table, idx, assignment, budget):
 
 def find_conjugation(source: Operator, target: Operator,
                      allow_theta: bool = True, allow_scaling: bool = True,
-                     limits: Limits | None = None,
-                     budget: int = 4000) -> ConjugationSearch:
+                     limits: Limits | None = None) -> ConjugationSearch:
     """Search for psi (optionally composed with the flip) and a scalar k with
 
         conjugate(source, phi) = k * target.
@@ -553,7 +547,7 @@ def find_conjugation(source: Operator, target: Operator,
     ``u * alpha * delta * k = 1`` (which also forces alpha, delta, k
     nonzero).  A rational witness point is extracted from the lex Groebner
     basis by triangular back-substitution and re-verified by replay; a basis
-    equal to {1} certifies that no conjugation of the searched family exists.
+    equal to {1} rules out only the searched psi and k (``ConjugationSearch``).
 
     The constraint is bilinear in the operators' entries and the psi
     unknowns, so it is built without polynomial products: each term of
@@ -586,8 +580,7 @@ def find_conjugation(source: Operator, target: Operator,
         variants.append((ThetaStep(),))
     outcomes = []
     for tail in variants:
-        result = _psi_only_search(source, target, tail, allow_scaling, limits,
-                                  budget)
+        result = _psi_only_search(source, target, tail, allow_scaling, limits)
         if result.status == "found":
             return result
         outcomes.append(result)
@@ -666,7 +659,7 @@ def _accumulate(cells: dict, cell, products) -> None:
         del cells[cell]
 
 
-def _psi_only_search(source, target, tail, allow_scaling, limits, budget):
+def _psi_only_search(source, target, tail, allow_scaling, limits):
     """psi and k with ``conjugate(source, psi then tail) = k * target``: the
     system is built against ``target`` conjugated by ``tail`` (the same
     condition, as the flip is an involution), and each point is replayed
@@ -707,9 +700,8 @@ def _psi_only_search(source, target, tail, allow_scaling, limits, budget):
     gb = buchberger(system, limits)
     if len(gb.basis) == 1 and gb.basis[0].is_constant():
         return ConjugationSearch("disjoint", certificate=gb)
-    budget_box = [budget]
     for point in _search_points(list(gb.basis), table, len(table) - 1, {},
-                                budget_box):
+                                [_BUDGET]):
         try:
             params = AutoParams(alpha=point["alpha"], beta=point.get("beta", 0),
                                 gamma=point.get("gamma", 0), delta=point["delta"],

@@ -140,6 +140,8 @@ def test_find_conj_found_and_disjoint(tmp_path, capsys):
     code = cli.main(["find-conj", str(r5), str(target)])
     out = capsys.readouterr().out
     assert code == 1 and "none found" in out
+    # a unit ideal rules out one map and scale for all parameter values only
+    assert "unit ideal" in out and "every parameter value" in out
 
 
 def test_rb_index_command(capsys):

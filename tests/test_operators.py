@@ -3,13 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from rbu3.matrices import UTMatrix, basis_indices, parse_matrix
+from rbu3.matrices import UTMatrix, basis_indices, parse_matrix, solve_exact
 from rbu3.operators import (Ansatz, ContradictoryAnsatz, Operator,
                             SplitHypothesisError, check_lemma3,
                             generate_system, rb_residual, scale_operator,
-                            split_construction)
+                            split_construction, unit_in_image)
 from rbu3.poly import MultiPoly, VarTable
 
 
@@ -277,6 +277,26 @@ def test_residual_over_cleared_denominators_matches_the_formula(op):
         # Fraction(3) == 3, so equality alone would let an int through
         assert all(type(v) in (Fraction, MultiPoly)
                    for v in cells[pair].entries.values()), pair
+
+
+@st.composite
+def dense_operators(draw):
+    # every entry drawn, so many are invertible and many hold the unit
+    return Operator(3, {src: UTMatrix(3, {pos: draw(small)
+                                          for pos in basis_indices(3)})
+                        for src in basis_indices(3)}, Fraction(0))
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.one_of(operators(rationals_357), dense_operators()))
+@example(Operator(3, {(1, 1): UTMatrix.unit(3)}, Fraction(0)))  # rank 1
+@example(Operator.zero(3))
+@example(R5)
+def test_unit_in_image_of_a_rational_operator_solves_r_x_equals_one(op):
+    """The one rank test over chunks answers as solving R x = 1 exactly."""
+    rhs = UTMatrix.unit(3).to_vector()
+    expected = solve_exact(op.coefficient_rows(), rhs) is not None
+    assert unit_in_image(op) is expected
 
 
 def test_int_entries_give_rational_residual_entries():

@@ -400,8 +400,7 @@ def test_witness_json_round_trip():
     w = Witness((ThetaStep(), PsiStep(AutoParams(alpha=Fraction(1, 2)))),
                 Fraction(3))
     again = Witness.from_json(w.to_json())
-    assert again.scalar == w.scalar
-    assert again.combined() == w.combined()
+    assert again == w
 
 
 # -- rational roots: the Fraction evaluation --------------------------------------
