@@ -14,7 +14,7 @@ from .groebner import (GroebnerBasis, Limits, PolySystem, ResourceLimitExceeded,
                        buchberger, eliminate, ideal_member, normal_form,
                        s_polynomial)
 from .operators import (Ansatz, Operator, check_lemma3, generate_system,
-                        rb_residual, scale_operator, split_construction)
+                        rb_residual, scale_operator)
 from .transform import (AlgebraMap, AutoParams, Witness, build_psi,
                         canonicalize_idempotent, canonicalize_nilpotent,
                         conjugate_operator, find_conjugation, theta13)

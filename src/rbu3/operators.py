@@ -23,7 +23,7 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .matrices import (BasisIndex, UTMatrix, basis_indices, basis_name, combine,
-                       exact_rank, generic_rank, inverse_exact, name_to_index,
+                       exact_rank, generic_rank, name_to_index,
                        parse_matrix, rref)
 from .poly import MultiPoly, VarTable, grevlex, read_json, write_json
 from .groebner import PolySystem
@@ -34,24 +34,18 @@ __all__ = [
     "Ansatz",
     "AnsatzSolution",
     "ContradictoryAnsatz",
-    "SplitHypothesisError",
     "Lemma3Report",
     "rb_residual",
     "failure_json",
     "scale_operator",
     "generate_system",
     "bvar_name",
-    "split_construction",
     "check_lemma3",
 ]
 
 
 class ContradictoryAnsatz(ValueError):
     pass
-
-
-class SplitHypothesisError(ValueError):
-    """A hypothesis of the triangular-split construction failed; names it."""
 
 
 class Operator:
@@ -475,61 +469,6 @@ def generate_system(ansatz: Ansatz) -> tuple:
             # the identity: the system degenerates to the unit ideal
             gens.append(value.monic(order))
     return PolySystem(free_table, tuple(dict.fromkeys(gens)), order), solution
-
-
-# -- the triangular split construction ----------------------------------------
-
-
-def split_construction(b_basis: Sequence[UTMatrix], c_basis: Sequence[UTMatrix],
-                       images: Sequence[UTMatrix], n: int = 3,
-                       weight=Fraction(0)) -> Operator:
-    """Operator with R(B) in span(C), R(C) = 0, for a splitting U_n = B + C.
-
-    Hypotheses checked (and named on failure): B u C is a basis; C has zero
-    multiplication; C absorbs B on both sides.  Under them the result is a
-    weight-zero Rota-Baxter operator; the residual is verified anyway.
-    """
-    if Fraction(weight):
-        raise ValueError("the split construction is a weight-zero construction")
-    vectors = [m.to_vector() for m in list(b_basis) + list(c_basis)]
-    d = len(basis_indices(n))
-    inverse = inverse_exact(vectors) if len(vectors) == d else None
-    if inverse is None:
-        raise SplitHypothesisError("hypothesis failed: B and C do not form a basis")
-    span_rows = [m.to_vector() for m in c_basis]
-    span_rank = generic_rank(span_rows)
-
-    def in_span_c(m: UTMatrix) -> bool:
-        if m.is_zero():
-            return True
-        return generic_rank(span_rows + [m.to_vector()]) == span_rank
-
-    for x in c_basis:
-        for y in c_basis:
-            if not (x * y).is_zero():
-                raise SplitHypothesisError(
-                    "hypothesis failed: C * C != 0 (C must have zero product)")
-    for x in b_basis:
-        for y in c_basis:
-            if not in_span_c(x * y):
-                raise SplitHypothesisError("hypothesis failed: B * C not inside span(C)")
-            if not in_span_c(y * x):
-                raise SplitHypothesisError("hypothesis failed: C * B not inside span(C)")
-    if len(images) != len(b_basis):
-        raise ValueError("one image per B-basis element is required")
-    for img in images:
-        if not in_span_c(img):
-            raise SplitHypothesisError("hypothesis failed: an image lies outside span(C)")
-
-    # express R on the canonical basis: row `pos` of the inverse holds the
-    # coordinates of canonical basis element `pos` over B u C, and R(C) = 0
-    b_images = dict(enumerate(images))
-    op = Operator(n, {idx: combine(b_images, dict(enumerate(coords)), n)
-                      for idx, coords in zip(basis_indices(n), inverse)},
-                  Fraction(0))
-    if not rb_residual(op).is_zero():
-        raise SplitHypothesisError("internal error: residual nonzero after split")
-    return op
 
 
 # -- unital-algebra checks -----------------------------------------------------

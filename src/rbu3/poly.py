@@ -113,18 +113,6 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_degree(a: Monomial) -> int:
-    return sum(a)
-
-
 def as_int(c):
     """``c`` as an ``int`` when it is integral, else ``c`` itself: int
     products are far cheaper than ``Fraction`` ones, at the same value."""
@@ -181,9 +169,6 @@ class MonomialOrder:
             sum(tail),
             tuple(map(neg, reversed(tail))),
         )
-
-    def greater(self, a: Monomial, b: Monomial) -> bool:
-        return self.key(a) > self.key(b)
 
     def to_json(self):
         if self.kind == "elim":

@@ -23,8 +23,7 @@ from typing import Mapping
 from .matrices import UTMatrix, basis_indices, combine, inverse_exact
 from .operators import Operator, scale_operator
 from .poly import MultiPoly, VarTable, add_terms, as_int, lex, mono_mul
-from .groebner import (GroebnerBasis, Limits, PolySystem, buchberger,
-                       normal_form)
+from .groebner import Limits, PolySystem, buchberger, normal_form
 
 __all__ = [
     "AutoParams",
@@ -39,6 +38,7 @@ __all__ = [
     "canonicalize_idempotent",
     "find_conjugation",
     "ConjugationSearch",
+    "UnitCertificate",
 ]
 
 
@@ -430,11 +430,15 @@ class ConjugationSearch:
     of the two families may still be conjugate at particular values), or
     ``none`` (no rational witness found within the search budget, or
     operators of different weights, which no conjugation relates).
+
+    A ``disjoint`` answer's ``certificate`` holds one proof per searched
+    variant, in variant order: a :class:`UnitCertificate`, or the
+    ``GroebnerBasis`` ``[1]`` of a system without a one-term unit generator.
     """
 
     status: str
     witness: Witness | None = None
-    certificate: GroebnerBasis | None = None
+    certificate: tuple | None = None
 
 
 _SEARCH_VARS = ("u_aux", "k_scale", "epsilon", "gamma", "beta", "delta", "alpha")
@@ -494,7 +498,14 @@ def _divisors(value):
 
 
 def _search_points(polys, table, idx, assignment, budget):
-    """Back-substitute over the variables from last to first; yields dicts."""
+    """Back-substitute over the variables from last to first; yields dicts.
+
+    A variable with a univariate polynomial takes its rational roots.  A
+    free one takes the plain ``_TRIAL_VALUES`` first, then values that make
+    a later pure-power relation rationally solvable: for each binomial
+    ``c*y^m + d*x`` of the remaining polynomials, with x this variable and
+    y one assigned later, x = -(c/d)*s^m for each trial value s.
+    """
     if budget[0] <= 0:
         return
     if idx < 0:
@@ -524,7 +535,15 @@ def _search_points(polys, table, idx, assignment, budget):
                       if all(p.substitute({name: r}).is_zero()
                              for p in univariate)]
     else:
-        candidates = list(_TRIAL_VALUES)
+        x = tuple(int(i == idx) for i in range(len(table)))
+        lifted = []
+        for p in rest:
+            if len(p.terms) == 2 and x in p.terms:
+                (y, c), (_, d) = sorted(p.terms.items(), key=lambda t: t[0] == x)
+                powers = [e for e in y[:idx] if e]
+                if len(powers) == 1 and not any(y[idx:]):
+                    lifted += [-c / d * s ** powers[0] for s in _TRIAL_VALUES]
+        candidates = list(dict.fromkeys(_TRIAL_VALUES + tuple(lifted)))
     for value in candidates:
         budget[0] -= 1
         if budget[0] <= 0:
@@ -544,10 +563,16 @@ def find_conjugation(source: Operator, target: Operator,
 
     The constraint system ``R phi = k phi S`` is polynomial in the parameters
     once 1/delta is encoded through the auxiliary relation
-    ``u * alpha * delta * k = 1`` (which also forces alpha, delta, k
+    g0 = ``u * alpha * delta * k - 1`` (which also forces alpha, delta, k
     nonzero).  A rational witness point is extracted from the lex Groebner
-    basis by triangular back-substitution and re-verified by replay; a basis
-    equal to {1} rules out only the searched psi and k (``ConjugationSearch``).
+    basis by triangular back-substitution and re-verified by replay; a unit
+    ideal rules out only the searched psi and k (``ConjugationSearch``).
+
+    Monomial rule: the build stops at the first generator that is one term
+    m = c u^a k^b alpha^p delta^q in the invertible unknowns and answers
+    ``disjoint`` with no Groebner run, by the ``UnitCertificate``
+    1 = t^M/m * m - g0 (1 + t + ... + t^(M-1)), rechecked first, where
+    t = u alpha delta k (u alpha delta without scaling) and M = max(a, b, p, q).
 
     The constraint is bilinear in the operators' entries and the psi
     unknowns, so it is built without polynomial products: each term of
@@ -555,14 +580,14 @@ def find_conjugation(source: Operator, target: Operator,
     (unknown monomial, parameter monomial), summed cell by cell.  Each cell
     splits into one generator per parameter monomial, since the identity
     must hold for every parameter value.  Ordering rule: the relation comes
-    first, so that a monomial generator in u, k, alpha and delta turns it
-    into a constant at its first reduction, and ``autoreduce`` then stops at
-    once with ``[1]``.  After it, cells, terms and parameter buckets come out
-    in first appearance as the sums run (source side over psi's cells, then
-    target side over S's cells, then their difference), and a term or cell
-    that cancels leaves and re-enters last, as in summing the matrices; the
-    generator tuple, and so the Groebner run, does not depend on how the
-    sums are stored.
+    first, so that on a full system a monomial generator in u, k, alpha and
+    delta turns it into a constant at its first reduction, and
+    ``autoreduce`` then stops at once with ``[1]``.  After it, cells, terms
+    and parameter buckets come out in first appearance as the sums run
+    (source side over psi's cells, then target side over S's cells, then
+    their difference), and a term or cell that cancels leaves and re-enters
+    last, as in summing the matrices; the generator tuple, and so the
+    Groebner run, does not depend on how the sums are stored.
 
     Operators of different weights are answered ``none`` before any system
     is built, since conjugation preserves the weight.  At a nonzero weight
@@ -585,7 +610,8 @@ def find_conjugation(source: Operator, target: Operator,
             return result
         outcomes.append(result)
     if outcomes and all(r.status == "disjoint" for r in outcomes):
-        return ConjugationSearch("disjoint", certificate=outcomes[0].certificate)
+        return ConjugationSearch("disjoint", certificate=tuple(
+            c for r in outcomes for c in r.certificate))
     return ConjugationSearch("none")
 
 
@@ -659,20 +685,17 @@ def _accumulate(cells: dict, cell, products) -> None:
         del cells[cell]
 
 
-def _psi_only_search(source, target, tail, allow_scaling, limits):
-    """psi and k with ``conjugate(source, psi then tail) = k * target``: the
-    system is built against ``target`` conjugated by ``tail`` (the same
-    condition, as the flip is an involution), and each point is replayed
-    once, as the full witness against ``target``."""
-    adjusted = target
-    for step in tail:
-        adjusted = conjugate_operator(adjusted, step.map())
+def _search_generators(source, adjusted, allow_scaling):
+    """The constraint system of ``conjugate(source, psi) = k * adjusted``,
+    lazily, in the order ``find_conjugation`` states: the relation, then one
+    generator per cell and parameter monomial.  Each is yielded as its term
+    map ``{unknown monomial: coefficient}`` over ``_search_psi``'s table."""
     table, psi, k, relation = _search_psi(allow_scaling)
     params = VarTable(tuple(source.params()) + tuple(
         p for p in adjusted.params() if p not in source.params()))
     src = _image_terms(source, params)
     tgt = _image_terms(adjusted, params)
-    gens = [relation]
+    yield relation.terms
     for idx in basis_indices(3):
         # terms are keyed (unknown monomial, parameter monomial)
         lhs = {}  # R psi(e_idx) = sum over psi's cells p of psi_p * R(e_p)
@@ -695,11 +718,59 @@ def _psi_only_search(source, target, tail, allow_scaling, limits):
             buckets = {}
             for (u, r), coeff in terms.items():
                 buckets.setdefault(r, {})[u] = coeff
-            gens.extend(MultiPoly(table, bucket) for bucket in buckets.values())
-    system = PolySystem(table, tuple(dict.fromkeys(gens)), lex())
+            yield from buckets.values()
+
+
+@dataclass(frozen=True)
+class UnitCertificate:
+    """``(cofactor, generator)`` pairs whose combination ``check`` proves to
+    be 1 with the ring's own ``*``, ``+`` and ``==``: a unit ideal."""
+
+    pairs: tuple
+
+    def check(self) -> bool:
+        return sum(c * g for c, g in self.pairs) == 1
+
+
+def _unit_certificate(generator: MultiPoly, relation: MultiPoly, t_mono):
+    """``find_conjugation``'s two-term certificate for a one-term
+    ``generator`` in the unknowns of t = relation + 1, monomial ``t_mono``."""
+    ((mono, c),) = generator.terms.items()
+    power = max(mono)
+    quotient = {tuple(power * a - b for a, b in zip(t_mono, mono)): 1 / c}
+    geometric = {tuple(i * a for a in t_mono): -1 for i in range(power)}
+    table = generator.table
+    return UnitCertificate(((MultiPoly(table, quotient), generator),
+                            (MultiPoly(table, geometric), relation)))
+
+
+def _psi_only_search(source, target, tail, allow_scaling, limits):
+    """psi and k with ``conjugate(source, psi then tail) = k * target``: the
+    system is built against ``target`` conjugated by ``tail`` (the same
+    condition, as the flip is an involution), and each point is replayed
+    once, as the full witness against ``target``.  Only a system without a
+    one-term unit generator (the monomial rule) reaches ``buchberger``."""
+    adjusted = target
+    for step in tail:
+        adjusted = conjugate_operator(adjusted, step.map())
+    table, _, _, relation = _search_psi(allow_scaling)
+    t_mono = next(m for m in relation.terms if any(m))  # u alpha delta k
+    gens = []
+    for terms in _search_generators(source, adjusted, allow_scaling):
+        if len(terms) == 1:
+            (mono,) = terms
+            if all(a or not b for a, b in zip(t_mono, mono)):
+                certificate = _unit_certificate(MultiPoly(table, terms),
+                                                relation, t_mono)
+                if not certificate.check():
+                    raise AssertionError("unit certificate failed its recheck")
+                return ConjugationSearch("disjoint", certificate=(certificate,))
+        gens.append(terms)
+    system = PolySystem(table, tuple(dict.fromkeys(MultiPoly(table, g)
+                                                   for g in gens)), lex())
     gb = buchberger(system, limits)
     if len(gb.basis) == 1 and gb.basis[0].is_constant():
-        return ConjugationSearch("disjoint", certificate=gb)
+        return ConjugationSearch("disjoint", certificate=(gb,))
     for point in _search_points(list(gb.basis), table, len(table) - 1, {},
                                 [_BUDGET]):
         try:

@@ -11,14 +11,22 @@ from rbu3 import groebner
 from rbu3.catalog import case_preset
 from rbu3.matrices import rref
 from rbu3.poly import (MultiPoly, VarTable, elimination, grevlex, lex,
-                       mono_degree, mono_div, mono_divides, mono_lcm, mono_mul,
-                       parse_poly)
+                       mono_divides, mono_mul, parse_poly)
 from rbu3.groebner import (Limits, PolySystem, ResourceLimitExceeded,
                            autoreduce, buchberger, eliminate, ideal_member,
                            normal_form, s_polynomial)
 from rbu3.operators import generate_system
 
 XY = VarTable(["x", "y"])
+
+
+# tuple-monomial references for the packed kernels
+def mono_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def p(text, table=XY):
@@ -264,7 +272,7 @@ def test_packed_kernels_match_the_tuple_kernels(case):
         assert pa - pb == pk.pack(mono_div(a, b))
     lcm = pk.lcm(pa, pb)
     assert pk.unpack(lcm) == mono_lcm(a, b)
-    assert sum(pk.unpack(lcm)) == mono_degree(mono_lcm(a, b))
+    assert sum(pk.unpack(lcm)) == sum(mono_lcm(a, b))
     # halved, the exponents of a product stay below the guard bits
     a, b = tuple(e >> 1 for e in a), tuple(e >> 1 for e in b)
     product = pk.pack(a) + pk.pack(b)

@@ -1,4 +1,4 @@
-"""Operators, the residual table, system generation, and the split construction."""
+"""Operators, the residual table, system generation, and the unital checks."""
 
 from fractions import Fraction
 
@@ -7,9 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from rbu3.matrices import UTMatrix, basis_indices, parse_matrix, solve_exact
 from rbu3.operators import (Ansatz, ContradictoryAnsatz, Operator,
-                            SplitHypothesisError, check_lemma3,
-                            generate_system, rb_residual, scale_operator,
-                            split_construction, unit_in_image)
+                            check_lemma3, generate_system, rb_residual,
+                            scale_operator, unit_in_image)
 from rbu3.poly import MultiPoly, VarTable
 
 
@@ -131,46 +130,6 @@ def test_contradictory_ansatz():
     ansatz = Ansatz(3).tie("b_11_12").tie("b_11_12 - 1")
     with pytest.raises(ContradictoryAnsatz, match="contradictory ansatz"):
         generate_system(ansatz)
-
-
-# -- split construction ------------------------------------------------------
-
-
-def test_split_construction_spanning_family():
-    b_basis = [e(1, 1), e(2, 2), e(3, 3), e(2, 3)]
-    c_basis = [e(1, 2), e(1, 3)]
-    images = [parse_matrix("2*e12 - e13"), parse_matrix("e13"),
-              parse_matrix("e12"), parse_matrix("-1/2*e12 + 3*e13")]
-    op = split_construction(b_basis, c_basis, images)
-    assert rb_residual(op).is_zero()
-    assert op.apply(e(1, 2)).is_zero() and op.apply(e(1, 3)).is_zero()
-    assert op.apply(e(1, 1)) == parse_matrix("2*e12 - e13")
-
-
-def test_split_construction_single_line():
-    b_basis = [e(1, 1), e(1, 2), e(2, 2), e(2, 3), e(3, 3)]
-    c_basis = [e(1, 3)]
-    images = [parse_matrix("e13"), parse_matrix("2*e13"), UTMatrix.zero(3),
-              parse_matrix("-e13"), parse_matrix("1/3*e13")]
-    op = split_construction(b_basis, c_basis, images)
-    assert rb_residual(op).is_zero()
-
-
-def test_split_construction_names_failed_hypothesis():
-    # C = span(e23) is not absorbed: e12 * e23 = e13 escapes C
-    b_basis = [e(1, 1), e(1, 2), e(1, 3), e(2, 2), e(3, 3)]
-    c_basis = [e(2, 3)]
-    images = [UTMatrix.zero(3)] * 5
-    with pytest.raises(SplitHypothesisError, match="B [*] C"):
-        split_construction(b_basis, c_basis, images)
-    # C with nonzero product
-    b2 = [e(1, 1), e(2, 2), e(3, 3)]
-    c2 = [e(1, 2), e(2, 3), e(1, 3)]
-    with pytest.raises(SplitHypothesisError, match="C [*] C"):
-        split_construction(b2, c2, [UTMatrix.zero(3)] * 3)
-    # not a basis
-    with pytest.raises(SplitHypothesisError, match="basis"):
-        split_construction([e(1, 1)], [e(1, 2)], [UTMatrix.zero(3)])
 
 
 # -- unital checks -----------------------------------------------------------

@@ -5,7 +5,8 @@ refuses to run when one of them is bound nowhere in the package, so moving
 or renaming such a function would break the benchmark.  It also reads each
 ``GBStats`` field named in its ``GB_STATS`` from every traced ``buchberger``
 result, so deleting such a field would too.  The file is only imported
-here, never edited.
+here, never edited.  A traced ``disjoint`` search shows the route it took:
+one ``find_conjugation`` span and no ``buchberger`` span.
 """
 
 import importlib.util
@@ -13,7 +14,8 @@ import pathlib
 from types import SimpleNamespace
 
 import rbu3.catalog  # noqa: F401  (imports every layer the hooks name)
-from rbu3 import groebner
+from rbu3 import groebner, transform
+from rbu3.operators import Operator
 from rbu3.poly import VarTable, parse_poly
 
 SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -55,3 +57,21 @@ def test_a_traced_buchberger_gives_every_counter_the_benchmark_reads():
     assert set(counters) == set(spans.GB_STATS)
     assert counters == {name: getattr(gb.stats, name) for name in spans.GB_STATS}
     assert counters["restarts"] == 0 and counters["basis_size"] == len(gb.basis)
+
+
+def test_a_traced_disjoint_search_runs_no_groebner_engine():
+    spans = _load_spans()
+    source = Operator.from_images({"e12": "e11"})  # R5
+    target = Operator.from_images({"e13": "e11"})
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        tracer.begin_pass()
+        result = transform.find_conjugation(source, target)
+        tracer.end_pass(SimpleNamespace(starts=[], ends=[]))
+    finally:
+        tracer.uninstall()
+    assert result.status == "disjoint"
+    calls = tracer.passes[-1]["calls"]
+    assert calls["transform.find_conjugation"] == 1
+    assert calls.get("groebner.buchberger", 0) == 0

@@ -13,10 +13,12 @@ from rbu3 import groebner, transform
 from rbu3.catalog import build_catalog
 from rbu3.matrices import UTMatrix, basis_indices, inverse_exact, parse_matrix
 from rbu3.operators import Operator, rb_residual
-from rbu3.poly import MultiPoly, VarTable
-from rbu3.transform import (AutoParams, PsiStep, ThetaStep, Witness, build_psi,
-                            canonicalize_idempotent, canonicalize_nilpotent,
-                            conjugate_operator, find_conjugation, theta13)
+from rbu3.groebner import PolySystem
+from rbu3.poly import MultiPoly, VarTable, lex
+from rbu3.transform import (AutoParams, PsiStep, ThetaStep, UnitCertificate,
+                            Witness, build_psi, canonicalize_idempotent,
+                            canonicalize_nilpotent, conjugate_operator,
+                            find_conjugation, theta13)
 
 
 def e(i, j):
@@ -311,13 +313,40 @@ def test_find_conjugation_identity_case():
     assert result.witness.transform_operator(R5) == R5
 
 
+def rechecks(certificate):
+    """A unit certificate rechecks its own combination; a Groebner one must
+    verify as a basis and be [1]."""
+    if isinstance(certificate, UnitCertificate):
+        return certificate.check()
+    basis = certificate.basis
+    return (certificate.verify() and len(basis) == 1
+            and basis[0].is_constant())
+
+
 def test_find_conjugation_disjoint_certificate():
     r6 = Operator.from_images({"e13": "e11"})
     result = find_conjugation(R5, r6, allow_theta=False)
     assert result.status == "disjoint"
-    assert result.certificate is not None
-    basis = result.certificate.basis
-    assert len(basis) == 1 and basis[0].is_constant()
+    (certificate,) = result.certificate
+    assert isinstance(certificate, UnitCertificate) and certificate.check()
+    # with the flip, one certificate per searched variant, in variant order
+    result = find_conjugation(R5, r6)
+    assert result.status == "disjoint" and len(result.certificate) == 2
+    assert all(rechecks(c) for c in result.certificate)
+
+
+def test_a_tampered_unit_certificate_fails_its_recheck():
+    r6 = Operator.from_images({"e13": "e11"})
+    (certificate,) = find_conjugation(R5, r6, allow_theta=False).certificate
+    (c1, g1), (c2, g2) = certificate.pairs
+    assert certificate.check()
+    assert not UnitCertificate(((c1 * 2, g1), (c2, g2))).check()
+    assert not UnitCertificate(((c1, g1), (c2 * 2, g2))).check()
+    # another generator of the same system in place of the certified one
+    others = [g for g in built_system(R5, r6).gens if g not in (g1, g2)]
+    assert others
+    for other in others:
+        assert not UnitCertificate(((c1, other), (c2, g2))).check()
 
 
 def test_find_conjugation_with_flip():
@@ -391,7 +420,11 @@ def test_search_polynomials_hold_fractions(monkeypatch):
     source, target = planted_target()
     assert find_conjugation(source, target).status == "found"
     r6 = Operator.from_images({"e13": "e11"})
-    assert find_conjugation(R5, r6).status == "disjoint"
+    result = find_conjugation(R5, r6)
+    assert result.status == "disjoint"
+    certified = [p for c in result.certificate for pair in c.pairs for p in pair]
+    assert len(certified) == 8
+    seen.extend(certified)
     assert seen and all(type(c) is Fraction
                         for g in seen for c in g.terms.values())
 
@@ -523,6 +556,15 @@ def reference_generators(source, target, allow_scaling):
     return tuple(dict.fromkeys(g.retable(unknown_table) for g in gens))
 
 
+def built_system(source, adjusted, allow_scaling=True):
+    """The search's full system, every generator the builder yields, as
+    ``buchberger`` would receive it without the early stop."""
+    table = transform._search_psi(allow_scaling)[0]
+    gens = transform._search_generators(source, adjusted, allow_scaling)
+    return PolySystem(table, tuple(dict.fromkeys(MultiPoly(table, t)
+                                                 for t in gens)), lex())
+
+
 def as_terms(gens):
     """Generators with their term order, which the engine's input keeps."""
     return [(g.table, list(g.terms.items())) for g in gens]
@@ -576,30 +618,56 @@ def search_cases():
 @pytest.mark.parametrize("name", list(search_cases()))
 def test_search_generators_match_the_matrix_product_construction(name, monkeypatch):
     source, target, allow_theta, allow_scaling, searched = search_cases()[name]
-    systems = []
+    builds = []
+    systems = {}  # build number -> the system its search handed to buchberger
+    real_builder = transform._search_generators
     real_buchberger = transform.buchberger
 
-    def spy(system, limits=None):
-        systems.append(system)
+    def spy(*args):
+        builds.append(args)
+        return real_builder(*args)
+
+    def buchberger_spy(system, limits=None):
+        systems[len(builds) - 1] = system
         return real_buchberger(system, limits)
 
-    monkeypatch.setattr(transform, "buchberger", spy)
+    monkeypatch.setattr(transform, "_search_generators", spy)
+    monkeypatch.setattr(transform, "buchberger", buchberger_spy)
     find_conjugation(source, target, allow_theta=allow_theta,
                      allow_scaling=allow_scaling)
-    assert len(systems) == searched
+    monkeypatch.undo()
+    assert len(builds) == searched
     # the second search, when there is one, is against the flipped target
     targets = [target, conjugate_operator(target, theta13())]
-    for system, adjusted in zip(systems, targets):
+    for i, (args, adjusted) in enumerate(zip(builds, targets)):
+        assert args == (source, adjusted, allow_scaling)
+        gens = built_system(*args).gens
         expected = reference_generators(source, adjusted, allow_scaling)
-        assert system.gens == expected
-        assert as_terms(system.gens) == as_terms(expected)
+        assert gens == expected
+        assert as_terms(gens) == as_terms(expected)
+        if i in systems:  # the search ran the full system
+            assert as_terms(systems[i].gens) == as_terms(expected)
 
 
 FOUND_PAIRS = {"R15|R16", "R22|R24", "R31|R39", "R32|R38", "R34|R35",
                "R34|R36", "R35|R36"}
 
 
-def test_every_certified_family_pair():
+# searches that reach the Groebner engine: one per found pair, and one each
+# for the unit systems of R7|R30, R10|R19, R15|R29 and R16|R29, which hold
+# no one-term unit generator
+GROEBNER_SEARCHES = 11
+
+
+def test_every_certified_family_pair(monkeypatch):
+    calls = []
+    real_buchberger = transform.buchberger
+
+    def spy(system, limits=None):
+        calls.append(system)
+        return real_buchberger(system, limits)
+
+    monkeypatch.setattr(transform, "buchberger", spy)
     families = list(certified_families().items())
     statuses = {}
     for i, (a, source) in enumerate(families):
@@ -611,16 +679,21 @@ def test_every_certified_family_pair():
                 replayed = Witness.from_json(json.loads(json.dumps(
                     result.witness.to_json())))
                 assert replayed.transform_operator(source) == target
+            elif result.status == "disjoint":
+                assert len(result.certificate) == 2, (a, b)
+                assert all(rechecks(c) for c in result.certificate), (a, b)
     assert len(statuses) == 741
     assert {pair for pair, s in statuses.items() if s == "found"} == FOUND_PAIRS
     assert sum(s == "disjoint" for s in statuses.values()) == 734
+    assert len(calls) == GROEBNER_SEARCHES
 
 
 @pytest.mark.parametrize("pair", [("R1", "R40"), ("R5", "R31")])
 def test_a_unit_generator_settles_the_search_in_one_pass(pair, monkeypatch):
-    """The relation comes first, so a constant generator, or a monomial one
-    in the invertible unknowns, turns the system into [1] at the first
-    reduction of the first autoreduce pass, before any S-pair."""
+    """The relation comes first, so on the full built system a constant
+    generator, or a monomial one in the invertible unknowns, turns it into
+    [1] at the first reduction of the first autoreduce pass, before any
+    S-pair."""
     invertible = {"u_aux", "k_scale", "alpha", "delta"}
     passes = []  # (inputs, checks) of each autoreduce call
     real_autoreduce = groebner.autoreduce
@@ -638,11 +711,14 @@ def test_a_unit_generator_settles_the_search_in_one_pass(pair, monkeypatch):
         return out
 
     settled = []
-    real_buchberger = transform.buchberger
-
-    def spy(system, limits=None):
+    monkeypatch.setattr(groebner, "autoreduce", counting)
+    fam = certified_families()
+    source, target = (fam[name] for name in pair)
+    # without and with the flip, as the search builds them
+    for adjusted in (target, conjugate_operator(target, theta13())):
+        system = built_system(source, adjusted)
         passes.clear()
-        gb = real_buchberger(system, limits)
+        gb = groebner.buchberger(system)
         unit_gen = any(g.is_constant() or (len(g.terms) == 1
                                            and g.variables() <= invertible)
                        for g in system.gens)
@@ -654,14 +730,44 @@ def test_a_unit_generator_settles_the_search_in_one_pass(pair, monkeypatch):
             assert checks <= 1 < inputs
             assert closing == (1, 0)
             settled.append(system)
-        return gb
-
-    monkeypatch.setattr(groebner, "autoreduce", counting)
-    monkeypatch.setattr(transform, "buchberger", spy)
-    fam = certified_families()
-    source, target = (fam[name] for name in pair)
     assert find_conjugation(source, target).status == "disjoint"
     assert len(settled) == 2  # with and without the flip
+
+
+@pytest.mark.parametrize("pair", [("R1", "R40"), ("R5", "R31")])
+def test_a_unit_generator_answers_without_a_groebner_run(pair, monkeypatch):
+    calls = []
+    monkeypatch.setattr(transform, "buchberger",
+                        lambda *args, **kwargs: calls.append(args))
+    fam = certified_families()
+    result = find_conjugation(*(fam[name] for name in pair))
+    assert result.status == "disjoint" and calls == []
+    assert len(result.certificate) == 2
+    assert all(isinstance(c, UnitCertificate) and c.check()
+               for c in result.certificate)
+
+
+# seeded planted targets of families without parameters, each the family's
+# image under (psi parameters alpha, beta, gamma, delta, epsilon; the flip;
+# the scalar); R23's stabilizer is a curve, so its lex basis leaves a free
+# variable under a pure-power relation
+LIFTED_TARGETS = {
+    "R23-a": ("R23", ("1/3", 1, 1, 3, 4), True, -1),
+    "R23-b": ("R23", ("5/3", 1, -1, -6, -1), False, -7),
+    "R20": ("R20", (-3, 2, 4, "-1/2", 3), False, "-2/3"),
+}
+
+
+@pytest.mark.parametrize("name", list(LIFTED_TARGETS))
+def test_a_free_variable_lifts_through_a_binomial(name):
+    family, params, flip, scalar = LIFTED_TARGETS[name]
+    source = certified_families()[family]
+    steps = (PsiStep(AutoParams(*(Fraction(v) for v in params))),)
+    planted = Witness(steps + (ThetaStep(),) * flip, Fraction(scalar))
+    target = planted.transform_operator(source)
+    result = find_conjugation(source, target)
+    assert result.status == "found"
+    assert result.witness.transform_operator(source) == target
 
 
 def test_parameters_named_like_search_unknowns():
