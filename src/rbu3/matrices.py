@@ -293,7 +293,9 @@ def combine(columns, coords, n: int) -> UTMatrix:
     ``coords`` this applies the map to the element.
 
     The products are summed into one dict by ``add_terms``, in the entry
-    order of summing scaled columns: a zero product never enters.
+    order of summing scaled columns: a zero product never enters.  A factor
+    that is a ``Fraction`` 1 multiplies nothing: the product is the other
+    factor, as the flip's unit columns need.
     """
     entries = {}
     for key, coeff in coords.items():
@@ -301,8 +303,18 @@ def combine(columns, coords, n: int) -> UTMatrix:
         if column is not None:
             add_terms(entries, ((cell, product)
                                 for cell, value in column.entries.items()
-                                if (product := coeff * value)))
+                                if (product := _times(coeff, value))))
     return UTMatrix._filtered(n, entries)
+
+
+def _times(a, b):
+    # by type first, since comparing a MultiPoly with 1 walks its terms; a
+    # Fraction 1 times an int is a Fraction, so an int factor still multiplies
+    if type(a) is Fraction and type(b) is not int and a == 1:
+        return b
+    if type(b) is Fraction and type(a) is not int and b == 1:
+        return a
+    return a * b
 
 
 # -- exact linear algebra helpers -------------------------------------------

@@ -434,6 +434,8 @@ class ConjugationSearch:
     A ``disjoint`` answer's ``certificate`` holds one proof per searched
     variant, in variant order: a :class:`UnitCertificate`, or the
     ``GroebnerBasis`` ``[1]`` of a system without a one-term unit generator.
+    Each unit certificate is rechecked once per process, when it is first
+    built, and may be shared with other searches that meet its generator.
     """
 
     status: str
@@ -571,8 +573,10 @@ def find_conjugation(source: Operator, target: Operator,
     Monomial rule: the build stops at the first generator that is one term
     m = c u^a k^b alpha^p delta^q in the invertible unknowns and answers
     ``disjoint`` with no Groebner run, by the ``UnitCertificate``
-    1 = t^M/m * m - g0 (1 + t + ... + t^(M-1)), rechecked first, where
-    t = u alpha delta k (u alpha delta without scaling) and M = max(a, b, p, q).
+    1 = t^M/m * m - g0 (1 + t + ... + t^(M-1)), where t = u alpha delta k
+    (u alpha delta without scaling) and M = max(a, b, p, q).  It depends on
+    m and the scaling mode alone, so it is rechecked once per process, when
+    first built, and then shared by every search that meets m.
 
     The constraint is bilinear in the operators' entries and the psi
     unknowns, so it is built without polynomial products: each term of
@@ -600,16 +604,27 @@ def find_conjugation(source: Operator, target: Operator,
         return ConjugationSearch("none")
     allow_scaling = allow_scaling and not source.weight
 
+    # the flip permutes the target's entries, so one table of parameters
+    # serves both variants, and the source side is read once for both
+    params = VarTable(tuple(source.params()) + tuple(
+        p for p in target.params() if p not in source.params()))
+    src = _image_terms(source, params)
     variants = [()]
     if allow_theta:
         variants.append((ThetaStep(),))
     outcomes = []
     for tail in variants:
-        result = _psi_only_search(source, target, tail, allow_scaling, limits)
+        adjusted = target
+        for step in tail:
+            adjusted = conjugate_operator(adjusted, step.map())
+        generators = _search_generators(src, _image_terms(adjusted, params),
+                                        allow_scaling)
+        result = _psi_only_search(source, target, tail, generators,
+                                  allow_scaling, limits)
         if result.status == "found":
             return result
         outcomes.append(result)
-    if outcomes and all(r.status == "disjoint" for r in outcomes):
+    if all(r.status == "disjoint" for r in outcomes):
         return ConjugationSearch("disjoint", certificate=tuple(
             c for r in outcomes for c in r.certificate))
     return ConjugationSearch("none")
@@ -653,17 +668,18 @@ def _search_psi(allow_scaling: bool):
 
 def _image_terms(op: Operator, params: VarTable) -> dict:
     """Each image entry of ``op``, read once as ``(parameter monomial,
-    coefficient)`` pairs over ``params``: ``{idx: [(cell, pairs)]}``.
+    coefficient)`` pairs over ``params``: ``{idx: [(cell, pairs)]}``, with
+    no key for a zero image.
 
     A parametric entry's exponents move to their slots here, where a
     ``retable`` would build one polynomial per entry and search."""
     zero = (0,) * len(params)
     images = {}
-    for idx in basis_indices(3):
+    for idx, image in op.columns.items():
         cells = []
-        for cell, value in op.image(idx).entries.items():
+        for cell, value in image.entries.items():
             if not isinstance(value, MultiPoly):
-                cells.append((cell, ((zero, as_int(Fraction(value))),)))
+                cells.append((cell, ((zero, as_int(value)),)))
                 continue
             slots = [params.index[name] for name in value.table.names]
             pairs = []
@@ -685,27 +701,24 @@ def _accumulate(cells: dict, cell, products) -> None:
         del cells[cell]
 
 
-def _search_generators(source, adjusted, allow_scaling):
+def _search_generators(src, tgt, allow_scaling):
     """The constraint system of ``conjugate(source, psi) = k * adjusted``,
+    given the two operators' ``_image_terms`` over one parameter table,
     lazily, in the order ``find_conjugation`` states: the relation, then one
     generator per cell and parameter monomial.  Each is yielded as its term
     map ``{unknown monomial: coefficient}`` over ``_search_psi``'s table."""
-    table, psi, k, relation = _search_psi(allow_scaling)
-    params = VarTable(tuple(source.params()) + tuple(
-        p for p in adjusted.params() if p not in source.params()))
-    src = _image_terms(source, params)
-    tgt = _image_terms(adjusted, params)
+    _, psi, k, relation = _search_psi(allow_scaling)
     yield relation.terms
     for idx in basis_indices(3):
         # terms are keyed (unknown monomial, parameter monomial)
         lhs = {}  # R psi(e_idx) = sum over psi's cells p of psi_p * R(e_p)
         for p, psi_terms in psi[idx]:
-            for cell, pairs in src[p]:
+            for cell, pairs in src.get(p, ()):
                 _accumulate(lhs, cell, (((u, r), c1 * c2)
                                         for u, c1 in psi_terms
                                         for r, c2 in pairs))
         rhs = {}  # k psi(S e_idx) = sum over S's cells q of S_q * k psi(e_q)
-        for q, pairs in tgt[idx]:
+        for q, pairs in tgt.get(idx, ()):
             for cell, psi_terms in psi[q]:
                 _accumulate(rhs, cell, (((mono_mul(u, k), r), c1 * c2)
                                         for r, c1 in pairs
@@ -732,39 +745,41 @@ class UnitCertificate:
         return sum(c * g for c, g in self.pairs) == 1
 
 
-def _unit_certificate(generator: MultiPoly, relation: MultiPoly, t_mono):
-    """``find_conjugation``'s two-term certificate for a one-term
-    ``generator`` in the unknowns of t = relation + 1, monomial ``t_mono``."""
-    ((mono, c),) = generator.terms.items()
+@cache
+def _unit_certificate(mono, coeff: Fraction, allow_scaling: bool):
+    """``find_conjugation``'s two-term certificate for the one-term
+    generator ``coeff * mono`` in the unknowns of t = relation + 1, built
+    and rechecked once per process and then shared; a failed recheck
+    raises, which caches nothing."""
+    table, _, _, relation = _search_psi(allow_scaling)
+    t_mono = next(m for m in relation.terms if any(m))  # u alpha delta k
     power = max(mono)
-    quotient = {tuple(power * a - b for a, b in zip(t_mono, mono)): 1 / c}
+    quotient = {tuple(power * a - b for a, b in zip(t_mono, mono)): 1 / coeff}
     geometric = {tuple(i * a for a in t_mono): -1 for i in range(power)}
-    table = generator.table
-    return UnitCertificate(((MultiPoly(table, quotient), generator),
-                            (MultiPoly(table, geometric), relation)))
+    certificate = UnitCertificate((
+        (MultiPoly(table, quotient), MultiPoly(table, {mono: coeff})),
+        (MultiPoly(table, geometric), relation)))
+    if not certificate.check():
+        raise AssertionError("unit certificate failed its recheck")
+    return certificate
 
 
-def _psi_only_search(source, target, tail, allow_scaling, limits):
-    """psi and k with ``conjugate(source, psi then tail) = k * target``: the
-    system is built against ``target`` conjugated by ``tail`` (the same
-    condition, as the flip is an involution), and each point is replayed
-    once, as the full witness against ``target``.  Only a system without a
-    one-term unit generator (the monomial rule) reaches ``buchberger``."""
-    adjusted = target
-    for step in tail:
-        adjusted = conjugate_operator(adjusted, step.map())
+def _psi_only_search(source, target, tail, generators, allow_scaling, limits):
+    """psi and k with ``conjugate(source, psi then tail) = k * target``:
+    ``generators`` is the system built against ``target`` conjugated by
+    ``tail`` (the same condition, as the flip is an involution), and each
+    point is replayed once, as the full witness against ``target``.  Only a
+    system without a one-term unit generator (the monomial rule) reaches
+    ``buchberger``."""
     table, _, _, relation = _search_psi(allow_scaling)
     t_mono = next(m for m in relation.terms if any(m))  # u alpha delta k
     gens = []
-    for terms in _search_generators(source, adjusted, allow_scaling):
+    for terms in generators:
         if len(terms) == 1:
-            (mono,) = terms
+            ((mono, coeff),) = terms.items()
             if all(a or not b for a, b in zip(t_mono, mono)):
-                certificate = _unit_certificate(MultiPoly(table, terms),
-                                                relation, t_mono)
-                if not certificate.check():
-                    raise AssertionError("unit certificate failed its recheck")
-                return ConjugationSearch("disjoint", certificate=(certificate,))
+                return ConjugationSearch("disjoint", certificate=(
+                    _unit_certificate(mono, Fraction(coeff), allow_scaling),))
         gens.append(terms)
     system = PolySystem(table, tuple(dict.fromkeys(MultiPoly(table, g)
                                                    for g in gens)), lex())

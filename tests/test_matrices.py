@@ -278,9 +278,10 @@ def per_term_combine(columns, coords, n):
 
 TS = VarTable(["t", "s"])
 T, S = TS.var("t"), TS.var("s")
-# few values, opposite pairs among them, so that sums cancel often
+# few values, opposite pairs among them, so that sums cancel often; the
+# ints meet the Fraction 1, whose product with an int is still a Fraction
 SMALL = [Fraction(1), Fraction(-1), Fraction(2), Fraction(0), T, -T, T * S,
-         MultiPoly.const(TS, -2), T + 1]
+         MultiPoly.const(TS, -2), T + 1, 1, 3]
 
 
 @st.composite

@@ -206,6 +206,59 @@ def test_conjugation_preserves_residual_identically_in_parameters():
     assert conj.params() == ("kappa",)
 
 
+AB = VarTable(["a", "b"])
+FLIP_VALUES = [Fraction(1), Fraction(-2), Fraction(3, 4), AB.var("a"),
+               AB.var("a") * AB.var("b") - 1, 2 * AB.var("b")]
+
+
+@st.composite
+def operators(draw):
+    """Rational and parametric operators, with zero images and entries in
+    drawn order."""
+    cells = st.dictionaries(st.sampled_from(basis_indices(3)),
+                            st.sampled_from(FLIP_VALUES), max_size=4)
+    images = draw(st.lists(st.sampled_from(basis_indices(3)), unique=True))
+    return Operator(3, {idx: UTMatrix(3, draw(cells)) for idx in images})
+
+
+def relabelled(op):
+    """op with every index e_ij read as e_{4-j,4-i}, entries in their order."""
+    flip = lambda idx: (4 - idx[1], 4 - idx[0])
+    return [(idx, [(flip(cell), value)
+                   for cell, value in op.columns[flip(idx)].entries.items()])
+            for idx in basis_indices(3) if flip(idx) in op.columns]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(operators())
+def test_conjugating_by_the_flip_relabels_the_basis(op):
+    flipped = conjugate_operator(op, theta13())
+    got = [(idx, list(image.entries.items()))
+           for idx, image in flipped.columns.items()]
+    expected = relabelled(op)
+    assert got == expected
+    assert [type(v) for _, cells in got for _, v in cells] == \
+        [type(v) for _, cells in expected for _, v in cells]
+    assert flipped.weight == op.weight
+
+
+def test_the_flip_multiplies_no_polynomial(monkeypatch):
+    calls = []
+    real_mul = MultiPoly.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    monkeypatch.setattr(MultiPoly, "__rmul__", counting)
+    op = certified_families()["R31"]
+    assert op.params() == ("kappa",)
+    flipped = conjugate_operator(op, theta13())
+    assert calls == []
+    assert conjugate_operator(flipped, theta13()) == op
+
+
 def test_in_text_conjugation_to_single_e22_image():
     # R(e23) = e22 + t e12 conjugated with beta = -t lands on R(e23) = e22
     t = Fraction(2)
@@ -347,6 +400,20 @@ def test_a_tampered_unit_certificate_fails_its_recheck():
     assert others
     for other in others:
         assert not UnitCertificate(((c1, other), (c2, g2))).check()
+
+
+def test_a_failed_recheck_raises_and_caches_nothing(monkeypatch):
+    transform._unit_certificate.cache_clear()
+    monkeypatch.setattr(UnitCertificate, "check", lambda self: False)
+    r6 = Operator.from_images({"e13": "e11"})
+    with pytest.raises(AssertionError, match="recheck"):
+        find_conjugation(R5, r6)
+    assert transform._unit_certificate.cache_info().currsize == 0
+    monkeypatch.undo()
+    # the next search builds the certificate again, and it rechecks
+    result = find_conjugation(R5, r6)
+    assert result.status == "disjoint"
+    assert all(c.check() for c in result.certificate)
 
 
 def test_find_conjugation_with_flip():
@@ -556,11 +623,22 @@ def reference_generators(source, target, allow_scaling):
     return tuple(dict.fromkeys(g.retable(unknown_table) for g in gens))
 
 
+def builder_args(source, target, adjusted, allow_scaling):
+    """The arguments ``find_conjugation`` gives ``_search_generators`` for
+    the system of ``source`` against ``adjusted``, ``target`` or its flip:
+    both operators' image terms over the parameters of source and target."""
+    params = VarTable(tuple(source.params()) + tuple(
+        p for p in target.params() if p not in source.params()))
+    return (transform._image_terms(source, params),
+            transform._image_terms(adjusted, params), allow_scaling)
+
+
 def built_system(source, adjusted, allow_scaling=True):
     """The search's full system, every generator the builder yields, as
     ``buchberger`` would receive it without the early stop."""
     table = transform._search_psi(allow_scaling)[0]
-    gens = transform._search_generators(source, adjusted, allow_scaling)
+    gens = transform._search_generators(
+        *builder_args(source, adjusted, adjusted, allow_scaling))
     return PolySystem(table, tuple(dict.fromkeys(MultiPoly(table, t)
                                                  for t in gens)), lex())
 
@@ -640,8 +718,8 @@ def test_search_generators_match_the_matrix_product_construction(name, monkeypat
     # the second search, when there is one, is against the flipped target
     targets = [target, conjugate_operator(target, theta13())]
     for i, (args, adjusted) in enumerate(zip(builds, targets)):
-        assert args == (source, adjusted, allow_scaling)
-        gens = built_system(*args).gens
+        assert args == builder_args(source, target, adjusted, allow_scaling)
+        gens = built_system(source, adjusted, allow_scaling).gens
         expected = reference_generators(source, adjusted, allow_scaling)
         assert gens == expected
         assert as_terms(gens) == as_terms(expected)
@@ -657,22 +735,36 @@ FOUND_PAIRS = {"R15|R16", "R22|R24", "R31|R39", "R32|R38", "R34|R35",
 # for the unit systems of R7|R30, R10|R19, R15|R29 and R16|R29, which hold
 # no one-term unit generator
 GROEBNER_SEARCHES = 11
+# the distinct one-term unit generators behind the 734 disjoint pairs: each
+# certificate is built and rechecked once, however many searches meet it
+UNIT_CERTIFICATES = 14
 
 
 def test_every_certified_family_pair(monkeypatch):
     calls = []
     real_buchberger = transform.buchberger
+    proofs = []  # the rechecks made inside the searches
+    real_check = UnitCertificate.check
 
     def spy(system, limits=None):
         calls.append(system)
         return real_buchberger(system, limits)
 
+    def counting_check(self):
+        proofs.append(self)
+        return real_check(self)
+
     monkeypatch.setattr(transform, "buchberger", spy)
+    monkeypatch.setattr(UnitCertificate, "check", counting_check)
+    transform._unit_certificate.cache_clear()
     families = list(certified_families().items())
     statuses = {}
+    searched = 0
     for i, (a, source) in enumerate(families):
         for b, target in families[i + 1:]:
+            before = len(proofs)
             result = find_conjugation(source, target, allow_theta=True)
+            searched += len(proofs) - before
             statuses[f"{a}|{b}"] = result.status
             if result.status == "found":
                 assert result.witness.transform_operator(source) == target
@@ -682,10 +774,17 @@ def test_every_certified_family_pair(monkeypatch):
             elif result.status == "disjoint":
                 assert len(result.certificate) == 2, (a, b)
                 assert all(rechecks(c) for c in result.certificate), (a, b)
+                # a shared certificate still speaks of this pair's systems
+                flipped = conjugate_operator(target, theta13())
+                for c, adjusted in zip(result.certificate, (target, flipped)):
+                    if isinstance(c, UnitCertificate):
+                        gens = built_system(source, adjusted).gens
+                        assert all(g in gens for _, g in c.pairs), (a, b)
     assert len(statuses) == 741
     assert {pair for pair, s in statuses.items() if s == "found"} == FOUND_PAIRS
     assert sum(s == "disjoint" for s in statuses.values()) == 734
     assert len(calls) == GROEBNER_SEARCHES
+    assert searched == UNIT_CERTIFICATES
 
 
 @pytest.mark.parametrize("pair", [("R1", "R40"), ("R5", "R31")])
