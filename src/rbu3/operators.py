@@ -12,13 +12,16 @@ basis pairs (u, v), of
     R(u) R(v) - R( R(u) v + u R(v) + lambda u v ).
 
 Bilinearity makes the identity on basis pairs equivalent to the identity on
-the whole algebra, so R is Rota-Baxter iff every residual cell vanishes.
+the whole algebra, so R is Rota-Baxter iff every residual cell vanishes.  The
+table is a quadratic form in the entries of R and lambda, built once per n
+and evaluated over the nonzero entries only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -60,7 +63,9 @@ class Operator:
     def __init__(self, n: int, columns: Mapping[BasisIndex, UTMatrix] | None = None,
                  weight=Fraction(0)):
         self.n = n
-        self.weight = Fraction(weight) if isinstance(weight, (int, str)) else weight
+        if not isinstance(weight, (int, str, Fraction)):  # no floats
+            raise TypeError(f"weight {weight!r} is not exact: use int, str or Fraction")
+        self.weight = weight if isinstance(weight, Fraction) else Fraction(weight)
         cols = {}
         if columns:
             valid = set(basis_indices(n))
@@ -234,67 +239,87 @@ def failure_json(failure) -> dict:
             "value": str(value)}
 
 
+@cache
+def _residual_form(n: int) -> tuple:
+    """The residual as a quadratic form in the entries of R and lambda.
+
+    Slot ``slot[s, p]`` = s d + p is coordinate p of R(s) and slot d^2 is
+    lambda (d = n(n+1)/2, basis order); target (u d + v) d + q is position q
+    of cell ``pairs[u d + v]`` = (u, v).  ``quad[x][y]`` (x <= y) lists the
+    targets of slot x times slot y: t for +1 and ~t for -1, |coefficient| times.
+    """
+    idxs = basis_indices(n)
+    d = len(idxs)
+    at = {idx: k for k, idx in enumerate(idxs)}
+    form = {}  # (x, y) -> {target: merged coefficient}
+
+    def add(x, y, t, c):
+        row = form.setdefault((min(x, y), max(x, y)), {})
+        row[t] = row.get(t, 0) + c
+
+    for u, (a, b) in enumerate(idxs):
+        for v, (c, e) in enumerate(idxs):
+            cell = (u * d + v) * d  # products by e_ij e_kl = delta_jk e_il
+            for (i, j) in idxs:  # + R(u) R(v)
+                for l in range(j, n + 1):
+                    add(u * d + at[i, j], v * d + at[j, l], cell + at[i, l], 1)
+            for q in range(d):  # - R(R(u) v) - R(u R(v)) - lambda R(u v)
+                for i in range(1, c + 1):
+                    add(u * d + at[i, c], at[i, e] * d + q, cell + q, -1)
+                for l in range(b, n + 1):
+                    add(v * d + at[b, l], at[a, l] * d + q, cell + q, -1)
+                if b == c:
+                    add(at[a, e] * d + q, d * d, cell + q, -1)
+    quad = [{} for _ in range(d * d + 1)]
+    for (x, y), row in form.items():  # a cancelled coefficient lists nothing
+        quad[x][y] = tuple(t if c > 0 else ~t for t, c in row.items()
+                           for _ in range(abs(c)))
+    pairs = [(u, v) for u in idxs for v in idxs]
+    return {(s, p): at[s] * d + at[p] for s, p in pairs}, quad, pairs
+
+
 def rb_residual(op: Operator) -> RBResidual:
-    """The 36-cell residual table (for n = 3); exact, identically in parameters.
+    """The residual table (36 cells for n = 3); exact, identically in parameters.
 
-    Products with basis elements follow the structure constants
-    e_ij e_kl = delta_jk e_il: for u = e_ab and v = e_cd, R(u) v moves the
-    column-c entries of R(u) to column d, u R(v) moves the row-b entries of
-    R(v) to row a, and lambda u v is lambda at (a, d) when b = c.
-
-    The residual is quadratic in R and linear in lambda, so it runs on D R
-    and D lambda, with D the lcm of the denominators of the rational entries
-    and of the weight: rationals become ints, polynomial entries are scaled
-    by D, and each cell entry is divided by D^2 at the end.
+    It evaluates the quadratic form built once per n (``_residual_form``)
+    over the pairs of nonzero entries only, each product made once.  It runs
+    on D R and D lambda, with D the lcm of the denominators of the rational
+    entries and of the weight: rationals become ints, polynomial entries are
+    scaled by D, and each cell entry is divided by D^2 at the end.
     """
     n = op.n
     idxs = basis_indices(n)
-    images = {idx: op.image(idx).entries for idx in idxs}
+    d = len(idxs)
+    slot, quad, pairs = _residual_form(n)
+    entries = [(slot[src, pos], x) for src, image in op.columns.items()
+               for pos, x in image.entries.items()]
+    # an int first, so the argument tuple is not resized onto a longer free list
     D = lcm(op.weight.denominator, *(
-        x.denominator for image in images.values() for x in image.values()
-        if not isinstance(x, MultiPoly)))
-
-    def lift(x):  # an int entry is lifted like a Fraction
-        if isinstance(x, MultiPoly):
-            return x * D if D != 1 else x
-        return x.numerator * (D // x.denominator)
-
-    images = {idx: {pos: lift(x) for pos, x in image.items()}
-              for idx, image in images.items()}
-    weight = lift(op.weight)
-    scale = Fraction(1, D * D)
-    cells = {}
-    for u in idxs:
-        a, b = u
-        ru = images[u]
-        for v in idxs:
-            c, d = v
-            rv = images[v]
-            inner = {(i, d): x for (i, j), x in ru.items() if j == c}
-            for (k, l), y in rv.items():
-                if k == b:
-                    acc = inner.get((a, l))
-                    inner[(a, l)] = y if acc is None else acc + y
-            if weight and b == c:
-                acc = inner.get((a, d))
-                inner[(a, d)] = weight if acc is None else acc + weight
-            # R(u) R(v) - R(inner), accumulated in one dict
-            cell = {}
-            for (i, j), x in ru.items():
-                for (k, l), y in rv.items():
-                    if j == k:
-                        acc = cell.get((i, l))
-                        cell[(i, l)] = x * y if acc is None else acc + x * y
-            for idx, coeff in inner.items():
-                if not coeff:
-                    continue
-                for pos, value in images[idx].items():
-                    acc = cell.get(pos)
-                    cell[pos] = -(coeff * value) if acc is None else acc - coeff * value
-            cells[(u, v)] = UTMatrix._filtered(n, {
-                pos: (value * scale if D != 1 else value)
-                if isinstance(value, MultiPoly) else Fraction(value, D * D)
-                for pos, value in cell.items() if value})
+        x.denominator for _, x in entries if not isinstance(x, MultiPoly)))
+    if op.weight:
+        entries.append((d * d, op.weight))
+    terms = sorted((x, v * D if D != 1 else v) if isinstance(v, MultiPoly)
+                   else (x, v.numerator * (D // v.denominator)) for x, v in entries)
+    acc = {}
+    for k, (x, rx) in enumerate(terms):
+        row = quad[x]
+        for y, ry in terms[k:]:
+            targets = row.get(y)
+            if targets:
+                minus = -(plus := rx * ry)
+                for t in targets:
+                    term, t = (plus, t) if t >= 0 else (minus, ~t)
+                    old = acc.get(t)
+                    acc[t] = term if old is None else old + term
+    grouped = {}
+    for t, value in sorted(acc.items()):
+        if value:
+            cell, pos = divmod(t, d)
+            grouped.setdefault(pairs[cell], {})[idxs[pos]] = (
+                (value * Fraction(1, D * D) if D != 1 else value)
+                if isinstance(value, MultiPoly) else Fraction(value, D * D))
+    cells = dict.fromkeys(pairs, UTMatrix(n))  # the zero cells share one matrix
+    cells.update((pair, UTMatrix._filtered(n, cell)) for pair, cell in grouped.items())
     return RBResidual(n, op.weight, cells)
 
 

@@ -1,12 +1,13 @@
 """Operators, the residual table, system generation, and the unital checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rbu3.matrices import UTMatrix, basis_indices, parse_matrix, solve_exact
-from rbu3.operators import (Ansatz, ContradictoryAnsatz, Operator,
+from rbu3.operators import (Ansatz, ContradictoryAnsatz, Operator, bvar_name,
                             check_lemma3, generate_system, rb_residual,
                             scale_operator, unit_in_image)
 from rbu3.poly import MultiPoly, VarTable
@@ -164,10 +165,10 @@ def test_lemma_checks_on_zero_operator():
 def oracle_residual_cells(op):
     """R(u) R(v) - R(R(u) v + u R(v) + lambda u v) by general matrix products."""
     cells = {}
-    for u in basis_indices(3):
-        ru, bu = op.image(u), e(*u)
-        for v in basis_indices(3):
-            rv, bv = op.image(v), e(*v)
+    for u in basis_indices(op.n):
+        ru, bu = op.image(u), UTMatrix.basis(op.n, *u)
+        for v in basis_indices(op.n):
+            rv, bv = op.image(v), UTMatrix.basis(op.n, *v)
             inner = ru * bv + bu * rv
             if op.weight:
                 inner = inner + (bu * bv).scale(op.weight)
@@ -198,14 +199,23 @@ def operators(draw, entries):
     return Operator(3, columns, draw(weights))
 
 
+def assert_matches_the_oracle(op):
+    """All d^2 cells in basis-pair order, each equal to the oracle's."""
+    cells = rb_residual(op).cells
+    expected = oracle_residual_cells(op)
+    idxs = basis_indices(op.n)
+    assert list(cells) == [(u, v) for u in idxs for v in idxs]
+    for pair, cell in expected.items():
+        assert cells[pair] == cell, pair
+        # Fraction(3) == 3, so equality alone would let an int through
+        assert all(type(v) in (Fraction, MultiPoly)
+                   for v in cells[pair].entries.values()), pair
+
+
 @settings(derandomize=True, max_examples=150)
 @given(st.one_of(operators(small), operators(poly_entries())))
 def test_residual_matches_the_matrix_product_formula(op):
-    cells = rb_residual(op).cells
-    expected = oracle_residual_cells(op)
-    assert set(cells) == set(expected) and len(cells) == 36
-    for pair, cell in expected.items():
-        assert cells[pair] == cell, pair
+    assert_matches_the_oracle(op)
 
 
 # the residual runs on cleared denominators: mixed entries with denominators
@@ -228,14 +238,47 @@ def mixed_operators(draw):
 @settings(derandomize=True, max_examples=150)
 @given(st.one_of(mixed_operators(), operators(rationals_357)))
 def test_residual_over_cleared_denominators_matches_the_formula(op):
-    cells = rb_residual(op).cells
-    expected = oracle_residual_cells(op)
-    assert set(cells) == set(expected) and len(cells) == 36
-    for pair, cell in expected.items():
-        assert cells[pair] == cell, pair
-        # Fraction(3) == 3, so equality alone would let an int through
-        assert all(type(v) in (Fraction, MultiPoly)
-                   for v in cells[pair].entries.values()), pair
+    assert_matches_the_oracle(op)
+
+
+@pytest.mark.parametrize("weight", [Fraction(0), Fraction(1, 3), Fraction(-3, 2)])
+def test_generic_operator_checks_every_entry_of_the_form(weight):
+    # all 36 entries are independent unknowns, so every pair of entries is
+    # multiplied and each cell component is its quadratic form, term by term
+    idxs = basis_indices(3)
+    table = VarTable([bvar_name(src, dst) for src in idxs for dst in idxs])
+    op = Operator(3, {src: UTMatrix(3, {dst: table.var(bvar_name(src, dst))
+                                        for dst in idxs}) for src in idxs}, weight)
+    assert_matches_the_oracle(op)
+
+
+def seeded_operator(n, seed, weight):
+    rng = random.Random(seed)
+    values = [Fraction(0)] * 4 + [Fraction(1), Fraction(-2, 3), Fraction(4, 5),
+                                  Fraction(5, 7)]
+    idxs = basis_indices(n)
+    return Operator(n, {src: UTMatrix(n, {dst: rng.choice(values) for dst in idxs})
+                        for src in idxs}, weight)
+
+
+@pytest.mark.parametrize("n, seed, weight", [
+    (2, 1, Fraction(0)), (2, 2, Fraction(-3, 2)), (2, 3, Fraction(1)),
+    (4, 1, Fraction(0)), (4, 2, Fraction(1, 3))])
+def test_residual_at_other_sizes_matches_the_formula(n, seed, weight):
+    assert_matches_the_oracle(seeded_operator(n, seed, weight))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_known_operators_at_other_sizes_have_zero_residual(n):
+    weight = Fraction(2, 3)
+    idxs = basis_indices(n)
+    minus_weight = Operator(n, {idx: UTMatrix.basis(n, *idx).scale(-weight)
+                                for idx in idxs}, weight)
+    diagonal = Operator(n, {(i, i): UTMatrix.basis(n, i, i)
+                            for i in range(1, n + 1)}, Fraction(-1))
+    assert rb_residual(minus_weight).is_zero()
+    assert rb_residual(diagonal).is_zero()
+    assert not rb_residual(with_weight(diagonal, 0)).is_zero()
 
 
 @st.composite
@@ -319,3 +362,15 @@ def test_operators_of_different_weights_are_unequal():
     assert with_weight(DIAGONAL, -1) != DIAGONAL
     assert DIAGONAL != with_weight(DIAGONAL, -1)
     assert with_weight(DIAGONAL, -1) == with_weight(DIAGONAL, -1)
+
+
+def test_a_float_weight_is_refused_and_exact_weights_are_kept():
+    with pytest.raises(TypeError, match="weight 0.5"):
+        Operator(3, {(1, 2): e(1, 1)}, 0.5)
+    with pytest.raises(TypeError, match="weight"):
+        generate_system(Ansatz(3, -1.5))
+    for weight, value in ((2, Fraction(2)), ("-3/2", Fraction(-3, 2)),
+                          (Fraction(1, 3), Fraction(1, 3))):
+        op = Operator(3, {(1, 2): e(1, 1)}, weight)
+        assert op.weight == value and type(op.weight) is Fraction
+        assert rb_residual(op).weight == value
