@@ -25,6 +25,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -785,13 +786,12 @@ def unit_square_certificate(case_name: str = "sec7") -> bool:
     """
     spec = case_preset(case_name)
     _, shape = generate_system(spec.ansatz())
-    cells = rb_residual(shape.operator).cells
-    total = UTMatrix.zero(3)
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            total = total + cells[((i, i), (j, j))]
+    total = {}
+    for ((u, v), pos), value in rb_residual(shape.operator).entries.items():
+        if u[0] == u[1] and v[0] == v[1]:
+            total[pos] = total[pos] + value if pos in total else value
     # each claim is, up to sign, one nonzero component of the sum
-    components = list(total.entries.values())
+    components = [value for value in total.values() if value]
     return all(-shape.expand(factors[0], spec.aliases) in components
                for factors in _SEC7_UNIT_SQUARE)
 
@@ -902,7 +902,9 @@ def _nonzero_fraction(rng: random.Random) -> Fraction:
     return value
 
 
-def _entry_report(entry: CatalogEntry, samples: int, seed: int) -> EntryReport:
+def _entry_report_by_id(eid: str, samples: int, seed: int) -> EntryReport:
+    """The report of family ``eid``, which is built and certified here."""
+    entry = _build_entry(eid)
     op = entry.operator
     lemma = check_lemma3(op)
     r1 = op.unit_image()
@@ -941,31 +943,26 @@ def verify_all(samples: int = 0, families: Sequence[str] | None = None,
     With ``families`` only the named families are built, certified and
     reported, in catalog order.  ``samples`` adds that many randomized
     scaling/conjugation closure trials per entry (at random rational
-    parameter values).  ``jobs`` > 1 spreads entries across processes;
-    results merge in catalog order either way.
+    parameter values).  Each family is built where its report is made: in
+    this process, or in a worker when ``jobs`` > 1 spreads the families
+    across processes; results merge in catalog order either way.
     """
-    if families is None:
-        entries = build_catalog(strict=False)
-    else:
-        wanted = set(families)
-        unknown = wanted - set(_CATALOG_DEFS)
+    wanted = list(_CATALOG_DEFS)
+    if families is not None:
+        families = set(families)
+        unknown = families - set(wanted)
         if unknown:
             raise KeyError(f"unknown family id(s): {sorted(unknown)}")
-        entries = [_build_entry(eid) for eid in _CATALOG_DEFS if eid in wanted]
+        wanted = [eid for eid in wanted if eid in families]
+    report = partial(_entry_report_by_id, samples=samples, seed=seed)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_entry_report_by_id, e.id, samples, seed)
-                       for e in entries]
-            reports = [f.result() for f in futures]
+            reports = list(pool.map(report, wanted))
     else:
-        reports = [_entry_report(e, samples, seed) for e in entries]
+        reports = [report(eid) for eid in wanted]
     idx = _rb_index_report({r.id: r.power_vanish_index for r in reports})
     return VerifyReport(reports, idx.index, idx.r2_nonzero, samples)
-
-
-def _entry_report_by_id(eid: str, samples: int, seed: int) -> EntryReport:
-    return _entry_report(get_entry(eid), samples, seed)
 
 
 # -- shipped data files -------------------------------------------------------------

@@ -116,14 +116,6 @@ class UTMatrix:
     def is_strictly_upper(self) -> bool:
         return all(i != j for (i, j) in self.entries)
 
-    def trace(self):
-        total = Fraction(0)
-        for i in range(1, self.n + 1):
-            value = self.entries.get((i, i))
-            if value is not None:
-                total = value + total
-        return total
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, UTMatrix):
             return NotImplemented

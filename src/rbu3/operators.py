@@ -14,7 +14,8 @@ basis pairs (u, v), of
 Bilinearity makes the identity on basis pairs equivalent to the identity on
 the whole algebra, so R is Rota-Baxter iff every residual cell vanishes.  The
 table is a quadratic form in the entries of R and lambda, built once per n
-and evaluated over the nonzero entries only.
+and evaluated over the nonzero entries of R only; ``rb_residual`` keeps the
+nonzero entries of the table only.
 """
 
 from __future__ import annotations
@@ -212,24 +213,24 @@ class Operator:
 
 @dataclass
 class RBResidual:
-    """All pairwise residual matrices of an operator."""
+    """The nonzero residual entries of an operator.
 
-    n: int
+    ``entries`` maps ``((u, v), position)`` to the nonzero coefficient at
+    ``position`` of the residual of the basis pair (u, v), ordered by pair
+    and by position within a pair, both in basis order.  R is Rota-Baxter
+    iff there is none.
+    """
+
     weight: Fraction
-    cells: dict  # (u, v) basis pair -> UTMatrix
+    entries: dict
 
     def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.cells.values())
+        return not self.entries
 
     def first_nonzero(self):
-        """((u, v), position, value) of the first failing cell, or None."""
-        for pair in sorted(self.cells):
-            cell = self.cells[pair]
-            if not cell.is_zero():
-                for pos in basis_indices(self.n):
-                    if pos in cell.entries:
-                        return pair, pos, cell.entries[pos]
-        return None
+        """((u, v), position, value) of the first nonzero entry, or None."""
+        return next(((pair, pos, value) for (pair, pos), value
+                     in self.entries.items()), None)
 
 
 def failure_json(failure) -> dict:
@@ -279,27 +280,27 @@ def _residual_form(n: int) -> tuple:
 
 
 def rb_residual(op: Operator) -> RBResidual:
-    """The residual table (36 cells for n = 3); exact, identically in parameters.
+    """The nonzero residual entries; exact, identically in parameters.
 
     It evaluates the quadratic form built once per n (``_residual_form``)
     over the pairs of nonzero entries only, each product made once.  It runs
     on D R and D lambda, with D the lcm of the denominators of the rational
     entries and of the weight: rationals become ints, polynomial entries are
-    scaled by D, and each cell entry is divided by D^2 at the end.
+    scaled by D, and each residual entry is divided by D^2 at the end.  The
+    sorted targets give the entries in ``RBResidual`` order.
     """
-    n = op.n
-    idxs = basis_indices(n)
+    idxs = basis_indices(op.n)
     d = len(idxs)
-    slot, quad, pairs = _residual_form(n)
-    entries = [(slot[src, pos], x) for src, image in op.columns.items()
-               for pos, x in image.entries.items()]
+    slot, quad, pairs = _residual_form(op.n)
+    slots = [(slot[src, pos], x) for src, image in op.columns.items()
+             for pos, x in image.entries.items()]
     # an int first, so the argument tuple is not resized onto a longer free list
     D = lcm(op.weight.denominator, *(
-        x.denominator for _, x in entries if not isinstance(x, MultiPoly)))
+        x.denominator for _, x in slots if not isinstance(x, MultiPoly)))
     if op.weight:
-        entries.append((d * d, op.weight))
+        slots.append((d * d, op.weight))
     terms = sorted((x, v * D if D != 1 else v) if isinstance(v, MultiPoly)
-                   else (x, v.numerator * (D // v.denominator)) for x, v in entries)
+                   else (x, v.numerator * (D // v.denominator)) for x, v in slots)
     acc = {}
     for k, (x, rx) in enumerate(terms):
         row = quad[x]
@@ -311,16 +312,14 @@ def rb_residual(op: Operator) -> RBResidual:
                     term, t = (plus, t) if t >= 0 else (minus, ~t)
                     old = acc.get(t)
                     acc[t] = term if old is None else old + term
-    grouped = {}
+    entries = {}
     for t, value in sorted(acc.items()):
         if value:
             cell, pos = divmod(t, d)
-            grouped.setdefault(pairs[cell], {})[idxs[pos]] = (
+            entries[pairs[cell], idxs[pos]] = (
                 (value * Fraction(1, D * D) if D != 1 else value)
                 if isinstance(value, MultiPoly) else Fraction(value, D * D))
-    cells = dict.fromkeys(pairs, UTMatrix(n))  # the zero cells share one matrix
-    cells.update((pair, UTMatrix._filtered(n, cell)) for pair, cell in grouped.items())
-    return RBResidual(n, op.weight, cells)
+    return RBResidual(op.weight, entries)
 
 
 def scale_operator(op: Operator, k) -> Operator:
@@ -463,8 +462,8 @@ def generate_system(ansatz: Ansatz) -> tuple:
     """Symbolic residual components under the ansatz, as a polynomial system.
 
     Returns ``(PolySystem, AnsatzSolution)``.  Generators are the distinct
-    nonzero matrix components of all residual cells, made monic, in the
-    deterministic cell/position order; they are quadratic in the unknowns.
+    nonzero residual entries, made monic, in the residual's pair/position
+    order; they are quadratic in the unknowns.
     """
     free_table, expressions = _solve_linear_constraints(ansatz)
     n = ansatz.n
@@ -479,20 +478,14 @@ def generate_system(ansatz: Ansatz) -> tuple:
         cols[src] = UTMatrix(n, entries)
     op = Operator(n, cols, ansatz.weight)
     solution = AnsatzSolution(n, free_table, expressions, op)
-    residual = rb_residual(op)
     order = grevlex()
     gens = []
-    for pair in sorted(residual.cells):
-        cell = residual.cells[pair]
-        for pos in idxs:
-            value = cell.entries.get(pos)
-            if value is None:  # a zero component: cells store none
-                continue
-            if isinstance(value, Fraction):
-                value = MultiPoly.const(free_table, value)
-            # a nonzero constant component means no specialization satisfies
-            # the identity: the system degenerates to the unit ideal
-            gens.append(value.monic(order))
+    for value in rb_residual(op).entries.values():
+        if isinstance(value, Fraction):
+            value = MultiPoly.const(free_table, value)
+        # a nonzero constant component means no specialization satisfies
+        # the identity: the system degenerates to the unit ideal
+        gens.append(value.monic(order))
     return PolySystem(free_table, tuple(dict.fromkeys(gens)), order), solution
 
 
@@ -504,11 +497,6 @@ class Lemma3Report:
     unit_not_in_image: bool
     kernel_contains_image: bool | None  # None when R(1) != 0, so no claim
     unit_power_identity: bool
-
-    def all_hold(self) -> bool:
-        return (self.unit_not_in_image
-                and self.kernel_contains_image in (True, None)
-                and self.unit_power_identity)
 
 
 def unit_in_image(op: Operator):
@@ -542,11 +530,14 @@ def unit_in_image(op: Operator):
     return exact_rank(span_rows + [unit_vec]) == base
 
 
-def check_lemma3(op: Operator, max_power: int = 3) -> Lemma3Report:
+_MAX_POWER = 3  # the powers m that check (c) of check_lemma3 compares
+
+
+def check_lemma3(op: Operator) -> Lemma3Report:
     """The three unital-algebra checks for a weight-zero operator.
 
     (a) the unit is not in the image; (b) when R(1) = 0, the image sits in
-    the kernel and R^2 = 0; (c) R(1)^m = m! R^m(1) for m = 1..max_power.
+    the kernel and R^2 = 0; (c) R(1)^m = m! R^m(1) for m = 1.._MAX_POWER.
     """
     a_ok = not unit_in_image(op)
     r1 = op.unit_image()
@@ -555,7 +546,7 @@ def check_lemma3(op: Operator, max_power: int = 3) -> Lemma3Report:
     factorial = 1
     power = UTMatrix.unit(op.n)
     iterate = UTMatrix.unit(op.n)
-    for m in range(1, max_power + 1):
+    for m in range(1, _MAX_POWER + 1):
         factorial *= m
         power = power * r1 if m > 1 else r1
         iterate = op.apply(iterate)

@@ -20,7 +20,7 @@ from functools import cache
 from math import gcd, isqrt
 from typing import Mapping
 
-from .matrices import UTMatrix, basis_indices, combine, inverse_exact
+from .matrices import UTMatrix, basis_indices, combine
 from .operators import Operator, scale_operator
 from .poly import MultiPoly, VarTable, add_terms, as_int, lex, mono_mul
 from .groebner import Limits, PolySystem, buchberger, normal_form
@@ -67,65 +67,54 @@ class AutoParams:
 
 
 class AlgebraMap:
-    """An invertible linear map on U_n that is multiplicative or antimultiplicative.
+    """An invertible linear map on U_n that is multiplicative or antimultiplicative,
+    held with its inverse.
 
-    Both properties are verified on all basis pairs at construction time, so
-    holding an instance is holding a certificate.  Two kinds skip the check
-    because they are certified otherwise: the maps of :func:`build_psi`, by
-    one symbolic proof for the whole family (``_psi_certificate``), and
-    compositions of certified maps.
+    The constructor takes both directions and checks them with
+    ``_check_map``, so holding an instance is holding a certificate.  Two
+    kinds are built by ``_proved`` without a check, because they are
+    certified otherwise: the maps of :func:`build_psi`, by one symbolic
+    proof for the whole family (``_psi_certificate``), and compositions of
+    certified maps.
     """
 
-    __slots__ = ("n", "kind", "columns", "_inverse_columns")
+    __slots__ = ("n", "kind", "columns", "_inverse")
 
-    def __init__(self, n: int, kind: str, columns: Mapping, _skip_checks=False):
+    def __init__(self, n: int, kind: str, columns: Mapping, inverse: Mapping):
         if kind not in ("automorphism", "antiautomorphism"):
             raise ValueError(f"unknown kind {kind!r}")
         self.n = n
         self.kind = kind
         self.columns = {idx: columns[idx] for idx in basis_indices(n)}
-        self._inverse_columns = None
-        if not _skip_checks:
-            self._verify()
+        self._inverse = {idx: inverse[idx] for idx in basis_indices(n)}
+        _check_map(self, UTMatrix.is_zero, "map")
 
-    def _verify(self):
-        # phi(e_ij e_kl) is phi(e_il) when j = k and 0 otherwise
-        columns = self.columns
-        anti = self.kind == "antiautomorphism"
-        for (i, j), mu in columns.items():
-            for (k, l), mv in columns.items():
-                product = mv * mu if anti else mu * mv
-                ok = product == columns[(i, l)] if j == k else product.is_zero()
-                if not ok:
-                    raise ValueError("map is not (anti)multiplicative")
-        self.inverse_columns()  # invertibility check
+    @staticmethod
+    def _proved(n: int, kind: str, columns: dict, inverse: dict) -> "AlgebraMap":
+        """A map whose columns and inverse, both keyed in basis order, are
+        certified by its caller: no check."""
+        phi = AlgebraMap.__new__(AlgebraMap)
+        phi.n, phi.kind, phi.columns, phi._inverse = n, kind, columns, inverse
+        return phi
 
     def apply(self, x: UTMatrix) -> UTMatrix:
         return combine(self.columns, x.entries, self.n)
 
     def inverse_columns(self):
-        if self._inverse_columns is None:
-            # the column vectors are the rows of the transposed matrix, and the
-            # rows of its inverse are the inverse map's columns
-            idxs = basis_indices(self.n)
-            rows = inverse_exact([self.columns[idx].to_vector() for idx in idxs])
-            if rows is None:
-                raise ValueError("map is not invertible")
-            self._inverse_columns = {idx: UTMatrix.from_vector(self.n, row)
-                                     for idx, row in zip(idxs, rows)}
-        return self._inverse_columns
+        return self._inverse
 
     def inverse_apply(self, x: UTMatrix) -> UTMatrix:
         return combine(self.inverse_columns(), x.entries, self.n)
 
     def compose(self, other: "AlgebraMap") -> "AlgebraMap":
-        """self after other (as linear maps)."""
+        """self after other (as linear maps); its inverse is other^-1 after
+        self^-1."""
         if self.n != other.n:
             raise ValueError("incompatible operands")
         kind = ("automorphism" if self.kind == other.kind else "antiautomorphism")
-        columns = {idx: self.apply(other.columns[idx])
-                   for idx in basis_indices(self.n)}
-        return AlgebraMap(self.n, kind, columns, _skip_checks=True)
+        return AlgebraMap._proved(
+            self.n, kind, {idx: self.apply(x) for idx, x in other.columns.items()},
+            {idx: other.inverse_apply(x) for idx, x in self.inverse_columns().items()})
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraMap):
@@ -135,8 +124,31 @@ class AlgebraMap:
                         for i in basis_indices(self.n)))
 
 
+def _check_map(phi: AlgebraMap, vanishes, name: str) -> None:
+    """Check that ``phi`` is an (anti)automorphism with its stated inverse.
+
+    phi(e_ij) phi(e_kl) (in the other order for an antiautomorphism) must
+    equal phi(e_ij e_kl), which is phi(e_il) when j = k and 0 otherwise, on
+    all basis pairs; and the inverse columns must send each phi(e_idx) back
+    to e_idx, which for a square matrix makes them its two-sided inverse.
+    ``vanishes`` decides whether a difference is zero; anything else raises
+    ``ValueError`` naming ``name``.
+    """
+    columns = phi.columns
+    anti = phi.kind == "antiautomorphism"
+    zero = UTMatrix.zero(phi.n)
+    for (i, j), mu in columns.items():
+        for (k, l), mv in columns.items():
+            product = mv * mu if anti else mu * mv
+            if not vanishes(product - (columns[(i, l)] if j == k else zero)):
+                raise ValueError(f"{name} is not (anti)multiplicative")
+    for idx, column in columns.items():
+        if not vanishes(phi.inverse_apply(column) - UTMatrix.basis(phi.n, *idx)):
+            raise ValueError(f"{name} is not invertible by its inverse columns")
+
+
 def build_psi(params: AutoParams) -> AlgebraMap:
-    """The five-parameter automorphism of U_3, with its inverse preset.
+    """The five-parameter automorphism of U_3, with its inverse.
 
     Columns (images of the basis), with a = alpha, b = beta, c = gamma,
     d = delta, e = epsilon:
@@ -156,12 +168,7 @@ def build_psi(params: AutoParams) -> AlgebraMap:
     a, b, c, d, e = (params.alpha, params.beta, params.gamma, params.delta,
                      params.epsilon)
     one = Fraction(1)
-    ainv, dinv = one / a, one / d
-    psi = AlgebraMap(3, "automorphism",
-                     _psi_columns(a, b, c, d, e, dinv, one), _skip_checks=True)
-    psi._inverse_columns = _psi_columns(*_psi_inverse_params(a, b, c, d, e,
-                                                             ainv, dinv), one)
-    return psi
+    return _psi_map(a, b, c, d, e, one / a, one / d, one)
 
 
 def _psi_columns(a, b, c, d, e, dinv, one):
@@ -183,11 +190,14 @@ def _psi_columns(a, b, c, d, e, dinv, one):
     }
 
 
-def _psi_inverse_params(a, b, c, d, e, ainv, dinv):
-    """The arguments of ``_psi_columns`` that give psi's inverse, with
-    ``ainv`` and ``dinv`` standing for 1/alpha and 1/delta."""
-    return (ainv, -(b * dinv), (b * e * dinv - c) * ainv, dinv,
-            -(e * ainv * dinv), d)
+def _psi_map(a, b, c, d, e, ainv, dinv, one) -> AlgebraMap:
+    """psi with its inverse, psi at (ainv, -b dinv, (b e dinv - c) ainv,
+    dinv, -e ainv dinv), with ``ainv`` and ``dinv`` standing for 1/alpha
+    and 1/delta; unchecked, as ``_psi_certificate`` is its proof."""
+    return AlgebraMap._proved(
+        3, "automorphism", _psi_columns(a, b, c, d, e, dinv, one),
+        _psi_columns(ainv, -(b * dinv), (b * e * dinv - c) * ainv, dinv,
+                     -(e * ainv * dinv), d, one))
 
 
 @cache
@@ -196,10 +206,10 @@ def _psi_certificate() -> None:
 
     Over Q[alpha, beta, gamma, delta, epsilon, 1/alpha, 1/delta], with the
     inverses as symbols modulo ``alpha * ainv - 1`` and ``delta * dinv - 1``
-    (a Groebner basis: the leading monomials are coprime), it checks the 36
-    products psi(e_ij) psi(e_kl) = psi(e_ij e_kl) and that the inverse
-    columns send psi(e_idx) back to e_idx.  Every entry must have normal form
-    zero; any other outcome raises ``ValueError``.
+    (a Groebner basis: the leading monomials are coprime), ``_check_map``
+    checks the 36 products psi(e_ij) psi(e_kl) = psi(e_ij e_kl) and that the
+    inverse columns send psi(e_idx) back to e_idx.  Every entry must have
+    normal form zero; any other outcome raises ``ValueError``.
     """
     table = VarTable(("alpha", "beta", "gamma", "delta", "epsilon",
                       "ainv", "dinv"))
@@ -213,17 +223,7 @@ def _psi_certificate() -> None:
                    and normal_form(value, relations).is_zero()
                    for value in x.entries.values())
 
-    columns = _psi_columns(a, b, c, d, e, dinv, one)
-    for (i, j), mu in columns.items():
-        for (k, l), mv in columns.items():
-            expected = columns[(i, l)] if j == k else UTMatrix.zero(3)
-            if not vanishes(mu * mv - expected):
-                raise ValueError("psi is not multiplicative")
-    inverse = _psi_columns(*_psi_inverse_params(a, b, c, d, e, ainv, dinv), one)
-    for idx, column in columns.items():
-        if not vanishes(combine(inverse, column.entries, 3)
-                        - UTMatrix.basis(3, *idx)):
-            raise ValueError("psi's inverse columns do not invert it")
+    _check_map(_psi_map(a, b, c, d, e, ainv, dinv, one), vanishes, "psi")
 
 
 @cache
@@ -236,7 +236,7 @@ def theta13(n: int = 3) -> AlgebraMap:
     columns = {}
     for (i, j) in basis_indices(n):
         columns[(i, j)] = UTMatrix.basis(n, n + 1 - j, n + 1 - i)
-    return AlgebraMap(n, "antiautomorphism", columns)
+    return AlgebraMap(n, "antiautomorphism", columns, columns)
 
 
 def conjugate_operator(op: Operator, phi: AlgebraMap) -> Operator:

@@ -357,12 +357,11 @@ def test_generators_are_the_residual_components(name):
     generator: the equivalence behind checking solutions by the residual."""
     system, shape = generate_system(case_preset(name).ansatz())
     components = []
-    for cell in rb_residual(shape.operator).cells.values():
-        for value in cell.entries.values():
-            if not isinstance(value, MultiPoly):
-                value = MultiPoly.const(system.table, value)
-            if not value.is_zero():
-                components.append(value)
+    for value in rb_residual(shape.operator).entries.values():
+        if not isinstance(value, MultiPoly):
+            value = MultiPoly.const(system.table, value)
+        if not value.is_zero():
+            components.append(value)
     assert components and system.gens
     for gen in system.gens:
         assert any(proportional(gen, c) for c in components), gen

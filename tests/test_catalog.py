@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from rbu3 import catalog
 from rbu3.catalog import (CatalogError, EXPECTED_R2_NONZERO, build_catalog,
                           catalog_ids, export_data, image_dimension,
                           rb_index, verify_all)
@@ -156,6 +157,21 @@ def test_parallel_report_equals_serial():
     serial = verify_all(samples=2, families=["R5", "R8"], seed=3, jobs=1)
     parallel = verify_all(samples=2, families=["R5", "R8"], seed=3, jobs=2)
     assert parallel.to_json() == serial.to_json()
+
+
+def test_parallel_families_are_built_in_the_workers_only(monkeypatch):
+    calls = []
+
+    def counted(op):
+        calls.append(op)
+        return rb_residual(op)
+
+    monkeypatch.setattr(catalog, "rb_residual", counted)
+    report = verify_all(samples=1, families=["R5", "R8"], seed=3, jobs=2)
+    assert [e.id for e in report.entries] == ["R5", "R8"] and report.all_pass()
+    assert calls == []  # the workers count in their own copies
+    verify_all(samples=0, families=["R5", "R8"], jobs=1)
+    assert len(calls) == 2  # serially, one symbolic residual per family
 
 
 def test_fault_injection_is_detected():

@@ -84,7 +84,32 @@ def test_maps_are_verified_at_construction():
     ]
     for kind, columns, message in bad_maps:
         with pytest.raises(ValueError, match=message):
-            AlgebraMap(3, kind, columns)
+            AlgebraMap(3, kind, columns, identity)
+
+
+def test_a_wrong_inverse_is_refused():
+    from rbu3.transform import AlgebraMap
+    psi = random_psi(random.Random(4))
+    wrong = dict(psi.inverse_columns())
+    wrong[(2, 3)] = wrong[(2, 3)] + e(1, 3)
+    with pytest.raises(ValueError, match="not invertible"):
+        AlgebraMap(3, "automorphism", psi.columns, wrong)
+    # psi is not its own inverse, and theta's columns do not undo psi
+    with pytest.raises(ValueError, match="not invertible"):
+        AlgebraMap(3, "automorphism", psi.columns, psi.columns)
+    with pytest.raises(ValueError, match="not invertible"):
+        AlgebraMap(3, "automorphism", psi.columns, theta13().columns)
+    assert AlgebraMap(3, "automorphism", psi.columns, psi.inverse_columns()) == psi
+
+
+def test_theta_passes_the_map_check_as_its_own_inverse():
+    th = theta13()
+    assert th.inverse_columns() == th.columns
+    transform._check_map(th, UTMatrix.is_zero, "theta")
+    for n in (2, 4):
+        flip = theta13(n)
+        assert flip.inverse_columns() == flip.columns
+        transform._check_map(flip, UTMatrix.is_zero, "theta")
 
 
 # -- psi in closed form, certified by one symbolic proof ------------------------
@@ -116,8 +141,8 @@ def test_closed_form_inverse_matches_elimination(params):
                 == list(expected[idx].entries.items()))
         assert all(type(v) is Fraction for v in got[idx].entries.values())
     # the per-instance check still accepts psi and its inverse
-    assert AlgebraMap(3, "automorphism", psi.columns) == psi
-    inverse = AlgebraMap(3, "automorphism", got)
+    assert AlgebraMap(3, "automorphism", psi.columns, got) == psi
+    inverse = AlgebraMap(3, "automorphism", got, psi.columns)
     for composite in (inverse.compose(psi), psi.compose(inverse)):
         for idx in basis_indices(3):
             assert composite.apply(e(*idx)) == e(*idx)
@@ -176,13 +201,22 @@ def test_conjugation_composes_as_group_action():
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_a_composite_inverse_equals_elimination(seed):
+    rng = random.Random(seed)
+    phi, chi = random_psi(rng), random_psi(rng)
+    for composite in (phi.compose(chi), phi.compose(theta13()),
+                      theta13().compose(chi)):
+        assert composite.inverse_columns() == inverse_by_elimination(composite)
+
+
 def test_conjugation_invertible():
     rng = random.Random(9)
     phi = random_psi(rng)
     op = conjugate_operator(R5, phi)
     inverse_cols = phi.inverse_columns()
     from rbu3.transform import AlgebraMap
-    inv = AlgebraMap(3, "automorphism", inverse_cols)
+    inv = AlgebraMap(3, "automorphism", inverse_cols, phi.columns)
     assert conjugate_operator(op, inv) == R5
 
 
