@@ -739,7 +739,7 @@ def _deadline_check(end, stats):
     def check(partial):
         if time.monotonic() >= end:
             raise ResourceLimitExceeded("resource limit: deadline exceeded",
-                                        list(partial), stats)
+                                        partial(), stats)
     return check
 
 
@@ -751,7 +751,8 @@ def _certify_membership(factors, text, claim, gb, limits, end) -> MembershipResu
     (p^k in the ideal implies p vanishes on the solution set) and then
     through the localization encoding, which decides vanishing exactly when
     ``gb`` is a full Groebner basis.  The localization is skipped once no
-    time is left before ``end``.
+    time is left before ``end``; a skipped or stopped one leaves the
+    relation undecided (``member`` None), never refuted.
     """
     if gb.contains(claim):
         return MembershipResult(factors, text, True, False, "ideal")
@@ -763,8 +764,7 @@ def _certify_membership(factors, text, claim, gb, limits, end) -> MembershipResu
     left = _time_left(limits, end)
     if left.deadline is None or left.deadline > 0:
         try:
-            system = gb.system
-            localized = PolySystem(system.table, gb.basis, system.order)
+            localized = replace(gb.system, gens=gb.basis)
             loc_gb = buchberger(localized.localize(claim, "t_loc"), left)
             if len(loc_gb.basis) == 1 and loc_gb.basis[0].is_constant():
                 return MembershipResult(factors, text, True, False, "localization")
@@ -772,8 +772,7 @@ def _certify_membership(factors, text, claim, gb, limits, end) -> MembershipResu
                 return MembershipResult(factors, text, False, False, "localization")
         except ResourceLimitExceeded:
             pass
-    return MembershipResult(factors, text, False if gb.reduced else None,
-                            False, "undecided")
+    return MembershipResult(factors, text, None, False, "undecided")
 
 
 def unit_square_certificate(case_name: str = "sec7") -> bool:
@@ -790,9 +789,8 @@ def unit_square_certificate(case_name: str = "sec7") -> bool:
     for ((u, v), pos), value in rb_residual(shape.operator).entries.items():
         if u[0] == u[1] and v[0] == v[1]:
             total[pos] = total[pos] + value if pos in total else value
-    # each claim is, up to sign, one nonzero component of the sum
-    components = [value for value in total.values() if value]
-    return all(-shape.expand(factors[0], spec.aliases) in components
+    # each claim is, up to sign, one component of the sum
+    return all(-shape.expand(factors[0], spec.aliases) in total.values()
                for factors in _SEC7_UNIT_SQUARE)
 
 

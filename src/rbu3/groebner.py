@@ -4,30 +4,30 @@ The engine is deliberately plain: normal pair selection (minimal lcm degree,
 then smallest pair index), the product and chain criteria, full normal-form
 reduction, and monic auto-reduced output.  Three implementation notes:
 
-* Auto-reduction divides each element by the others' leading terms and
-  their monomial multiples, pass after pass, and stops after the first pass
-  in which no surviving leading monomial moved: every element is then
-  reduced against the others.  This is more than Gaussian elimination on
-  the coefficient rows (under grevlex ``[x^2 - y, x - 1]`` becomes
+* Each call is one packed session (Bachmann and Schoenemann, ISSAC 1998).
+  A monomial is one int: a field per variable, whose top bit is a guard
+  kept clear, under an order key linear in the exponents.  So ints compare
+  as their monomials, a product or quotient is one addition or
+  subtraction, and divisibility and lcm are masks on one subtraction's
+  guard bits.  Fields are as narrow as the input's exponents allow; a
+  product that reaches a guard bit raises, and the whole call is redone
+  with fields twice as wide.  ``buchberger`` packs its generators once,
+  works on lead entries (leading data computed once per polynomial) in
+  divisor views of stable descending lead order, and unpacks only its
+  basis, or the partial one a limit raises with.  Division takes terms
+  largest first, by the first divisor in view order: counters and bases
+  are those of the plain loop.
+* Interreduction divides each element by the others' leading terms and
+  their monomial multiples, pass after pass.  Whether a set is reduced
+  depends only on its leads, so it stops after the first pass that moves
+  no surviving lead.  This is more than Gaussian elimination on the
+  coefficient rows (under grevlex ``[x^2 - y, x - 1]`` becomes
   ``[x - 1, y - 1]``), so linear elements substitute themselves into the
-  rest.  The quadratic systems produced by the operator-coefficient
-  ansatzes collapse dramatically under this cascade.  It is the engine's
-  one interreduction: applied to a Groebner basis it gives the unique
-  reduced basis, so ``buchberger`` ends with it.  It returns ``[1]`` as
-  soon as an element is, or reduces to, a nonzero constant: 1 divides
-  every monomial, so that is the fixpoint the remaining passes would reach.
-* Inside the engine a monomial is one int (Bachmann and Schoenemann,
-  ISSAC 1998): a field per variable, whose top bit is a guard kept clear,
-  under an order key linear in the exponents.  So ints compare as their
-  monomials, a product or quotient is one addition or subtraction, and
-  divisibility and lcm are masks on one subtraction's guard bits.  Fields
-  are as narrow as the input's exponents allow; a product that reaches a
-  guard bit raises, and the call is redone with fields twice as wide.
-  Polynomials are packed on entry to each public function and unpacked on
-  exit.  Leading data are computed once per polynomial and kept in a
-  divisor view in stable descending lead order, and division takes terms
-  from a heap, largest first: the divisor is the first match in that
-  order, so counters and bases are those of the plain loop.
+  rest, and the ansatz systems collapse.  It opens and closes each
+  ``buchberger`` call (on a set containing a Groebner basis it gives the
+  unique reduced basis); ``autoreduce`` runs it on polynomials.  It
+  returns ``[1]`` at the first element that is, or reduces to, a nonzero
+  constant: 1 divides every monomial, so that is the fixpoint.
 * Inside the engine an integral coefficient is an ``int`` (``as_int``,
   on packing and on making a remainder monic), so most products a
   division takes are int products.  Every division goes through
@@ -173,8 +173,7 @@ class GroebnerBasis:
 
     def verify(self) -> bool:
         """Recheck the defining properties (generators and S-pairs reduce to 0)."""
-        order = self.system.order
-        basis = self.basis
+        order, basis = self.system.order, self.basis
         if not all(self.contains(g) for g in self.system.gens):
             return False
         if not all(self.contains(s_polynomial(f, g, order))
@@ -184,7 +183,7 @@ class GroebnerBasis:
             pk = _packing(len(self.system.table), order, self._width)
             view = pk.view(basis)
             for entry in view:
-                lead, _, _, terms, _ = entry
+                lead, _, _, terms = entry
                 if terms[lead] != 1 or any(
                         other is not entry and pk.divides(other[1], m)
                         for m in terms for other in view):
@@ -281,20 +280,29 @@ class _Packing:
     def poly(self, table: VarTable, terms: dict) -> MultiPoly:
         return MultiPoly(table, {self.unpack(m): c for m, c in terms.items()})
 
-    def entry(self, terms: dict, poly: MultiPoly | None = None):
-        """(lead, lead word, tail, terms, poly); the tail pairs each other
-        term with -c/lc, what a division step adds per unit of the term."""
+    def polys(self, table: VarTable, entries: Iterable) -> list:
+        return [self.poly(table, e[3]) for e in entries]
+
+    def entry(self, terms: dict, monic: bool = False):
+        """(lead, lead word, tail, terms), of ``terms`` divided by their lead
+        coefficient if ``monic``; the tail pairs each other term with -c/lc,
+        what a division step adds per unit of the term."""
         lead = max(terms)
         lc = terms[lead]
-        inv = -1 if lc == 1 else Fraction(-1) / lc  # int / int gives a float
-        tail = [(m, as_int(c * inv)) for m, c in terms.items() if m != lead]
-        return (lead, lead & self.low, tail, terms, poly)
+        if lc != 1 and monic:
+            inv, lc = Fraction(1) / lc, 1  # int / int gives a float
+            terms = {m: as_int(c * inv) for m, c in terms.items()}
+        if lc == 1:
+            tail = [(m, -c) for m, c in terms.items() if m != lead]
+        else:
+            inv = Fraction(-1) / lc
+            tail = [(m, as_int(c * inv)) for m, c in terms.items() if m != lead]
+        return (lead, lead & self.low, tail, terms)
 
     def view(self, polys: Iterable[MultiPoly]) -> list:
         """Lead entries of the polynomials, in stable descending lead order."""
-        entries = [self.entry(self.terms(g)) for g in polys if not g.is_zero()]
-        entries.sort(key=_lead, reverse=True)
-        return entries
+        return sorted((self.entry(self.terms(g)) for g in polys if g),
+                      key=_lead, reverse=True)
 
 
 @cache
@@ -382,15 +390,6 @@ def _s_terms(pk: _Packing, f, g, lcm: int) -> dict:
     return terms
 
 
-def _monic_entry(pk: _Packing, r: dict, table: VarTable):
-    """Lead entry, with its polynomial, of the remainder ``r`` made monic."""
-    lc = next(iter(r.values()))
-    if lc != 1:
-        inv = Fraction(1) / lc
-        r = {m: as_int(c * inv) for m, c in r.items()}
-    return pk.entry(r, pk.poly(table, r))
-
-
 def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
     """S(f,g) = (lcm/lt(f)) f - (lcm/lt(g)) g, built monically."""
     if f.is_zero() or g.is_zero():
@@ -420,53 +419,57 @@ def normal_form(p: MultiPoly, basis: Sequence[MultiPoly],
         [p, *basis], p.table, order)
 
 
+def _interreduce(entries: list, pk: _Packing, check) -> list:
+    """``autoreduce`` on lead entries, returned in descending lead order.
+
+    Each entry is divided by a view of the others in stable descending lead
+    order, sorted once a pass: the entry leaves it, its remainder enters.
+    A remainder's lead equals no lead in the view that reduced it, so only
+    entries still to come tie, in input order.  ``check`` is called before
+    each division with a callable that returns entries of the same ideal.
+    """
+    if any(not e[0] for e in entries):  # the constant monomial packs to 0
+        return [pk.entry({0: 1})]
+    current, moved = entries, True
+    while moved:
+        moved, nxt = False, []
+        view = sorted(current, key=_lead, reverse=True)
+        for i, entry in enumerate(current):
+            check(lambda: nxt + current[i:])
+            view.remove(entry)  # the entries before it have larger leads
+            r = _reduce(dict(entry[3]), view, pk)
+            if not r:
+                continue
+            reduced = pk.entry(r, monic=True)
+            if not reduced[0]:
+                return [reduced]
+            moved = moved or reduced[0] != entry[0]
+            nxt.append(reduced)
+            insort(view, reduced, key=lambda e: -e[0])
+        current = nxt
+    current.sort(key=_lead, reverse=True)
+    return current
+
+
 def autoreduce(polys: Iterable[MultiPoly],
                order: MonomialOrder | None = None, _check=None) -> list:
-    """Reduce a set against itself to a fixpoint; output is monic, sorted by
-    leading monomial, descending.
-
-    Each pass divides every element by the leading terms of the others
-    (their monomial multiples included, so this is not Gaussian elimination
-    on the coefficient rows) and drops zero remainders.  Whether a set is
-    reduced depends only on its leading monomials, so the loop stops after
-    the first pass in which no surviving element's leading monomial moved:
-    each element was then divided by the others' final leads.  Applied to a
-    set containing a Groebner basis, the result is the unique reduced basis.
-
-    As soon as an element is, or reduces to, a nonzero constant the result
-    is ``[1]``: 1 divides every monomial, so that is the fixpoint.
-
-    ``_check`` (private to ``buchberger``) is called before each polynomial
-    is reduced, with a list that generates the same ideal; it raises to stop.
+    """Interreduce a set (the module docstring's second note): the monic
+    remainders, sorted by leading monomial, descending; ``[1]`` when a
+    constant appears.  ``_check`` is called before each polynomial is
+    reduced, with a callable that returns a list generating the same ideal;
+    it raises to stop.
     """
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return []
     table = polys[0].table
-    if any(p.is_constant() for p in polys):
-        return [MultiPoly.const(table, 1)]
 
     def run(pk):
-        current = [pk.entry(pk.terms(p), p) for p in polys]
-        moved = True
-        while moved:
-            moved = False
-            nxt = []
-            for i, entry in enumerate(current):
-                if _check is not None:
-                    _check([e[4] for e in nxt] + [e[4] for e in current[i:]])
-                view = sorted(nxt + current[i + 1:], key=_lead, reverse=True)
-                r = _reduce(dict(entry[3]), view, pk)
-                if not r:
-                    continue
-                reduced = _monic_entry(pk, r, table)
-                if not reduced[0]:  # the constant monomial packs to 0
-                    return [reduced[4]]
-                moved = moved or reduced[0] != entry[0]
-                nxt.append(reduced)
-            current = nxt
-        current.sort(key=_lead, reverse=True)
-        return [e[4] for e in current]
+        def check(partial):
+            if _check is not None:
+                _check(lambda: pk.polys(table, partial()))
+        return pk.polys(table, _interreduce(
+            [pk.entry(pk.terms(p)) for p in polys], pk, check))
     return _packed(run, polys, table, order or grevlex())
 
 
@@ -476,48 +479,47 @@ def buchberger(system: PolySystem, limits: Limits | None = None) -> GroebnerBasi
     Deterministic for identical input: normal selection strategy (minimal
     lcm degree, then lexicographically smallest pair index), tie-broken by
     insertion order.  Limits are checked before each S-pair and before
-    each polynomial an autoreduce reduces, the closing one included.
+    each polynomial an interreduction reduces, the closing one included.
     """
-    start = time.monotonic()
-    return _packed(lambda pk: _buchberger(system, limits, start, pk.width),
+    start, limits = time.monotonic(), limits or Limits()
+    return _packed(lambda pk: _buchberger(system, limits, start, pk),
                    system.gens, system.table, system.order)
 
 
-def _buchberger(system: PolySystem, limits: Limits | None, start: float,
-                width: int) -> GroebnerBasis:
-    """One run of ``buchberger`` with fields at least ``width`` bytes wide."""
-    limits = limits or Limits()
-    order, table = system.order, system.table
+def _buchberger(system: PolySystem, limits: Limits, start: float,
+                pk: _Packing) -> GroebnerBasis:
+    """One run of ``buchberger``, packed by ``pk`` from start to end."""
+    table = system.table
     stats = GBStats()
 
     def check_limits(partial):
         if limits.max_pairs is not None and stats.pairs_considered > limits.max_pairs:
             raise ResourceLimitExceeded(
                 f"resource limit: more than {limits.max_pairs} pairs",
-                list(partial), stats)
+                pk.polys(table, partial()), stats)
         if limits.deadline is not None and time.monotonic() - start > limits.deadline:
             raise ResourceLimitExceeded("resource limit: deadline exceeded",
-                                        list(partial), stats)
+                                        pk.polys(table, partial()), stats)
 
-    basis = autoreduce(system.gens, order, _check=check_limits)
-    pk = _packing(len(table), order, max(width, _fit(basis)))
+    entries = _interreduce([pk.entry(pk.terms(g)) for g in system.gens], pk,
+                           check_limits)
     guards = pk.guards
-    entries = [pk.entry(pk.terms(g), g) for g in basis]
     leads = [e[1] for e in entries]
     degs = [sum(pk.unpack(m)) for m in leads]
-    view = sorted(entries, key=_lead, reverse=True)
+    view = entries[:]  # interreduced entries come in descending lead order
 
     def pair(i, j):
         lcm = pk.lcm(leads[i], leads[j])
         return (pk.degree(lcm, degs[i] + degs[j]), i, j, lcm)
 
-    heap = [pair(i, j) for j in range(len(basis)) for i in range(j)]
+    heap = [pair(i, j) for j in range(len(entries)) for i in range(j)]
     heapq.heapify(heap)
-    done = [set() for _ in basis]  # done[i]: each k whose pair with i is treated
+    done = [set() for _ in entries]  # done[i]: each k whose pair with i is treated
+    so_far = entries.copy  # the partial basis, should a limit be hit
 
     while heap:
         stats.pairs_considered += 1
-        check_limits(basis)
+        check_limits(so_far)
         _, i, j, lcm = heapq.heappop(heap)
         done_i, done_j = done[i], done[j]
         # product criterion: coprime leading monomials
@@ -537,19 +539,18 @@ def _buchberger(system: PolySystem, limits: Limits | None, start: float,
             stats.zero_reductions += 1
             continue
         # r is reduced against the view, so its leading monomial is new
-        entry = _monic_entry(pk, r, table)
-        basis.append(entry[4])
+        entry = pk.entry(r, monic=True)
         entries.append(entry)
         leads.append(entry[1])
         degs.append(sum(pk.unpack(entry[1])))
         done.append(set())
         # after every entry whose lead is not smaller, as a stable sort would
         insort(view, entry, key=lambda e: -e[0])
-        new_index = len(basis) - 1
+        new_index = len(entries) - 1
         for k in range(new_index):
             heapq.heappush(heap, pair(k, new_index))
 
-    basis = autoreduce(basis, order, _check=check_limits)
+    basis = pk.polys(table, _interreduce(entries, pk, check_limits))
     stats.basis_size = len(basis)
     return GroebnerBasis(system, tuple(basis), True, stats)
 

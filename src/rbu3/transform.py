@@ -585,8 +585,8 @@ def find_conjugation(source: Operator, target: Operator,
     splits into one generator per parameter monomial, since the identity
     must hold for every parameter value.  Ordering rule: the relation comes
     first, so that on a full system a monomial generator in u, k, alpha and
-    delta turns it into a constant at its first reduction, and
-    ``autoreduce`` then stops at once with ``[1]``.  After it, cells, terms
+    delta turns it into a constant at its first reduction, and the opening
+    interreduction then stops at once with ``[1]``.  After it, cells, terms
     and parameter buckets come out in first appearance as the sums run
     (source side over psi's cells, then target side over S's cells, then
     their difference), and a term or cell that cancels leaves and re-enters
@@ -609,11 +609,8 @@ def find_conjugation(source: Operator, target: Operator,
     params = VarTable(tuple(source.params()) + tuple(
         p for p in target.params() if p not in source.params()))
     src = _image_terms(source, params)
-    variants = [()]
-    if allow_theta:
-        variants.append((ThetaStep(),))
     outcomes = []
-    for tail in variants:
+    for tail in [(), (ThetaStep(),)] if allow_theta else [()]:
         adjusted = target
         for step in tail:
             adjusted = conjugate_operator(adjusted, step.map())
@@ -781,8 +778,11 @@ def _psi_only_search(source, target, tail, generators, allow_scaling, limits):
                 return ConjugationSearch("disjoint", certificate=(
                     _unit_certificate(mono, Fraction(coeff), allow_scaling),))
         gens.append(terms)
-    system = PolySystem(table, tuple(dict.fromkeys(MultiPoly(table, g)
-                                                   for g in gens)), lex())
+    unique = {}  # the first of equal term maps, before any polynomial is built
+    for terms in gens:
+        unique.setdefault(frozenset(terms.items()), terms)
+    system = PolySystem(table, tuple(MultiPoly(table, g)
+                                     for g in unique.values()), lex())
     gb = buchberger(system, limits)
     if len(gb.basis) == 1 and gb.basis[0].is_constant():
         return ConjugationSearch("disjoint", certificate=(gb,))

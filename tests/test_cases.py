@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from rbu3 import catalog
 from rbu3.catalog import (case_preset, case_preset_names, run_case,
                           unit_square_certificate)
-from rbu3.groebner import Limits, buchberger, normal_form
+from rbu3.groebner import Limits, PolySystem, buchberger, normal_form
 from rbu3.matrices import basis_indices
 from rbu3.operators import Ansatz, bvar_name, generate_system, rb_residual
 from rbu3.poly import MultiPoly, VarTable
@@ -180,6 +181,13 @@ def test_sec7_printed_linear_variant_provably_fails():
 
 def test_sec7_unit_square_certificate():
     assert unit_square_certificate("sec7")
+    # the six diagonal sums are all nonzero components, one per claim
+    _, shape = generate_system(case_preset("sec7").ansatz())
+    total = {}
+    for ((u, v), pos), value in rb_residual(shape.operator).entries.items():
+        if u[0] == u[1] and v[0] == v[1]:
+            total[pos] = total[pos] + value if pos in total else value
+    assert len(total) == 6 and all(total.values())
 
 
 def test_unit_square_certificate_refuses_a_perturbed_claim(monkeypatch):
@@ -232,6 +240,26 @@ def test_deadline_bounds_the_whole_case(monkeypatch):
     assert "undecided" in kinds
     assert all(kind in ("ideal", "ansatz", "undecided") or kind.startswith("power-")
                for kind in kinds)
+
+
+def test_a_skipped_localization_leaves_the_claim_undecided():
+    """x is not in <x^5>, but vanishes where it does: the localization
+    certifies it, and when it is skipped (no time left) or stopped by a
+    limit the claim is undecided, not refuted."""
+    table = VarTable(["x", "y"])
+    gb = buchberger(PolySystem(table, (table.parse("x^5"),)))
+    claim = table.parse("x")
+
+    def certify(limits, end):
+        return catalog._certify_membership(("x",), "x", claim, gb, limits, end)
+    assert gb.reduced
+    found = certify(Limits(), None)
+    assert (found.member, found.certified_by) == (True, "localization")
+    skipped = certify(Limits(deadline=0.0), time.monotonic() - 1.0)
+    stopped = certify(Limits(max_pairs=0), None)  # the localization raises
+    for result in (skipped, stopped):
+        assert (result.member, result.certified_by) == (None, "undecided")
+        assert not result.passed()
 
 
 def test_deadline_covers_the_partial_autoreduce(monkeypatch):

@@ -178,7 +178,7 @@ def test_autoreduce_stopped_midway_still_generates_the_ideal():
         try:
             autoreduce(gens, grevlex(), _check=check)
         except Stop:
-            partial = seen[-1]
+            partial = seen[-1]()
             assert buchberger(PolySystem(table, tuple(partial),
                                          grevlex())).basis == expected
             calls += 1
@@ -198,28 +198,30 @@ def test_autoreduce_divides_by_monomial_multiples():
 
 
 def test_buchberger_closes_with_a_checked_autoreduce(monkeypatch):
-    """The reduced basis comes from an autoreduce that holds the limits."""
+    """The reduced basis comes from an interreduction that holds the
+    limits."""
     calls = []
-    original = groebner.autoreduce
+    original = groebner._interreduce
+    table = VarTable(["x", "y", "z"])
 
-    def spy(polys, order=None, _check=None):
-        out = original(polys, order, _check=_check)
-        calls.append((_check, out))
+    def spy(entries, pk, check):
+        out = original(entries, pk, check)
+        calls.append((check, out, [pk.poly(table, e[3]) for e in out]))
         return out
 
-    monkeypatch.setattr(groebner, "autoreduce", spy)
-    table = VarTable(["x", "y", "z"])
+    monkeypatch.setattr(groebner, "_interreduce", spy)
     system = PolySystem(table, tuple(parse_poly(t, table) for t in
                                      ("x^2 - y*z", "y^2 - x*z", "z^2 - x*y")),
                         grevlex())
     gb = buchberger(system, Limits(max_pairs=1000))
     assert gb.stats.restarts == 0 and len(calls) == 2  # initial, closing
-    check, out = calls[-1]
+    check, entries, out = calls[-1]
     assert check is not None and out == list(gb.basis)
     # the check is the run's own pair limit, read from the run's stats
     gb.stats.pairs_considered = 1001
-    with pytest.raises(ResourceLimitExceeded):
-        check(out)
+    with pytest.raises(ResourceLimitExceeded) as info:
+        check(lambda: entries)
+    assert info.value.partial == out
 
 
 def test_partial_and_basis_hold_polynomials_over_the_system_table():
@@ -593,37 +595,115 @@ def test_autoreduce_of_a_groebner_basis_and_its_multiples(gens, order, rng):
     assert same_with_term_order(autoreduce(mixed, order), basis)
 
 
-# -- autoreduce: the constant rule ----------------------------------------------
+# -- autoreduce: the pass loop with a fresh view per element ---------------------
 
 
-def fixpoint_autoreduce(polys, order):
-    """``autoreduce`` without the constant rule: after a constant appears
-    the loop runs on, reducing every element against it, until a pass moves
+def pass_loop_autoreduce(polys, order, check=None, stop_at_constant=True):
+    """The reference for ``groebner._interreduce``: the same passes with
+    each element's divisor view sorted afresh from the remainders so far and
+    the elements still to come, and the partial built as a list before each
+    element.  Without ``stop_at_constant`` the loop runs on after a
+    constant appears, reducing every element against it, until a pass moves
     no leading monomial."""
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return []
     table = polys[0].table
+    if stop_at_constant and any(p.is_constant() for p in polys):
+        return [MultiPoly.const(table, 1)]
 
     def run(pk):
-        current = [pk.entry(pk.terms(p), p) for p in polys]
+        def unpack(entries):
+            return [pk.poly(table, e[3]) for e in entries]
+
+        current = [pk.entry(pk.terms(p)) for p in polys]
         moved = True
         while moved:
             moved = False
             nxt = []
             for i, entry in enumerate(current):
+                if check is not None:
+                    check(unpack(nxt + current[i:]))
                 view = sorted(nxt + current[i + 1:], key=groebner._lead,
                               reverse=True)
                 r = groebner._reduce(dict(entry[3]), view, pk)
                 if not r:
                     continue
-                reduced = groebner._monic_entry(pk, r, table)
+                lc = next(iter(r.values()))
+                reduced = pk.entry({m: Fraction(c) / lc for m, c in r.items()})
+                if stop_at_constant and not reduced[0]:
+                    return unpack([reduced])
                 moved = moved or reduced[0] != entry[0]
                 nxt.append(reduced)
             current = nxt
         current.sort(key=groebner._lead, reverse=True)
-        return [e[4] for e in current]
+        return unpack(current)
     return groebner._packed(run, polys, table, order)
+
+
+@st.composite
+def tied_lead_systems(draw):
+    """Sets over x, y, z in which several elements share a leading
+    monomial (scaled copies, and copies shifted by a constant), so the
+    divisor view holds ties among the elements still to come."""
+    polys = []
+    for g in draw(st.lists(xyz_polys(max_terms=3), min_size=1, max_size=3)):
+        polys.append(g)
+        for _ in range(draw(st.integers(0, 2))):
+            c = Fraction(draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+            polys.append(draw(st.sampled_from([g * c, g + c, g * c - 1])))
+    order = draw(st.sampled_from([lex(), grevlex(), elimination(1)]))
+    return draw(st.permutations(polys)), order
+
+
+class Stop(Exception):
+    pass
+
+
+def stopped(run, at):
+    """``run(check)`` with a check that raises at its call number ``at``:
+    the partial of every call (a callable's value), and the output, None
+    when stopped."""
+    seen = []
+
+    def check(partial):
+        seen.append(partial() if callable(partial) else partial)
+        if len(seen) > at:
+            raise Stop
+    try:
+        return seen, run(check)
+    except Stop:
+        return seen, None
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(tied_lead_systems())
+@example(([parse_poly(t, XYZ) for t in ("x*y + z", "2*x*y - 1", "y - x",
+                                        "x*y + z + 1", "x + 2*z")], lex()))
+def test_interreduction_matches_the_pass_loop_at_every_stop(problem):
+    polys, order = problem
+    at = 0
+    while True:
+        seen, out = stopped(lambda c: autoreduce(polys, order, _check=c), at)
+        expected_seen, expected = stopped(
+            lambda c: pass_loop_autoreduce(polys, order, c), at)
+        assert len(seen) == len(expected_seen)
+        assert all(same_with_term_order(a, b)
+                   for a, b in zip(seen, expected_seen))
+        if expected is None:
+            assert out is None
+            at += 1
+            continue
+        assert same_with_term_order(out, expected)
+        break
+
+
+# -- autoreduce: the constant rule ----------------------------------------------
+
+
+def fixpoint_autoreduce(polys, order):
+    """``autoreduce`` without the constant rule."""
+    return pass_loop_autoreduce(polys, order, stop_at_constant=False)
 
 
 ONE = MultiPoly.const(XYZ, 1)
@@ -790,8 +870,8 @@ def test_forward_scan_keeps_the_divisors_on_the_sec6_generators():
 def fraction_reduce(work, view, pk):
     """The oracle for ``groebner._reduce``: the same division with every
     coefficient a ``Fraction``, scanning the view from its first entry."""
-    view = [(lead, word, [(m, Fraction(c)) for m, c in tail], terms, poly)
-            for lead, word, tail, terms, poly in view]
+    view = [(lead, word, [(m, Fraction(c)) for m, c in tail], terms)
+            for lead, word, tail, terms in view]
     remainder = reference_reduce({m: Fraction(c) for m, c in work.items()},
                                  view, pk, [])
     assert all(type(c) is Fraction for c in remainder.values())

@@ -825,26 +825,24 @@ def test_every_certified_family_pair(monkeypatch):
 def test_a_unit_generator_settles_the_search_in_one_pass(pair, monkeypatch):
     """The relation comes first, so on the full built system a constant
     generator, or a monomial one in the invertible unknowns, turns it into
-    [1] at the first reduction of the first autoreduce pass, before any
+    [1] at the first reduction of the opening interreduction, before any
     S-pair."""
     invertible = {"u_aux", "k_scale", "alpha", "delta"}
-    passes = []  # (inputs, checks) of each autoreduce call
-    real_autoreduce = groebner.autoreduce
+    passes = []  # (inputs, checks) of each interreduction
+    real_interreduce = groebner._interreduce
 
-    def counting(polys, order=None, _check=None):
-        polys = [g for g in polys if not g.is_zero()]
+    def counting(entries, pk, _check):
         checks = []
 
         def check(partial):
             checks.append(partial)
-            if _check is not None:
-                _check(partial)
-        out = real_autoreduce(polys, order, _check=check)
-        passes.append((len(polys), len(checks)))
+            _check(partial)
+        out = real_interreduce(entries, pk, check)
+        passes.append((len(entries), len(checks)))
         return out
 
     settled = []
-    monkeypatch.setattr(groebner, "autoreduce", counting)
+    monkeypatch.setattr(groebner, "_interreduce", counting)
     fam = certified_families()
     source, target = (fam[name] for name in pair)
     # without and with the flip, as the search builds them
@@ -927,3 +925,45 @@ def test_found_witness_with_the_flip_is_replayed_once(monkeypatch):
     assert result.status == "found"
     assert result.witness.steps[-1] == ThetaStep()
     assert calls == [result.witness]
+
+
+def test_searched_systems_keep_the_polynomial_dedupe(monkeypatch):
+    """The search dedupes term maps before building polynomials; on the
+    pairs that reach ``buchberger`` (found and unit systems) and on planted
+    targets, each system is the one deduped as polynomials, in order and
+    with every term order, and duplicates do occur."""
+    fam = certified_families()
+    pairs = [(fam[a], fam[b]) for a, b in (
+        pair.split("|") for pair in sorted(FOUND_PAIRS) + [
+            "R7|R30", "R10|R19", "R15|R29", "R16|R29"])]
+    pairs.append(planted_target())
+    for family, params, flip, scalar in LIFTED_TARGETS.values():
+        steps = (PsiStep(AutoParams(*(Fraction(v) for v in params))),)
+        planted = Witness(steps + (ThetaStep(),) * flip, Fraction(scalar))
+        pairs.append((fam[family], planted.transform_operator(fam[family])))
+    builds, systems = [], []
+    real_builder = transform._search_generators
+    real_buchberger = transform.buchberger
+
+    def spy(*args):
+        builds.append(list(real_builder(*args)))
+        return iter(builds[-1])
+
+    def buchberger_spy(system, limits=None):
+        systems.append((len(builds) - 1, system))
+        return real_buchberger(system, limits)
+
+    monkeypatch.setattr(transform, "_search_generators", spy)
+    monkeypatch.setattr(transform, "buchberger", buchberger_spy)
+    searched = dropped = 0
+    for source, target in pairs:
+        builds.clear()
+        systems.clear()
+        find_conjugation(source, target)
+        targets = [target, conjugate_operator(target, theta13())]
+        for i, system in systems:
+            expected = built_system(source, targets[i]).gens
+            assert as_terms(system.gens) == as_terms(expected)
+            searched += 1
+            dropped += len(builds[i]) - len(expected)
+    assert searched >= len(pairs) and dropped > 0
