@@ -19,6 +19,6 @@ from .transform import (AlgebraMap, AutoParams, Witness, build_psi,
                         canonicalize_idempotent, canonicalize_nilpotent,
                         conjugate_operator, find_conjugation, theta13)
 from .catalog import (CatalogEntry, build_catalog, case_preset, catalog_ids,
-                      image_dimension, rb_index, run_case, verify_all)
+                      run_case, verify_all)
 
 __version__ = "0.1.0"

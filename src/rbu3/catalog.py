@@ -46,8 +46,6 @@ __all__ = [
     "build_catalog",
     "catalog_ids",
     "get_entry",
-    "rb_index",
-    "image_dimension",
     "case_preset",
     "case_preset_names",
     "run_case",
@@ -204,46 +202,11 @@ def _build_entry(eid: str) -> CatalogEntry:
     return entry
 
 
-def get_entry(eid: str, entries=None) -> CatalogEntry:
-    """The family ``eid``, from ``entries`` or else built on its own."""
-    if entries is None and eid in _CATALOG_DEFS:
-        return _build_entry(eid)
-    for entry in entries or ():
-        if entry.id == eid:
-            return entry
-    raise KeyError(f"unknown family id {eid!r}")
-
-
-@dataclass
-class RBIndexReport:
-    index: int
-    degrees: dict        # id -> least k with R^k = 0
-    r2_nonzero: tuple    # ids with R^2 != 0, catalog order
-
-
-def _r2_nonzero(k) -> bool:
-    """R^2 != 0, read from the least k with R^k = 0 (None: none up to the cap)."""
-    return k is not None and k > 2
-
-
-def _rb_index_report(degrees: dict) -> RBIndexReport:
-    """The max of ``degrees`` (id -> least k with R^k = 0), with the R^2 != 0 list."""
-    return RBIndexReport(max(k for k in degrees.values() if k is not None), degrees,
-                         tuple(eid for eid, k in degrees.items() if _r2_nonzero(k)))
-
-
-def rb_index(entries) -> RBIndexReport:
-    """max over the catalog of the least n with R^n = 0, with the R^2 != 0 list."""
-    return _rb_index_report({entry.id: entry.operator.power_vanish_index(cap=8)
-                             for entry in entries})
-
-
-def image_dimension(entry: CatalogEntry, at: Mapping[str, Fraction] | None = None) -> int:
-    """Generic image dimension, or the exact one at given parameter values."""
-    if at is None:
-        return entry.operator.image_dimension()
-    op = entry.operator.substitute_params(at)
-    return op.image_dimension()
+def get_entry(eid: str) -> CatalogEntry:
+    """The family ``eid``, built and certified on its own."""
+    if eid not in _CATALOG_DEFS:
+        raise KeyError(f"unknown family id {eid!r}")
+    return _build_entry(eid)
 
 
 # -- case driver ---------------------------------------------------------------
@@ -914,7 +877,7 @@ def _entry_report_by_id(eid: str, samples: int, seed: int) -> EntryReport:
         id=entry.id, params=entry.params, side_conditions=entry.side_conditions,
         provenance=entry.provenance, residual_zero=entry.residual_zero,
         first_failure=entry.first_failure, power_vanish_index=k,
-        r2_nonzero=_r2_nonzero(k),
+        r2_nonzero=k is not None and k > 2,
         image_dim=op.image_dimension(),
         unit_not_in_image=lemma.unit_not_in_image,
         kernel_check=lemma.kernel_contains_image,
@@ -945,6 +908,10 @@ def verify_all(samples: int = 0, families: Sequence[str] | None = None,
     this process, or in a worker when ``jobs`` > 1 spreads the families
     across processes; results merge in catalog order either way.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, not {samples}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
     wanted = list(_CATALOG_DEFS)
     if families is not None:
         families = set(families)
@@ -959,8 +926,8 @@ def verify_all(samples: int = 0, families: Sequence[str] | None = None,
             reports = list(pool.map(report, wanted))
     else:
         reports = [report(eid) for eid in wanted]
-    idx = _rb_index_report({r.id: r.power_vanish_index for r in reports})
-    return VerifyReport(reports, idx.index, idx.r2_nonzero, samples)
+    return VerifyReport(reports, max(r.power_vanish_index or 0 for r in reports),
+                        tuple(r.id for r in reports if r.r2_nonzero), samples)
 
 
 # -- shipped data files -------------------------------------------------------------
@@ -983,8 +950,9 @@ def export_data(root) -> list:
         written.append(path)
     ops_dir = root / "operators"
     ops_dir.mkdir(exist_ok=True)
-    for eid in ("R5", "R40"):
-        path = ops_dir / f"{eid.lower()}.json"
-        get_entry(eid, entries).operator.save(path)
-        written.append(path)
+    for entry in entries:
+        if entry.id in ("R5", "R40"):
+            path = ops_dir / f"{entry.id.lower()}.json"
+            entry.operator.save(path)
+            written.append(path)
     return written

@@ -34,16 +34,14 @@ def _limits(args) -> Limits:
     return Limits(max_pairs=args.max_pairs, deadline=args.deadline)
 
 
-def cmd_verify_catalog(args) -> int:
+def cmd_verify_catalog(args):
     report = cat.verify_all(samples=args.samples, families=args.family or None,
                             seed=args.seed, jobs=args.jobs)
     print(report.to_text())
-    if args.json:
-        write_json(args.json, report.to_json())
-    return EXIT_OK if report.all_pass() else EXIT_CHECK_FAILED
+    return EXIT_OK if report.all_pass() else EXIT_CHECK_FAILED, report.to_json()
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     op = Operator.load(args.file)
     if args.weight is not None:
         op = Operator(op.n, op.columns, Fraction(args.weight))
@@ -57,12 +55,10 @@ def cmd_check(args) -> int:
               f"position {failure['position']} value {failure['value']}")
     else:
         data["lemma_checks"] = asdict(check_lemma3(op))
-    if args.json:
-        write_json(args.json, data)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return EXIT_OK if ok else EXIT_CHECK_FAILED, data
 
 
-def cmd_system(args) -> int:
+def cmd_system(args):
     if args.preset:
         ansatz = cat.case_preset(args.preset).ansatz()
     else:
@@ -71,12 +67,10 @@ def cmd_system(args) -> int:
                         list(data.get("constraints", ())))
     system, _ = generate_system(ansatz)
     print(f"{len(system.table)} variables, {len(system.gens)} generators")
-    if args.json:
-        write_json(args.json, system.to_json())
-    return EXIT_OK
+    return EXIT_OK, system.to_json()
 
 
-def cmd_gb(args) -> int:
+def cmd_gb(args):
     system = PolySystem.load(args.file)
     if args.order:
         order = MonomialOrder.from_json(
@@ -87,42 +81,35 @@ def cmd_gb(args) -> int:
           f"({gb.stats.pairs_considered} pairs)")
     for g in gb.basis:
         print(f"  {g.to_str(system.order)}")
-    if args.json:
-        write_json(args.json, gb.to_json())
-    return EXIT_OK
+    return EXIT_OK, gb.to_json()
 
 
-def cmd_member(args) -> int:
+def cmd_member(args):
     system = PolySystem.load(args.file)
     poly = parse_poly(args.poly, system.table)
     gb = buchberger(system, _limits(args))
     member = gb.contains(poly)
     print(f"member: {'YES' if member else 'NO'}")
-    if args.json:
-        write_json(args.json, {"schema": 1, "poly": args.poly, "member": member})
-    return EXIT_OK if member else EXIT_CHECK_FAILED
+    return (EXIT_OK if member else EXIT_CHECK_FAILED,
+            {"schema": 1, "poly": args.poly, "member": member})
 
 
-def cmd_canonicalize(args) -> int:
+def cmd_canonicalize(args):
     matrix = parse_matrix(args.matrix, 3)
     if matrix.is_strictly_upper():
         result = canonicalize_nilpotent(matrix)
     elif matrix.is_idempotent():
         result = canonicalize_idempotent(matrix)
     else:
-        print("error: input is neither strictly upper-triangular nor idempotent",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("input is neither strictly upper-triangular nor idempotent")
+    witness = result.witness.to_json()
     print(f"form: {result.label}")
-    print(f"witness: {json.dumps(result.witness.to_json(), sort_keys=True)}")
-    if args.json:
-        write_json(args.json, {"schema": 1, "input": args.matrix,
-                               "form": result.label,
-                               "witness": result.witness.to_json()})
-    return EXIT_OK
+    print(f"witness: {json.dumps(witness, sort_keys=True)}")
+    return EXIT_OK, {"schema": 1, "input": args.matrix, "form": result.label,
+                     "witness": witness}
 
 
-def cmd_conjugate(args) -> int:
+def cmd_conjugate(args):
     op = Operator.load(args.file)
     steps = []
     if args.theta:
@@ -132,18 +119,14 @@ def cmd_conjugate(args) -> int:
     if given:
         steps.append(PsiStep(AutoParams(**given)))
     if not steps:
-        print("error: give --theta and/or automorphism parameters", file=sys.stderr)
-        return EXIT_USAGE
-    witness = Witness(tuple(steps))
-    result = witness.transform_operator(op)
-    data = result.to_json()
-    write_json("-", data)
-    if args.json:
-        write_json(args.json, data)
-    return EXIT_OK
+        raise ValueError("give --theta and/or automorphism parameters")
+    data = Witness(tuple(steps)).transform_operator(op).to_json()
+    if args.json != "-":  # the report always goes to standard output, once
+        write_json("-", data)
+    return EXIT_OK, data
 
 
-def cmd_find_conj(args) -> int:
+def cmd_find_conj(args):
     source = Operator.load(args.source)
     target = Operator.load(args.target)
     result = find_conjugation(source, target, allow_theta=args.allow_theta,
@@ -159,39 +142,33 @@ def cmd_find_conj(args) -> int:
               "parameter value; members may still be conjugate at some values)")
     else:
         print("none found (no rational witness)")
-    if args.json:
-        write_json(args.json, data)
-    return EXIT_OK if result.status == "found" else EXIT_CHECK_FAILED
+    return EXIT_OK if result.status == "found" else EXIT_CHECK_FAILED, data
 
 
-def cmd_rb_index(args) -> int:
+def cmd_rb_index(args):
     op = Operator.load(args.file)
     k = op.power_vanish_index(cap=args.cap)
     if k is None:
         print(f"no vanishing power up to cap {args.cap}")
-        return EXIT_CHECK_FAILED
+        return EXIT_CHECK_FAILED, None
     print(f"least k with R^k = 0: {k}")
-    if args.json:
-        write_json(args.json, {"schema": 1, "power_vanish_index": k})
-    return EXIT_OK
+    return EXIT_OK, {"schema": 1, "power_vanish_index": k}
 
 
-def cmd_case(args) -> int:
+def cmd_case(args):
     spec = cat.case_preset(args.preset)
     report = cat.run_case(spec, _limits(args))
     print(report.to_text())
-    if args.json:
-        write_json(args.json, report.to_json())
-    if report.resource_limited and not report.all_pass():
-        return EXIT_RESOURCE
-    return EXIT_OK if report.all_pass() else EXIT_CHECK_FAILED
+    code = (EXIT_OK if report.all_pass() else
+            EXIT_RESOURCE if report.resource_limited else EXIT_CHECK_FAILED)
+    return code, report.to_json()
 
 
-def cmd_export_data(args) -> int:
+def cmd_export_data(args):
     written = cat.export_data(args.directory)
     for path in written:
         print(path)
-    return EXIT_OK
+    return EXIT_OK, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,7 +262,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # each command returns its exit code and its --json report, if any
+        code, report = args.func(args)
+        if report is not None and getattr(args, "json", None):
+            write_json(args.json, report)
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

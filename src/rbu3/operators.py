@@ -27,8 +27,8 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .matrices import (BasisIndex, UTMatrix, basis_indices, basis_name, combine,
-                       exact_rank, generic_rank, name_to_index,
-                       parse_matrix, rref)
+                       generic_rank, name_to_index, parse_matrix, rref,
+                       solve_exact)
 from .poly import MultiPoly, VarTable, grevlex, read_json, write_json
 from .groebner import PolySystem
 
@@ -126,6 +126,8 @@ class Operator:
 
     def power_vanish_index(self, cap: int = 10):
         """Least k with R^k = 0 (identically), or None if no k <= cap works."""
+        if cap < 1:
+            raise ValueError(f"cap must be at least 1, not {cap}")
         if self.is_zero():
             return 1
         current = self
@@ -509,25 +511,20 @@ def unit_in_image(op: Operator):
     comes with a rational functional certificate valid for every parameter
     value, and True is conservative.
     """
-    n = op.n
-    idxs = basis_indices(n)
-    unit_vec = UTMatrix.unit(n).to_vector()
-    span_rows = []
+    idxs = basis_indices(op.n)
+    chunks = []
     for idx in idxs:
-        image = op.image(idx)
         pieces = {}
-        for pos, value in image.entries.items():
+        for pos, value in op.image(idx).entries.items():
             if isinstance(value, MultiPoly):
                 for mono, coeff in value.terms.items():
                     pieces.setdefault(mono, {})[pos] = coeff
             else:
                 pieces.setdefault(("const",), {})[pos] = value
-        for chunk in pieces.values():
-            span_rows.append([chunk.get(p, Fraction(0)) for p in idxs])
-    if not span_rows:
-        return False
-    base = exact_rank(span_rows)
-    return exact_rank(span_rows + [unit_vec]) == base
+        chunks.extend(pieces.values())
+    # the chunks are the columns of R: is R x = 1 solvable?
+    matrix = [[chunk.get(p, 0) for chunk in chunks] for p in idxs]
+    return solve_exact(matrix, UTMatrix.unit(op.n).to_vector()) is not None
 
 
 _MAX_POWER = 3  # the powers m that check (c) of check_lemma3 compares

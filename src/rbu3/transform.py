@@ -638,13 +638,13 @@ def _search_psi(allow_scaling: bool):
     ordering rule).  They and ``_image_terms`` hold integral coefficients
     as ints (``as_int``), so most of those products are int products.
 
-    Returns ``(table, columns, k, relation)``.  ``table`` holds only the
+    Returns ``(table, columns, k, relation, t)``.  ``table`` holds only the
     unknowns of ``_SEARCH_VARS`` (without ``k_scale`` when scaling is off).
     ``columns[idx]`` lists the cells of psi(e_idx) in order, each as
     ``(cell, ((monomial, coefficient), ...))``.  ``k`` is the exponent
     vector of the scale (all zero when scaling is off), and ``relation`` is
     ``u * alpha * delta * k - 1``, which makes ``u * alpha * k`` an exact
-    inverse of delta.
+    inverse of delta; ``t`` is the exponent vector of its monomial.
     """
     names = _SEARCH_VARS if allow_scaling else tuple(
         v for v in _SEARCH_VARS if v != "k_scale")
@@ -658,9 +658,9 @@ def _search_psi(allow_scaling: bool):
                                        for m, c in value.terms.items()))
                           for cell, value in psi[idx].entries.items())
                for idx in basis_indices(3)}
-    relation = var("u_aux") * var("alpha") * var("delta") * k - 1
-    (k_mono,) = k.terms
-    return table, columns, k_mono, relation
+    t = var("u_aux") * var("alpha") * var("delta") * k
+    (k_mono,), (t_mono,) = k.terms, t.terms
+    return table, columns, k_mono, t - 1, t_mono
 
 
 def _image_terms(op: Operator, params: VarTable) -> dict:
@@ -704,7 +704,7 @@ def _search_generators(src, tgt, allow_scaling):
     lazily, in the order ``find_conjugation`` states: the relation, then one
     generator per cell and parameter monomial.  Each is yielded as its term
     map ``{unknown monomial: coefficient}`` over ``_search_psi``'s table."""
-    _, psi, k, relation = _search_psi(allow_scaling)
+    _, psi, k, relation, _ = _search_psi(allow_scaling)
     yield relation.terms
     for idx in basis_indices(3):
         # terms are keyed (unknown monomial, parameter monomial)
@@ -748,8 +748,7 @@ def _unit_certificate(mono, coeff: Fraction, allow_scaling: bool):
     generator ``coeff * mono`` in the unknowns of t = relation + 1, built
     and rechecked once per process and then shared; a failed recheck
     raises, which caches nothing."""
-    table, _, _, relation = _search_psi(allow_scaling)
-    t_mono = next(m for m in relation.terms if any(m))  # u alpha delta k
+    table, _, _, relation, t_mono = _search_psi(allow_scaling)
     power = max(mono)
     quotient = {tuple(power * a - b for a, b in zip(t_mono, mono)): 1 / coeff}
     geometric = {tuple(i * a for a in t_mono): -1 for i in range(power)}
@@ -768,8 +767,7 @@ def _psi_only_search(source, target, tail, generators, allow_scaling, limits):
     point is replayed once, as the full witness against ``target``.  Only a
     system without a one-term unit generator (the monomial rule) reaches
     ``buchberger``."""
-    table, _, _, relation = _search_psi(allow_scaling)
-    t_mono = next(m for m in relation.terms if any(m))  # u alpha delta k
+    table, _, _, _, t_mono = _search_psi(allow_scaling)
     gens = []
     for terms in generators:
         if len(terms) == 1:

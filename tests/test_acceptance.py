@@ -23,8 +23,7 @@ from fractions import Fraction
 import pytest
 
 from rbu3.catalog import (EXPECTED_R2_NONZERO, build_catalog, case_preset,
-                          image_dimension, rb_index, run_case,
-                          unit_square_certificate, verify_all)
+                          run_case, unit_square_certificate, verify_all)
 from rbu3.groebner import (Limits, PolySystem, buchberger, ideal_member,
                            normal_form)
 from rbu3.matrices import UTMatrix, basis_indices, parse_matrix
@@ -66,9 +65,9 @@ def test_criterion_1_catalog_certification():
 
 
 def test_criterion_2a_rb_index_is_three():
-    report = rb_index(ENTRIES)
-    _report("2a", report.index == 3, f"computed rb-index {report.index}")
-    assert report.index == 3
+    report = verify_all()
+    _report("2a", report.rb_index == 3, f"computed rb-index {report.rb_index}")
+    assert report.rb_index == 3
 
 
 def test_criterion_2b_r2_nonzero_set_matches_quoted_list():
@@ -76,7 +75,7 @@ def test_criterion_2b_r2_nonzero_set_matches_quoted_list():
     corrects the source's quoted list {R13,R29,R31,R32,R38,R39,R40}, which
     omits R25 and R26; their membership rests on squares checkable by hand:
     R25^2(e23) = e12 and R26^2(e23) = (kappa+1) e12, nonzero for kappa != -1."""
-    report = rb_index(ENTRIES)
+    report = verify_all()
     r25 = BY_ID["R25"].operator
     r26 = BY_ID["R26"].operator
     assert r25.compose(r25).image((2, 3)) == UTMatrix.basis(3, 1, 2)
@@ -96,7 +95,7 @@ def test_criterion_3_image_dimension_bound():
     certified families, as criteria 4 and 5 do; the uncertified set must be
     exactly R13, so no family leaves the bound unnoticed."""
     uncertified = [e.id for e in ENTRIES if not e.residual_zero]
-    dims = {e.id: image_dimension(e) for e in CERTIFIED}
+    dims = {e.id: e.operator.image_dimension() for e in CERTIFIED}
     offenders = {k: v for k, v in dims.items() if k != "R40" and v > 2}
     ok = uncertified == ["R13"] and dims.get("R40") == 3 and not offenders
     _report(3, ok, f"R40 dim {dims.get('R40')}; over bound: "

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from rbu3 import cli
-from rbu3.catalog import build_catalog
+from rbu3.catalog import build_catalog, verify_all
 from rbu3.operators import Operator
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -311,3 +311,74 @@ def test_every_command_help_lists_its_options():
         assert ("--json" in done.stdout) == (command != "export-data"), command
         for option in ("--max-pairs", "--deadline"):
             assert (option in done.stdout) == (command in limited), (command, option)
+
+
+def _json_commands(tmp_path, capsys):
+    """One cheap invocation of every command that takes ``--json``."""
+    path = _system_file(tmp_path, capsys)
+    r5 = str(DATA / "operators" / "r5.json")
+    return (["verify-catalog", "--family", "R5", "--samples", "1"],
+            ["check", r5], ["system", "--preset", "sec5-reduced"], ["gb", path],
+            ["member", path, "b_22_12"], ["canonicalize", "e23"],
+            ["conjugate", r5, "--theta"], ["find-conj", r5, r5],
+            ["rb-index", str(DATA / "operators" / "r40.json")],
+            ["case", "--preset", "sec5-sub2.1"])
+
+
+def test_json_path_holds_the_document_that_json_dash_ends_stdout_with(tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    for argv in _json_commands(tmp_path, capsys):
+        code = cli.main([*argv, "--json", str(out_path)])
+        capsys.readouterr()
+        document = out_path.read_text()
+        out_path.unlink()
+        assert cli.main([*argv, "--json", "-"]) == code, argv
+        out = capsys.readouterr().out
+        assert document.startswith("{") and out.endswith(document), argv
+
+
+def test_json_path_in_a_missing_directory_is_one_error_line(tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "report.json")
+    for argv in _json_commands(tmp_path, capsys):
+        assert cli.main([*argv, "--json", missing]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_conjugate_json_dash_prints_its_report_once(capsys):
+    r5 = str(DATA / "operators" / "r5.json")
+    assert cli.main(["conjugate", r5, "--theta", "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    assert out.count('"schema"') == 1
+    assert json.loads(out)["images"] == {"e23": "e33"}
+
+
+def _rejected_with_nothing_written(argv, tmp_path, capsys, message):
+    out_path = tmp_path / "report.json"
+    assert cli.main([*argv, "--json", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out_path.exists()
+    assert captured.err == f"error: {message}\n"
+
+
+def test_verify_catalog_rejects_negative_samples(tmp_path, capsys):
+    _rejected_with_nothing_written(
+        ["verify-catalog", "--family", "R5", "--samples", "-3"], tmp_path, capsys,
+        "samples must be at least 0, not -3")
+    with pytest.raises(ValueError):
+        verify_all(samples=-1, families=["R5"])
+
+
+def test_verify_catalog_rejects_jobs_below_one(tmp_path, capsys):
+    _rejected_with_nothing_written(
+        ["verify-catalog", "--family", "R5", "--jobs", "-4"], tmp_path, capsys,
+        "jobs must be at least 1, not -4")
+    with pytest.raises(ValueError):
+        verify_all(families=["R5"], jobs=0)
+
+
+def test_rb_index_rejects_cap_below_one(tmp_path, capsys):
+    for cap in ("-2", "0"):
+        _rejected_with_nothing_written(
+            ["rb-index", str(DATA / "operators" / "r40.json"), "--cap", cap],
+            tmp_path, capsys, f"cap must be at least 1, not {cap}")

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rbu3.matrices import UTMatrix, basis_indices, parse_matrix, solve_exact
+from rbu3.catalog import build_catalog
+from rbu3.matrices import (UTMatrix, basis_indices, exact_rank, parse_matrix,
+                           solve_exact)
 from rbu3.operators import (Ansatz, ContradictoryAnsatz, Operator, bvar_name,
                             check_lemma3, generate_system, rb_residual,
                             scale_operator, unit_in_image)
@@ -299,6 +301,41 @@ def test_unit_in_image_of_a_rational_operator_solves_r_x_equals_one(op):
     rhs = UTMatrix.unit(3).to_vector()
     expected = solve_exact(op.coefficient_rows(), rhs) is not None
     assert unit_in_image(op) is expected
+
+
+def two_rank_unit_in_image(op):
+    """The reference formulation: the unit lies in the span of the images'
+    rational pieces (one per image and parameter monomial) iff appending it
+    to them leaves the rank unchanged."""
+    idxs = basis_indices(op.n)
+    rows = []
+    for idx in idxs:
+        pieces = {}
+        for pos, value in op.image(idx).entries.items():
+            terms = value.terms.items() if isinstance(value, MultiPoly) else [(None, value)]
+            for mono, coeff in terms:
+                pieces.setdefault(mono, {})[pos] = coeff
+        rows += [[piece.get(p, Fraction(0)) for p in idxs] for piece in pieces.values()]
+    if not rows:
+        return False
+    return exact_rank(rows + [UTMatrix.unit(op.n).to_vector()]) == exact_rank(rows)
+
+
+def test_unit_in_image_agrees_with_the_two_rank_reference():
+    for entry in build_catalog(strict=False):
+        assert unit_in_image(entry.operator) is two_rank_unit_in_image(
+            entry.operator), entry.id
+    answers = []
+    for seed in range(500):
+        rng = random.Random(seed)
+        density = rng.choice((0.1, 0.3, 0.6, 0.9))
+        op = Operator(3, {src: UTMatrix(3, {
+            pos: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for pos in basis_indices(3) if rng.random() < density})
+            for src in basis_indices(3)}, Fraction(0))
+        answers.append(unit_in_image(op))
+        assert answers[-1] is two_rank_unit_in_image(op), seed
+    assert True in answers and False in answers
 
 
 def test_int_entries_give_rational_residual_entries():
