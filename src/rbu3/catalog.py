@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 from .matrices import UTMatrix, basis_indices, basis_name
 from .operators import (Ansatz, Operator, bvar_name, check_lemma3, failure_json,
                         generate_system, rb_residual, scale_operator)
-from .poly import VarTable, write_json
+from .poly import write_json
 from .groebner import (GroebnerBasis, Limits, PolySystem,
                        ResourceLimitExceeded, autoreduce, buchberger)
 from .transform import (AutoParams, build_psi, conjugate_operator, theta13)
@@ -626,7 +626,10 @@ def run_case(spec: CaseSpec, limits: Limits | None = None) -> CaseReport:
     normal form against a partial basis still proves membership; only a
     nonzero normal form against a non-reduced basis is reported undecided.
     The deadline bounds the whole case: each Groebner basis computation, and
-    the autoreduce of a partial basis, gets only the time that remains.
+    the autoreduce of a partial basis, gets only the time that remains, and
+    once it has passed each remaining relation the ansatz does not settle is
+    reported undecided.  Solutions are checked against the constraint rows
+    the system was built from, and by their residual.
     """
     limits = limits if limits is not None else Limits(max_pairs=200000,
                                                       deadline=600.0)
@@ -660,20 +663,17 @@ def run_case(spec: CaseSpec, limits: Limits | None = None) -> CaseReport:
         text = " * ".join(f"({f})" if len(factors) > 1 else f for f in factors)
         if claim.is_zero():
             memberships.append(MembershipResult(factors, text, True, True, "ansatz"))
-            continue
-        memberships.append(_certify_membership(
-            factors, text, claim, gb, limits, end))
+        elif end is not None and time.monotonic() >= end:
+            memberships.append(MembershipResult(factors, text, None, False,
+                                                "undecided"))
+        else:
+            memberships.append(_certify_membership(
+                factors, text, claim, gb, limits, end))
 
     solution_results = []
-    bnames = VarTable(ansatz.all_bvars())
-    constraints = [bnames.parse(c) for c in spec.constraints]
     for solution in spec.solutions:
         op = solution.operator(ansatz.weight)
-        values = {bvar_name(src, dst): op.image(src).entries.get(dst, Fraction(0))
-                  for src in basis_indices(3) for dst in basis_indices(3)}
-        table = VarTable(solution.params)
-        ok_ansatz = all(c.substitute(values, table).is_zero()
-                        for c in constraints)
+        ok_ansatz = shape.satisfied_by(op)
         # the generators are the residual's components under the constraints
         ok_system = ok_ansatz and rb_residual(op).is_zero()
         solution_results.append(SolutionResult(

@@ -288,15 +288,16 @@ class _Packing:
         coefficient if ``monic``; the tail pairs each other term with -c/lc,
         what a division step adds per unit of the term."""
         lead = max(terms)
-        lc = terms[lead]
+        lc = as_int(terms[lead])
         if lc != 1 and monic:
             inv, lc = Fraction(1) / lc, 1  # int / int gives a float
             terms = {m: as_int(c * inv) for m, c in terms.items()}
         if lc == 1:
-            tail = [(m, -c) for m, c in terms.items() if m != lead]
-        else:
-            inv = Fraction(-1) / lc
-            tail = [(m, as_int(c * inv)) for m, c in terms.items() if m != lead]
+            tail = [(m, -as_int(c)) for m, c in terms.items() if m != lead]
+        else:  # an int lead divides an int coefficient without a Fraction
+            inv, whole = Fraction(-1) / lc, type(lc) is int
+            tail = [(m, -(c // lc) if whole and type(c) is int and not c % lc
+                     else as_int(c * inv)) for m, c in terms.items() if m != lead]
         return (lead, lead & self.low, tail, terms)
 
     def view(self, polys: Iterable[MultiPoly]) -> list:

@@ -14,7 +14,6 @@ stay upper-triangular.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 from .poly import (MultiPoly, ParseError, VarTable, add_terms, format_terms,
                    parse_terms)
@@ -31,7 +30,6 @@ __all__ = [
     "rref",
     "exact_rank",
     "solve_exact",
-    "inverse_exact",
     "generic_rank",
 ]
 
@@ -204,13 +202,6 @@ class UTMatrix:
     def to_vector(self) -> list:
         return [self.entries.get(idx, Fraction(0)) for idx in basis_indices(self.n)]
 
-    @staticmethod
-    def from_vector(n: int, coords: Sequence) -> "UTMatrix":
-        idxs = basis_indices(n)
-        if len(coords) != len(idxs):
-            raise ValueError("coordinate vector has the wrong length")
-        return UTMatrix(n, dict(zip(idxs, coords)))
-
     # -- printing ----------------------------------------------------------------
 
     def to_str(self) -> str:
@@ -369,19 +360,6 @@ def solve_exact(matrix: list, rhs: list):
     for row, col in zip(rows, pivots):
         solution[col] = row[ncols]
     return solution
-
-
-def inverse_exact(matrix: list):
-    """Inverse of a square rational matrix as a list of rows, or None if singular.
-
-    One elimination of ``[M | I]``.
-    """
-    d = len(matrix)
-    rows, pivots = rref([list(row) + [int(r == c) for c in range(d)]
-                         for r, row in enumerate(matrix)], d)
-    if len(pivots) < d:
-        return None
-    return [row[d:] for row in rows]
 
 
 def generic_rank(rows: list) -> int:

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from itertools import groupby
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .matrices import (BasisIndex, UTMatrix, basis_indices, basis_name, combine,
@@ -398,66 +399,105 @@ class Ansatz:
 
 @dataclass
 class AnsatzSolution:
-    """The solved linear shape: every b-variable as a polynomial in the free ones."""
+    """The solved linear shape: every b-variable as a polynomial in the free ones.
+
+    ``constraints`` holds the parsed constraints, each as its nonzero
+    ``(column, coefficient)`` pairs over the b-variables in canonical order,
+    the constant at column ``len(expressions)``.
+    """
 
     n: int
     table: VarTable            # free variables, in canonical b-order
     expressions: dict          # b-name -> MultiPoly over `table`
     operator: Operator         # the symbolic operator with those entries
+    constraints: list
+    _rings: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def expand(self, text: str, aliases: Mapping[str, str] | None = None) -> MultiPoly:
-        """Parse `text` over b-variables (and aliases) into the free-variable ring."""
-        aliases = aliases or {}
-        ext = VarTable(tuple(self.expressions.keys()) + tuple(aliases.keys()))
+        """Parse `text` over b-variables (and aliases) into the free-variable ring.
+
+        The table of b-variables and aliases, and the binding of each to its
+        expression, are built on the first call with these aliases and kept.
+        """
+        key = tuple((aliases or {}).items())
+        ring = self._rings.get(key)
+        if ring is None:
+            bindings = dict(self.expressions)
+            bindings.update((alias, self.expressions[name]) for alias, name in key)
+            ring = self._rings[key] = VarTable(tuple(bindings)), bindings
+        ext, bindings = ring
         raw = ext.parse(text)
-        bindings = {}
-        for name in raw.variables():
-            if name in aliases:
-                bindings[name] = self.expressions[aliases[name]]
-            else:
-                bindings[name] = self.expressions[name]
-        return raw.substitute(bindings, self.table)
+        return raw.substitute({name: bindings[name] for name in raw.variables()},
+                              self.table)
+
+    def satisfied_by(self, op: Operator) -> bool:
+        """Whether the entries of ``op`` meet every constraint: each row's
+        dot product with the entries, in b-variable order, and 1 vanishes."""
+        idxs = basis_indices(self.n)
+        values = [op.columns[src].entries.get(dst) if src in op.columns else None
+                  for src in idxs for dst in idxs] + [1]
+        return not any(sum(c * values[col] for col, c in row
+                           if values[col] is not None)
+                       for row in self.constraints)
 
 
 def _solve_linear_constraints(ansatz: Ansatz):
-    """Row-reduce the constraints; returns (free names, expressions for all)."""
+    """Row-reduce the constraints.
+
+    Returns the parsed constraints (as ``AnsatzSolution.constraints``), the
+    table of free variables, and per b-variable in canonical order its value
+    as an int linear form over the free ones: the nonzero ``(slot, int)``
+    pairs, slot ``len(table)`` the constant, all over the one denominator
+    ``D`` returned last, which also clears the weight's.
+    """
     names = ansatz.all_bvars()
+    width = len(names)
     table = VarTable(names)
-    rows = []
+    constraints, rows = [], []
     for text in ansatz.constraints:
         poly = table.parse(text)
         if poly.total_degree() > 1:
             raise ContradictoryAnsatz("constraints must be linear")
-        if poly.is_zero():
-            continue
-        row = [Fraction(0)] * (len(names) + 1)
-        for mono, coeff in poly.terms.items():
-            if not any(mono):
-                row[-1] = coeff
-            else:
-                row[mono.index(1)] = coeff
-        rows.append(row)
+        if poly:
+            constraints.append([(mono.index(1) if any(mono) else width, coeff)
+                                for mono, coeff in poly.terms.items()])
+            rows.append([0] * (width + 1))  # rref makes each a Fraction
+            for col, coeff in constraints[-1]:
+                rows[-1][col] = coeff
     # pivots chosen in canonical variable order; the constants ride along
-    rows, pivot_cols = rref(rows, len(names))
+    rows, pivot_cols = rref(rows, width)
     if any(row[-1] for row in rows[len(pivot_cols):]):
         raise ContradictoryAnsatz("contradictory ansatz")
-    pivots = {col: r for r, col in enumerate(pivot_cols)}
-    free_cols = [c for c in range(len(names)) if c not in pivots]
-    free_table = VarTable(names[c] for c in free_cols)
-    # each free column's monomial over the free table; the constants at -1
-    monos = {c: tuple(int(c == f) for f in free_cols) for c in free_cols}
-    monos[-1] = (0,) * len(free_cols)
-    expressions = {}
-    for col, name in enumerate(names):
-        if col not in pivots:
-            expressions[name] = free_table.var(name)
-            continue
-        row = rows[pivots[col]]
-        # -(constant) - sum of the free columns: the other pivot columns are
-        # zero in this row after RREF
-        expressions[name] = MultiPoly._of(free_table, {
-            monos[c]: -row[c] for c in (-1, *free_cols) if row[c]})
-    return free_table, expressions
+    pivots = dict(zip(pivot_cols, rows))
+    free_cols = [c for c in range(width) if c not in pivots]
+    slot = {c: f for f, c in enumerate(free_cols)}
+    slot[width] = len(free_cols)
+    # a pivot variable is -(constant) - sum of the free columns: the other
+    # pivot columns are zero in its row after RREF
+    solved = {col: [(c, -row[c]) for c in (width, *free_cols) if row[c]]
+              for col, row in pivots.items()}
+    D = lcm(Fraction(ansatz.weight).denominator,
+            *(x.denominator for pairs in solved.values() for _, x in pairs))
+    forms = [[(slot[c], x.numerator * (D // x.denominator)) for c, x in solved[col]]
+             if col in solved else [(slot[col], D)] for col in range(width)]
+    return constraints, VarTable(names[c] for c in free_cols), forms, D
+
+
+@cache
+def _quadratic_monomials(free: int) -> tuple:
+    """The monomials of degree at most 2 in ``free`` unknowns, in descending
+    grevlex order, and ``rank[i][j]``, the place in it of the product of
+    slots i and j (slot ``free`` the constant 1)."""
+    def mono(i, j):
+        return tuple((i == k) + (j == k) for k in range(free))
+    key = grevlex().key
+    pairs = sorted(((i, j) for i in range(free + 1) for j in range(i, free + 1)),
+                   key=lambda ij: key(mono(*ij)), reverse=True)
+    at = {ij: r for r, ij in enumerate(pairs)}
+    rank = [[at[min(i, j), max(i, j)] for j in range(free + 1)]
+            for i in range(free + 1)]
+    return rank, [mono(*ij) for ij in pairs]
 
 
 def generate_system(ansatz: Ansatz) -> tuple:
@@ -466,29 +506,71 @@ def generate_system(ansatz: Ansatz) -> tuple:
     Returns ``(PolySystem, AnsatzSolution)``.  Generators are the distinct
     nonzero residual entries, made monic, in the residual's pair/position
     order; they are quadratic in the unknowns.
+
+    Under the ansatz every entry of R, and lambda, is a linear form in the
+    free unknowns, kept as int coefficients over one denominator D.  The
+    residual's quadratic form (``_residual_form``, the one ``rb_residual``
+    evaluates) is evaluated on those forms with int products, each residual
+    entry a map from monomial rank (descending grevlex) to an int.  An
+    entry's leading term is its first, so dividing it by the gcd of its
+    coefficients, signed as its lead, gives the form that dedupes it; only
+    the distinct forms are made monic ``MultiPoly`` values.
     """
-    free_table, expressions = _solve_linear_constraints(ansatz)
+    constraints, free_table, forms, D = _solve_linear_constraints(ansatz)
     n = ansatz.n
     idxs = basis_indices(n)
-    cols = {}
-    for src in idxs:
-        entries = {}
-        for dst in idxs:
-            value = expressions[bvar_name(src, dst)]
-            if not value.is_zero():
-                entries[dst] = value
-        cols[src] = UTMatrix(n, entries)
-    op = Operator(n, cols, ansatz.weight)
-    solution = AnsatzSolution(n, free_table, expressions, op)
-    order = grevlex()
-    gens = []
-    for value in rb_residual(op).entries.values():
-        if isinstance(value, Fraction):
-            value = MultiPoly.const(free_table, value)
-        # a nonzero constant component means no specialization satisfies
-        # the identity: the system degenerates to the unit ideal
-        gens.append(value.monic(order))
-    return PolySystem(free_table, tuple(dict.fromkeys(gens)), order), solution
+    d, free = len(idxs), len(free_table)
+    rank, monos = _quadratic_monomials(free)
+    expressions, cols = {}, {}
+    for k, form in enumerate(forms):  # slot k is bvar k: src-major, basis order
+        src, dst = idxs[k // d], idxs[k % d]
+        value = MultiPoly._of(free_table, {monos[rank[s][free]]: Fraction(c, D)
+                                           for s, c in form})
+        expressions[bvar_name(src, dst)] = value
+        if value:
+            cols.setdefault(src, {})[dst] = value
+    op = Operator(n, {src: UTMatrix(n, entries) for src, entries in cols.items()},
+                  ansatz.weight)
+    solution = AnsatzSolution(n, free_table, expressions, op, constraints)
+
+    _, quad, _ = _residual_form(n)
+    terms = [(x, form) for x, form in enumerate(forms) if form]
+    if op.weight:  # slot d^2 is lambda, a constant form
+        weight = op.weight
+        terms.append((d * d, [(free, weight.numerator * (D // weight.denominator))]))
+    size = len(monos)
+    acc = {}  # target * size + monomial rank -> int coefficient
+    for k, (x, fx) in enumerate(terms):
+        row = quad[x]
+        for y, fy in terms[k:]:
+            targets = row.get(y)
+            if not targets:
+                continue
+            product = {}
+            for i, a in fx:
+                ranks = rank[i]
+                for j, b in fy:
+                    r = ranks[j]
+                    product[r] = product.get(r, 0) + a * b
+            plus = list(product.items())
+            minus = [(r, -c) for r, c in plus]
+            for t in targets:
+                items, base = (plus, t * size) if t >= 0 else (minus, ~t * size)
+                for r, c in items:
+                    acc[base + r] = acc.get(base + r, 0) + c
+    gens = {}  # normalised int form -> None, in residual order
+    for _, entry in groupby(sorted(item for item in acc.items() if item[1]),
+                            key=lambda item: item[0] // size):
+        entry = [(key % size, c) for key, c in entry]
+        g = gcd(*(c for _, c in entry))
+        g = g if entry[0][1] > 0 else -g
+        gens[tuple((r, c // g) for r, c in entry)] = None
+    # a nonzero constant component means no specialization satisfies
+    # the identity: the system degenerates to the unit ideal
+    polys = tuple(MultiPoly._of(free_table, {monos[r]: Fraction(c, form[0][1])
+                                             for r, c in form})
+                  for form in gens)
+    return PolySystem(free_table, polys, grevlex()), solution
 
 
 # -- unital-algebra checks -----------------------------------------------------

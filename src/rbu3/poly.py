@@ -370,10 +370,6 @@ class MultiPoly:
         mono = max(self.terms, key=order.key)
         return mono, self.terms[mono]
 
-    def monic(self, order: MonomialOrder) -> "MultiPoly":
-        _, lc = self.leading(order)
-        return self if lc == 1 else self * (1 / lc)
-
     # -- substitution ----------------------------------------------------
 
     def substitute(self, bindings: Mapping[str, object],

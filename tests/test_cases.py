@@ -11,7 +11,8 @@ import pytest
 from rbu3 import catalog
 from rbu3.catalog import (case_preset, case_preset_names, run_case,
                           unit_square_certificate)
-from rbu3.groebner import Limits, PolySystem, buchberger, normal_form
+from rbu3.groebner import (GroebnerBasis, Limits, PolySystem, buchberger,
+                           normal_form)
 from rbu3.matrices import basis_indices
 from rbu3.operators import Ansatz, bvar_name, generate_system, rb_residual
 from rbu3.poly import MultiPoly, VarTable
@@ -264,9 +265,12 @@ def test_a_skipped_localization_leaves_the_claim_undecided():
 
 def test_deadline_covers_the_partial_autoreduce(monkeypatch):
     # once the deadline has passed, the autoreduce of the partial basis stops
-    # before its first polynomial and the case keeps the partial it carries
-    passes = []
+    # before its first polynomial and the case keeps the partial it carries;
+    # no membership is then reduced, each left undecided unless the ansatz
+    # settles it
+    passes, reduced = [], []
     real_autoreduce = catalog.autoreduce
+    real_contains = GroebnerBasis.contains
 
     def spy(polys, order=None, _check=None):
         passes.append("started")
@@ -274,13 +278,19 @@ def test_deadline_covers_the_partial_autoreduce(monkeypatch):
         passes.append("finished")
         return result
 
+    def contains_spy(gb, p):
+        reduced.append(p)
+        return real_contains(gb, p)
+
     monkeypatch.setattr(catalog, "autoreduce", spy)
+    monkeypatch.setattr(GroebnerBasis, "contains", contains_spy)
     report = run_case(case_preset("sec6"), Limits(deadline=0.0))
-    assert passes == ["started"]
+    assert passes == ["started"] and reduced == []
     assert report.resource_limited and not report.gb_reduced
-    # zero normal forms against the unreduced partial are still sound
-    assert all(m.member in (True, None) for m in report.memberships)
-    assert any(m.certified_by == "ideal" for m in report.memberships)
+    kinds = [m.certified_by for m in report.memberships]
+    assert "undecided" in kinds and set(kinds) <= {"undecided", "ansatz"}
+    assert all(m.member is None for m in report.memberships
+               if m.certified_by == "undecided")
 
 
 def test_extra_branch_of_the_pm_e13_family_is_empty():
@@ -368,6 +378,32 @@ def test_solution_checks_agree_with_the_substitution_route(name):
     assert verdicts == [substitution_route(spec, system, s) for s in solutions]
     assert verdicts[:-2] == [(True, True)] * len(spec.solutions)
     assert verdicts[-2:] == [(True, False), (False, False)]
+
+
+def test_solution_checks_on_a_spec_with_a_fractional_constraint():
+    """Beside R(e12) in the span of e11, e12, e13 with 2 b_12_11 = 1 and
+    every other image zero: one solution breaks only that constraint, and
+    one meets every constraint but not the identity."""
+    ansatz = Ansatz(3).tie("2*b_12_11 - 1")
+    ansatz.restrict_span("e12", ["e11", "e12", "e13"])
+    for name in ("e11", "e13", "e22", "e23", "e33"):
+        ansatz.fix_image(name, "0")
+    solutions = (
+        catalog.CaseSolution("half-R5", ("s",), {"e12": "1/2*e11 + s*e13"}, ()),
+        catalog.CaseSolution("R5", (), {"e12": "e11"}, ()),
+        catalog.CaseSolution("half-R5-plus-e12", ("s",),
+                             {"e12": "1/2*e11 + s*e12"}, ()),
+    )
+    spec = catalog.CaseSpec("tie", "R(e12) in L(e11, e12, e13)",
+                            tuple(ansatz.constraints), {}, (), solutions)
+    assert rb_residual(solutions[1].operator()).is_zero()
+    assert not rb_residual(solutions[2].operator()).is_zero()
+    report = run_case(spec, FAST)
+    verdicts = [(r.satisfies_ansatz, r.annihilates_system)
+                for r in report.solutions]
+    assert verdicts == [(True, True), (False, False), (True, False)]
+    system, _ = generate_system(spec.ansatz())
+    assert verdicts == [substitution_route(spec, system, s) for s in solutions]
 
 
 def proportional(a, b):

@@ -317,6 +317,30 @@ def test_lcm_degree_at_the_field_limit_takes_the_unpacked_sum():
     assert pk.degree(word, 256) == 256
 
 
+def test_entry_tails_are_ints_where_the_values_are_integral():
+    """Each tail entry is -c/lc, an int whenever that is integral: for a
+    lead 1 (a remainder's integral Fraction included), for an int lead
+    dividing an int coefficient (-1 included), and after making monic."""
+    pk = groebner._packing(2, grevlex(), 1)
+    x2, xy, y, one = (pk.pack(m) for m in ((2, 0), (1, 1), (0, 1), (0, 0)))
+
+    def tail(terms, monic=False):
+        return {m: c for m, c in pk.entry(terms, monic)[2]}
+
+    cases = [
+        (({x2: 1, xy: Fraction(3), y: Fraction(1, 2)},),
+         {xy: -3, y: Fraction(-1, 2)}),
+        (({x2: -1, xy: 4, y: Fraction(2)},), {xy: 4, y: 2}),
+        (({x2: 3, xy: 6, y: -9, one: 2},), {xy: -2, y: 3, one: Fraction(-2, 3)}),
+        (({x2: Fraction(2, 3), xy: 4},), {xy: -6}),
+        (({x2: 2, xy: 6, y: Fraction(3, 1)}, True), {xy: -3, y: Fraction(-3, 2)}),
+    ]
+    for args, expected in cases:
+        got = tail(*args)
+        assert got == expected, args
+        assert list(map(type, got.values())) == list(map(type, expected.values()))
+
+
 def test_widths_are_derived_from_the_largest_exponent():
     def width(text):
         return groebner._fit([p(text)])

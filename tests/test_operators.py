@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rbu3.catalog import build_catalog
-from rbu3.matrices import (UTMatrix, basis_indices, exact_rank, parse_matrix,
-                           solve_exact)
+from rbu3.catalog import build_catalog, case_preset, case_preset_names
+from rbu3.matrices import (UTMatrix, basis_indices, basis_name, exact_rank,
+                           parse_matrix, solve_exact)
 from rbu3.operators import (Ansatz, ContradictoryAnsatz, Operator, bvar_name,
                             check_lemma3, generate_system, rb_residual,
                             scale_operator, unit_in_image)
-from rbu3.poly import MultiPoly, VarTable
+from rbu3.poly import MultiPoly, VarTable, grevlex
 
 
 def e(i, j):
@@ -132,6 +132,82 @@ def test_contradictory_ansatz():
     ansatz = Ansatz(3).tie("b_11_12").tie("b_11_12 - 1")
     with pytest.raises(ContradictoryAnsatz, match="contradictory ansatz"):
         generate_system(ansatz)
+
+
+def symbolic_generators(shape):
+    """The symbolic route, the oracle for the int build: the ansatz
+    operator's ``MultiPoly`` residual entries, each divided by its grevlex
+    leading coefficient, deduplicated in order."""
+    gens = []
+    for value in rb_residual(shape.operator).entries.values():
+        if not isinstance(value, MultiPoly):
+            value = MultiPoly.const(shape.table, value)
+        gens.append(value * (1 / value.leading(grevlex())[1]))
+    return tuple(dict.fromkeys(gens))
+
+
+def assert_generators_match_the_symbolic_route(ansatz):
+    system, shape = generate_system(ansatz)
+    # the same generators in the same order, every coefficient a Fraction
+    assert system.gens == symbolic_generators(shape)
+    assert all(type(c) is Fraction for g in system.gens for c in g.terms.values())
+    return system
+
+
+@pytest.mark.parametrize("name", case_preset_names())
+def test_preset_generators_match_the_symbolic_route(name):
+    assert_generators_match_the_symbolic_route(case_preset(name).ansatz())
+
+
+def random_matrix_text(rng, names):
+    return " + ".join(f"{Fraction(rng.randint(-4, 4), rng.randint(1, 3))}*{name}"
+                      for name in rng.sample(names, rng.randint(1, 2)))
+
+
+def random_ansatz(rng, n, weight):
+    """Spans, fixed images, R(1) and ties drawn at random; redrawn until
+    consistent."""
+    names = [basis_name(idx) for idx in basis_indices(n)]
+    while True:
+        ansatz = Ansatz(n, weight)
+        for name in names:  # at most three unknowns per image
+            ansatz.restrict_span(name, rng.sample(names, rng.randint(1, 3)))
+        fixed = rng.choice(names)
+        ansatz.fix_image(fixed, random_matrix_text(rng, names))
+        if rng.random() < 0.5:
+            ansatz.fix_unit_image(random_matrix_text(rng, names))
+        first, second = rng.sample(ansatz.all_bvars(), 2)
+        ansatz.tie(f"{first} - {Fraction(rng.randint(-3, 3), rng.randint(1, 2))}"
+                   f"*{second} + {rng.randint(-2, 2)}")
+        try:
+            generate_system(ansatz)
+        except ContradictoryAnsatz:
+            continue
+        return ansatz
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("weight", [Fraction(0), Fraction(-2, 3)])
+def test_random_ansatz_generators_match_the_symbolic_route(n, weight):
+    rng = random.Random(f"{n}/{weight}")
+    sizes = set()
+    for _ in range(6):
+        system = assert_generators_match_the_symbolic_route(
+            random_ansatz(rng, n, weight))
+        sizes.add(len(system.gens))
+    assert max(sizes) > 1
+
+
+@pytest.mark.parametrize("weight", [Fraction(0), Fraction(1, 2)])
+def test_a_constant_residual_entry_gives_the_unit_ideal(weight):
+    # R(e11) = 2 e11: the residual at (e11, e11) is the nonzero constant
+    # (4 - 8 - 2 lambda) e11, beside quadratic entries in the free images
+    ansatz = Ansatz(3, weight).fix_image("e11", "2*e11")
+    for name in ("e12", "e22"):
+        ansatz.restrict_span(name, ["e12", "e22"])
+    system = assert_generators_match_the_symbolic_route(ansatz)
+    assert MultiPoly.const(system.table, 1) in system.gens
+    assert any(g.total_degree() == 2 for g in system.gens)
 
 
 # -- unital checks -----------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rbu3 import groebner, transform
 from rbu3.catalog import build_catalog
-from rbu3.matrices import UTMatrix, basis_indices, inverse_exact, parse_matrix
+from rbu3.matrices import UTMatrix, basis_indices, parse_matrix, rref
 from rbu3.operators import Operator, rb_residual
 from rbu3.groebner import PolySystem
 from rbu3.poly import MultiPoly, VarTable, lex
@@ -121,10 +121,13 @@ auto_params = st.builds(AutoParams, invertible, rationals, rationals,
 
 
 def inverse_by_elimination(phi):
-    """The inverse columns by one exact elimination: the per-instance route."""
+    """The inverse columns by one exact elimination of [M | I], M the
+    columns as rows: the per-instance route."""
     idxs = basis_indices(3)
-    rows = inverse_exact([phi.columns[idx].to_vector() for idx in idxs])
-    return {idx: UTMatrix.from_vector(3, row) for idx, row in zip(idxs, rows)}
+    d = len(idxs)
+    rows, _ = rref([phi.columns[idx].to_vector() + [int(r == c) for c in range(d)]
+                    for r, idx in enumerate(idxs)], d)
+    return {idx: UTMatrix(3, dict(zip(idxs, row[d:]))) for idx, row in zip(idxs, rows)}
 
 
 @settings(derandomize=True, max_examples=150)
