@@ -22,7 +22,6 @@ for transparency (see the README):
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from functools import partial
@@ -625,15 +624,13 @@ def run_case(spec: CaseSpec, limits: Limits | None = None) -> CaseReport:
     Membership certificates are sound even under a resource limit: a zero
     normal form against a partial basis still proves membership; only a
     nonzero normal form against a non-reduced basis is reported undecided.
-    The deadline bounds the whole case: each Groebner basis computation, and
-    the autoreduce of a partial basis, gets only the time that remains, and
-    once it has passed each remaining relation the ansatz does not settle is
-    reported undecided.  Solutions are checked against the constraint rows
+    The limits are started once, so the Groebner run, the autoreduce of a
+    partial basis and each localization share one deadline; once it has
+    passed each remaining relation the ansatz does not settle is reported
+    undecided.  Solutions are checked against the constraint rows
     the system was built from, and by their residual.
     """
-    limits = limits if limits is not None else Limits(max_pairs=200000,
-                                                      deadline=600.0)
-    end = None if limits.deadline is None else time.monotonic() + limits.deadline
+    limits = (limits or Limits(max_pairs=200000, deadline=600.0)).start()
     ansatz = spec.ansatz()
     system, shape = generate_system(ansatz)
     work_system = system
@@ -641,11 +638,10 @@ def run_case(spec: CaseSpec, limits: Limits | None = None) -> CaseReport:
         q = shape.expand(spec.localize, spec.aliases)
         work_system = system.localize(q)
     try:
-        gb = buchberger(work_system, _time_left(limits, end))
+        gb = buchberger(work_system, limits)
     except ResourceLimitExceeded as exc:
         try:
-            partial = autoreduce(exc.partial, work_system.order,
-                                 _check=_deadline_check(end, exc.stats))
+            partial = autoreduce(exc.partial, work_system.order, limits)
         except ResourceLimitExceeded as stop:
             # what the stopped autoreduce carries generates the same ideal,
             # so zero normal forms against it stay sound
@@ -663,12 +659,8 @@ def run_case(spec: CaseSpec, limits: Limits | None = None) -> CaseReport:
         text = " * ".join(f"({f})" if len(factors) > 1 else f for f in factors)
         if claim.is_zero():
             memberships.append(MembershipResult(factors, text, True, True, "ansatz"))
-        elif end is not None and time.monotonic() >= end:
-            memberships.append(MembershipResult(factors, text, None, False,
-                                                "undecided"))
         else:
-            memberships.append(_certify_membership(
-                factors, text, claim, gb, limits, end))
+            memberships.append(_certify_membership(factors, text, claim, gb, limits))
 
     solution_results = []
     for solution in spec.solutions:
@@ -687,36 +679,19 @@ def run_case(spec: CaseSpec, limits: Limits | None = None) -> CaseReport:
 _MAX_POWER_CERT = 4
 
 
-def _time_left(limits: Limits, end) -> Limits:
-    """``limits`` with the deadline cut to the seconds left before ``end``."""
-    if end is None:
-        return limits
-    return replace(limits, deadline=end - time.monotonic())
-
-
-def _deadline_check(end, stats):
-    """An ``autoreduce`` check that stops it once ``end`` has passed."""
-    if end is None:
-        return None
-
-    def check(partial):
-        if time.monotonic() >= end:
-            raise ResourceLimitExceeded("resource limit: deadline exceeded",
-                                        partial(), stats)
-    return check
-
-
-def _certify_membership(factors, text, claim, gb, limits, end) -> MembershipResult:
+def _certify_membership(factors, text, claim, gb, limits) -> MembershipResult:
     """Certify that a relation vanishes on the case's solution set.
 
     Zero normal forms against ``gb`` are sound even when it is a partial
     basis.  A relation whose normal form is nonzero is retried as a power
     (p^k in the ideal implies p vanishes on the solution set) and then
     through the localization encoding, which decides vanishing exactly when
-    ``gb`` is a full Groebner basis.  The localization is skipped once no
-    time is left before ``end``; a skipped or stopped one leaves the
+    ``gb`` is a full Groebner basis.  Once the case's started ``limits``
+    have expired nothing is tried, and a localization they stop leaves the
     relation undecided (``member`` None), never refuted.
     """
+    if limits.expired():
+        return MembershipResult(factors, text, None, False, "undecided")
     if gb.contains(claim):
         return MembershipResult(factors, text, True, False, "ideal")
     power = claim
@@ -724,17 +699,15 @@ def _certify_membership(factors, text, claim, gb, limits, end) -> MembershipResu
         power = power * claim
         if gb.contains(power):
             return MembershipResult(factors, text, True, False, f"power-{k}")
-    left = _time_left(limits, end)
-    if left.deadline is None or left.deadline > 0:
-        try:
-            localized = replace(gb.system, gens=gb.basis)
-            loc_gb = buchberger(localized.localize(claim, "t_loc"), left)
-            if len(loc_gb.basis) == 1 and loc_gb.basis[0].is_constant():
-                return MembershipResult(factors, text, True, False, "localization")
-            if gb.reduced:
-                return MembershipResult(factors, text, False, False, "localization")
-        except ResourceLimitExceeded:
-            pass
+    try:
+        localized = replace(gb.system, gens=gb.basis)
+        loc_gb = buchberger(localized.localize(claim, "t_loc"), limits)
+        if len(loc_gb.basis) == 1 and loc_gb.basis[0].is_constant():
+            return MembershipResult(factors, text, True, False, "localization")
+        if gb.reduced:
+            return MembershipResult(factors, text, False, False, "localization")
+    except ResourceLimitExceeded:
+        pass
     return MembershipResult(factors, text, None, False, "undecided")
 
 

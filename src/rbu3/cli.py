@@ -180,8 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     json_opt = argparse.ArgumentParser(add_help=False)
     json_opt.add_argument("--json", metavar="PATH")
     limits_opt = argparse.ArgumentParser(add_help=False, parents=[json_opt])
-    limits_opt.add_argument("--max-pairs", type=int, dest="max_pairs")
-    limits_opt.add_argument("--deadline", type=float)
+    limits_opt.add_argument("--max-pairs", type=int, dest="max_pairs",
+                            help="S-pairs per Groebner run")
+    limits_opt.add_argument("--deadline", type=float,
+                            help="wall-clock seconds for the whole command")
 
     p = sub.add_parser("verify-catalog", parents=[json_opt],
                        help="certify the family catalog")

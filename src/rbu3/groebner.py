@@ -35,9 +35,9 @@ reduction, and monic auto-reduced output.  Three implementation notes:
   turns the ints back into ``Fraction``: values, and so divisors,
   counters and bases, are those of an all-``Fraction`` engine.
 
-Resource limits are explicit inputs; exceeding one raises
-:class:`ResourceLimitExceeded` carrying the partial basis, never a wrong
-answer.
+Resource limits are explicit inputs, and :class:`Limits` is the one reader
+of the clock; exceeding one raises :class:`ResourceLimitExceeded` carrying
+the partial basis, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, islice
+from math import inf
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -81,8 +82,42 @@ class ResourceLimitExceeded(RuntimeError):
 
 @dataclass
 class Limits:
+    """``max_pairs`` S-pairs per Groebner run and ``deadline`` wall-clock
+    seconds (None: no bound).  ``start`` fixes the deadline once, on a copy
+    that the calls it is passed to share; ``expired`` and ``check`` read it."""
+
     max_pairs: int | None = None
-    deadline: float | None = None  # wall-clock seconds for this invocation
+    deadline: float | None = None
+    _end: float | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name, value in (("max_pairs", self.max_pairs), ("deadline", self.deadline)):
+            if value is not None and not value >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be nonnegative, not {value}")
+
+    def start(self) -> "Limits":
+        if self._end is not None:
+            return self
+        started = Limits(self.max_pairs, self.deadline)
+        started._end = inf if self.deadline is None else self.clock() + self.deadline
+        return started
+
+    @property
+    def clock(self):
+        """The clock deadlines are read on: ``time.monotonic``."""
+        return time.monotonic
+
+    def expired(self) -> bool:
+        return self.clock() >= self._end
+
+    def check(self, stats: "GBStats", partial) -> None:
+        """Raise :class:`ResourceLimitExceeded` with ``partial()`` past a limit."""
+        if self.max_pairs is not None and stats.pairs_considered > self.max_pairs:
+            raise ResourceLimitExceeded(
+                f"resource limit: more than {self.max_pairs} pairs", partial(), stats)
+        if self.expired():
+            raise ResourceLimitExceeded("resource limit: deadline exceeded",
+                                        partial(), stats)
 
 
 @dataclass
@@ -452,23 +487,23 @@ def _interreduce(entries: list, pk: _Packing, check) -> list:
     return current
 
 
-def autoreduce(polys: Iterable[MultiPoly],
-               order: MonomialOrder | None = None, _check=None) -> list:
+def autoreduce(polys: Iterable[MultiPoly], order: MonomialOrder | None = None,
+               limits: Limits | None = None) -> list:
     """Interreduce a set (the module docstring's second note): the monic
     remainders, sorted by leading monomial, descending; ``[1]`` when a
-    constant appears.  ``_check`` is called before each polynomial is
-    reduced, with a callable that returns a list generating the same ideal;
-    it raises to stop.
+    constant appears.  Before each polynomial is reduced, the started
+    ``limits`` check this call's stats (no pairs) and its deadline, with a
+    callable that returns a list generating the same ideal.
     """
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return []
     table = polys[0].table
+    limits, stats = (limits or Limits()).start(), GBStats()
 
     def run(pk):
         def check(partial):
-            if _check is not None:
-                _check(lambda: pk.polys(table, partial()))
+            limits.check(stats, lambda: pk.polys(table, partial()))
         return pk.polys(table, _interreduce(
             [pk.entry(pk.terms(p)) for p in polys], pk, check))
     return _packed(run, polys, table, order or grevlex())
@@ -482,25 +517,21 @@ def buchberger(system: PolySystem, limits: Limits | None = None) -> GroebnerBasi
     insertion order.  Limits are checked before each S-pair and before
     each polynomial an interreduction reduces, the closing one included.
     """
-    start, limits = time.monotonic(), limits or Limits()
-    return _packed(lambda pk: _buchberger(system, limits, start, pk),
+    limits = (limits or Limits()).start()
+    return _packed(lambda pk: _buchberger(system, limits, pk),
                    system.gens, system.table, system.order)
 
 
-def _buchberger(system: PolySystem, limits: Limits, start: float,
-                pk: _Packing) -> GroebnerBasis:
+def _buchberger(system: PolySystem, limits: Limits, pk: _Packing) -> GroebnerBasis:
     """One run of ``buchberger``, packed by ``pk`` from start to end."""
     table = system.table
     stats = GBStats()
+    max_pairs = inf if limits.max_pairs is None else limits.max_pairs
+    now, end = limits.clock, limits._end
 
-    def check_limits(partial):
-        if limits.max_pairs is not None and stats.pairs_considered > limits.max_pairs:
-            raise ResourceLimitExceeded(
-                f"resource limit: more than {limits.max_pairs} pairs",
-                pk.polys(table, partial()), stats)
-        if limits.deadline is not None and time.monotonic() - start > limits.deadline:
-            raise ResourceLimitExceeded("resource limit: deadline exceeded",
-                                        pk.polys(table, partial()), stats)
+    def check_limits(partial):  # two comparisons on locals; Limits raises
+        if stats.pairs_considered > max_pairs or now() >= end:
+            limits.check(stats, lambda: pk.polys(table, partial()))
 
     entries = _interreduce([pk.entry(pk.terms(g)) for g in system.gens], pk,
                            check_limits)

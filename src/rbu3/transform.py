@@ -596,13 +596,15 @@ def find_conjugation(source: Operator, target: Operator,
     Operators of different weights are answered ``none`` before any system
     is built, since conjugation preserves the weight.  At a nonzero weight
     lambda the scale is fixed to k = 1, whatever ``allow_scaling`` says:
-    (1/k) R has weight lambda/k, so no other k keeps the weight.
+    (1/k) R has weight lambda/k, so no other k keeps the weight.  The
+    ``limits`` are started once: both variants share one deadline.
     """
     if source.n != 3 or target.n != 3:
         raise ValueError("the search is specific to U_3")
     if source.weight != target.weight:
         return ConjugationSearch("none")
     allow_scaling = allow_scaling and not source.weight
+    limits = None if limits is None else limits.start()
 
     # the flip permutes the target's entries, so one table of parameters
     # serves both variants, and the source side is read once for both

@@ -2,7 +2,6 @@
 
 import json
 import pathlib
-import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -251,13 +250,13 @@ def test_a_skipped_localization_leaves_the_claim_undecided():
     gb = buchberger(PolySystem(table, (table.parse("x^5"),)))
     claim = table.parse("x")
 
-    def certify(limits, end):
-        return catalog._certify_membership(("x",), "x", claim, gb, limits, end)
+    def certify(limits):
+        return catalog._certify_membership(("x",), "x", claim, gb, limits.start())
     assert gb.reduced
-    found = certify(Limits(), None)
+    found = certify(Limits())
     assert (found.member, found.certified_by) == (True, "localization")
-    skipped = certify(Limits(deadline=0.0), time.monotonic() - 1.0)
-    stopped = certify(Limits(max_pairs=0), None)  # the localization raises
+    skipped = certify(Limits(deadline=0.0))
+    stopped = certify(Limits(max_pairs=0))  # the localization raises
     for result in (skipped, stopped):
         assert (result.member, result.certified_by) == (None, "undecided")
         assert not result.passed()
@@ -272,9 +271,9 @@ def test_deadline_covers_the_partial_autoreduce(monkeypatch):
     real_autoreduce = catalog.autoreduce
     real_contains = GroebnerBasis.contains
 
-    def spy(polys, order=None, _check=None):
+    def spy(polys, order=None, limits=None):
         passes.append("started")
-        result = real_autoreduce(polys, order, _check=_check)
+        result = real_autoreduce(polys, order, limits)
         passes.append("finished")
         return result
 

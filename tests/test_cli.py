@@ -297,6 +297,21 @@ def test_resource_limit_message_is_printed_once(tmp_path, capsys):
         assert capsys.readouterr().err == "resource limit: more than 0 pairs\n", argv
 
 
+def test_invalid_limits_exit_2_with_one_error_line(tmp_path, capsys):
+    path = _system_file(tmp_path, capsys)
+    r5 = str(DATA / "operators" / "r5.json")
+    for argv in (["gb", path], ["case", "--preset", "sec5-reduced"],
+                 ["find-conj", r5, r5]):
+        for option, value, message in (
+                ("--deadline", "nan", "deadline must be nonnegative"),
+                ("--deadline", "-5", "deadline must be nonnegative"),
+                ("--max-pairs", "-1", "max_pairs must be nonnegative")):
+            assert cli.main([*argv, option, value]) == 2, (argv, option, value)
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: {message}"), (argv, value)
+            assert captured.err.count("\n") == 1 and captured.out == "", argv
+
+
 def test_every_command_help_lists_its_options():
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))

@@ -140,6 +140,34 @@ def test_resource_limit_raises_with_partial_state():
         assert normal_form(g, info.value.partial, grevlex()).is_zero()
 
 
+@pytest.mark.parametrize("bad", [{"max_pairs": -1}, {"deadline": -5.0},
+                                 {"deadline": float("nan")}])
+def test_limits_reject_a_negative_or_nan_bound(bad):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        Limits(**bad)
+
+
+def test_limits_accept_zero_and_infinity():
+    # 0 and 0.0 are limits already spent, inf a deadline never reached
+    for good in ({"max_pairs": 0}, {"deadline": 0.0}, {"deadline": float("inf")}):
+        assert Limits(**good).start() == Limits(**good)
+    assert Limits(deadline=0.0).start().expired()
+    assert not Limits(deadline=float("inf")).start().expired()
+
+
+def test_start_fixes_the_deadline_once_on_a_copy(fake_clock):
+    limits = Limits(max_pairs=5, deadline=3.0)
+    started = limits.start()  # reads 1: the deadline falls at 4
+    assert started is not limits and started == limits
+    assert started.start() is started and fake_clock.now == 1
+    assert [started.expired() for _ in range(4)] == [False, False, True, True]
+    # the unstarted limits are untouched: starting them again gives a new deadline
+    again = limits.start()  # reads 6: the deadline falls at 9
+    assert again is not started and not again.expired()
+    # without a deadline, start reads no clock and expired never holds
+    assert not Limits().start().expired() and fake_clock.now == 8
+
+
 def test_deadline_holds_inside_the_initial_autoreduce():
     """sec7's 195 generators take a long autoreduce before the first S-pair;
     an expired deadline stops it at its first polynomial."""
@@ -151,6 +179,20 @@ def test_deadline_holds_inside_the_initial_autoreduce():
     assert info.value.stats.pairs_considered == 0
     assert info.value.partial
     assert info.value.partial == list(system.gens)
+
+
+class HookLimits:
+    """A limits object for ``autoreduce`` whose ``check`` hands each partial
+    (a callable) to ``hook``, which records it or raises to stop."""
+
+    def __init__(self, hook):
+        self.hook = hook
+
+    def start(self):
+        return self
+
+    def check(self, stats, partial):
+        self.hook(partial)
 
 
 def test_autoreduce_stopped_midway_still_generates_the_ideal():
@@ -176,7 +218,7 @@ def test_autoreduce_stopped_midway_still_generates_the_ideal():
                 raise Stop
 
         try:
-            autoreduce(gens, grevlex(), _check=check)
+            autoreduce(gens, grevlex(), HookLimits(check))
         except Stop:
             partial = seen[-1]()
             assert buchberger(PolySystem(table, tuple(partial),
@@ -708,7 +750,8 @@ def test_interreduction_matches_the_pass_loop_at_every_stop(problem):
     polys, order = problem
     at = 0
     while True:
-        seen, out = stopped(lambda c: autoreduce(polys, order, _check=c), at)
+        seen, out = stopped(
+            lambda c: autoreduce(polys, order, HookLimits(c)), at)
         expected_seen, expected = stopped(
             lambda c: pass_loop_autoreduce(polys, order, c), at)
         assert len(seen) == len(expected_seen)
@@ -775,11 +818,12 @@ def test_autoreduce_returns_one_in_the_pass_that_finds_it():
     # x*y*z - 1 reduces to -1 by the monomial x*y*z, first in the first pass
     checks = []
     out = autoreduce(xyz("x*y*z - 1", "x^2 + y", "x*y*z"), lex(),
-                     _check=checks.append)
+                     HookLimits(checks.append))
     assert out == [ONE] and len(checks) == 1
     # a constant input is answered before any reduction
     checks.clear()
-    assert autoreduce(xyz("x - y", "3/2"), lex(), _check=checks.append) == [ONE]
+    assert autoreduce(xyz("x - y", "3/2"), lex(),
+                      HookLimits(checks.append)) == [ONE]
     assert checks == []
 
 

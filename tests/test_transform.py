@@ -13,7 +13,7 @@ from rbu3 import groebner, transform
 from rbu3.catalog import build_catalog
 from rbu3.matrices import UTMatrix, basis_indices, parse_matrix, rref
 from rbu3.operators import Operator, rb_residual
-from rbu3.groebner import PolySystem
+from rbu3.groebner import Limits, PolySystem, ResourceLimitExceeded
 from rbu3.poly import MultiPoly, VarTable, lex
 from rbu3.transform import (AutoParams, PsiStep, ThetaStep, UnitCertificate,
                             Witness, build_psi, canonicalize_idempotent,
@@ -423,6 +423,40 @@ def test_find_conjugation_disjoint_certificate():
     result = find_conjugation(R5, r6)
     assert result.status == "disjoint" and len(result.certificate) == 2
     assert all(rechecks(c) for c in result.certificate)
+
+
+def test_both_variants_of_a_search_share_one_deadline(fake_clock, monkeypatch):
+    """``find_conjugation`` starts its limits once: under a clock that moves
+    one unit a read, a deadline just above what the psi-only variant reads
+    stops the variant with the flip, while one unstarted ``Limits`` reused
+    across calls, as a module-level budget is, gives each call its own."""
+    # both operators are fixed by the flip, so each variant builds the same
+    # system, and its basis is [1]
+    source = Operator.from_images({"e12": "e13 + e22", "e23": "e13 + e22"})
+    target = Operator.from_images({"e12": "e12 + e22", "e23": "e22 + e23"})
+    assert all(conjugate_operator(op, theta13()) == op for op in (source, target))
+    reads = []  # clock reads inside each Groebner run
+    real_buchberger = transform.buchberger
+
+    def spy(system, limits=None):
+        before = fake_clock.now
+        try:
+            return real_buchberger(system, limits)
+        finally:
+            reads.append(fake_clock.now - before)
+
+    monkeypatch.setattr(transform, "buchberger", spy)
+    result = find_conjugation(source, target, limits=Limits(deadline=10.0**6))
+    assert result.status == "disjoint" and len(result.certificate) == 2
+    first, second = reads
+    assert first == second > 0
+    budget = Limits(deadline=first + 1)
+    with pytest.raises(ResourceLimitExceeded, match="deadline exceeded"):
+        find_conjugation(source, target, limits=budget)
+    assert len(reads) == 4  # the second variant was stopped, not skipped
+    for _ in range(2):
+        assert find_conjugation(source, target, allow_theta=False,
+                                limits=budget).status == "disjoint"
 
 
 def test_a_tampered_unit_certificate_fails_its_recheck():
