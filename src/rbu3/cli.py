@@ -71,10 +71,13 @@ def cmd_system(args):
 
 
 def cmd_gb(args):
+    if args.elim is not None and args.order != "elim":
+        raise ValueError("--elim needs --order elim")
     system = PolySystem.load(args.file)
     if args.order:
         order = MonomialOrder.from_json(
-            {"elim": args.elim} if args.order == "elim" else args.order)
+            {"elim": 1 if args.elim is None else args.elim}
+            if args.order == "elim" else args.order)
         system = PolySystem(system.table, system.gens, order)
     gb = buchberger(system, _limits(args))
     print(f"reduced basis with {len(gb.basis)} elements "
@@ -212,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reduced Groebner basis of a system file")
     p.add_argument("file")
     p.add_argument("--order", choices=("lex", "grevlex", "elim"))
-    p.add_argument("--elim", type=int, default=1, metavar="K")
+    p.add_argument("--elim", type=int, metavar="K",
+                   help="block size of --order elim (default 1)")
     p.set_defaults(func=cmd_gb)
 
     p = sub.add_parser("member", parents=[limits_opt],

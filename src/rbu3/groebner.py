@@ -16,7 +16,10 @@ reduction, and monic auto-reduced output.  Three implementation notes:
   divisor views of stable descending lead order, and unpacks only its
   basis, or the partial one a limit raises with.  Division takes terms
   largest first, by the first divisor in view order: counters and bases
-  are those of the plain loop.
+  are those of the plain loop.  A view buckets its leads by their lowest
+  nonzero field, so division and the chain criterion test only the leads
+  in the fields of m or of the lcm; the divisor is still the first in
+  view order (``_View``).
 * Interreduction divides each element by the others' leading terms and
   their monomial multiples, pass after pass.  Whether a set is reduced
   depends only on its leads, so it stops after the first pass that moves
@@ -49,7 +52,7 @@ from bisect import insort
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain, islice
+from itertools import chain
 from math import inf
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -207,7 +210,8 @@ class GroebnerBasis:
                        self._width)
 
     def verify(self) -> bool:
-        """Recheck the defining properties (generators and S-pairs reduce to 0)."""
+        """Recheck the defining properties: generators and S-pairs reduce to
+        0, and a reduced basis is monic, no lead dividing another's terms."""
         order, basis = self.system.order, self.basis
         if not all(self.contains(g) for g in self.system.gens):
             return False
@@ -218,10 +222,10 @@ class GroebnerBasis:
             pk = _packing(len(self.system.table), order, self._width)
             view = pk.view(basis)
             for entry in view:
-                lead, _, _, terms = entry
+                lead, _, _, terms, _ = entry
                 if terms[lead] != 1 or any(
-                        other is not entry and pk.divides(other[1], m)
-                        for m in terms for other in view):
+                        other is not entry
+                        for m in terms for other in view.dividing(m, pk)):
                     return False
         return True
 
@@ -255,6 +259,7 @@ class _Packing:
         self.low = (1 << self.bits) - 1
         self.ones = sum(1 << (i * w) for i in range(n))  # a 1 in each field
         self.guards = self.ones << (w - 1)
+        self.marks = self.guards | 1 << self.bits  # the bucket keys (_View)
         self.field, self.top = (1 << w) - 1, self.bits - w
         self.byteorder = byteorder = "big" if self.lex else "little"
         code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(width)  # struct codes
@@ -319,9 +324,10 @@ class _Packing:
         return [self.poly(table, e[3]) for e in entries]
 
     def entry(self, terms: dict, monic: bool = False):
-        """(lead, lead word, tail, terms), of ``terms`` divided by their lead
-        coefficient if ``monic``; the tail pairs each other term with -c/lc,
-        what a division step adds per unit of the term."""
+        """(lead, lead word, tail, terms, key), of ``terms`` divided by their
+        lead coefficient if ``monic``; the tail pairs each other term with
+        -c/lc, what a division step adds per unit of the term, and the key
+        is the lead's bucket in a view (``_View``)."""
         lead = max(terms)
         lc = as_int(terms[lead])
         if lc != 1 and monic:
@@ -333,12 +339,12 @@ class _Packing:
             inv, whole = Fraction(-1) / lc, type(lc) is int
             tail = [(m, -(c // lc) if whole and type(c) is int and not c % lc
                      else as_int(c * inv)) for m, c in terms.items() if m != lead]
-        return (lead, lead & self.low, tail, terms)
+        marks = ((lead | self.marks) - self.ones) & self.marks
+        return (lead, lead & self.low, tail, terms, marks & -marks)
 
-    def view(self, polys: Iterable[MultiPoly]) -> list:
-        """Lead entries of the polynomials, in stable descending lead order."""
-        return sorted((self.entry(self.terms(g)) for g in polys if g),
-                      key=_lead, reverse=True)
+    def view(self, polys: Iterable[MultiPoly]) -> "_View":
+        """The divisor view of the polynomials' lead entries."""
+        return _View([self.entry(self.terms(g)) for g in polys if g])
 
 
 @cache
@@ -368,7 +374,51 @@ def _packed(run, polys, table: VarTable, order: MonomialOrder, width: int = 1):
 _lead = itemgetter(0)  # the packed leading monomial of a lead entry
 
 
-def _reduce(work: dict, view: list, pk: _Packing) -> dict:
+class _View:
+    """Lead entries in stable descending lead order, as a divisor index.
+
+    An entry's key is the guard bit of its lead's lowest nonzero field, or
+    the bit above the word for the constant lead.  Buckets by key are runs
+    of the view, and equal leads share one.  A lead divides m only if m is
+    nonzero in its bucket's field, and ``occupied``, the OR of the keys,
+    picks those buckets out of m with one AND, the constant's last.  A
+    bucket that ``remove`` empties stays: an interreduction mostly puts
+    back a remainder with the lead it removed.
+    """
+
+    def __init__(self, entries: Iterable):
+        self.buckets = buckets = {}
+        for entry in sorted(entries, key=_lead, reverse=True):
+            buckets.setdefault(entry[4], []).append(entry)
+        self.occupied = sum(buckets)  # distinct bits: their OR
+
+    def insort(self, entry) -> None:
+        """After every entry whose lead is not smaller, as a stable sort would."""
+        bucket = self.buckets.get(entry[4])
+        if bucket is None:
+            self.buckets[entry[4]] = [entry]
+            self.occupied |= entry[4]
+        else:
+            insort(bucket, entry, key=lambda e: -e[0])
+
+    def remove(self, entry) -> None:
+        self.buckets[entry[4]].remove(entry)
+
+    def dividing(self, m: int, pk: _Packing):
+        """The entries whose lead divides the monomial ``m``."""
+        present = ((m | pk.marks) - pk.ones) & self.occupied
+        while present:
+            key = present & -present
+            present ^= key
+            yield from (e for e in self.buckets[key] if pk.divides(e[1], m))
+
+    def __iter__(self):
+        """The entries in view order."""
+        return iter(sorted(chain.from_iterable(self.buckets.values()),
+                           key=_lead, reverse=True))
+
+
+def _reduce(work: dict, view: _View, pk: _Packing) -> dict:
     """Remainder of the packed terms ``work`` (consumed) by the divisor view.
 
     Terms leave a heap largest first.  A reduction step only adds terms
@@ -376,32 +426,37 @@ def _reduce(work: dict, view: list, pk: _Packing) -> dict:
     that cancels stays there with coefficient 0 and is skipped when popped.
     The remainder's terms are stored largest first, so its first term leads.
 
-    The view is in descending lead order and popped terms only decrease, so
-    the scan starts at ``start``, past every lead larger than the term: such
-    a lead divides no later term either, and the divisor found is still the
-    first dividing entry in view order.
+    The divisor is the first dividing entry in view order: the largest
+    lead among the first divisors in m's buckets, each bucket scanned until
+    its leads fall below the best found so far.
     """
-    guards, low = pk.guards, pk.low
+    guards, marks, ones = pk.guards, pk.marks, pk.ones
+    buckets, occupied = view.buckets, view.occupied
     heap = [-m for m in work]
     heapq.heapify(heap)
     remainder = {}
-    start, size = 0, len(view)
     while heap:
         m = -heapq.heappop(heap)
         coeff = work.pop(m)
         if not coeff:
             continue
-        while start < size and view[start][0] > m:
-            start += 1
-        probe = (m & low) | guards
-        for entry in islice(view, start, None) if start else view:
-            if (probe - entry[1]) & guards == guards:
-                break
-        else:
+        probe = m | marks  # no field borrows, so the order key above is inert
+        present = (probe - ones) & occupied
+        divisor, bound = None, -1
+        while present:
+            key = present & -present
+            present ^= key
+            for entry in buckets[key]:
+                if entry[0] < bound:
+                    break
+                if (probe - entry[1]) & guards == guards:
+                    divisor, bound = entry, entry[0]
+                    break
+        if divisor is None:
             remainder[m] = coeff
             continue
-        shift = m - entry[0]
-        for t, c in entry[2]:
+        shift = m - divisor[0]
+        for t, c in divisor[2]:
             t += shift
             if t & guards:
                 raise _Overflow(pk.width)
@@ -417,7 +472,8 @@ def _reduce(work: dict, view: list, pk: _Packing) -> dict:
 def _s_terms(pk: _Packing, f, g, lcm: int) -> dict:
     """Packed S(f, g) = (lcm/lt f) f - (lcm/lt g) g for lead entries f, g and
     the word of their leads' lcm, built monically; the leads cancel."""
-    lcm = pk.pack(pk.unpack(lcm))
+    if not pk.lex:  # a lex word is its packed monomial
+        lcm = pk.pack(pk.unpack(lcm))
     shift_f, shift_g = lcm - f[0], lcm - g[0]
     terms = {shift_f + m: -c for m, c in f[2]}
     add_terms(terms, ((shift_g + m, c) for m, c in g[2]))
@@ -455,36 +511,35 @@ def normal_form(p: MultiPoly, basis: Sequence[MultiPoly],
         [p, *basis], p.table, order)
 
 
-def _interreduce(entries: list, pk: _Packing, check) -> list:
-    """``autoreduce`` on lead entries, returned in descending lead order.
+def _interreduce(entries: list, pk: _Packing, check) -> _View:
+    """``autoreduce`` on lead entries, returned as their divisor view.
 
     Each entry is divided by a view of the others in stable descending lead
-    order, sorted once a pass: the entry leaves it, its remainder enters.
-    A remainder's lead equals no lead in the view that reduced it, so only
-    entries still to come tie, in input order.  ``check`` is called before
-    each division with a callable that returns entries of the same ideal.
+    order: the entry leaves it, its remainder enters.  A remainder's lead
+    equals no lead in the view that reduced it, so only entries still to
+    come tie, in input order, and a pass ends with the view of its
+    remainders.  ``check`` is called before each division with a callable
+    that returns entries of the same ideal.
     """
     if any(not e[0] for e in entries):  # the constant monomial packs to 0
-        return [pk.entry({0: 1})]
-    current, moved = entries, True
+        return _View([pk.entry({0: 1})])
+    current, moved, view = entries, True, _View(entries)
     while moved:
         moved, nxt = False, []
-        view = sorted(current, key=_lead, reverse=True)
         for i, entry in enumerate(current):
             check(lambda: nxt + current[i:])
-            view.remove(entry)  # the entries before it have larger leads
+            view.remove(entry)
             r = _reduce(dict(entry[3]), view, pk)
             if not r:
                 continue
             reduced = pk.entry(r, monic=True)
             if not reduced[0]:
-                return [reduced]
+                return _View([reduced])
             moved = moved or reduced[0] != entry[0]
             nxt.append(reduced)
-            insort(view, reduced, key=lambda e: -e[0])
+            view.insort(reduced)
         current = nxt
-    current.sort(key=_lead, reverse=True)
-    return current
+    return view
 
 
 def autoreduce(polys: Iterable[MultiPoly], order: MonomialOrder | None = None,
@@ -533,12 +588,12 @@ def _buchberger(system: PolySystem, limits: Limits, pk: _Packing) -> GroebnerBas
         if stats.pairs_considered > max_pairs or now() >= end:
             limits.check(stats, lambda: pk.polys(table, partial()))
 
-    entries = _interreduce([pk.entry(pk.terms(g)) for g in system.gens], pk,
-                           check_limits)
-    guards = pk.guards
+    view = _interreduce([pk.entry(pk.terms(g)) for g in system.gens], pk,
+                        check_limits)
+    entries = list(view)
+    guards, marks, ones, buckets = pk.guards, pk.marks, pk.ones, view.buckets
     leads = [e[1] for e in entries]
     degs = [sum(pk.unpack(m)) for m in leads]
-    view = entries[:]  # interreduced entries come in descending lead order
 
     def pair(i, j):
         lcm = pk.lcm(leads[i], leads[j])
@@ -546,7 +601,8 @@ def _buchberger(system: PolySystem, limits: Limits, pk: _Packing) -> GroebnerBas
 
     heap = [pair(i, j) for j in range(len(entries)) for i in range(j)]
     heapq.heapify(heap)
-    done = [set() for _ in entries]  # done[i]: each k whose pair with i is treated
+    # done[i]: the lead of each k whose pair with i is treated (leads are distinct)
+    done = [set() for _ in entries]
     so_far = entries.copy  # the partial basis, should a limit be hit
 
     while heap:
@@ -556,13 +612,21 @@ def _buchberger(system: PolySystem, limits: Limits, pk: _Packing) -> GroebnerBas
         done_i, done_j = done[i], done[j]
         # product criterion: coprime leading monomials
         skipped = lcm == leads[i] + leads[j]
-        if not skipped:
-            # chain criterion (conservative: both companion pairs fully treated)
-            probe = lcm | guards
-            skipped = any((probe - leads[k]) & guards == guards
-                          for k in done_i & done_j)
-        done_i.add(j)
-        done_j.add(i)
+        if not skipped and done_i and done_j:
+            # chain criterion (conservative: both companion pairs fully
+            # treated), on the entries in the lcm's buckets
+            probe = lcm | marks
+            present = (probe - ones) & view.occupied
+            while present and not skipped:
+                key = present & -present
+                present ^= key
+                for e in buckets[key]:
+                    if ((probe - e[1]) & guards == guards
+                            and e[1] in done_i and e[1] in done_j):
+                        skipped = True
+                        break
+        done_i.add(leads[j])
+        done_j.add(leads[i])
         if skipped:
             continue
         r = _reduce(_s_terms(pk, entries[i], entries[j], lcm), view, pk)
@@ -576,8 +640,7 @@ def _buchberger(system: PolySystem, limits: Limits, pk: _Packing) -> GroebnerBas
         leads.append(entry[1])
         degs.append(sum(pk.unpack(entry[1])))
         done.append(set())
-        # after every entry whose lead is not smaller, as a stable sort would
-        insort(view, entry, key=lambda e: -e[0])
+        view.insort(entry)
         new_index = len(entries) - 1
         for k in range(new_index):
             heapq.heappush(heap, pair(k, new_index))

@@ -358,18 +358,6 @@ class MultiPoly:
                 return result
             base = base * base
 
-    # -- leading terms ---------------------------------------------------
-
-    def leading(self, order: MonomialOrder):
-        """The maximal (monomial, coefficient) pair under `order`.
-
-        Raises ``ValueError("no leading term")`` on the zero polynomial.
-        """
-        if not self.terms:
-            raise ValueError("no leading term")
-        mono = max(self.terms, key=order.key)
-        return mono, self.terms[mono]
-
     # -- substitution ----------------------------------------------------
 
     def substitute(self, bindings: Mapping[str, object],

@@ -33,6 +33,8 @@ from rbu3.transform import (AutoParams, PsiStep, Witness,
                             canonicalize_idempotent, canonicalize_nilpotent,
                             conjugate_operator, find_conjugation, theta13)
 
+from reference import leading
+
 ENTRIES = build_catalog(strict=False)
 BY_ID = {e.id: e for e in ENTRIES}
 CERTIFIED = [e for e in ENTRIES if e.residual_zero]
@@ -151,9 +153,9 @@ def _random_poly(rng, table, max_terms=4, max_exp=3):
 
 def _divides_exactly(dividend, divisor, order):
     remainder = dividend
-    lm, lc = divisor.leading(order)
+    lm, lc = leading(divisor, order)
     while not remainder.is_zero():
-        mono, coeff = remainder.leading(order)
+        mono, coeff = leading(remainder, order)
         if any(m < l for m, l in zip(mono, lm)):
             return False
         shift = tuple(m - l for m, l in zip(mono, lm))

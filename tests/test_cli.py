@@ -397,3 +397,15 @@ def test_rb_index_rejects_cap_below_one(tmp_path, capsys):
         _rejected_with_nothing_written(
             ["rb-index", str(DATA / "operators" / "r40.json"), "--cap", cap],
             tmp_path, capsys, f"cap must be at least 1, not {cap}")
+
+
+def test_gb_rejects_elim_without_the_elim_order(tmp_path, capsys):
+    path = _system_file(tmp_path, capsys)
+    for order in ([], ["--order", "lex"], ["--order", "grevlex"]):
+        _rejected_with_nothing_written(
+            ["gb", path, *order, "--elim", "2"], tmp_path, capsys,
+            "--elim needs --order elim")
+    # with the elim order, the block size defaults to 1
+    out_path = tmp_path / "gb.json"
+    assert cli.main(["gb", path, "--order", "elim", "--json", str(out_path)]) == 0
+    assert json.loads(out_path.read_text())["order"] == {"elim": 1}

@@ -2,6 +2,7 @@
 
 import heapq
 import random
+from bisect import insort
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from rbu3.groebner import (Limits, PolySystem, ResourceLimitExceeded,
                            autoreduce, buchberger, eliminate, ideal_member,
                            normal_form, s_polynomial)
 from rbu3.operators import generate_system
+
+from reference import leading
 
 XY = VarTable(["x", "y"])
 
@@ -436,8 +439,8 @@ def divides_exactly(dividend, divisor, order=grevlex()):
     """Independent oracle: long division by the single polynomial `divisor`."""
     remainder = dividend
     while not remainder.is_zero():
-        mono, coeff = remainder.leading(order)
-        lm, lc = divisor.leading(order)
+        mono, coeff = leading(remainder, order)
+        lm, lc = leading(divisor, order)
         if any(m < l for m, l in zip(mono, lm)):
             return False
         shift = tuple(m - l for m, l in zip(mono, lm))
@@ -507,7 +510,7 @@ def reference_normal_form(p, basis, order):
     """Plain multivariate division: the largest remaining term found by a
     full scan, divided by the first basis element in stable descending
     leading-monomial order."""
-    view = [(*g.leading(order), g) for g in basis if not g.is_zero()]
+    view = [(*leading(g, order), g) for g in basis if not g.is_zero()]
     view.sort(key=lambda t: order.key(t[0]), reverse=True)
     work = dict(p.terms)
     remainder = {}
@@ -588,12 +591,12 @@ def reference_autoreduce(polys, order):
             if r.is_zero():
                 changed = True
                 continue
-            lc = r.leading(order)[1]
+            lc = leading(r, order)[1]
             r = MultiPoly(r.table, {m: c / lc for m, c in r.terms.items()})
             changed = changed or r != g
             done.append(r)
         current = done
-    return sorted(current, key=lambda g: order.key(g.leading(order)[0]),
+    return sorted(current, key=lambda g: order.key(leading(g, order)[0]),
                   reverse=True)
 
 
@@ -690,8 +693,7 @@ def pass_loop_autoreduce(polys, order, check=None, stop_at_constant=True):
             for i, entry in enumerate(current):
                 if check is not None:
                     check(unpack(nxt + current[i:]))
-                view = sorted(nxt + current[i + 1:], key=groebner._lead,
-                              reverse=True)
+                view = groebner._View(nxt + current[i + 1:])
                 r = groebner._reduce(dict(entry[3]), view, pk)
                 if not r:
                     continue
@@ -885,6 +887,7 @@ class TrackedEntry(tuple):
 def assert_same_divisions(pk, dividends, view):
     """``_reduce`` picks the reference's divisors and leaves its remainder,
     terms in the same order, for every dividend; returns the remainders."""
+    view = list(view)
     log = []
     tracked = []
     for pos, entry in enumerate(view):
@@ -896,7 +899,7 @@ def assert_same_divisions(pk, dividends, view):
         chosen = []
         expected = reference_reduce(dict(terms), view, pk, chosen)
         log.clear()
-        got = groebner._reduce(dict(terms), tracked, pk)
+        got = groebner._reduce(dict(terms), groebner._View(tracked), pk)
         assert list(got.items()) == list(expected.items())
         assert log == chosen
         remainders.append(got)
@@ -914,7 +917,7 @@ def preset_system_and_basis(name):
 
 def test_forward_scan_keeps_the_divisors_on_the_sec7_s_polynomials():
     _, gb, pk = preset_system_and_basis("sec7")
-    view = pk.view(gb.basis)
+    view = list(pk.view(gb.basis))
     dividends = [groebner._s_terms(pk, f, g, pk.lcm(f[1], g[1]))
                  for i, f in enumerate(view) for g in view[i + 1:]]
     assert len(dividends) == 406
@@ -932,14 +935,133 @@ def test_forward_scan_keeps_the_divisors_on_the_sec6_generators():
     assert sum(map(bool, remainders)) > len(remainders) // 2
 
 
+# -- the pair loop: a flat view and the intersection chain rule -----------------
+
+
+def pair_loop_buchberger(system):
+    """The reference for ``groebner._buchberger``: the pass loop opens and
+    closes it, and its pair loop keeps a flat divisor view in stable
+    descending lead order, divides by ``reference_reduce`` (a scan from the
+    top) and tests the chain criterion on ``done[i] & done[j]``.  Fields
+    are 8 bytes wide, so no exponent here reaches a guard bit."""
+    table, order = system.table, system.order
+    pk = groebner._packing(len(table), order, 8)
+    guards = pk.guards
+    stats = groebner.GBStats()
+    entries = [pk.entry(pk.terms(g))
+               for g in pass_loop_autoreduce(system.gens, order)]
+    leads = [e[1] for e in entries]
+    degs = [sum(pk.unpack(m)) for m in leads]
+    view = entries[:]
+
+    def pair(i, j):
+        lcm = pk.lcm(leads[i], leads[j])
+        return (pk.degree(lcm, degs[i] + degs[j]), i, j, lcm)
+
+    heap = [pair(i, j) for j in range(len(entries)) for i in range(j)]
+    heapq.heapify(heap)
+    done = [set() for _ in entries]
+    while heap:
+        stats.pairs_considered += 1
+        _, i, j, lcm = heapq.heappop(heap)
+        skipped = lcm == leads[i] + leads[j]
+        if not skipped:
+            probe = lcm | guards
+            skipped = any((probe - leads[k]) & guards == guards
+                          for k in done[i] & done[j])
+        done[i].add(j)
+        done[j].add(i)
+        if skipped:
+            continue
+        r = reference_reduce(groebner._s_terms(pk, entries[i], entries[j], lcm),
+                             view, pk, [])
+        stats.pairs_reduced += 1
+        if not r:
+            stats.zero_reductions += 1
+            continue
+        entry = pk.entry(r, monic=True)
+        entries.append(entry)
+        leads.append(entry[1])
+        degs.append(sum(pk.unpack(entry[1])))
+        done.append(set())
+        # after every entry whose lead is not smaller, as a stable sort would
+        insort(view, entry, key=lambda e: -e[0])
+        for k in range(len(entries) - 1):
+            heapq.heappush(heap, pair(k, len(entries) - 1))
+    basis = pass_loop_autoreduce(pk.polys(table, entries), order)
+    stats.basis_size = len(basis)
+    return basis, stats
+
+
+QUADRICS = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+
+
+@st.composite
+def pair_loop_systems(draw):
+    """Quadrics over x, y, z (a homogeneous ideal is proper, so the pair
+    loop runs) with scaled copies that tie their leads; some get a
+    constant or linear shift, or a constant generator."""
+    polys = []
+    for _ in range(draw(st.integers(2, 5))):
+        monos = draw(st.lists(st.sampled_from(QUADRICS), min_size=2, max_size=3,
+                              unique=True))
+        g = MultiPoly(XYZ, {m: Fraction(draw(st.integers(-3, 3)),
+                                        draw(st.integers(1, 2))) for m in monos})
+        if g.is_zero():
+            continue
+        polys.append(g)
+        if draw(st.integers(0, 3)) == 0:
+            polys.append(g * Fraction(draw(st.integers(1, 3)), 2))
+    kind = draw(st.sampled_from(["homogeneous"] * 4 + ["shift", "constant"]))
+    if kind == "shift" and polys:
+        polys[-1] = polys[-1] + draw(st.sampled_from(xyz("1", "x", "y - 2")))
+    if kind == "constant":
+        polys.append(MultiPoly.const(XYZ, Fraction(-2, 3)))
+    order = draw(st.sampled_from([lex(), grevlex(), elimination(1)]))
+    return draw(st.permutations(polys)), order
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(pair_loop_systems())
+@example((xyz("x*y - z^2", "y*z - x^2", "x*z - y^2", "2*x*y - 2*z^2"), grevlex()))
+# an S-pair reduces to a constant, which then prunes pairs by the chain rule
+@example((xyz("z^2 - x*z - 1", "x^2 + x + z", "1 - z^2"), elimination(1)))
+def test_pair_loop_matches_the_flat_view_reference(problem):
+    polys, order = problem
+    gens = tuple(g for g in polys if not g.is_zero())
+    if not gens:
+        return
+    system = PolySystem(XYZ, gens, order)
+    gb = buchberger(system)
+    basis, stats = pair_loop_buchberger(system)
+    assert same_with_term_order(list(gb.basis), basis)
+    assert gb.stats == stats
+
+
+def test_verify_rejects_a_tail_term_that_another_lead_divides():
+    # coprime leads: Groebner bases, but y*z (z^2) is divisible by y (z);
+    # in the third, z^2 divides no term, though it shares y*z's lowest field
+    for order, texts in ((lex(), ("x + y*z", "y")),
+                         (grevlex(), ("x*y + z^2", "z")),
+                         (lex(), ("x + y*z", "y", "z^2"))):
+        basis = tuple(xyz(*texts))
+        system = PolySystem(XYZ, basis, order)
+        assert groebner.GroebnerBasis(system, basis, False,
+                                      groebner.GBStats()).verify()
+        assert not groebner.GroebnerBasis(system, basis, True,
+                                          groebner.GBStats()).verify()
+        gb = buchberger(system)
+        assert gb.basis != basis and gb.verify()
+
+
 # -- integral coefficients as ints ------------------------------------------------
 
 
 def fraction_reduce(work, view, pk):
     """The oracle for ``groebner._reduce``: the same division with every
     coefficient a ``Fraction``, scanning the view from its first entry."""
-    view = [(lead, word, [(m, Fraction(c)) for m, c in tail], terms)
-            for lead, word, tail, terms in view]
+    view = [(lead, word, [(m, Fraction(c)) for m, c in tail], terms, key)
+            for lead, word, tail, terms, key in view]
     remainder = reference_reduce({m: Fraction(c) for m, c in work.items()},
                                  view, pk, [])
     assert all(type(c) is Fraction for c in remainder.values())
@@ -966,7 +1088,7 @@ def scaled_polys(draw):
     g = draw(xyz_polys(max_terms=3))
     if g.is_zero():
         return g
-    lc = g.leading(grevlex())[1]
+    lc = leading(g, grevlex())[1]
     return g * (draw(st.sampled_from(
         [Fraction(1), Fraction(2), Fraction(-3), Fraction(3, 2),
          Fraction(-1, 3)])) / lc)

@@ -14,6 +14,8 @@ from rbu3.operators import (Ansatz, ContradictoryAnsatz, Operator, bvar_name,
                             scale_operator, unit_in_image)
 from rbu3.poly import MultiPoly, VarTable, grevlex
 
+from reference import leading
+
 
 def e(i, j):
     return UTMatrix.basis(3, i, j)
@@ -142,7 +144,7 @@ def symbolic_generators(shape):
     for value in rb_residual(shape.operator).entries.values():
         if not isinstance(value, MultiPoly):
             value = MultiPoly.const(shape.table, value)
-        gens.append(value * (1 / value.leading(grevlex())[1]))
+        gens.append(value * (1 / leading(value, grevlex())[1]))
     return tuple(dict.fromkeys(gens))
 
 
