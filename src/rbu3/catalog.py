@@ -31,9 +31,9 @@ from typing import Mapping, Sequence
 from .matrices import UTMatrix, basis_indices, basis_name
 from .operators import (Ansatz, Operator, bvar_name, check_lemma3, failure_json,
                         generate_system, rb_residual, scale_operator)
-from .poly import write_json
-from .groebner import (GroebnerBasis, Limits, PolySystem,
-                       ResourceLimitExceeded, autoreduce, buchberger)
+from .poly import add_terms, write_json
+from .groebner import (GroebnerBasis, Limits, ResourceLimitExceeded,
+                       autoreduce, buchberger)
 from .transform import (AutoParams, build_psi, conjugate_operator, theta13)
 
 __all__ = [
@@ -721,10 +721,9 @@ def unit_square_certificate(case_name: str = "sec7") -> bool:
     """
     spec = case_preset(case_name)
     _, shape = generate_system(spec.ansatz())
-    total = {}
-    for ((u, v), pos), value in rb_residual(shape.operator).entries.items():
-        if u[0] == u[1] and v[0] == v[1]:
-            total[pos] = total[pos] + value if pos in total else value
+    residual = rb_residual(shape.operator).entries
+    total = add_terms({}, ((pos, value) for ((u, v), pos), value in residual.items()
+                           if u[0] == u[1] and v[0] == v[1]))
     # each claim is, up to sign, one component of the sum
     return all(-shape.expand(factors[0], spec.aliases) in total.values()
                for factors in _SEC7_UNIT_SQUARE)
@@ -813,15 +812,13 @@ class VerifyReport:
 
 def _closure_trial(op: Operator, rng: random.Random) -> bool:
     """One randomized closure check: scaling, then psi and flip conjugation."""
-    k = Fraction(0)
-    while not k:
-        k = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    k = _nonzero_fraction(rng, 9, 7)
     if not rb_residual(scale_operator(op, k)).is_zero():
         return False
     params = AutoParams(
-        alpha=_nonzero_fraction(rng), beta=Fraction(rng.randint(-5, 5)),
-        gamma=Fraction(rng.randint(-5, 5)), delta=_nonzero_fraction(rng),
-        epsilon=Fraction(rng.randint(-5, 5)))
+        alpha=_nonzero_fraction(rng, 6, 4), beta=rng.randint(-5, 5),
+        gamma=rng.randint(-5, 5), delta=_nonzero_fraction(rng, 6, 4),
+        epsilon=rng.randint(-5, 5))
     conj = conjugate_operator(op, build_psi(params))
     if not rb_residual(conj).is_zero():
         return False
@@ -829,10 +826,11 @@ def _closure_trial(op: Operator, rng: random.Random) -> bool:
     return rb_residual(flipped).is_zero()
 
 
-def _nonzero_fraction(rng: random.Random) -> Fraction:
+def _nonzero_fraction(rng: random.Random, num: int, den: int) -> Fraction:
+    """A nonzero p/q, p drawn from -num..num and q from 1..den."""
     value = Fraction(0)
     while not value:
-        value = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        value = Fraction(rng.randint(-num, num), rng.randint(1, den))
     return value
 
 

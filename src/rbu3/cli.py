@@ -12,12 +12,12 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, fields
-from fractions import Fraction
 
 from .matrices import parse_matrix
 from .operators import (Ansatz, Operator, check_lemma3, failure_json,
                         generate_system, rb_residual)
-from .poly import MonomialOrder, ParseError, parse_poly, read_json, write_json
+from .poly import (MonomialOrder, ParseError, as_fraction, parse_poly,
+                   read_json, write_json)
 from .groebner import (Limits, PolySystem, ResourceLimitExceeded, buchberger)
 from .transform import (AutoParams, PsiStep, ThetaStep, Witness,
                         canonicalize_idempotent, canonicalize_nilpotent,
@@ -44,7 +44,7 @@ def cmd_verify_catalog(args):
 def cmd_check(args):
     op = Operator.load(args.file)
     if args.weight is not None:
-        op = Operator(op.n, op.columns, Fraction(args.weight))
+        op = Operator(op.n, op.columns, args.weight)
     residual = rb_residual(op)
     ok = residual.is_zero()
     print(f"RB weight {op.weight}: {'YES' if ok else 'NO'}")
@@ -62,9 +62,9 @@ def cmd_system(args):
     if args.preset:
         ansatz = cat.case_preset(args.preset).ansatz()
     else:
-        data = read_json(args.ansatz)
-        ansatz = Ansatz(int(data.get("n", 3)), Fraction(data.get("weight", "0")),
-                        list(data.get("constraints", ())))
+        data = read_json(args.ansatz, "constraints")
+        ansatz = Ansatz(int(data.get("n", 3)), as_fraction(data.get("weight", "0")),
+                        list(data["constraints"]))
     system, _ = generate_system(ansatz)
     print(f"{len(system.table)} variables, {len(system.gens)} generators")
     return EXIT_OK, system.to_json()
@@ -279,9 +279,10 @@ def main(argv=None) -> int:
     except ResourceLimitExceeded as exc:
         print(exc, file=sys.stderr)
         return EXIT_RESOURCE
-    except (FileNotFoundError, KeyError, ValueError) as exc:
-        # input errors: a missing file, an unknown name (a KeyError, whose
-        # text is its only argument) or a value the input may not take
+    except (OSError, KeyError, ValueError) as exc:
+        # input errors: a path that cannot be read or written, an unknown
+        # name (a KeyError, whose text is its only argument) or a value the
+        # input may not take
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}",
               file=sys.stderr)
         return EXIT_USAGE

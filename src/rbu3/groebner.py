@@ -211,23 +211,27 @@ class GroebnerBasis:
 
     def verify(self) -> bool:
         """Recheck the defining properties: generators and S-pairs reduce to
-        0, and a reduced basis is monic, no lead dividing another's terms."""
+        0, and a reduced basis is monic, each element its own remainder by
+        the others."""
         order, basis = self.system.order, self.basis
         if not all(self.contains(g) for g in self.system.gens):
             return False
         if not all(self.contains(s_polynomial(f, g, order))
                    for i, f in enumerate(basis) for g in basis[i + 1:]):
             return False
-        if self.reduced:
-            pk = _packing(len(self.system.table), order, self._width)
+
+        def reduced(pk):
+            # an element leaves the view for good: a lead above its own
+            # divides none of its terms, and an equal lead is still there
             view = pk.view(basis)
-            for entry in view:
-                lead, _, _, terms, _ = entry
-                if terms[lead] != 1 or any(
-                        other is not entry
-                        for m in terms for other in view.dividing(m, pk)):
+            for entry in list(view):
+                view.remove(entry)
+                if (entry[3][entry[0]] != 1
+                        or _reduce(dict(entry[3]), view, pk) != entry[3]):
                     return False
-        return True
+            return True
+        return not self.reduced or _packed(reduced, basis, self.system.table,
+                                           order, self._width)
 
     def to_json(self) -> dict:
         data = self.system.to_json()
@@ -403,14 +407,6 @@ class _View:
 
     def remove(self, entry) -> None:
         self.buckets[entry[4]].remove(entry)
-
-    def dividing(self, m: int, pk: _Packing):
-        """The entries whose lead divides the monomial ``m``."""
-        present = ((m | pk.marks) - pk.ones) & self.occupied
-        while present:
-            key = present & -present
-            present ^= key
-            yield from (e for e in self.buckets[key] if pk.divides(e[1], m))
 
     def __iter__(self):
         """The entries in view order."""

@@ -31,6 +31,7 @@ __all__ = [
     "exact_rank",
     "solve_exact",
     "generic_rank",
+    "vanishing_power",
 ]
 
 BasisIndex = tuple  # (row, col) with 1 <= row <= col <= n
@@ -127,13 +128,8 @@ class UTMatrix:
 
     def __add__(self, other: "UTMatrix") -> "UTMatrix":
         self._check(other)
-        entries = dict(self.entries)
-        for key, value in other.entries.items():
-            if key in entries:
-                entries[key] = entries[key] + value
-            else:
-                entries[key] = value
-        return UTMatrix._filtered(self.n, entries)
+        return UTMatrix._filtered(
+            self.n, add_terms(dict(self.entries), other.entries.items()))
 
     def __sub__(self, other: "UTMatrix") -> "UTMatrix":
         self._check(other)
@@ -160,15 +156,9 @@ class UTMatrix:
         if isinstance(other, (int, Fraction, MultiPoly)):
             return self.scale(other)
         self._check(other)
-        entries = {}
-        for (i, j), x in self.entries.items():
-            for (k, l), y in other.entries.items():
-                if j != k:
-                    continue
-                key = (i, l)
-                acc = entries.get(key)
-                entries[key] = x * y if acc is None else acc + x * y
-        return UTMatrix._filtered(self.n, entries)
+        return UTMatrix._filtered(self.n, add_terms({}, (
+            ((i, l), x * y) for (i, j), x in self.entries.items()
+            for (k, l), y in other.entries.items() if j == k)))
 
     # -- predicates ----------------------------------------------------------
 
@@ -177,14 +167,7 @@ class UTMatrix:
 
         For polynomial entries this asks that each power vanish identically.
         """
-        if self.is_zero():
-            return 1
-        current = self
-        for k in range(2, self.n + 1):
-            current = current * self
-            if current.is_zero():
-                return k
-        return None
+        return vanishing_power(self, lambda power: power * self, self.n)
 
     def is_idempotent(self) -> bool:
         return self * self == self
@@ -288,6 +271,19 @@ def combine(columns, coords, n: int) -> UTMatrix:
                                 for cell, value in column.entries.items()
                                 if (product := _times(coeff, value))))
     return UTMatrix._filtered(n, entries)
+
+
+def vanishing_power(x, times, cap: int):
+    """Least k in 1..cap with x^k = 0, or None: ``times(p)`` is p * x, and
+    no power above x^cap is computed."""
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, not {cap}")
+    power, k = x, 1
+    while not power.is_zero():
+        if k == cap:
+            return None
+        power, k = times(power), k + 1
+    return k
 
 
 def _times(a, b):

@@ -29,8 +29,9 @@ from typing import Mapping, Sequence
 
 from .matrices import (BasisIndex, UTMatrix, basis_indices, basis_name, combine,
                        generic_rank, name_to_index, parse_matrix, rref,
-                       solve_exact)
-from .poly import MultiPoly, VarTable, grevlex, read_json, write_json
+                       solve_exact, vanishing_power)
+from .poly import (MultiPoly, VarTable, as_fraction, grevlex, read_json,
+                   write_json)
 from .groebner import PolySystem
 
 __all__ = [
@@ -65,9 +66,11 @@ class Operator:
     def __init__(self, n: int, columns: Mapping[BasisIndex, UTMatrix] | None = None,
                  weight=Fraction(0)):
         self.n = n
-        if not isinstance(weight, (int, str, Fraction)):  # no floats
-            raise TypeError(f"weight {weight!r} is not exact: use int, str or Fraction")
-        self.weight = weight if isinstance(weight, Fraction) else Fraction(weight)
+        try:
+            self.weight = as_fraction(weight)
+        except TypeError:
+            raise TypeError(f"weight {weight!r} is not exact: "
+                            "use int, str or Fraction") from None
         cols = {}
         if columns:
             valid = set(basis_indices(n))
@@ -127,16 +130,7 @@ class Operator:
 
     def power_vanish_index(self, cap: int = 10):
         """Least k with R^k = 0 (identically), or None if no k <= cap works."""
-        if cap < 1:
-            raise ValueError(f"cap must be at least 1, not {cap}")
-        if self.is_zero():
-            return 1
-        current = self
-        for k in range(2, cap + 1):
-            current = current.compose(self)
-            if current.is_zero():
-                return k
-        return None
+        return vanishing_power(self, lambda power: power.compose(self), cap)
 
     def unit_image(self) -> UTMatrix:
         """R(1), the image of the identity matrix."""
@@ -171,8 +165,7 @@ class Operator:
             entries = {}
             for key, value in image.entries.items():
                 if isinstance(value, MultiPoly):
-                    bound = {name: Fraction(values[name])
-                             for name in value.table.names}
+                    bound = {name: values[name] for name in value.table.names}
                     value = value.substitute(bound, VarTable(())).constant_value()
                 entries[key] = value
             cols[idx] = UTMatrix(self.n, entries)
@@ -199,7 +192,7 @@ class Operator:
         return Operator.from_images(data.get("images", {}),
                                     n=int(data.get("n", 3)),
                                     params=tuple(data.get("params", ())),
-                                    weight=Fraction(data.get("weight", "0")))
+                                    weight=data.get("weight", "0"))
 
     def save(self, path):
         write_json(path, self.to_json())
@@ -327,7 +320,7 @@ def rb_residual(op: Operator) -> RBResidual:
 
 def scale_operator(op: Operator, k) -> Operator:
     """Lemma-1 scaling: k != 0 gives the operator (1/k) R, again Rota-Baxter."""
-    k = Fraction(k) if not isinstance(k, Fraction) else k
+    k = as_fraction(k)
     if not k:
         raise ValueError("scaling factor must be nonzero")
     if op.weight:

@@ -30,6 +30,7 @@ __all__ = [
     "lex",
     "elimination",
     "add_terms",
+    "as_fraction",
     "as_int",
     "format_terms",
     "parse_terms",
@@ -49,14 +50,18 @@ class ParseError(ValueError):
         self.position = position
 
 
-def _as_fraction(value) -> Fraction:
+def as_fraction(value) -> Fraction:
+    """``value`` (an int, a ``Fraction`` or a string such as ``"-3/4"``) as
+    an exact rational, the one reader of the rationals a caller gives: a
+    float raises ``TypeError``, a zero denominator ``ValueError``."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if not isinstance(value, (int, str)):
+        raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    try:
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    except ZeroDivisionError:
+        raise ValueError(f"{value!r} has a zero denominator") from None
 
 
 class VarTable:
@@ -209,11 +214,10 @@ class MultiPoly:
         clean = {}
         width = len(table)
         for mono, coeff in terms.items():
-            if not coeff:
-                continue
-            if len(mono) != width:
-                raise ValueError("monomial width does not match the table")
-            clean[mono] = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+            if coeff := as_fraction(coeff):
+                if len(mono) != width:
+                    raise ValueError("monomial width does not match the table")
+                clean[mono] = coeff
         self.table = table
         self.terms = clean
 
@@ -230,7 +234,7 @@ class MultiPoly:
 
     @staticmethod
     def const(table: VarTable, value) -> "MultiPoly":
-        value = _as_fraction(value)
+        value = as_fraction(value)
         if not value:
             return MultiPoly(table, {})
         return MultiPoly(table, {(0,) * len(table): value})
@@ -273,7 +277,7 @@ class MultiPoly:
         if isinstance(other, MultiPoly):
             return self.table == other.table and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            other = _as_fraction(other)
+            other = as_fraction(other)
             if not other:
                 return not self.terms
             return self.is_constant() and self.constant_value() == other
@@ -319,7 +323,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _as_fraction(other)
+            other = as_fraction(other)
             if not other:
                 return MultiPoly(self.table, {})
             return MultiPoly._of(self.table,
@@ -327,20 +331,9 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = mono_mul(m1, m2)
-                acc = terms.get(mono)
-                if acc is None:
-                    terms[mono] = c1 * c2
-                else:
-                    acc = acc + c1 * c2
-                    if acc:
-                        terms[mono] = acc
-                    else:
-                        del terms[mono]
-        return MultiPoly._of(self.table, terms)
+        return MultiPoly._of(self.table, add_terms({}, (
+            (mono_mul(m1, m2), c1 * c2) for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items())))
 
     __rmul__ = __mul__
 
@@ -392,7 +385,7 @@ class MultiPoly:
                     raise ValueError(
                         f"binding for {name!r} is not over the target table")
             else:
-                value = _as_fraction(value)
+                value = as_fraction(value)
             slots.append(value)
         width = len(target)
 
@@ -499,8 +492,9 @@ def _tokenize(text: str):
                 k = j + 1
                 while k < n and text[k] in _NUM_CHARS:
                     k += 1
-                if k == j + 1:
-                    raise ParseError("expected digits after '/'", j + 1)
+                if k == j + 1 or not int(text[j + 1:k]):
+                    raise ParseError("expected a nonzero denominator after '/'",
+                                     j + 1)
                 tokens.append(("num", Fraction(int(text[i:j]), int(text[j + 1:k])), i))
                 i = k
             else:
@@ -614,9 +608,12 @@ def write_json(path, data) -> None:
 
 def read_json(path, *keys) -> dict:
     """Read the JSON object in ``path``, which must have each of ``keys``:
-    a file of another kind is refused with a ``ValueError``."""
+    a file of another kind, or a float anywhere in it, is refused with a
+    ``ValueError`` (rationals are written as strings)."""
+    def refuse(text):
+        raise ValueError(f"{path}: {text} is a float; write it as a string")
     with open(path) as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_float=refuse)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: not a JSON object")
     missing = [key for key in keys if key not in data]

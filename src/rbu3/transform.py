@@ -17,12 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Mapping
 
 from .matrices import UTMatrix, basis_indices, combine
 from .operators import Operator, scale_operator
-from .poly import MultiPoly, VarTable, add_terms, as_int, lex, mono_mul
+from .poly import (MultiPoly, VarTable, add_terms, as_fraction, as_int, lex,
+                   mono_mul)
 from .groebner import Limits, PolySystem, buchberger, normal_form
 
 __all__ = [
@@ -54,7 +55,7 @@ class AutoParams:
 
     def __post_init__(self):
         for f in fields(self):
-            object.__setattr__(self, f.name, Fraction(getattr(self, f.name)))
+            object.__setattr__(self, f.name, as_fraction(getattr(self, f.name)))
         if not self.alpha or not self.delta:
             raise ValueError("alpha and delta must be invertible")
 
@@ -63,7 +64,7 @@ class AutoParams:
 
     @staticmethod
     def from_json(data) -> "AutoParams":
-        return AutoParams(**{k: Fraction(v) for k, v in data.items()})
+        return AutoParams(**data)
 
 
 class AlgebraMap:
@@ -312,7 +313,7 @@ class Witness:
                 steps.append(PsiStep(AutoParams.from_json(item["psi"])))
             else:
                 raise ValueError(f"bad witness step {item!r}")
-        return Witness(tuple(steps), Fraction(data.get("scalar", "1")))
+        return Witness(tuple(steps), as_fraction(data.get("scalar", "1")))
 
 
 # -- canonical forms --------------------------------------------------------------
@@ -459,9 +460,7 @@ def _rational_roots(coeffs):
     """
     if not coeffs:
         return []
-    dens = 1
-    for c in coeffs.values():
-        dens = dens * c.denominator // gcd(dens, c.denominator)
+    dens = lcm(*(c.denominator for c in coeffs.values()))
     ints = {d: int(c * dens) for d, c in coeffs.items()}
     low = min(d for d, c in ints.items() if c)
     roots = []
@@ -528,11 +527,9 @@ def _search_points(polys, table, idx, assignment, budget):
         else:
             rest.append(p)
     if univariate:
-        coeffs = {}
         smallest = min(univariate, key=lambda p: p.total_degree())
-        pos = table.index[name]
-        for mono, coeff in smallest.terms.items():
-            coeffs[mono[pos]] = coeffs.get(mono[pos], Fraction(0)) + coeff
+        coeffs = add_terms({}, ((mono[idx], coeff)
+                                for mono, coeff in smallest.terms.items()))
         candidates = [r for r in _rational_roots(coeffs)
                       if all(p.substitute({name: r}).is_zero()
                              for p in univariate)]
@@ -608,8 +605,7 @@ def find_conjugation(source: Operator, target: Operator,
 
     # the flip permutes the target's entries, so one table of parameters
     # serves both variants, and the source side is read once for both
-    params = VarTable(tuple(source.params()) + tuple(
-        p for p in target.params() if p not in source.params()))
+    params = VarTable(dict.fromkeys(source.params() + target.params()))
     src = _image_terms(source, params)
     outcomes = []
     for tail in [(), (ThetaStep(),)] if allow_theta else [()]:
@@ -642,8 +638,8 @@ def _search_psi(allow_scaling: bool):
 
     Returns ``(table, columns, k, relation, t)``.  ``table`` holds only the
     unknowns of ``_SEARCH_VARS`` (without ``k_scale`` when scaling is off).
-    ``columns[idx]`` lists the cells of psi(e_idx) in order, each as
-    ``(cell, ((monomial, coefficient), ...))``.  ``k`` is the exponent
+    ``columns`` is psi read by ``_image_terms`` over ``table``: the cells
+    of psi(e_idx) in order, each with its terms.  ``k`` is the exponent
     vector of the scale (all zero when scaling is off), and ``relation`` is
     ``u * alpha * delta * k - 1``, which makes ``u * alpha * k`` an exact
     inverse of delta; ``t`` is the exponent vector of its monomial.
@@ -656,10 +652,7 @@ def _search_psi(allow_scaling: bool):
     k = var("k_scale") if allow_scaling else one
     psi = _psi_columns(var("alpha"), var("beta"), var("gamma"), var("delta"),
                        var("epsilon"), var("u_aux") * var("alpha") * k, one)
-    columns = {idx: tuple((cell, tuple((m, as_int(c))
-                                       for m, c in value.terms.items()))
-                          for cell, value in psi[idx].entries.items())
-               for idx in basis_indices(3)}
+    columns = _image_terms(Operator(3, psi), table)
     t = var("u_aux") * var("alpha") * var("delta") * k
     (k_mono,), (t_mono,) = k.terms, t.terms
     return table, columns, k_mono, t - 1, t_mono
@@ -788,16 +781,10 @@ def _psi_only_search(source, target, tail, generators, allow_scaling, limits):
         return ConjugationSearch("disjoint", certificate=(gb,))
     for point in _search_points(list(gb.basis), table, len(table) - 1, {},
                                 [_BUDGET]):
-        try:
-            params = AutoParams(alpha=point["alpha"], beta=point.get("beta", 0),
-                                gamma=point.get("gamma", 0), delta=point["delta"],
-                                epsilon=point.get("epsilon", 0))
-        except (ValueError, KeyError):
-            continue
-        scalar = point.get("k_scale", Fraction(1))
-        if not scalar:
-            continue
-        witness = Witness((PsiStep(params),) + tail, scalar)
+        # the point zeroes u alpha delta k - 1, so alpha, delta and k are nonzero
+        params = AutoParams(**{f.name: point[f.name] for f in fields(AutoParams)})
+        witness = Witness((PsiStep(params),) + tail,
+                          point.get("k_scale", Fraction(1)))
         if witness.transform_operator(source) == target:
             return ConjugationSearch("found", witness)
     return ConjugationSearch("none")

@@ -409,3 +409,57 @@ def test_gb_rejects_elim_without_the_elim_order(tmp_path, capsys):
     out_path = tmp_path / "gb.json"
     assert cli.main(["gb", path, "--order", "elim", "--json", str(out_path)]) == 0
     assert json.loads(out_path.read_text())["order"] == {"elim": 1}
+
+
+def test_paths_used_wrongly_exit_2_with_one_error_line(tmp_path, capsys):
+    # reading a directory, writing a report onto one, and making the data
+    # directory where a file stands: each an OSError, not a failed check
+    a_file = tmp_path / "notes.txt"
+    a_file.write_text("a file\n")
+    for argv in (["check", str(tmp_path)],
+                 ["rb-index", str(DATA / "operators" / "r40.json"),
+                  "--json", str(tmp_path)],
+                 ["export-data", str(a_file)]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+    assert a_file.read_text() == "a file\n"
+
+
+def test_system_ansatz_refuses_a_file_without_constraints(capsys):
+    r5 = DATA / "operators" / "r5.json"
+    assert cli.main(["system", "--ansatz", str(r5)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {r5}: not the expected kind of file "
+                            "(no 'constraints')\n")
+    # a case file carries its constraints, so it is an ansatz file
+    assert cli.main(["system", "--ansatz", str(DATA / "cases" / "sec4_1.json")]) == 0
+    from_file = capsys.readouterr().out
+    assert cli.main(["system", "--preset", "sec4.1"]) == 0
+    assert capsys.readouterr().out == from_file
+
+
+def test_undefined_or_inexact_rationals_exit_2_with_one_error_line(tmp_path, capsys):
+    r5 = DATA / "operators" / "r5.json"
+    data = json.loads(r5.read_text())
+    undefined = tmp_path / "undefined.json"
+    undefined.write_text(json.dumps(dict(data, weight="1/0")))
+    inexact = tmp_path / "inexact.json"
+    inexact.write_text(json.dumps(dict(data, weight=0.1)))
+    ansatz = tmp_path / "ansatz.json"
+    ansatz.write_text('{"constraints": ["b_11_11"], "weight": 0.5}')
+    zero = "error: '1/0' has a zero denominator"
+    for argv, message in (
+            (["canonicalize", "1/0*e12"], "parse error: expected a nonzero "
+             "denominator after '/' (at position 2)"),
+            (["conjugate", str(r5), "--alpha", "1/0"], zero),
+            (["check", str(r5), "--weight", "1/0"], zero),
+            (["check", str(undefined)], zero),
+            (["check", str(inexact)],
+             f"error: {inexact}: 0.1 is a float; write it as a string"),
+            (["system", "--ansatz", str(ansatz)],
+             f"error: {ansatz}: 0.5 is a float; write it as a string")):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n" and captured.out == "", argv

@@ -1054,6 +1054,62 @@ def test_verify_rejects_a_tail_term_that_another_lead_divides():
         assert gb.basis != basis and gb.verify()
 
 
+def reference_is_reduced(basis, order):
+    """Every lead coefficient is 1, and no term of an element is divisible
+    by the lead of another element (an equal lead included)."""
+    leads = [leading(g, order) for g in basis]
+    return all(c == 1 for _, c in leads) and not any(
+        i != j and mono_divides(lead, m)
+        for i, (lead, _) in enumerate(leads)
+        for j, g in enumerate(basis) for m in g.terms)
+
+
+@st.composite
+def edited_bases(draw):
+    """A reduced Groebner basis, left as it is or edited once: an element
+    scaled, a copy with an equal lead, a monomial multiple, another
+    element's multiple added to one, or a constant put in."""
+    order = draw(st.sampled_from([lex(), grevlex()]))
+    gens = [g for g in draw(st.lists(xyz_polys(max_terms=3), min_size=1,
+                                     max_size=3)) if g] or xyz("x*y - z")
+    basis = list(buchberger(PolySystem(XYZ, tuple(gens), order)).basis)
+    i = draw(st.integers(0, len(basis) - 1))
+    j = draw(st.integers(0, len(basis)))
+    factor = draw(st.sampled_from([Fraction(2), Fraction(-1), Fraction(1, 3)]))
+    edit = draw(st.sampled_from(["none", "scale", "copy", "multiple", "sum",
+                                 "constant"]))
+    if edit == "scale":
+        basis[i] = basis[i] * factor
+    elif edit == "copy":
+        basis.insert(j, basis[i] * factor)
+    elif edit == "multiple":
+        basis.insert(j, basis[i] * XYZ.var(draw(st.sampled_from("xyz"))))
+    elif edit == "sum" and j < len(basis) and j != i:
+        basis[i] = basis[i] + basis[j] * factor
+    elif edit == "constant":
+        basis.insert(j, MultiPoly.const(XYZ, factor))
+    return tuple(g for g in basis if g), order
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(edited_bases())
+@example((tuple(xyz("x^2 - y", "2*y*z + 1")), grevlex()))  # not monic
+@example((tuple(xyz("x - z", "x + y", "y + z")), lex()))  # equal leads
+@example((tuple(xyz("y^2 - z", "1")), grevlex()))  # a constant
+@example((tuple(xyz("1")), lex()))
+# coprime leads; dividing y*z^100 by y - z^100 makes z^200, which does not
+# fit the basis's one-byte fields
+@example((tuple(xyz("x - y*z^100", "y - z^100")), lex()))
+def test_verify_agrees_with_the_plain_reducedness_check(problem):
+    basis, order = problem
+    system = PolySystem(XYZ, basis, order)
+    is_groebner = groebner.GroebnerBasis(system, basis, False,
+                                         groebner.GBStats()).verify()
+    expected = is_groebner and reference_is_reduced(basis, order)
+    assert groebner.GroebnerBasis(system, basis, True,
+                                  groebner.GBStats()).verify() == expected
+
+
 # -- integral coefficients as ints ------------------------------------------------
 
 

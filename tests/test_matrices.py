@@ -78,6 +78,23 @@ def test_nilpotency_degrees():
     assert UTMatrix.zero(3).nilpotency_degree() == 1
 
 
+def test_nilpotency_degree_at_its_cap_of_n(monkeypatch):
+    assert UTMatrix.zero(1).nilpotency_degree() == 1
+    multiply = UTMatrix.__mul__
+    products = []
+
+    def counted(a, b):
+        products.append(1)
+        return multiply(a, b)
+    monkeypatch.setattr(UTMatrix, "__mul__", counted)
+    # n = 1: the cap is 1, so no power is taken
+    assert UTMatrix.unit(1).nilpotency_degree() is None and products == []
+    assert (e(1, 2, 2).nilpotency_degree(), len(products)) == (2, 1)
+    products.clear()
+    # not nilpotent: a^2 .. a^n are taken, none above
+    assert (e(1, 1, 4).nilpotency_degree(), len(products)) == (None, 3)
+
+
 def test_idempotents_and_rank():
     a = parse_matrix("e11 + 3*e12 + 5*e13")
     assert a.is_idempotent() and a.rank() == 1

@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rbu3.catalog import build_catalog, case_preset, case_preset_names
+from rbu3.catalog import build_catalog, case_preset, case_preset_names, get_entry
 from rbu3.matrices import (UTMatrix, basis_indices, basis_name, exact_rank,
                            parse_matrix, solve_exact)
 from rbu3.operators import (Ansatz, ContradictoryAnsatz, Operator, bvar_name,
                             check_lemma3, generate_system, rb_residual,
                             scale_operator, unit_in_image)
-from rbu3.poly import MultiPoly, VarTable, grevlex
+from rbu3.poly import MultiPoly, VarTable, as_fraction, grevlex
+from rbu3.transform import AutoParams, Witness
 
 from reference import leading
 
@@ -489,3 +490,54 @@ def test_a_float_weight_is_refused_and_exact_weights_are_kept():
         op = Operator(3, {(1, 2): e(1, 1)}, weight)
         assert op.weight == value and type(op.weight) is Fraction
         assert rb_residual(op).weight == value
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AutoParams(alpha=0.1),
+    lambda: AutoParams.from_json({"alpha": "2", "beta": 0.1}),
+    lambda: scale_operator(R5, 0.1),
+    lambda: get_entry("R26").specialize({"kappa": 0.1}),
+    lambda: R40.substitute_params({"b": 1, "f": 0.1}),
+    lambda: MultiPoly(VarTable(["t"]), {(1,): 0.1}),
+    lambda: MultiPoly(VarTable(["t"]), {(1,): 0.0}),
+    lambda: Operator(3, {(1, 2): e(1, 1)}, 0.1),
+    lambda: Operator.from_json(dict(R5.to_json(), weight=0.1)),
+    lambda: Witness.from_json({"maps": [], "scalar": 0.1}),
+], ids=["AutoParams", "AutoParams.from_json", "scale_operator", "specialize",
+        "substitute_params", "MultiPoly", "MultiPoly-zero", "Operator",
+        "Operator.from_json", "Witness.from_json"])
+def test_every_reader_of_a_rational_refuses_a_float(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_exact_rationals_are_read_alike_and_zero_denominators_refused():
+    assert as_fraction(3) == as_fraction("3") == Fraction(3)
+    assert as_fraction("-1/10") == Fraction(-1, 10)
+    assert AutoParams(alpha="1/10", beta=2).alpha == Fraction(1, 10)
+    assert (get_entry("R26").specialize({"kappa": "1/2"})
+            == get_entry("R26").specialize({"kappa": Fraction(1, 2)}))
+    assert scale_operator(R5, "2") == scale_operator(R5, 2)
+    for build in (lambda: as_fraction("1/0"), lambda: AutoParams(beta="1/0"),
+                  lambda: Operator.zero(3, "1/0")):
+        with pytest.raises(ValueError, match="zero denominator"):
+            build()
+
+
+def test_power_vanish_index_at_its_cap(monkeypatch):
+    compose = Operator.compose
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return compose(a, b)
+    monkeypatch.setattr(Operator, "compose", counted)
+    assert Operator.zero(3).power_vanish_index(cap=1) == 1
+    assert R5.power_vanish_index(cap=1) is None  # R5^2 = 0 is not computed
+    assert calls == []
+    assert (R5.power_vanish_index(cap=2), len(calls)) == (2, 1)
+    calls.clear()
+    # not nilpotent: R^2, R^3 and R^4 are taken, none above the cap
+    assert (Operator.identity(3).power_vanish_index(cap=4), len(calls)) == (None, 3)
+    with pytest.raises(ValueError, match="cap must be at least 1, not 0"):
+        R5.power_vanish_index(cap=0)
