@@ -16,8 +16,7 @@ from dataclasses import asdict, fields
 from .matrices import parse_matrix
 from .operators import (Ansatz, Operator, check_lemma3, failure_json,
                         generate_system, rb_residual)
-from .poly import (MonomialOrder, ParseError, as_fraction, parse_poly,
-                   read_json, write_json)
+from .poly import MonomialOrder, ParseError, parse_poly, read_json, write_json
 from .groebner import (Limits, PolySystem, ResourceLimitExceeded, buchberger)
 from .transform import (AutoParams, PsiStep, ThetaStep, Witness,
                         canonicalize_idempotent, canonicalize_nilpotent,
@@ -63,7 +62,7 @@ def cmd_system(args):
         ansatz = cat.case_preset(args.preset).ansatz()
     else:
         data = read_json(args.ansatz, "constraints")
-        ansatz = Ansatz(int(data.get("n", 3)), as_fraction(data.get("weight", "0")),
+        ansatz = Ansatz(int(data.get("n", 3)), data.get("weight", "0"),
                         list(data["constraints"]))
     system, _ = generate_system(ansatz)
     print(f"{len(system.table)} variables, {len(system.gens)} generators")

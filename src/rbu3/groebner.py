@@ -19,7 +19,13 @@ reduction, and monic auto-reduced output.  Three implementation notes:
   are those of the plain loop.  A view buckets its leads by their lowest
   nonzero field, so division and the chain criterion test only the leads
   in the fields of m or of the lcm; the divisor is still the first in
-  view order (``_View``).
+  view order (``_View``).  An S-pair is one int heap key, its lcm degree,
+  i and j above a coprime bit, so pairs pop in (degree, i, j) order.
+  Leads with disjoint supports (one AND) are coprime, the product
+  criterion's case, and are settled when pushed: the key takes the sum of
+  their degrees, and the pop computes no lcm and only marks the pair
+  treated.  Any pair counts as treated from its pop, which is what the
+  chain criterion reads.
 * Interreduction divides each element by the others' leading terms and
   their monomial multiples, pass after pass.  Whether a set is reduced
   depends only on its leads, so it stops after the first pass that moves
@@ -297,18 +303,14 @@ class _Packing:
         return self._from_bytes((m & self.low).to_bytes(self.bits // 8,
                                                         self.byteorder))
 
-    def degree(self, word: int, bound: int) -> int:
-        """Total degree of a word whose degree is at most ``bound``.  Below
-        the field limit no prefix sum of the fields carries, so the word
-        times ``ones`` holds the sum in its top field."""
-        if bound > self.field:
-            return sum(self.unpack(word))
-        return (word * self.ones >> self.top) & self.field
-
-    def divides(self, a: int, b: int) -> bool:
-        """Whether monomial ``a`` divides ``b`` (packed, or words)."""
-        g = self.guards
-        return ((b | g) - (a & self.low)) & g == g
+    def monomial(self, word: int, degree: int) -> int:
+        """The packed monomial of a word of total degree ``degree``."""
+        if self.lex:
+            return word
+        if self.k < self.n:
+            return self.pack(self.unpack(word))
+        bits = self.bits  # grevlex: the key is (degree << A) - (word << B)
+        return (degree << self.A + bits) + word * (1 - (1 << self.B + bits))
 
     def lcm(self, a: int, b: int) -> int:
         """The word of the lcm of two monomials (packed, or words)."""
@@ -467,9 +469,7 @@ def _reduce(work: dict, view: _View, pk: _Packing) -> dict:
 
 def _s_terms(pk: _Packing, f, g, lcm: int) -> dict:
     """Packed S(f, g) = (lcm/lt f) f - (lcm/lt g) g for lead entries f, g and
-    the word of their leads' lcm, built monically; the leads cancel."""
-    if not pk.lex:  # a lex word is its packed monomial
-        lcm = pk.pack(pk.unpack(lcm))
+    their leads' packed lcm, built monically; the leads cancel."""
     shift_f, shift_g = lcm - f[0], lcm - g[0]
     terms = {shift_f + m: -c for m, c in f[2]}
     add_terms(terms, ((shift_g + m, c) for m, c in g[2]))
@@ -486,7 +486,8 @@ def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
         raise ValueError("incompatible operands: different variable tables")
     def run(pk):
         ef, eg = pk.entry(pk.terms(f)), pk.entry(pk.terms(g))
-        return pk.poly(f.table, _s_terms(pk, ef, eg, pk.lcm(ef[1], eg[1])))
+        lcm = pk.pack(pk.unpack(pk.lcm(ef[1], eg[1])))
+        return pk.poly(f.table, _s_terms(pk, ef, eg, lcm))
     return _packed(run, (f, g), f.table, order)
 
 
@@ -573,6 +574,11 @@ def buchberger(system: PolySystem, limits: Limits | None = None) -> GroebnerBasi
                    system.gens, system.table, system.order)
 
 
+# the bits of a pair key's index fields: 2**20 elements would make 2**39
+# pairs, so no index outgrows them
+_SLOT, _INDEX = 20, (1 << 20) - 1
+
+
 def _buchberger(system: PolySystem, limits: Limits, pk: _Packing) -> GroebnerBasis:
     """One run of ``buchberger``, packed by ``pk`` from start to end."""
     table = system.table
@@ -588,14 +594,27 @@ def _buchberger(system: PolySystem, limits: Limits, pk: _Packing) -> GroebnerBas
                         check_limits)
     entries = list(view)
     guards, marks, ones, buckets = pk.guards, pk.marks, pk.ones, view.buckets
+    field, top, unpack, sign = pk.field, pk.top, pk.unpack, 8 * pk.width - 1
     leads = [e[1] for e in entries]
-    degs = [sum(pk.unpack(m)) for m in leads]
+    degs = [sum(unpack(m)) for m in leads]
+    # the guard bit of each field where the lead is nonzero: leads whose
+    # supports are disjoint are coprime, and their lcm is their product
+    supports = [((m | guards) - ones) & guards for m in leads]
 
-    def pair(i, j):
-        lcm = pk.lcm(leads[i], leads[j])
-        return (pk.degree(lcm, degs[i] + degs[j]), i, j, lcm)
+    def keys(j):  # of the pairs (i, j), i < j
+        a, deg, support, low = leads[j], degs[j], supports[j], j << 1
+        for i in range(j):
+            d, coprime = degs[i] + deg, not supports[i] & support
+            if not coprime:
+                b = leads[i]
+                ge = ((a | guards) - b) & guards  # guard set where a >= b
+                lcm = b ^ ((a ^ b) & (ge - (ge >> sign)))
+                # no prefix sum carries below the field limit, so the word
+                # times ones holds the degree in its top field
+                d = (lcm * ones >> top) & field if d <= field else sum(unpack(lcm))
+            yield (d << 2 * _SLOT | i << _SLOT) << 1 | low | coprime
 
-    heap = [pair(i, j) for j in range(len(entries)) for i in range(j)]
+    heap = [key for j in range(len(entries)) for key in keys(j)]
     heapq.heapify(heap)
     # done[i]: the lead of each k whose pair with i is treated (leads are distinct)
     done = [set() for _ in entries]
@@ -604,27 +623,33 @@ def _buchberger(system: PolySystem, limits: Limits, pk: _Packing) -> GroebnerBas
     while heap:
         stats.pairs_considered += 1
         check_limits(so_far)
-        _, i, j, lcm = heapq.heappop(heap)
+        key = heapq.heappop(heap)
+        i, j = key >> _SLOT + 1 & _INDEX, key >> 1 & _INDEX
+        a, b = leads[i], leads[j]
         done_i, done_j = done[i], done[j]
         # product criterion: coprime leading monomials
-        skipped = lcm == leads[i] + leads[j]
-        if not skipped and done_i and done_j:
-            # chain criterion (conservative: both companion pairs fully
-            # treated), on the entries in the lcm's buckets
-            probe = lcm | marks
-            present = (probe - ones) & view.occupied
-            while present and not skipped:
-                key = present & -present
-                present ^= key
-                for e in buckets[key]:
-                    if ((probe - e[1]) & guards == guards
-                            and e[1] in done_i and e[1] in done_j):
-                        skipped = True
-                        break
-        done_i.add(leads[j])
-        done_j.add(leads[i])
+        skipped = key & 1
+        if not skipped:
+            ge = ((a | guards) - b) & guards
+            lcm = b ^ ((a ^ b) & (ge - (ge >> sign)))
+            if done_i and done_j:
+                # chain criterion (conservative: both companion pairs fully
+                # treated), on the entries in the lcm's buckets
+                probe = lcm | marks
+                present = (probe - ones) & view.occupied
+                while present and not skipped:
+                    bit = present & -present
+                    present ^= bit
+                    for e in buckets[bit]:
+                        if ((probe - e[1]) & guards == guards
+                                and e[1] in done_i and e[1] in done_j):
+                            skipped = True
+                            break
+        done_i.add(b)
+        done_j.add(a)
         if skipped:
             continue
+        lcm = pk.monomial(lcm, key >> 2 * _SLOT + 1)
         r = _reduce(_s_terms(pk, entries[i], entries[j], lcm), view, pk)
         stats.pairs_reduced += 1
         if not r:
@@ -634,12 +659,12 @@ def _buchberger(system: PolySystem, limits: Limits, pk: _Packing) -> GroebnerBas
         entry = pk.entry(r, monic=True)
         entries.append(entry)
         leads.append(entry[1])
-        degs.append(sum(pk.unpack(entry[1])))
+        degs.append(sum(unpack(entry[1])))
+        supports.append(((entry[1] | guards) - ones) & guards)
         done.append(set())
         view.insort(entry)
-        new_index = len(entries) - 1
-        for k in range(new_index):
-            heapq.heappush(heap, pair(k, new_index))
+        for key in keys(len(entries) - 1):
+            heapq.heappush(heap, key)
 
     basis = pk.polys(table, _interreduce(entries, pk, check_limits))
     stats.basis_size = len(basis)

@@ -352,6 +352,12 @@ class Ansatz:
     weight: Fraction = Fraction(0)
     constraints: list = field(default_factory=list)
 
+    def __post_init__(self):
+        try:
+            self.weight = as_fraction(self.weight)
+        except (TypeError, ValueError) as exc:
+            raise type(exc)(f"weight {self.weight!r}: {exc}") from None
+
     def all_bvars(self) -> list:
         idxs = basis_indices(self.n)
         return [bvar_name(s, d) for s in idxs for d in idxs]
@@ -470,7 +476,7 @@ def _solve_linear_constraints(ansatz: Ansatz):
     # pivot columns are zero in its row after RREF
     solved = {col: [(c, -row[c]) for c in (width, *free_cols) if row[c]]
               for col, row in pivots.items()}
-    D = lcm(Fraction(ansatz.weight).denominator,
+    D = lcm(ansatz.weight.denominator,
             *(x.denominator for pairs in solved.values() for _, x in pairs))
     forms = [[(slot[c], x.numerator * (D // x.denominator)) for c, x in solved[col]]
              if col in solved else [(slot[col], D)] for col in range(width)]

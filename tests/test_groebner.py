@@ -18,7 +18,7 @@ from rbu3.groebner import (Limits, PolySystem, ResourceLimitExceeded,
                            normal_form, s_polynomial)
 from rbu3.operators import generate_system
 
-from reference import leading
+from reference import degree, divides, leading
 
 XY = VarTable(["x", "y"])
 
@@ -314,7 +314,7 @@ def test_packed_kernels_match_the_tuple_kernels(case):
     assert pk.unpack(pa) == a and pk.unpack(pb) == b
     assert (pa < pb) == (order.key(a) < order.key(b))
     assert (pa == pb) == (a == b)
-    assert pk.divides(pa, pb) == mono_divides(a, b)
+    assert divides(pk, pa, pb) == mono_divides(a, b)
     if mono_divides(b, a):
         assert pa - pb == pk.pack(mono_div(a, b))
     lcm = pk.lcm(pa, pb)
@@ -350,8 +350,11 @@ def lcm_degree_cases(draw):
 def test_lcm_degree_matches_the_unpacked_sum(case):
     pk, a, b = case
     lcm = pk.lcm(pk.pack(a), pk.pack(b))
-    assert pk.degree(lcm, sum(a) + sum(b)) == sum(pk.unpack(lcm))
-    assert pk.degree(pk.pack(a) & pk.low, sum(a)) == sum(a)
+    assert degree(pk, lcm, sum(a) + sum(b)) == sum(pk.unpack(lcm))
+    assert degree(pk, pk.pack(a) & pk.low, sum(a)) == sum(a)
+    # the pair loop builds the packed lcm from its degree (under grevlex)
+    assert (pk.monomial(lcm, degree(pk, lcm, sum(a) + sum(b)))
+            == pk.pack(pk.unpack(lcm)))
 
 
 def test_lcm_degree_at_the_field_limit_takes_the_unpacked_sum():
@@ -359,7 +362,7 @@ def test_lcm_degree_at_the_field_limit_takes_the_unpacked_sum():
     word = pk.lcm(pk.pack((127, 0, 0)), pk.pack((0, 127, 2)))
     # the top field of the product wraps to 256 mod 256: the sum carried
     assert (word * pk.ones >> pk.top) & pk.field == 0
-    assert pk.degree(word, 256) == 256
+    assert degree(pk, word, 256) == 256
 
 
 def test_entry_tails_are_ints_where_the_values_are_integral():
@@ -918,7 +921,8 @@ def preset_system_and_basis(name):
 def test_forward_scan_keeps_the_divisors_on_the_sec7_s_polynomials():
     _, gb, pk = preset_system_and_basis("sec7")
     view = list(pk.view(gb.basis))
-    dividends = [groebner._s_terms(pk, f, g, pk.lcm(f[1], g[1]))
+    dividends = [groebner._s_terms(pk, f, g,
+                                   pk.pack(pk.unpack(pk.lcm(f[1], g[1]))))
                  for i, f in enumerate(view) for g in view[i + 1:]]
     assert len(dividends) == 406
     assert not any(assert_same_divisions(pk, dividends, view))
@@ -938,12 +942,13 @@ def test_forward_scan_keeps_the_divisors_on_the_sec6_generators():
 # -- the pair loop: a flat view and the intersection chain rule -----------------
 
 
-def pair_loop_buchberger(system):
+def pair_loop_buchberger(system, max_pairs=None):
     """The reference for ``groebner._buchberger``: the pass loop opens and
     closes it, and its pair loop keeps a flat divisor view in stable
     descending lead order, divides by ``reference_reduce`` (a scan from the
     top) and tests the chain criterion on ``done[i] & done[j]``.  Fields
-    are 8 bytes wide, so no exponent here reaches a guard bit."""
+    are 8 bytes wide, so no exponent here reaches a guard bit.  Past
+    ``max_pairs`` pairs it raises with the entries so far and the stats."""
     table, order = system.table, system.order
     pk = groebner._packing(len(table), order, 8)
     guards = pk.guards
@@ -956,13 +961,15 @@ def pair_loop_buchberger(system):
 
     def pair(i, j):
         lcm = pk.lcm(leads[i], leads[j])
-        return (pk.degree(lcm, degs[i] + degs[j]), i, j, lcm)
+        return (degree(pk, lcm, degs[i] + degs[j]), i, j, lcm)
 
     heap = [pair(i, j) for j in range(len(entries)) for i in range(j)]
     heapq.heapify(heap)
     done = [set() for _ in entries]
     while heap:
         stats.pairs_considered += 1
+        if max_pairs is not None and stats.pairs_considered > max_pairs:
+            raise ResourceLimitExceeded("pairs", pk.polys(table, entries), stats)
         _, i, j, lcm = heapq.heappop(heap)
         skipped = lcm == leads[i] + leads[j]
         if not skipped:
@@ -973,6 +980,7 @@ def pair_loop_buchberger(system):
         done[j].add(i)
         if skipped:
             continue
+        lcm = pk.pack(pk.unpack(lcm))
         r = reference_reduce(groebner._s_terms(pk, entries[i], entries[j], lcm),
                              view, pk, [])
         stats.pairs_reduced += 1
@@ -1026,6 +1034,10 @@ def pair_loop_systems(draw):
 @example((xyz("x*y - z^2", "y*z - x^2", "x*z - y^2", "2*x*y - 2*z^2"), grevlex()))
 # an S-pair reduces to a constant, which then prunes pairs by the chain rule
 @example((xyz("z^2 - x*z - 1", "x^2 + x + z", "1 - z^2"), elimination(1)))
+# pair (2, 3) is chain-tested and its companion (2, 4) is coprime, both of
+# lcm degree 2: the tie-break pops (2, 3) first, while (2, 4) is untreated,
+# so (2, 3) is reduced
+@example((xyz("x*z", "x^2", "x*y + 1"), lex()))
 def test_pair_loop_matches_the_flat_view_reference(problem):
     polys, order = problem
     gens = tuple(g for g in polys if not g.is_zero())
@@ -1036,6 +1048,27 @@ def test_pair_loop_matches_the_flat_view_reference(problem):
     basis, stats = pair_loop_buchberger(system)
     assert same_with_term_order(list(gb.basis), basis)
     assert gb.stats == stats
+    n = stats.pairs_considered
+    for k in {0, 1, n // 2, n - 1} & set(range(n)):
+        assert_same_limit_trip(system, k)
+
+
+def assert_same_limit_trip(system, k):
+    """``buchberger`` under ``Limits(max_pairs=k)`` raises at the pop the
+    reference raises at, with its partial basis and stats."""
+    with pytest.raises(ResourceLimitExceeded) as expected:
+        pair_loop_buchberger(system, k)
+    with pytest.raises(ResourceLimitExceeded) as info:
+        buchberger(system, Limits(max_pairs=k))
+    assert same_with_term_order(list(info.value.partial), expected.value.partial)
+    assert info.value.stats == expected.value.stats
+
+
+def test_the_pair_loop_trips_its_pair_limit_where_the_reference_does():
+    system, _ = generate_system(case_preset("sec4.2").ansatz())
+    assert pair_loop_buchberger(system)[1].pairs_considered == 990
+    for k in (0, 1, 7, 50, 333, 989):
+        assert_same_limit_trip(system, k)
 
 
 def test_verify_rejects_a_tail_term_that_another_lead_divides():

@@ -485,6 +485,8 @@ def test_a_float_weight_is_refused_and_exact_weights_are_kept():
         Operator(3, {(1, 2): e(1, 1)}, 0.5)
     with pytest.raises(TypeError, match="weight"):
         generate_system(Ansatz(3, -1.5))
+    with pytest.raises(ValueError, match="weight '1/0'"):
+        generate_system(Ansatz(3, "1/0", ["b_11_11"]))
     for weight, value in ((2, Fraction(2)), ("-3/2", Fraction(-3, 2)),
                           (Fraction(1, 3), Fraction(1, 3))):
         op = Operator(3, {(1, 2): e(1, 1)}, weight)
