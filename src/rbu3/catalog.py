@@ -29,12 +29,13 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .matrices import UTMatrix, basis_indices, basis_name
-from .operators import (Ansatz, Operator, bvar_name, check_lemma3, failure_json,
-                        generate_system, rb_residual, scale_operator)
+from .operators import (Ansatz, Operator, _cleared, _residual_values, bvar_name,
+                        check_lemma3, failure_json, generate_system, rb_residual)
 from .poly import add_terms, write_json
 from .groebner import (GroebnerBasis, Limits, ResourceLimitExceeded,
                        autoreduce, buchberger)
-from .transform import (AutoParams, build_psi, conjugate_operator, theta13)
+from .transform import (AutoParams, _cleared_map, _cleared_theta,
+                        _conjugated_terms, build_psi)
 
 __all__ = [
     "CatalogEntry",
@@ -811,19 +812,24 @@ class VerifyReport:
 
 
 def _closure_trial(op: Operator, rng: random.Random) -> bool:
-    """One randomized closure check: scaling, then psi and flip conjugation."""
+    """One randomized closure check: scaling, then psi and flip conjugation,
+    each on int coordinates cleared once from the instance as D R: (1/k) R
+    is D R times k's denominator, signed as k, over D |k's numerator|."""
     k = _nonzero_fraction(rng, 9, 7)
-    if not rb_residual(scale_operator(op, k)).is_zero():
+    if op.weight:
+        raise ValueError("scaling preserves the identity only at weight zero")
+    terms, _ = _cleared(op)
+    rb = lambda cleared: not any(_residual_values(op.n, cleared).values())
+    scale = k.denominator if k.numerator > 0 else -k.denominator
+    if not rb([(x, v * scale) for x, v in terms]):
         return False
     params = AutoParams(
         alpha=_nonzero_fraction(rng, 6, 4), beta=rng.randint(-5, 5),
         gamma=rng.randint(-5, 5), delta=_nonzero_fraction(rng, 6, 4),
         epsilon=rng.randint(-5, 5))
-    conj = conjugate_operator(op, build_psi(params))
-    if not rb_residual(conj).is_zero():
+    if not rb(_conjugated_terms(terms, _cleared_map(build_psi(params)))):
         return False
-    flipped = conjugate_operator(op, theta13())
-    return rb_residual(flipped).is_zero()
+    return rb(_conjugated_terms(terms, _cleared_theta(op.n)))
 
 
 def _nonzero_fraction(rng: random.Random, num: int, den: int) -> Fraction:

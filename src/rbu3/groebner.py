@@ -622,7 +622,8 @@ def _buchberger(system: PolySystem, limits: Limits, pk: _Packing) -> GroebnerBas
 
     while heap:
         stats.pairs_considered += 1
-        check_limits(so_far)
+        if stats.pairs_considered > max_pairs or now() >= end:
+            limits.check(stats, lambda: pk.polys(table, so_far()))
         key = heapq.heappop(heap)
         i, j = key >> _SLOT + 1 & _INDEX, key >> 1 & _INDEX
         a, b = leads[i], leads[j]

@@ -129,8 +129,10 @@ class Operator:
         return not self.columns
 
     def power_vanish_index(self, cap: int = 10):
-        """Least k with R^k = 0 (identically), or None if no k <= cap works."""
-        return vanishing_power(self, lambda power: power.compose(self), cap)
+        """Least k with R^k = 0 (identically), or None if no k <= cap works;
+        a nilpotent R has R^d = 0 (d the dimension), so k <= min(cap, d)."""
+        return vanishing_power(self, lambda power: power.compose(self),
+                               min(cap, len(basis_indices(self.n))))
 
     def unit_image(self) -> UTMatrix:
         """R(1), the image of the identity matrix."""
@@ -280,23 +282,46 @@ def rb_residual(op: Operator) -> RBResidual:
 
     It evaluates the quadratic form built once per n (``_residual_form``)
     over the pairs of nonzero entries only, each product made once.  It runs
-    on D R and D lambda, with D the lcm of the denominators of the rational
-    entries and of the weight: rationals become ints, polynomial entries are
-    scaled by D, and each residual entry is divided by D^2 at the end.  The
-    sorted targets give the entries in ``RBResidual`` order.
+    on the entries of D R and D lambda (``_cleared``), and each residual
+    entry is divided by D^2 at the end.  The sorted targets give the entries
+    in ``RBResidual`` order.
     """
     idxs = basis_indices(op.n)
     d = len(idxs)
-    slot, quad, pairs = _residual_form(op.n)
+    _, _, pairs = _residual_form(op.n)
+    terms, D = _cleared(op)
+    entries = {}
+    for t, value in sorted(_residual_values(op.n, terms).items()):
+        if value:
+            cell, pos = divmod(t, d)
+            entries[pairs[cell], idxs[pos]] = (
+                (value * Fraction(1, D * D) if D != 1 else value)
+                if isinstance(value, MultiPoly) else Fraction(value, D * D))
+    return RBResidual(op.weight, entries)
+
+
+def _cleared(op: Operator) -> tuple:
+    """The entries of D R and D lambda as ``(slot, value)`` pairs sorted by
+    the slots of ``_residual_form``, and D, the lcm of the denominators of
+    the rational entries and of the weight: rationals become ints,
+    polynomial entries are scaled by D."""
+    slot, _, _ = _residual_form(op.n)
     slots = [(slot[src, pos], x) for src, image in op.columns.items()
              for pos, x in image.entries.items()]
     # an int first, so the argument tuple is not resized onto a longer free list
     D = lcm(op.weight.denominator, *(
         x.denominator for _, x in slots if not isinstance(x, MultiPoly)))
     if op.weight:
-        slots.append((d * d, op.weight))
-    terms = sorted((x, v * D if D != 1 else v) if isinstance(v, MultiPoly)
-                   else (x, v.numerator * (D // v.denominator)) for x, v in slots)
+        slots.append((len(slot), op.weight))  # slot d^2, after the entries
+    return sorted((x, v * D if D != 1 else v) if isinstance(v, MultiPoly)
+                  else (x, v.numerator * (D // v.denominator))
+                  for x, v in slots), D
+
+
+def _residual_values(n: int, terms) -> dict:
+    """The residual form on sorted ``(slot, value)`` pairs: target -> value
+    for each target a product reaches, a cancelled one at zero."""
+    _, quad, _ = _residual_form(n)
     acc = {}
     for k, (x, rx) in enumerate(terms):
         row = quad[x]
@@ -308,14 +333,7 @@ def rb_residual(op: Operator) -> RBResidual:
                     term, t = (plus, t) if t >= 0 else (minus, ~t)
                     old = acc.get(t)
                     acc[t] = term if old is None else old + term
-    entries = {}
-    for t, value in sorted(acc.items()):
-        if value:
-            cell, pos = divmod(t, d)
-            entries[pairs[cell], idxs[pos]] = (
-                (value * Fraction(1, D * D) if D != 1 else value)
-                if isinstance(value, MultiPoly) else Fraction(value, D * D))
-    return RBResidual(op.weight, entries)
+    return acc
 
 
 def scale_operator(op: Operator, k) -> Operator:

@@ -179,7 +179,7 @@ def _psi_columns(a, b, c, d, e, dinv, one):
     unknowns, with ``dinv`` an exact inverse of delta modulo its auxiliary
     relation, so every entry stays polynomial.
     """
-    m = lambda entries: UTMatrix(3, entries)
+    m = lambda entries: UTMatrix._filtered(3, entries)
     return {
         (1, 1): m({(1, 1): one, (1, 2): b, (1, 3): c}),
         (1, 2): m({(1, 2): d, (1, 3): e}),
@@ -248,6 +248,52 @@ def conjugate_operator(op: Operator, phi: AlgebraMap) -> Operator:
     for idx in basis_indices(op.n):
         columns[idx] = phi.inverse_apply(op.apply(phi.columns[idx]))
     return Operator(op.n, columns, op.weight)
+
+
+def _cleared_map(phi: AlgebraMap) -> tuple:
+    """A rational ``phi`` and its inverse as int columns, and the product of
+    their two denominators: per basis position, the ``(position, int)``
+    pairs of D times the column, D the lcm of the map's denominators."""
+    at = {idx: k for k, idx in enumerate(basis_indices(phi.n))}
+    sides, scale = [], 1
+    for columns in (phi.columns, phi._inverse):
+        images = [columns[idx].entries for idx in at]
+        # an int first, so the argument tuple is not resized onto a longer free list
+        D = lcm(1, *(x.denominator for image in images for x in image.values()))
+        sides.append([[(at[pos], x.numerator * (D // x.denominator))
+                       for pos, x in image.items()] for image in images])
+        scale *= D
+    return (*sides, scale)
+
+
+@cache
+def _cleared_theta(n: int) -> tuple:
+    """The flip's ``_cleared_map``, made once per ``n``."""
+    return _cleared_map(theta13(n))
+
+
+def _conjugated_terms(terms: list, cleared: tuple) -> list:
+    """phi^{-1} . R . phi on int coordinates: ``terms`` are D R cleared by
+    ``operators._cleared``, R of weight zero, and ``cleared`` is
+    ``_cleared_map(phi)`` of scale E; the result is D E phi^{-1} R phi
+    cleared alike.  Column s is phi^{-1}(R(phi(e_s))), two sparse int
+    products.
+    """
+    columns, inverse = cleared[:2]
+    d = len(columns)
+    images = [[] for _ in range(d)]  # images[q]: R(e_q) as (position, int)
+    for x, v in terms:
+        images[x // d].append((x % d, v))
+    out = []
+    for s, column in enumerate(columns):
+        for table in (images, inverse):
+            acc = {}
+            for q, a in column:
+                for p, v in table[q]:
+                    acc[p] = acc.get(p, 0) + a * v
+            column = [item for item in acc.items() if item[1]]
+        out.extend((s * d + r, c) for r, c in sorted(column))
+    return out
 
 
 # -- witnesses ------------------------------------------------------------------

@@ -112,6 +112,29 @@ def test_zero_operator_power_index():
     assert Operator.zero(3).power_vanish_index() == 1
 
 
+def test_power_index_composes_at_most_the_dimension(monkeypatch):
+    """A nilpotent R on the 6-dimensional U_3 has R^6 = 0, so a cap above 6
+    changes no answer and makes no further power."""
+    calls, compose = [], Operator.compose
+
+    def counted(self, other):
+        calls.append(1)
+        assert len(calls) <= 6, "a power above R^6 was made"
+        return compose(self, other)
+
+    # e11 -> e12 -> e13 -> e22 -> e23 -> e33 -> 0 needs all six powers
+    chain = Operator.from_images({"e11": "e12", "e12": "e13", "e13": "e22",
+                                  "e22": "e23", "e23": "e33"})
+    assert [chain.power_vanish_index(cap=cap) for cap in (1, 5, 6)] == \
+        [None, None, 6]
+    monkeypatch.setattr(Operator, "compose", counted)
+    for op, index in ((Operator.identity(3), None), (chain, 6)):
+        calls.clear()
+        assert op.power_vanish_index(cap=10**9) == index
+    with pytest.raises(ValueError):
+        Operator.identity(3).power_vanish_index(cap=0)
+
+
 def test_verify_report_fields():
     report = verify_all(samples=0)
     data = report.to_json()

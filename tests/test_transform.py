@@ -9,10 +9,11 @@ from functools import cache
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rbu3 import groebner, transform
+from rbu3 import catalog, groebner, transform
 from rbu3.catalog import build_catalog
 from rbu3.matrices import UTMatrix, basis_indices, parse_matrix, rref
-from rbu3.operators import Operator, rb_residual
+from rbu3.operators import (Operator, _cleared, _residual_values, rb_residual,
+                            scale_operator)
 from rbu3.groebner import Limits, PolySystem, ResourceLimitExceeded
 from rbu3.poly import MultiPoly, VarTable, lex
 from rbu3.transform import (AutoParams, PsiStep, ThetaStep, UnitCertificate,
@@ -241,6 +242,100 @@ def test_conjugation_preserves_residual_identically_in_parameters():
     conj = conjugate_operator(kappa_family, random_psi(random.Random(3)))
     assert rb_residual(conj).is_zero()
     assert conj.params() == ("kappa",)
+
+
+# -- closure trials on cleared int coordinates ------------------------------
+
+IDXS = basis_indices(3)
+RATIOS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+NONZERO = st.builds(Fraction, st.integers(1, 4) | st.integers(-4, -1),
+                    st.integers(1, 4))
+SPECIALIZED = {entry.id: entry.specialize(rng=random.Random(entry.id))
+               for entry in build_catalog(strict=False)}
+
+
+@st.composite
+def rational_operators(draw):
+    """Mostly random sparse weight-zero operators, which are rarely
+    Rota-Baxter, and now and then a specialized catalog family."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(list(SPECIALIZED.values())))
+    cells = draw(st.dictionaries(st.tuples(st.sampled_from(IDXS),
+                                           st.sampled_from(IDXS)),
+                                 NONZERO, max_size=10))
+    columns = {}
+    for (src, pos), value in cells.items():
+        columns.setdefault(src, {})[pos] = value
+    return Operator(3, {src: UTMatrix(3, entries)
+                        for src, entries in columns.items()})
+
+
+def residual_entries(values, scale):
+    """``_residual_values`` of an operator cleared by ``scale`` as
+    ``RBResidual.entries``."""
+    pairs = [(u, v) for u in IDXS for v in IDXS]
+    return {(pairs[t // 6], IDXS[t % 6]): Fraction(c, scale * scale)
+            for t, c in values.items() if c}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rational_operators(), NONZERO, RATIOS, RATIOS, NONZERO, RATIOS)
+def test_int_conjugation_equals_the_operator_path(op, a, b, c, d, e):
+    terms, D = _cleared(op)
+    for phi in (build_psi(AutoParams(a, b, c, d, e)), theta13()):
+        cleared = transform._cleared_map(phi)
+        scale = D * cleared[2]
+        conj = transform._conjugated_terms(terms, cleared)
+        oracle = conjugate_operator(op, phi)
+        entries = {IDXS.index(src) * 6 + IDXS.index(pos): value
+                   for src, image in oracle.columns.items()
+                   for pos, value in image.entries.items()}
+        assert [(x, Fraction(v, scale)) for x, v in conj] == sorted(entries.items())
+        assert residual_entries(_residual_values(3, conj), scale) == \
+            rb_residual(oracle).entries
+
+
+def trial_draws(rng):
+    """The scaling factor and psi parameters a closure trial draws, in order."""
+    k = catalog._nonzero_fraction(rng, 9, 7)
+    return k, AutoParams(
+        alpha=catalog._nonzero_fraction(rng, 6, 4), beta=rng.randint(-5, 5),
+        gamma=rng.randint(-5, 5), delta=catalog._nonzero_fraction(rng, 6, 4),
+        epsilon=rng.randint(-5, 5))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(rational_operators(), st.integers(0, 2**32))
+def test_closure_trial_checks_each_residual_on_its_own_coordinates(op, seed):
+    k, params = trial_draws(replay := random.Random(seed))
+    psi, D = build_psi(params), _cleared(op)[1]
+    oracles = [(scale_operator(op, k), D * abs(k.numerator)),
+               (conjugate_operator(op, psi), D * transform._cleared_map(psi)[2]),
+               (conjugate_operator(op, theta13()), D)]
+    rng = random.Random(seed)
+    assert catalog._closure_trial(op, rng) == all(
+        rb_residual(oracle).is_zero() for oracle, _ in oracles)
+
+    seen = []
+
+    def spy(n, terms):
+        seen.append(_residual_values(n, terms))
+        return {}  # read as zero, so the trial runs all three checks
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(catalog, "_residual_values", spy)
+        assert catalog._closure_trial(op, rng := random.Random(seed))
+    assert rng.random() == replay.random()  # the same draws, no more
+    assert len(seen) == 3
+    for values, (oracle, scale) in zip(seen, oracles):
+        assert residual_entries(values, scale) == rb_residual(oracle).entries
+
+
+def test_closure_trial_fails_r13_and_refuses_a_weight():
+    assert not catalog._closure_trial(SPECIALIZED["R13"], random.Random(0))
+    weighted = Operator(3, SPECIALIZED["R5"].columns, weight=1)
+    with pytest.raises(ValueError, match="weight zero"):
+        catalog._closure_trial(weighted, random.Random(0))
 
 
 AB = VarTable(["a", "b"])
