@@ -29,13 +29,12 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .matrices import UTMatrix, basis_indices, basis_name
-from .operators import (Ansatz, Operator, _cleared, _residual_values, bvar_name,
-                        check_lemma3, failure_json, generate_system, rb_residual)
+from .operators import (Ansatz, Operator, bvar_name, check_lemma3, failure_json,
+                        generate_system, rb_residual)
 from .poly import add_terms, write_json
 from .groebner import (GroebnerBasis, Limits, ResourceLimitExceeded,
                        autoreduce, buchberger)
-from .transform import (AutoParams, _cleared_map, _cleared_theta,
-                        _conjugated_terms, build_psi)
+from .transform import closure_trial
 
 __all__ = [
     "CatalogEntry",
@@ -811,35 +810,6 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _closure_trial(op: Operator, rng: random.Random) -> bool:
-    """One randomized closure check: scaling, then psi and flip conjugation,
-    each on int coordinates cleared once from the instance as D R: (1/k) R
-    is D R times k's denominator, signed as k, over D |k's numerator|."""
-    k = _nonzero_fraction(rng, 9, 7)
-    if op.weight:
-        raise ValueError("scaling preserves the identity only at weight zero")
-    terms, _ = _cleared(op)
-    rb = lambda cleared: not any(_residual_values(op.n, cleared).values())
-    scale = k.denominator if k.numerator > 0 else -k.denominator
-    if not rb([(x, v * scale) for x, v in terms]):
-        return False
-    params = AutoParams(
-        alpha=_nonzero_fraction(rng, 6, 4), beta=rng.randint(-5, 5),
-        gamma=rng.randint(-5, 5), delta=_nonzero_fraction(rng, 6, 4),
-        epsilon=rng.randint(-5, 5))
-    if not rb(_conjugated_terms(terms, _cleared_map(build_psi(params)))):
-        return False
-    return rb(_conjugated_terms(terms, _cleared_theta(op.n)))
-
-
-def _nonzero_fraction(rng: random.Random, num: int, den: int) -> Fraction:
-    """A nonzero p/q, p drawn from -num..num and q from 1..den."""
-    value = Fraction(0)
-    while not value:
-        value = Fraction(rng.randint(-num, num), rng.randint(1, den))
-    return value
-
-
 def _entry_report_by_id(eid: str, samples: int, seed: int) -> EntryReport:
     """The report of family ``eid``, which is built and certified here."""
     entry = _build_entry(eid)
@@ -867,7 +837,7 @@ def _entry_report_by_id(eid: str, samples: int, seed: int) -> EntryReport:
         failures = 0
         for _ in range(samples):
             instance = entry.specialize(rng=rng)
-            if not _closure_trial(instance, rng):
+            if not closure_trial(instance, rng):
                 failures += 1
         report.closure_trials = samples
         report.closure_failures = failures

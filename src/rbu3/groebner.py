@@ -64,7 +64,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .poly import (MonomialOrder, MultiPoly, VarTable, add_terms, as_int,
-                   grevlex, elimination, parse_poly, read_json, write_json)
+                   grevlex, elimination, parse_poly, read_json)
 
 __all__ = [
     "PolySystem",
@@ -181,9 +181,6 @@ class PolySystem:
         order = MonomialOrder.from_json(data.get("order", "grevlex"))
         gens = tuple(parse_poly(t, table) for t in data["gens"])
         return PolySystem(table, gens, order)
-
-    def save(self, path):
-        write_json(path, self.to_json())
 
     @staticmethod
     def load(path) -> "PolySystem":

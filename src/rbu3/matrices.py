@@ -144,11 +144,6 @@ class UTMatrix:
         return UTMatrix._filtered(self.n,
                                   {k: scalar * v for k, v in self.entries.items()})
 
-    def __rmul__(self, scalar) -> "UTMatrix":
-        if isinstance(scalar, (int, Fraction, MultiPoly)):
-            return self.scale(scalar)
-        return NotImplemented
-
     # -- algebra multiplication ----------------------------------------------
 
     def __mul__(self, other: "UTMatrix") -> "UTMatrix":
@@ -259,9 +254,7 @@ def combine(columns, coords, n: int) -> UTMatrix:
     ``coords`` this applies the map to the element.
 
     The products are summed into one dict by ``add_terms``, in the entry
-    order of summing scaled columns: a zero product never enters.  A factor
-    that is a ``Fraction`` 1 multiplies nothing: the product is the other
-    factor, as the flip's unit columns need.
+    order of summing scaled columns: a zero product never enters.
     """
     entries = {}
     for key, coeff in coords.items():
@@ -269,7 +262,7 @@ def combine(columns, coords, n: int) -> UTMatrix:
         if column is not None:
             add_terms(entries, ((cell, product)
                                 for cell, value in column.entries.items()
-                                if (product := _times(coeff, value))))
+                                if (product := coeff * value)))
     return UTMatrix._filtered(n, entries)
 
 
@@ -284,16 +277,6 @@ def vanishing_power(x, times, cap: int):
             return None
         power, k = times(power), k + 1
     return k
-
-
-def _times(a, b):
-    # by type first, since comparing a MultiPoly with 1 walks its terms; a
-    # Fraction 1 times an int is a Fraction, so an int factor still multiplies
-    if type(a) is Fraction and type(b) is not int and a == 1:
-        return b
-    if type(b) is Fraction and type(a) is not int and b == 1:
-        return a
-    return a * b
 
 
 # -- exact linear algebra helpers -------------------------------------------

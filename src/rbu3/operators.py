@@ -86,10 +86,6 @@ class Operator:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def zero(n: int = 3, weight=Fraction(0)) -> "Operator":
-        return Operator(n, {}, weight)
-
-    @staticmethod
     def identity(n: int = 3, weight=Fraction(0)) -> "Operator":
         return Operator(n, {idx: UTMatrix.basis(n, *idx) for idx in basis_indices(n)},
                         weight)
@@ -408,11 +404,6 @@ class Ansatz:
                 self.constraints.append(bvar_name(idx, dst))
         return self
 
-    def tie(self, constraint_text: str) -> "Ansatz":
-        """Add a raw linear constraint over the b-variables."""
-        self.constraints.append(constraint_text)
-        return self
-
 
 @dataclass
 class AnsatzSolution:
@@ -579,7 +570,7 @@ def generate_system(ansatz: Ansatz) -> tuple:
     for _, entry in groupby(sorted(item for item in acc.items() if item[1]),
                             key=lambda item: item[0] // size):
         entry = [(key % size, c) for key, c in entry]
-        g = gcd(*(c for _, c in entry))
+        g = gcd(0, *(c for _, c in entry))
         g = g if entry[0][1] > 0 else -g
         gens[tuple((r, c // g) for r, c in entry)] = None
     # a nonzero constant component means no specialization satisfies

@@ -103,9 +103,6 @@ class VarTable:
         mono = tuple(1 if j == i else 0 for j in range(len(self.names)))
         return MultiPoly(self, {mono: Fraction(1)})
 
-    def zero(self) -> "MultiPoly":
-        return MultiPoly(self, {})
-
     def parse(self, text: str) -> "MultiPoly":
         return parse_poly(text, self)
 

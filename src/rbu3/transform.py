@@ -14,6 +14,7 @@ re-checks that claim and refuses to hand back a broken witness.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
@@ -21,7 +22,7 @@ from math import gcd, isqrt, lcm
 from typing import Mapping
 
 from .matrices import UTMatrix, basis_indices, combine
-from .operators import Operator, scale_operator
+from .operators import Operator, _cleared, _residual_values, scale_operator
 from .poly import (MultiPoly, VarTable, add_terms, as_fraction, as_int, lex,
                    mono_mul)
 from .groebner import Limits, PolySystem, buchberger, normal_form
@@ -35,6 +36,7 @@ __all__ = [
     "build_psi",
     "theta13",
     "conjugate_operator",
+    "closure_trial",
     "canonicalize_nilpotent",
     "canonicalize_idempotent",
     "find_conjugation",
@@ -72,11 +74,10 @@ class AlgebraMap:
     held with its inverse.
 
     The constructor takes both directions and checks them with
-    ``_check_map``, so holding an instance is holding a certificate.  Two
-    kinds are built by ``_proved`` without a check, because they are
-    certified otherwise: the maps of :func:`build_psi`, by one symbolic
-    proof for the whole family (``_psi_certificate``), and compositions of
-    certified maps.
+    ``_check_map``, so holding an instance is holding a certificate.  The
+    maps of :func:`build_psi` are built by ``_proved`` without a check,
+    because one symbolic proof for the whole family (``_psi_certificate``)
+    certifies them.
     """
 
     __slots__ = ("n", "kind", "columns", "_inverse")
@@ -106,23 +107,6 @@ class AlgebraMap:
 
     def inverse_apply(self, x: UTMatrix) -> UTMatrix:
         return combine(self.inverse_columns(), x.entries, self.n)
-
-    def compose(self, other: "AlgebraMap") -> "AlgebraMap":
-        """self after other (as linear maps); its inverse is other^-1 after
-        self^-1."""
-        if self.n != other.n:
-            raise ValueError("incompatible operands")
-        kind = ("automorphism" if self.kind == other.kind else "antiautomorphism")
-        return AlgebraMap._proved(
-            self.n, kind, {idx: self.apply(x) for idx, x in other.columns.items()},
-            {idx: other.inverse_apply(x) for idx, x in self.inverse_columns().items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraMap):
-            return NotImplemented
-        return (self.n == other.n and self.kind == other.kind
-                and all(self.columns[i] == other.columns[i]
-                        for i in basis_indices(self.n)))
 
 
 def _check_map(phi: AlgebraMap, vanishes, name: str) -> None:
@@ -294,6 +278,35 @@ def _conjugated_terms(terms: list, cleared: tuple) -> list:
             column = [item for item in acc.items() if item[1]]
         out.extend((s * d + r, c) for r, c in sorted(column))
     return out
+
+
+def closure_trial(op: Operator, rng: random.Random) -> bool:
+    """One randomized closure check: scaling, then psi and flip conjugation,
+    each on int coordinates cleared once from the instance as D R: (1/k) R
+    is D R times k's denominator, signed as k, over D |k's numerator|."""
+    k = _nonzero_fraction(rng, 9, 7)
+    if op.weight:
+        raise ValueError("scaling preserves the identity only at weight zero")
+    terms, _ = _cleared(op)
+    rb = lambda cleared: not any(_residual_values(op.n, cleared).values())
+    scale = k.denominator if k.numerator > 0 else -k.denominator
+    if not rb([(x, v * scale) for x, v in terms]):
+        return False
+    params = AutoParams(
+        alpha=_nonzero_fraction(rng, 6, 4), beta=rng.randint(-5, 5),
+        gamma=rng.randint(-5, 5), delta=_nonzero_fraction(rng, 6, 4),
+        epsilon=rng.randint(-5, 5))
+    if not rb(_conjugated_terms(terms, _cleared_map(build_psi(params)))):
+        return False
+    return rb(_conjugated_terms(terms, _cleared_theta(op.n)))
+
+
+def _nonzero_fraction(rng: random.Random, num: int, den: int) -> Fraction:
+    """A nonzero p/q, p drawn from -num..num and q from 1..den."""
+    value = Fraction(0)
+    while not value:
+        value = Fraction(rng.randint(-num, num), rng.randint(1, den))
+    return value
 
 
 # -- witnesses ------------------------------------------------------------------
@@ -506,7 +519,7 @@ def _rational_roots(coeffs):
     """
     if not coeffs:
         return []
-    dens = lcm(*(c.denominator for c in coeffs.values()))
+    dens = lcm(1, *(c.denominator for c in coeffs.values()))
     ints = {d: int(c * dens) for d, c in coeffs.items()}
     low = min(d for d, c in ints.items() if c)
     roots = []
@@ -544,7 +557,7 @@ def _divisors(value):
     return sorted(set(small + [value // d for d in small]))
 
 
-def _search_points(polys, table, idx, assignment, budget):
+def _search_points(polys, table, idx, assignment, budget, check_limits):
     """Back-substitute over the variables from last to first; yields dicts.
 
     A variable with a univariate polynomial takes its rational roots.  A
@@ -552,6 +565,7 @@ def _search_points(polys, table, idx, assignment, budget):
     a later pure-power relation rationally solvable: for each binomial
     ``c*y^m + d*x`` of the remaining polynomials, with x this variable and
     y one assigned later, x = -(c/d)*s^m for each trial value s.
+    ``check_limits()`` runs before each candidate is tried.
     """
     if budget[0] <= 0:
         return
@@ -593,9 +607,11 @@ def _search_points(polys, table, idx, assignment, budget):
         budget[0] -= 1
         if budget[0] <= 0:
             return
+        check_limits()
         substituted = [p.substitute({name: value}) for p in rest]
         assignment[name] = value
-        yield from _search_points(substituted, table, idx - 1, assignment, budget)
+        yield from _search_points(substituted, table, idx - 1, assignment,
+                                  budget, check_limits)
         del assignment[name]
 
 
@@ -640,26 +656,31 @@ def find_conjugation(source: Operator, target: Operator,
     is built, since conjugation preserves the weight.  At a nonzero weight
     lambda the scale is fixed to k = 1, whatever ``allow_scaling`` says:
     (1/k) R has weight lambda/k, so no other k keeps the weight.  The
-    ``limits`` are started once: both variants share one deadline.
+    ``limits`` are started once: both variants share one deadline, which
+    each Groebner run and each back-substitution candidate reads.
     """
     if source.n != 3 or target.n != 3:
         raise ValueError("the search is specific to U_3")
     if source.weight != target.weight:
         return ConjugationSearch("none")
     allow_scaling = allow_scaling and not source.weight
-    limits = None if limits is None else limits.start()
+    limits = (limits or Limits()).start()
 
-    # the flip permutes the target's entries, so one table of parameters
-    # serves both variants, and the source side is read once for both
+    # one table of parameters serves both variants, and each operator is
+    # read once: the flip permutes the basis with unit coefficients, so
+    # conjugating the target by it relabels each image key and each cell
     params = VarTable(dict.fromkeys(source.params() + target.params()))
-    src = _image_terms(source, params)
+    src, tgt = _image_terms(source, params), _image_terms(target, params)
+    variants = [((), tgt)]
+    if allow_theta:
+        flip = {idx: cell for idx, column in theta13().columns.items()
+                for cell in column.entries}
+        variants.append(((ThetaStep(),), {
+            flip[idx]: [(flip[cell], pairs) for cell, pairs in cells]
+            for idx, cells in tgt.items()}))
     outcomes = []
-    for tail in [(), (ThetaStep(),)] if allow_theta else [()]:
-        adjusted = target
-        for step in tail:
-            adjusted = conjugate_operator(adjusted, step.map())
-        generators = _search_generators(src, _image_terms(adjusted, params),
-                                        allow_scaling)
+    for tail, adjusted in variants:
+        generators = _search_generators(src, adjusted, allow_scaling)
         result = _psi_only_search(source, target, tail, generators,
                                   allow_scaling, limits)
         if result.status == "found":
@@ -825,8 +846,10 @@ def _psi_only_search(source, target, tail, generators, allow_scaling, limits):
     gb = buchberger(system, limits)
     if len(gb.basis) == 1 and gb.basis[0].is_constant():
         return ConjugationSearch("disjoint", certificate=(gb,))
+    # a finished run kept within max_pairs: only the deadline can stop here
+    check = lambda: limits.check(gb.stats, lambda: list(gb.basis))
     for point in _search_points(list(gb.basis), table, len(table) - 1, {},
-                                [_BUDGET]):
+                                [_BUDGET], check):
         # the point zeroes u alpha delta k - 1, so alpha, delta and k are nonzero
         params = AutoParams(**{f.name: point[f.name] for f in fields(AutoParams)})
         witness = Witness((PsiStep(params),) + tail,

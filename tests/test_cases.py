@@ -302,9 +302,9 @@ def test_extra_branch_of_the_pm_e13_family_is_empty():
     ansatz.fix_image("e12", "0")
     ansatz.fix_image("e13", "e12")
     for dst in ("11", "22"):
-        ansatz.tie(f"b_23_{dst} - 1")
+        ansatz.constraints.append(f"b_23_{dst} - 1")
     for dst in ("13", "23", "33"):
-        ansatz.tie(f"b_23_{dst}")
+        ansatz.constraints.append(f"b_23_{dst}")
     system, shape = generate_system(ansatz)
     gb = buchberger(system, FAST)
     for dst in ("11", "12", "13", "22", "23", "33"):
@@ -383,7 +383,7 @@ def test_solution_checks_on_a_spec_with_a_fractional_constraint():
     """Beside R(e12) in the span of e11, e12, e13 with 2 b_12_11 = 1 and
     every other image zero: one solution breaks only that constraint, and
     one meets every constraint but not the identity."""
-    ansatz = Ansatz(3).tie("2*b_12_11 - 1")
+    ansatz = Ansatz(3, constraints=["2*b_12_11 - 1"])
     ansatz.restrict_span("e12", ["e11", "e12", "e13"])
     for name in ("e11", "e13", "e22", "e23", "e33"):
         ansatz.fix_image(name, "0")

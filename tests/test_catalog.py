@@ -109,7 +109,7 @@ def test_image_dimensions():
 
 
 def test_zero_operator_power_index():
-    assert Operator.zero(3).power_vanish_index() == 1
+    assert Operator(3).power_vanish_index() == 1
 
 
 def test_power_index_composes_at_most_the_dimension(monkeypatch):

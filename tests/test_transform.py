@@ -9,7 +9,7 @@ from functools import cache
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rbu3 import catalog, groebner, transform
+from rbu3 import groebner, transform
 from rbu3.catalog import build_catalog
 from rbu3.matrices import UTMatrix, basis_indices, parse_matrix, rref
 from rbu3.operators import (Operator, _cleared, _residual_values, rb_residual,
@@ -58,7 +58,7 @@ def test_theta_is_an_involution_swapping_corners():
     th = theta13()
     assert th.apply(e(1, 2)) == e(2, 3)
     assert th.apply(e(1, 1)) == e(3, 3)
-    assert th.compose(th).apply(parse_matrix("e12 - 2*e13")) == \
+    assert th.apply(th.apply(parse_matrix("e12 - 2*e13"))) == \
         parse_matrix("e12 - 2*e13")
     # antimultiplicativity on one pair: theta(e12*e23) = theta(e23)theta(e12)
     assert th.apply(e(1, 2) * e(2, 3)) == th.apply(e(2, 3)) * th.apply(e(1, 2))
@@ -100,7 +100,8 @@ def test_a_wrong_inverse_is_refused():
         AlgebraMap(3, "automorphism", psi.columns, psi.columns)
     with pytest.raises(ValueError, match="not invertible"):
         AlgebraMap(3, "automorphism", psi.columns, theta13().columns)
-    assert AlgebraMap(3, "automorphism", psi.columns, psi.inverse_columns()) == psi
+    same = AlgebraMap(3, "automorphism", psi.columns, psi.inverse_columns())
+    assert (same.kind, same.columns) == (psi.kind, psi.columns)
 
 
 def test_theta_passes_the_map_check_as_its_own_inverse():
@@ -145,11 +146,11 @@ def test_closed_form_inverse_matches_elimination(params):
                 == list(expected[idx].entries.items()))
         assert all(type(v) is Fraction for v in got[idx].entries.values())
     # the per-instance check still accepts psi and its inverse
-    assert AlgebraMap(3, "automorphism", psi.columns, got) == psi
+    assert AlgebraMap(3, "automorphism", psi.columns, got).columns == psi.columns
     inverse = AlgebraMap(3, "automorphism", got, psi.columns)
-    for composite in (inverse.compose(psi), psi.compose(inverse)):
-        for idx in basis_indices(3):
-            assert composite.apply(e(*idx)) == e(*idx)
+    for idx in basis_indices(3):
+        assert inverse.apply(psi.apply(e(*idx))) == e(*idx)
+        assert psi.apply(inverse.apply(e(*idx))) == e(*idx)
 
 
 def test_psi_is_proved_before_it_is_handed_out():
@@ -185,9 +186,8 @@ def test_a_wrong_psi_cell_fails_the_proof(idx, cell, monkeypatch):
 def test_theta_is_one_shared_certified_involution():
     th = theta13()
     assert theta13() is th
-    square = th.compose(th)
     for idx in basis_indices(3):
-        assert square.apply(e(*idx)) == e(*idx)
+        assert th.apply(th.apply(e(*idx))) == e(*idx)
 
 
 R5 = Operator.from_images({"e12": "e11"})
@@ -195,23 +195,6 @@ R5 = Operator.from_images({"e12": "e11"})
 
 def test_conjugation_by_identity():
     assert conjugate_operator(R5, build_psi(AutoParams())) == R5
-
-
-def test_conjugation_composes_as_group_action():
-    rng = random.Random(7)
-    phi, chi = random_psi(rng), random_psi(rng)
-    lhs = conjugate_operator(conjugate_operator(R5, phi), chi)
-    rhs = conjugate_operator(R5, phi.compose(chi))
-    assert lhs == rhs
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_a_composite_inverse_equals_elimination(seed):
-    rng = random.Random(seed)
-    phi, chi = random_psi(rng), random_psi(rng)
-    for composite in (phi.compose(chi), phi.compose(theta13()),
-                      theta13().compose(chi)):
-        assert composite.inverse_columns() == inverse_by_elimination(composite)
 
 
 def test_conjugation_invertible():
@@ -297,10 +280,10 @@ def test_int_conjugation_equals_the_operator_path(op, a, b, c, d, e):
 
 def trial_draws(rng):
     """The scaling factor and psi parameters a closure trial draws, in order."""
-    k = catalog._nonzero_fraction(rng, 9, 7)
+    k = transform._nonzero_fraction(rng, 9, 7)
     return k, AutoParams(
-        alpha=catalog._nonzero_fraction(rng, 6, 4), beta=rng.randint(-5, 5),
-        gamma=rng.randint(-5, 5), delta=catalog._nonzero_fraction(rng, 6, 4),
+        alpha=transform._nonzero_fraction(rng, 6, 4), beta=rng.randint(-5, 5),
+        gamma=rng.randint(-5, 5), delta=transform._nonzero_fraction(rng, 6, 4),
         epsilon=rng.randint(-5, 5))
 
 
@@ -313,7 +296,7 @@ def test_closure_trial_checks_each_residual_on_its_own_coordinates(op, seed):
                (conjugate_operator(op, psi), D * transform._cleared_map(psi)[2]),
                (conjugate_operator(op, theta13()), D)]
     rng = random.Random(seed)
-    assert catalog._closure_trial(op, rng) == all(
+    assert transform.closure_trial(op, rng) == all(
         rb_residual(oracle).is_zero() for oracle, _ in oracles)
 
     seen = []
@@ -323,8 +306,8 @@ def test_closure_trial_checks_each_residual_on_its_own_coordinates(op, seed):
         return {}  # read as zero, so the trial runs all three checks
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(catalog, "_residual_values", spy)
-        assert catalog._closure_trial(op, rng := random.Random(seed))
+        patch.setattr(transform, "_residual_values", spy)
+        assert transform.closure_trial(op, rng := random.Random(seed))
     assert rng.random() == replay.random()  # the same draws, no more
     assert len(seen) == 3
     for values, (oracle, scale) in zip(seen, oracles):
@@ -332,10 +315,10 @@ def test_closure_trial_checks_each_residual_on_its_own_coordinates(op, seed):
 
 
 def test_closure_trial_fails_r13_and_refuses_a_weight():
-    assert not catalog._closure_trial(SPECIALIZED["R13"], random.Random(0))
+    assert not transform.closure_trial(SPECIALIZED["R13"], random.Random(0))
     weighted = Operator(3, SPECIALIZED["R5"].columns, weight=1)
     with pytest.raises(ValueError, match="weight zero"):
-        catalog._closure_trial(weighted, random.Random(0))
+        transform.closure_trial(weighted, random.Random(0))
 
 
 AB = VarTable(["a", "b"])
@@ -374,9 +357,40 @@ def test_conjugating_by_the_flip_relabels_the_basis(op):
     assert flipped.weight == op.weight
 
 
-def test_the_flip_multiplies_no_polynomial(monkeypatch):
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(operators())
+def test_the_search_flips_the_target_by_relabelling_its_terms(op):
+    """The search's flipped target is the target's image terms relabelled:
+    the same keys, cells in the same order and the same pair lists as the
+    image terms of the operator ``conjugate_operator`` flips."""
+    source = certified_families()["R31"]
+    builds = []
+    real_builder = transform._search_generators
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transform, "_search_generators",
+                      lambda *args: builds.append(args) or real_builder(*args))
+        patch.setattr(transform, "_psi_only_search",
+                      lambda *args: transform.ConjugationSearch("none"))
+        assert find_conjugation(source, op).status == "none"
+    params = VarTable(dict.fromkeys(source.params() + op.params()))
+    (_, plain, _), (_, flipped, _) = builds
+    assert plain == transform._image_terms(op, params)
+    expected = transform._image_terms(conjugate_operator(op, theta13()), params)
+    assert flipped == expected
+
+
+def test_a_repeated_disjoint_search_flips_without_products(monkeypatch):
+    """Once its certificates are cached, a ``disjoint`` search of a
+    polynomial target with the flip multiplies no polynomial and conjugates
+    no operator."""
+    fam = certified_families()
+    source, target = fam["R5"], fam["R31"]
+    assert target.params() == ("kappa",)
+    assert find_conjugation(source, target, allow_theta=False).status == "disjoint"
+    assert find_conjugation(source, target).status == "disjoint"  # warm-up
     calls = []
     real_mul = MultiPoly.__mul__
+    real_conjugate = transform.conjugate_operator
 
     def counting(self, other):
         calls.append(other)
@@ -384,11 +398,11 @@ def test_the_flip_multiplies_no_polynomial(monkeypatch):
 
     monkeypatch.setattr(MultiPoly, "__mul__", counting)
     monkeypatch.setattr(MultiPoly, "__rmul__", counting)
-    op = certified_families()["R31"]
-    assert op.params() == ("kappa",)
-    flipped = conjugate_operator(op, theta13())
+    monkeypatch.setattr(transform, "conjugate_operator",
+                        lambda *args: calls.append(args) or real_conjugate(*args))
+    result = find_conjugation(source, target, allow_theta=True)
+    assert result.status == "disjoint" and len(result.certificate) == 2
     assert calls == []
-    assert conjugate_operator(flipped, theta13()) == op
 
 
 def test_in_text_conjugation_to_single_e22_image():
@@ -552,6 +566,31 @@ def test_both_variants_of_a_search_share_one_deadline(fake_clock, monkeypatch):
     for _ in range(2):
         assert find_conjugation(source, target, allow_theta=False,
                                 limits=budget).status == "disjoint"
+
+
+def test_the_back_substitution_reads_the_deadline(fake_clock, monkeypatch):
+    """A search that is ``found`` without limits raises, instead of
+    answering, when the deadline passes after its Groebner run: each
+    back-substitution candidate reads the started limits."""
+    assert find_conjugation(R5, R5, allow_theta=False).status == "found"
+    runs = []  # (clock reads, basis) of each Groebner run
+    real_buchberger = transform.buchberger
+
+    def spy(system, limits=None):
+        before = fake_clock.now
+        gb = real_buchberger(system, limits)
+        runs.append((fake_clock.now - before, gb.basis))
+        return gb
+
+    monkeypatch.setattr(transform, "buchberger", spy)
+    assert find_conjugation(R5, R5, allow_theta=False,
+                            limits=Limits(deadline=10.0**6)).status == "found"
+    ((reads, basis),) = runs
+    with pytest.raises(ResourceLimitExceeded, match="deadline exceeded") as stop:
+        find_conjugation(R5, R5, allow_theta=False,
+                         limits=Limits(deadline=reads + 1))
+    assert len(runs) == 2  # the Groebner run finished; a candidate stopped
+    assert stop.value.partial == list(basis)
 
 
 def test_a_tampered_unit_certificate_fails_its_recheck():
