@@ -142,18 +142,24 @@ def build_psi(params: AutoParams) -> AlgebraMap:
         e13 -> a e13                        e22 -> -b e12 - (b e/d) e13 + e22 + (e/d) e23
         e23 -> -(a b/d) e13 + (a/d) e23     e33 -> (b e/d - c) e13 - (e/d) e23 + e33
 
-    The inverse is psi at (1/a, -b/d, (b e/d - c)/a, 1/d, -e/(a d)).  No
-    instance is checked on its own: ``_psi_certificate`` proves once, over
-    the parameters as symbols, that the columns are multiplicative and that
-    the inverse columns undo them.  ``_psi_columns`` uses only ring
-    operations, so evaluating at rationals with a, d != 0 keeps both
-    identities.
+    The inverse is psi at (1/a, -b/d, (b e/d - c)/a, 1/d, -e/(a d)).  psi is
+    X -> H^{-1} X H, H = [[1, b, c], [0, d, e], [0, 0, a]], and adj(H) =
+    a d H^{-1}, so closure trials clear psi on ints as adj(H) X H
+    (``_cleared_psi``).  No instance is checked on its own:
+    ``_psi_certificate`` proves all of this once, over the parameters as
+    symbols; ``_psi_columns`` uses only ring operations, so evaluating at
+    rationals with a, d != 0 keeps each identity.
     """
     _psi_certificate()
     a, b, c, d, e = (params.alpha, params.beta, params.gamma, params.delta,
                      params.epsilon)
     one = Fraction(1)
     return _psi_map(a, b, c, d, e, one / a, one / d, one)
+
+
+def _psi_rows(a, b, c, d, e, one) -> tuple:
+    """H's rows from the diagonal on; psi(e_1j) is row j of H put in row 1."""
+    return (one, b, c), (d, e), (a,)
 
 
 def _psi_columns(a, b, c, d, e, dinv, one):
@@ -165,9 +171,8 @@ def _psi_columns(a, b, c, d, e, dinv, one):
     """
     m = lambda entries: UTMatrix._filtered(3, entries)
     return {
-        (1, 1): m({(1, 1): one, (1, 2): b, (1, 3): c}),
-        (1, 2): m({(1, 2): d, (1, 3): e}),
-        (1, 3): m({(1, 3): a}),
+        **{(1, j): m({(1, q): v for q, v in enumerate(row, j)})
+           for j, row in enumerate(_psi_rows(a, b, c, d, e, one), 1)},
         (2, 2): m({(1, 2): -b, (1, 3): -(b * e * dinv), (2, 2): one,
                    (2, 3): e * dinv}),
         (2, 3): m({(1, 3): -(a * b * dinv), (2, 3): a * dinv}),
@@ -185,6 +190,30 @@ def _psi_map(a, b, c, d, e, ainv, dinv, one) -> AlgebraMap:
                      -(e * ainv * dinv), d, one))
 
 
+def _psi_conjugation(a, b, c, d, e, one) -> tuple:
+    """a d psi and a d psi^{-1} as X -> adj(H) X H and X -> H X adj(H): per
+    e_ij in basis order, the nonzero ``(position, entry)`` pairs of column i
+    of the left factor times row j of the right one."""
+    (h11, h12, h13), (h22, h23), (h33,) = rows = _psi_rows(a, b, c, d, e, one)
+    h = {(i, j): v for i, row in enumerate(rows, 1) for j, v in enumerate(row, i)}
+    adj = {(1, 1): h22 * h33, (1, 2): -(h12 * h33), (1, 3): h12 * h23 - h13 * h22,
+           (2, 2): h11 * h33, (2, 3): -(h11 * h23), (3, 3): h11 * h22}
+    at = {idx: k for k, idx in enumerate(basis_indices(3))}
+    return tuple([[(at[p, q], v) for p in range(1, i + 1) for q in range(j, 4)
+                   if (v := left[p, i] * right[j, q])] for i, j in at]
+                 for left, right in ((adj, h), (h, adj)))
+
+
+def _cleared_psi(a, b, c, d, e) -> tuple:
+    """psi at rationals and its inverse as int columns, and their scale: with
+    the parameters over their lcm L, ``_psi_conjugation`` of L H gives
+    L^3 a d psi and L^3 a d psi^{-1}, so the scale is (L^3 a d)^2."""
+    _psi_certificate()
+    L = lcm(1, *(x.denominator for x in (a, b, c, d, e)))
+    a, b, c, d, e = (x.numerator * (L // x.denominator) for x in (a, b, c, d, e))
+    return (*_psi_conjugation(a, b, c, d, e, L), (L * a * d) ** 2)
+
+
 @cache
 def _psi_certificate() -> None:
     """Prove, once, that ``build_psi`` hands out automorphisms.
@@ -193,8 +222,10 @@ def _psi_certificate() -> None:
     inverses as symbols modulo ``alpha * ainv - 1`` and ``delta * dinv - 1``
     (a Groebner basis: the leading monomials are coprime), ``_check_map``
     checks the 36 products psi(e_ij) psi(e_kl) = psi(e_ij e_kl) and that the
-    inverse columns send psi(e_idx) back to e_idx.  Every entry must have
-    normal form zero; any other outcome raises ``ValueError``.
+    inverse columns send psi(e_idx) back to e_idx; then that
+    ``_psi_conjugation`` gives a d psi(e_ij) and a d psi^{-1}(e_ij).  Every
+    entry must have normal form zero; any other outcome raises
+    ``ValueError``.
     """
     table = VarTable(("alpha", "beta", "gamma", "delta", "epsilon",
                       "ainv", "dinv"))
@@ -208,7 +239,15 @@ def _psi_certificate() -> None:
                    and normal_form(value, relations).is_zero()
                    for value in x.entries.values())
 
-    _check_map(_psi_map(a, b, c, d, e, ainv, dinv, one), vanishes, "psi")
+    psi = _psi_map(a, b, c, d, e, ainv, dinv, one)
+    _check_map(psi, vanishes, "psi")
+    idxs = basis_indices(3)
+    for side, columns in zip(_psi_conjugation(a, b, c, d, e, one),
+                             (psi.columns, psi._inverse)):
+        for idx, pairs in zip(idxs, side):
+            image = UTMatrix._filtered(3, {idxs[k]: v for k, v in pairs})
+            if not vanishes(image - columns[idx].scale(a * d)):
+                raise ValueError("psi is not a d times conjugation by H")
 
 
 @cache
@@ -234,32 +273,34 @@ def conjugate_operator(op: Operator, phi: AlgebraMap) -> Operator:
     return Operator(op.n, columns, op.weight)
 
 
-def _cleared_map(phi: AlgebraMap) -> tuple:
-    """A rational ``phi`` and its inverse as int columns, and the product of
-    their two denominators: per basis position, the ``(position, int)``
-    pairs of D times the column, D the lcm of the map's denominators."""
-    at = {idx: k for k, idx in enumerate(basis_indices(phi.n))}
-    sides, scale = [], 1
-    for columns in (phi.columns, phi._inverse):
-        images = [columns[idx].entries for idx in at]
-        # an int first, so the argument tuple is not resized onto a longer free list
-        D = lcm(1, *(x.denominator for image in images for x in image.values()))
-        sides.append([[(at[pos], x.numerator * (D // x.denominator))
-                       for pos, x in image.items()] for image in images])
-        scale *= D
-    return (*sides, scale)
+@cache
+def _flip(n: int) -> dict:
+    """The flip's index permutation, read off the certified ``theta13(n)``."""
+    return {idx: cell for idx, column in theta13(n).columns.items()
+            for cell in column.entries}
 
 
 @cache
 def _cleared_theta(n: int) -> tuple:
-    """The flip's ``_cleared_map``, made once per ``n``."""
-    return _cleared_map(theta13(n))
+    """The flip and its inverse, itself, as int columns: unit entries, scale 1."""
+    at = {idx: k for k, idx in enumerate(basis_indices(n))}
+    columns = [[(at[_flip(n)[idx]], 1)] for idx in at]
+    return columns, columns, 1
+
+
+def _flipped(op: Operator) -> Operator:
+    """``conjugate_operator(op, theta13(n))`` as the relabel it is."""
+    flip = _flip(op.n)
+    return Operator(op.n, {idx: UTMatrix._filtered(op.n, {
+        flip[cell]: v for cell, v in op.columns[f].entries.items()})
+        for idx, f in flip.items() if f in op.columns}, op.weight)
 
 
 def _conjugated_terms(terms: list, cleared: tuple) -> list:
     """phi^{-1} . R . phi on int coordinates: ``terms`` are D R cleared by
-    ``operators._cleared``, R of weight zero, and ``cleared`` is
-    ``_cleared_map(phi)`` of scale E; the result is D E phi^{-1} R phi
+    ``operators._cleared``, R of weight zero, and ``cleared`` is phi and
+    its inverse as int columns (``(position, int)`` pairs) and their scale
+    E; the result is D E phi^{-1} R phi
     cleared alike.  Column s is phi^{-1}(R(phi(e_s))), two sparse int
     products.
     """
@@ -292,11 +333,9 @@ def closure_trial(op: Operator, rng: random.Random) -> bool:
     scale = k.denominator if k.numerator > 0 else -k.denominator
     if not rb([(x, v * scale) for x, v in terms]):
         return False
-    params = AutoParams(
-        alpha=_nonzero_fraction(rng, 6, 4), beta=rng.randint(-5, 5),
-        gamma=rng.randint(-5, 5), delta=_nonzero_fraction(rng, 6, 4),
-        epsilon=rng.randint(-5, 5))
-    if not rb(_conjugated_terms(terms, _cleared_map(build_psi(params)))):
+    a, b, c = _nonzero_fraction(rng, 6, 4), rng.randint(-5, 5), rng.randint(-5, 5)
+    d, e = _nonzero_fraction(rng, 6, 4), rng.randint(-5, 5)
+    if not rb(_conjugated_terms(terms, _cleared_psi(a, b, c, d, e))):
         return False
     return rb(_conjugated_terms(terms, _cleared_theta(op.n)))
 
@@ -348,7 +387,8 @@ class Witness:
     def transform_operator(self, op: Operator) -> Operator:
         result = op
         for step in self.steps:
-            result = conjugate_operator(result, step.map())
+            result = (_flipped(result) if isinstance(step, ThetaStep)
+                      else conjugate_operator(result, step.map()))
         if self.scalar != 1:
             result = scale_operator(result, self.scalar)
         return result
@@ -673,8 +713,7 @@ def find_conjugation(source: Operator, target: Operator,
     src, tgt = _image_terms(source, params), _image_terms(target, params)
     variants = [((), tgt)]
     if allow_theta:
-        flip = {idx: cell for idx, column in theta13().columns.items()
-                for cell in column.entries}
+        flip = _flip(3)
         variants.append(((ThetaStep(),), {
             flip[idx]: [(flip[cell], pairs) for cell, pairs in cells]
             for idx, cells in tgt.items()}))

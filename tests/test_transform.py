@@ -183,6 +183,26 @@ def test_a_wrong_psi_cell_fails_the_proof(idx, cell, monkeypatch):
         transform._psi_certificate.cache_clear()
 
 
+@pytest.mark.parametrize("side", [0, 1])
+def test_a_wrong_conjugation_by_h_fails_the_proof(side, monkeypatch):
+    """The proof covers the int path's adj(H) X H (side 0) and H X adj(H)
+    (side 1): one extra entry in either fails it."""
+    conjugation = transform._psi_conjugation
+
+    def wrong(*args):
+        result = list(conjugation(*args))
+        result[side][4] = result[side][4] + [(0, args[-1])]
+        return tuple(result)
+
+    monkeypatch.setattr(transform, "_psi_conjugation", wrong)
+    transform._psi_certificate.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="conjugation by H"):
+            transform._psi_certificate()
+    finally:
+        transform._psi_certificate.cache_clear()
+
+
 def test_theta_is_one_shared_certified_involution():
     th = theta13()
     assert theta13() is th
@@ -265,8 +285,9 @@ def residual_entries(values, scale):
 @given(rational_operators(), NONZERO, RATIOS, RATIOS, NONZERO, RATIOS)
 def test_int_conjugation_equals_the_operator_path(op, a, b, c, d, e):
     terms, D = _cleared(op)
-    for phi in (build_psi(AutoParams(a, b, c, d, e)), theta13()):
-        cleared = transform._cleared_map(phi)
+    for phi, cleared in ((build_psi(AutoParams(a, b, c, d, e)),
+                          transform._cleared_psi(a, b, c, d, e)),
+                         (theta13(), transform._cleared_theta(3))):
         scale = D * cleared[2]
         conj = transform._conjugated_terms(terms, cleared)
         oracle = conjugate_operator(op, phi)
@@ -287,13 +308,36 @@ def trial_draws(rng):
         epsilon=rng.randint(-5, 5))
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(NONZERO, RATIOS, RATIOS, NONZERO, RATIOS)
+@example(Fraction(-2, 3), Fraction(0), Fraction(0), Fraction(3, 4), Fraction(0))
+@example(Fraction(1), Fraction(1, 2), Fraction(0), Fraction(-1), Fraction(-3, 4))
+def test_the_int_psi_is_build_psi_times_its_scale(a, b, c, d, e):
+    """The cleared columns of psi and of its inverse are L^3 a d times
+    ``build_psi``'s, entry by entry, L the lcm of the parameters'
+    denominators, and the scale is the square of that factor."""
+    factor = math.lcm(*(x.denominator for x in (a, b, c, d, e))) ** 3 * a * d
+    columns, inverse, scale = transform._cleared_psi(a, b, c, d, e)
+    psi = build_psi(AutoParams(a, b, c, d, e))
+    assert scale == factor * factor
+    for side, oracle in ((columns, psi.columns), (inverse, psi.inverse_columns())):
+        assert len(side) == len(IDXS)
+        for pairs, idx in zip(side, IDXS):
+            assert all(type(v) is int for _, v in pairs)
+            assert sorted(pairs) == sorted(
+                (IDXS.index(pos), factor * v)
+                for pos, v in oracle[idx].entries.items())
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(rational_operators(), st.integers(0, 2**32))
 def test_closure_trial_checks_each_residual_on_its_own_coordinates(op, seed):
     k, params = trial_draws(replay := random.Random(seed))
     psi, D = build_psi(params), _cleared(op)[1]
+    psi_scale = transform._cleared_psi(params.alpha, params.beta, params.gamma,
+                                       params.delta, params.epsilon)[2]
     oracles = [(scale_operator(op, k), D * abs(k.numerator)),
-               (conjugate_operator(op, psi), D * transform._cleared_map(psi)[2]),
+               (conjugate_operator(op, psi), D * psi_scale),
                (conjugate_operator(op, theta13()), D)]
     rng = random.Random(seed)
     assert transform.closure_trial(op, rng) == all(
@@ -312,6 +356,23 @@ def test_closure_trial_checks_each_residual_on_its_own_coordinates(op, seed):
     assert len(seen) == 3
     for values, (oracle, scale) in zip(seen, oracles):
         assert residual_entries(values, scale) == rb_residual(oracle).entries
+
+
+@pytest.mark.parametrize("family", ["R5", "R38"])
+def test_a_psi_that_is_no_similarity_fails_the_closure_trial(family, monkeypatch):
+    """psi's columns paired with the inverse columns of psi at beta + 1 make
+    the trial's psi conjugation no similarity, and the trial says so; the
+    trial proves psi's identities once per process before it uses them."""
+    op = SPECIALIZED[family]
+    assert all(transform.closure_trial(op, random.Random(seed)) for seed in range(5))
+    transform._psi_certificate.cache_clear()
+    assert transform.closure_trial(op, random.Random(0))
+    assert transform._psi_certificate.cache_info().misses == 1
+    real = transform._cleared_psi
+    monkeypatch.setattr(transform, "_cleared_psi", lambda a, b, c, d, e: (
+        real(a, b, c, d, e)[0], real(a, b + 1, c, d, e)[1], 1))
+    assert not any(transform.closure_trial(op, random.Random(seed))
+                   for seed in range(5))
 
 
 def test_closure_trial_fails_r13_and_refuses_a_weight():
@@ -355,6 +416,23 @@ def test_conjugating_by_the_flip_relabels_the_basis(op):
     assert [type(v) for _, cells in got for _, v in cells] == \
         [type(v) for _, cells in expected for _, v in cells]
     assert flipped.weight == op.weight
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(operators(), st.sampled_from([0, 2, "1/3"]))
+def test_a_witness_flips_by_relabelling(op, weight):
+    """A witness's flip step gives ``conjugate_operator``'s operator, with
+    columns, entries and entry types in the same order, and conjugates
+    nothing."""
+    op = Operator(3, op.columns, weight)
+    expected = conjugate_operator(op, theta13())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transform, "conjugate_operator", None)
+        flipped = Witness((ThetaStep(),)).transform_operator(op)
+    assert flipped == expected and flipped.weight == expected.weight
+    items = lambda o: [(idx, [(cell, type(v)) for cell, v in image.entries.items()])
+                       for idx, image in o.columns.items()]
+    assert items(flipped) == items(expected)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
