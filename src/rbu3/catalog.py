@@ -862,6 +862,8 @@ def verify_all(samples: int = 0, families: Sequence[str] | None = None,
     wanted = list(_CATALOG_DEFS)
     if families is not None:
         families = set(families)
+        if not families:
+            raise ValueError("families must name at least one family, not none")
         unknown = families - set(wanted)
         if unknown:
             raise KeyError(f"unknown family id(s): {sorted(unknown)}")

@@ -73,11 +73,13 @@ class AlgebraMap:
     """An invertible linear map on U_n that is multiplicative or antimultiplicative,
     held with its inverse.
 
-    The constructor takes both directions and checks them with
-    ``_check_map``, so holding an instance is holding a certificate.  The
-    maps of :func:`build_psi` are built by ``_proved`` without a check,
-    because one symbolic proof for the whole family (``_psi_certificate``)
-    certifies them.
+    The constructor takes both directions and checks them, so holding an
+    instance is holding a certificate: phi(e_ij) phi(e_kl) (in the other
+    order for an antiautomorphism) must be phi(e_ij e_kl) on all basis
+    pairs, and the inverse columns must send each phi(e_idx) back to e_idx,
+    which makes them the two-sided inverse; else ``ValueError``.  The maps
+    of :func:`build_psi` are built by ``_proved`` without a check, because
+    one symbolic proof for the whole family (``_psi_certificate``) does.
     """
 
     __slots__ = ("n", "kind", "columns", "_inverse")
@@ -89,7 +91,16 @@ class AlgebraMap:
         self.kind = kind
         self.columns = {idx: columns[idx] for idx in basis_indices(n)}
         self._inverse = {idx: inverse[idx] for idx in basis_indices(n)}
-        _check_map(self, UTMatrix.is_zero, "map")
+        columns, zero = self.columns, UTMatrix.zero(n)
+        anti = kind == "antiautomorphism"
+        for (i, j), mu in columns.items():
+            for (k, l), mv in columns.items():
+                product = mv * mu if anti else mu * mv
+                if product - (columns[(i, l)] if j == k else zero):
+                    raise ValueError("map is not (anti)multiplicative")
+        for idx, column in columns.items():
+            if self.inverse_apply(column) - UTMatrix.basis(n, *idx):
+                raise ValueError("map is not invertible by its inverse columns")
 
     @staticmethod
     def _proved(n: int, kind: str, columns: dict, inverse: dict) -> "AlgebraMap":
@@ -109,95 +120,43 @@ class AlgebraMap:
         return combine(self.inverse_columns(), x.entries, self.n)
 
 
-def _check_map(phi: AlgebraMap, vanishes, name: str) -> None:
-    """Check that ``phi`` is an (anti)automorphism with its stated inverse.
-
-    phi(e_ij) phi(e_kl) (in the other order for an antiautomorphism) must
-    equal phi(e_ij e_kl), which is phi(e_il) when j = k and 0 otherwise, on
-    all basis pairs; and the inverse columns must send each phi(e_idx) back
-    to e_idx, which for a square matrix makes them its two-sided inverse.
-    ``vanishes`` decides whether a difference is zero; anything else raises
-    ``ValueError`` naming ``name``.
-    """
-    columns = phi.columns
-    anti = phi.kind == "antiautomorphism"
-    zero = UTMatrix.zero(phi.n)
-    for (i, j), mu in columns.items():
-        for (k, l), mv in columns.items():
-            product = mv * mu if anti else mu * mv
-            if not vanishes(product - (columns[(i, l)] if j == k else zero)):
-                raise ValueError(f"{name} is not (anti)multiplicative")
-    for idx, column in columns.items():
-        if not vanishes(phi.inverse_apply(column) - UTMatrix.basis(phi.n, *idx)):
-            raise ValueError(f"{name} is not invertible by its inverse columns")
-
-
 def build_psi(params: AutoParams) -> AlgebraMap:
     """The five-parameter automorphism of U_3, with its inverse.
 
-    Columns (images of the basis), with a = alpha, b = beta, c = gamma,
-    d = delta, e = epsilon:
+    psi is X -> H^{-1} X H, H = [[1, b, c], [0, d, e], [0, 0, a]] with a =
+    alpha, ..., e = epsilon (``_psi_matrices``).  Its columns are
 
         e11 -> e11 + b e12 + c e13          e12 -> d e12 + e e13
         e13 -> a e13                        e22 -> -b e12 - (b e/d) e13 + e22 + (e/d) e23
         e23 -> -(a b/d) e13 + (a/d) e23     e33 -> (b e/d - c) e13 - (e/d) e23 + e33
 
-    The inverse is psi at (1/a, -b/d, (b e/d - c)/a, 1/d, -e/(a d)).  psi is
-    X -> H^{-1} X H, H = [[1, b, c], [0, d, e], [0, 0, a]], and adj(H) =
-    a d H^{-1}, so closure trials clear psi on ints as adj(H) X H
-    (``_cleared_psi``).  No instance is checked on its own:
-    ``_psi_certificate`` proves all of this once, over the parameters as
-    symbols; ``_psi_columns`` uses only ring operations, so evaluating at
-    rationals with a, d != 0 keeps each identity.
+    and its inverse X -> H X H^{-1} is psi at (1/a, -b/d, (b e/d - c)/a,
+    1/d, -e/(a d)).  Both are the int columns of ``_cleared_psi`` over their
+    factor, proved once for all parameters by ``_psi_certificate``.
     """
-    _psi_certificate()
-    a, b, c, d, e = (params.alpha, params.beta, params.gamma, params.delta,
-                     params.epsilon)
-    one = Fraction(1)
-    return _psi_map(a, b, c, d, e, one / a, one / d, one)
+    columns, inverse, factor = _cleared_psi(
+        params.alpha, params.beta, params.gamma, params.delta, params.epsilon)
+    idxs = basis_indices(3)
+    return AlgebraMap._proved(3, "automorphism", *(
+        {idx: UTMatrix._filtered(3, {idxs[p]: Fraction(v, factor)
+                                     for p, v in pairs})
+         for idx, pairs in zip(idxs, side)} for side in (columns, inverse)))
 
 
-def _psi_rows(a, b, c, d, e, one) -> tuple:
-    """H's rows from the diagonal on; psi(e_1j) is row j of H put in row 1."""
-    return (one, b, c), (d, e), (a,)
+def _psi_matrices(a, b, c, d, e, one) -> tuple:
+    """H = [[one, b, c], [0, d, e], [0, 0, a]] and adj(H), the transposed
+    cofactors, as ``{(i, j): entry}`` over any ring: the one place psi's
+    formulas live.  adj(H) H = H adj(H) = det(H) 1, det(H) = one a d."""
+    h = {(1, 1): one, (1, 2): b, (1, 3): c, (2, 2): d, (2, 3): e, (3, 3): a}
+    adj = {(1, 1): d * a, (1, 2): -(b * a), (1, 3): b * e - c * d,
+           (2, 2): one * a, (2, 3): -(one * e), (3, 3): one * d}
+    return h, adj
 
 
-def _psi_columns(a, b, c, d, e, dinv, one):
-    """The columns of psi with ``dinv`` standing for 1/delta.
-
-    ``build_psi`` passes rationals; the conjugation search passes polynomial
-    unknowns, with ``dinv`` an exact inverse of delta modulo its auxiliary
-    relation, so every entry stays polynomial.
-    """
-    m = lambda entries: UTMatrix._filtered(3, entries)
-    return {
-        **{(1, j): m({(1, q): v for q, v in enumerate(row, j)})
-           for j, row in enumerate(_psi_rows(a, b, c, d, e, one), 1)},
-        (2, 2): m({(1, 2): -b, (1, 3): -(b * e * dinv), (2, 2): one,
-                   (2, 3): e * dinv}),
-        (2, 3): m({(1, 3): -(a * b * dinv), (2, 3): a * dinv}),
-        (3, 3): m({(1, 3): b * e * dinv - c, (2, 3): -(e * dinv), (3, 3): one}),
-    }
-
-
-def _psi_map(a, b, c, d, e, ainv, dinv, one) -> AlgebraMap:
-    """psi with its inverse, psi at (ainv, -b dinv, (b e dinv - c) ainv,
-    dinv, -e ainv dinv), with ``ainv`` and ``dinv`` standing for 1/alpha
-    and 1/delta; unchecked, as ``_psi_certificate`` is its proof."""
-    return AlgebraMap._proved(
-        3, "automorphism", _psi_columns(a, b, c, d, e, dinv, one),
-        _psi_columns(ainv, -(b * dinv), (b * e * dinv - c) * ainv, dinv,
-                     -(e * ainv * dinv), d, one))
-
-
-def _psi_conjugation(a, b, c, d, e, one) -> tuple:
-    """a d psi and a d psi^{-1} as X -> adj(H) X H and X -> H X adj(H): per
-    e_ij in basis order, the nonzero ``(position, entry)`` pairs of column i
-    of the left factor times row j of the right one."""
-    (h11, h12, h13), (h22, h23), (h33,) = rows = _psi_rows(a, b, c, d, e, one)
-    h = {(i, j): v for i, row in enumerate(rows, 1) for j, v in enumerate(row, i)}
-    adj = {(1, 1): h22 * h33, (1, 2): -(h12 * h33), (1, 3): h12 * h23 - h13 * h22,
-           (2, 2): h11 * h33, (2, 3): -(h11 * h23), (3, 3): h11 * h22}
+def _psi_conjugation(h, adj) -> tuple:
+    """det(H) psi and det(H) psi^{-1} as X -> adj(H) X H and X -> H X adj(H):
+    per e_ij in basis order, the nonzero ``(position, entry)`` pairs of
+    column i of the left factor times row j of the right one."""
     at = {idx: k for k, idx in enumerate(basis_indices(3))}
     return tuple([[(at[p, q], v) for p in range(1, i + 1) for q in range(j, 4)
                    if (v := left[p, i] * right[j, q])] for i, j in at]
@@ -205,49 +164,38 @@ def _psi_conjugation(a, b, c, d, e, one) -> tuple:
 
 
 def _cleared_psi(a, b, c, d, e) -> tuple:
-    """psi at rationals and its inverse as int columns, and their scale: with
-    the parameters over their lcm L, ``_psi_conjugation`` of L H gives
-    L^3 a d psi and L^3 a d psi^{-1}, so the scale is (L^3 a d)^2."""
+    """psi at rationals and its inverse as int columns, and their factor:
+    with the parameters over their lcm L, the ints give L H, whose
+    conjugations are F psi and F psi^{-1}, F = det(L H) = L^3 a d."""
     _psi_certificate()
     L = lcm(1, *(x.denominator for x in (a, b, c, d, e)))
     a, b, c, d, e = (x.numerator * (L // x.denominator) for x in (a, b, c, d, e))
-    return (*_psi_conjugation(a, b, c, d, e, L), (L * a * d) ** 2)
+    return (*_psi_conjugation(*_psi_matrices(a, b, c, d, e, L)), L * a * d)
 
 
 @cache
 def _psi_certificate() -> None:
-    """Prove, once, that ``build_psi`` hands out automorphisms.
+    """Prove, once, that every form of psi is an automorphism with its inverse.
 
-    Over Q[alpha, beta, gamma, delta, epsilon, 1/alpha, 1/delta], with the
-    inverses as symbols modulo ``alpha * ainv - 1`` and ``delta * dinv - 1``
-    (a Groebner basis: the leading monomials are coprime), ``_check_map``
-    checks the 36 products psi(e_ij) psi(e_kl) = psi(e_ij e_kl) and that the
-    inverse columns send psi(e_idx) back to e_idx; then that
-    ``_psi_conjugation`` gives a d psi(e_ij) and a d psi^{-1}(e_ij).  Every
-    entry must have normal form zero; any other outcome raises
-    ``ValueError``.
+    Over Q[l, alpha, ..., epsilon], l in H's corner where ``_cleared_psi``
+    puts L, check with plain ``==`` that adj(H) H = H adj(H) = det(H) 1 and
+    that ``_psi_conjugation`` gives adj(H) e_ij H and H e_ij adj(H).  Then
+    X -> adj(H) X H / det(H) is multiplicative, as adj(H) X H adj(H) Y H =
+    det(H) adj(H) X Y H, and X -> H X adj(H) / det(H) undoes it, at every
+    evaluation with det(H) != 0.  Anything else raises ``ValueError``.
     """
-    table = VarTable(("alpha", "beta", "gamma", "delta", "epsilon",
-                      "ainv", "dinv"))
-    a, b, c, d, e, ainv, dinv = (table.var(name) for name in table.names)
-    one = MultiPoly.const(table, 1)
-    relations = [a * ainv - 1, d * dinv - 1]
-
-    def vanishes(x: UTMatrix) -> bool:
-        # a rational entry left in x is a nonzero constant
-        return all(isinstance(value, MultiPoly)
-                   and normal_form(value, relations).is_zero()
-                   for value in x.entries.values())
-
-    psi = _psi_map(a, b, c, d, e, ainv, dinv, one)
-    _check_map(psi, vanishes, "psi")
+    table = VarTable(("ell", "alpha", "beta", "gamma", "delta", "epsilon"))
+    one, a, b, c, d, e = (table.var(name) for name in table.names)
+    h, adj = _psi_matrices(a, b, c, d, e, one)
+    H, A = UTMatrix._filtered(3, h), UTMatrix._filtered(3, adj)
+    if not A * H == H * A == UTMatrix.unit(3).scale(one * a * d):
+        raise ValueError("psi's adj(H) is not det(H) H^-1")
     idxs = basis_indices(3)
-    for side, columns in zip(_psi_conjugation(a, b, c, d, e, one),
-                             (psi.columns, psi._inverse)):
+    for side, (left, right) in zip(_psi_conjugation(h, adj), ((A, H), (H, A))):
         for idx, pairs in zip(idxs, side):
-            image = UTMatrix._filtered(3, {idxs[k]: v for k, v in pairs})
-            if not vanishes(image - columns[idx].scale(a * d)):
-                raise ValueError("psi is not a d times conjugation by H")
+            if (UTMatrix._filtered(3, {idxs[k]: v for k, v in pairs})
+                    != left * UTMatrix.basis(3, *idx) * right):
+                raise ValueError("psi is not conjugation by H")
 
 
 @cache
@@ -281,11 +229,13 @@ def _flip(n: int) -> dict:
 
 
 @cache
-def _cleared_theta(n: int) -> tuple:
-    """The flip and its inverse, itself, as int columns: unit entries, scale 1."""
+def _flip_slots(n: int) -> list:
+    """The flip on cleared slots s d + p, d = dim U_n: conjugating by it
+    sends slot (s, p) to (flip s, flip p)."""
     at = {idx: k for k, idx in enumerate(basis_indices(n))}
-    columns = [[(at[_flip(n)[idx]], 1)] for idx in at]
-    return columns, columns, 1
+    d = len(at)
+    flip = [at[_flip(n)[idx]] for idx in at]
+    return [flip[x // d] * d + flip[x % d] for x in range(d * d)]
 
 
 def _flipped(op: Operator) -> Operator:
@@ -299,8 +249,8 @@ def _flipped(op: Operator) -> Operator:
 def _conjugated_terms(terms: list, cleared: tuple) -> list:
     """phi^{-1} . R . phi on int coordinates: ``terms`` are D R cleared by
     ``operators._cleared``, R of weight zero, and ``cleared`` is phi and
-    its inverse as int columns (``(position, int)`` pairs) and their scale
-    E; the result is D E phi^{-1} R phi
+    its inverse as int columns (``(position, int)`` pairs), each F times
+    the rational one, and their factor F; the result is D F^2 phi^{-1} R phi
     cleared alike.  Column s is phi^{-1}(R(phi(e_s))), two sparse int
     products.
     """
@@ -324,7 +274,10 @@ def _conjugated_terms(terms: list, cleared: tuple) -> list:
 def closure_trial(op: Operator, rng: random.Random) -> bool:
     """One randomized closure check: scaling, then psi and flip conjugation,
     each on int coordinates cleared once from the instance as D R: (1/k) R
-    is D R times k's denominator, signed as k, over D |k's numerator|."""
+    is D R times k's denominator, signed as k, over D |k's numerator|, and
+    the flip relabels D R's slots.  psi is U_3's, so other sizes raise."""
+    if op.n != 3:
+        raise ValueError("closure trials are specific to U_3")
     k = _nonzero_fraction(rng, 9, 7)
     if op.weight:
         raise ValueError("scaling preserves the identity only at weight zero")
@@ -337,7 +290,8 @@ def closure_trial(op: Operator, rng: random.Random) -> bool:
     d, e = _nonzero_fraction(rng, 6, 4), rng.randint(-5, 5)
     if not rb(_conjugated_terms(terms, _cleared_psi(a, b, c, d, e))):
         return False
-    return rb(_conjugated_terms(terms, _cleared_theta(op.n)))
+    flip = _flip_slots(3)
+    return rb(sorted((flip[x], v) for x, v in terms))
 
 
 def _nonzero_fraction(rng: random.Random, num: int, den: int) -> Fraction:
@@ -746,22 +700,30 @@ def _search_psi(allow_scaling: bool):
     unknowns of ``_SEARCH_VARS`` (without ``k_scale`` when scaling is off).
     ``columns`` is psi read by ``_image_terms`` over ``table``: the cells
     of psi(e_idx) in order, each with its terms.  ``k`` is the exponent
-    vector of the scale (all zero when scaling is off), and ``relation`` is
-    ``u * alpha * delta * k - 1``, which makes ``u * alpha * k`` an exact
-    inverse of delta; ``t`` is the exponent vector of its monomial.
+    vector of the scale (all zero when scaling is off), ``relation`` is
+    t - 1, t = ``u * alpha * delta * k``, and ``t`` its exponent vector.
+    As u k is 1/(alpha delta) modulo the relation, each cell is the lex
+    normal form of u k adj(H) e_ij H (``_psi_conjugation``) modulo it.
     """
+    _psi_certificate()
     names = _SEARCH_VARS if allow_scaling else tuple(
         v for v in _SEARCH_VARS if v != "k_scale")
     table = VarTable(names)
     var = table.var
     one = MultiPoly.const(table, 1)
     k = var("k_scale") if allow_scaling else one
-    psi = _psi_columns(var("alpha"), var("beta"), var("gamma"), var("delta"),
-                       var("epsilon"), var("u_aux") * var("alpha") * k, one)
+    uk = var("u_aux") * k
+    t = uk * var("alpha") * var("delta")
+    relation = t - 1
+    side, _ = _psi_conjugation(*_psi_matrices(*map(var, (
+        "alpha", "beta", "gamma", "delta", "epsilon")), one))
+    idxs = basis_indices(3)
+    psi = {idx: UTMatrix._filtered(3, {
+        idxs[p]: normal_form(v * uk, [relation], lex())
+        for p, v in pairs}) for idx, pairs in zip(idxs, side)}
     columns = _image_terms(Operator(3, psi), table)
-    t = var("u_aux") * var("alpha") * var("delta") * k
     (k_mono,), (t_mono,) = k.terms, t.terms
-    return table, columns, k_mono, t - 1, t_mono
+    return table, columns, k_mono, relation, t_mono
 
 
 def _image_terms(op: Operator, params: VarTable) -> dict:

@@ -157,6 +157,12 @@ def test_verify_families_subset_and_unknown():
         verify_all(families=["R99"])
 
 
+def test_verify_rejects_an_empty_family_selection():
+    for jobs in (1, 2):
+        with pytest.raises(ValueError, match="at least one family"):
+            verify_all(samples=1, families=[], jobs=jobs)
+
+
 def test_named_families_are_built_alone(monkeypatch):
     import rbu3.catalog as catalog
     calls = []

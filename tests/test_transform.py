@@ -21,6 +21,8 @@ from rbu3.transform import (AutoParams, PsiStep, ThetaStep, UnitCertificate,
                             canonicalize_nilpotent, conjugate_operator,
                             find_conjugation, theta13)
 
+from reference import psi_columns
+
 
 def e(i, j):
     return UTMatrix.basis(3, i, j)
@@ -105,13 +107,11 @@ def test_a_wrong_inverse_is_refused():
 
 
 def test_theta_passes_the_map_check_as_its_own_inverse():
-    th = theta13()
-    assert th.inverse_columns() == th.columns
-    transform._check_map(th, UTMatrix.is_zero, "theta")
-    for n in (2, 4):
-        flip = theta13(n)
-        assert flip.inverse_columns() == flip.columns
-        transform._check_map(flip, UTMatrix.is_zero, "theta")
+    from rbu3.transform import AlgebraMap
+    for n in (3, 2, 4):
+        th = theta13(n)
+        assert th.inverse_columns() == th.columns
+        AlgebraMap(n, th.kind, th.columns, th.inverse_columns())
 
 
 # -- psi in closed form, certified by one symbolic proof ------------------------
@@ -153,10 +153,75 @@ def test_closed_form_inverse_matches_elimination(params):
         assert psi.apply(inverse.apply(e(*idx))) == e(*idx)
 
 
+@settings(derandomize=True, max_examples=150)
+@given(auto_params)
+def test_psi_and_its_inverse_are_the_reference_table(params):
+    """``build_psi``, read off conjugation by H, is the hand table, and its
+    inverse is the table at the inverse's parameters: the same entries in
+    the same order, all of them rationals."""
+    a, b, c, d, e = (params.alpha, params.beta, params.gamma, params.delta,
+                     params.epsilon)
+    one = Fraction(1)
+    psi = build_psi(params)
+    for got, expected in (
+            (psi.columns, psi_columns(a, b, c, d, e, 1 / d, one)),
+            (psi.inverse_columns(),
+             psi_columns(1 / a, -b / d, (b * e / d - c) / a, 1 / d,
+                         -e / (a * d), d, one))):
+        assert list(got) == list(expected)
+        for idx in basis_indices(3):
+            assert (list(got[idx].entries.items())
+                    == list(expected[idx].entries.items()))
+            assert all(type(v) is Fraction for v in got[idx].entries.values())
+
+
+@pytest.mark.parametrize("allow_scaling", [True, False])
+def test_the_search_psi_is_the_reference_table(allow_scaling):
+    """The search's psi, normal forms of u k adj(H) e_ij H, is the hand
+    table with u alpha k for 1/delta, term order included."""
+    table, columns = transform._search_psi(allow_scaling)[:2]
+    var = table.var
+    one = MultiPoly.const(table, 1)
+    k = var("k_scale") if allow_scaling else one
+    psi = psi_columns(var("alpha"), var("beta"), var("gamma"), var("delta"),
+                      var("epsilon"), var("u_aux") * var("alpha") * k, one)
+    expected = transform._image_terms(Operator(3, psi), table)
+    assert list(columns.items()) == list(expected.items())
+
+
 def test_psi_is_proved_before_it_is_handed_out():
     transform._psi_certificate.cache_clear()
     build_psi(AutoParams(alpha=2, delta=3))
     assert transform._psi_certificate.cache_info().currsize == 1
+    transform._search_psi.cache_clear()
+    transform._psi_certificate.cache_clear()
+    transform._search_psi(True)
+    assert transform._psi_certificate.cache_info().misses == 1
+
+
+def the_proof_fails(match):
+    transform._psi_certificate.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=match):
+            transform._psi_certificate()
+    finally:
+        transform._psi_certificate.cache_clear()
+
+
+@pytest.mark.parametrize("idx", basis_indices(3))
+@pytest.mark.parametrize("matrix", [0, 1])
+def test_a_wrong_h_or_adj_entry_fails_the_proof(matrix, idx, monkeypatch):
+    """psi's formulas are H (0) and adj(H) (1): one wrong entry of either
+    breaks adj(H) H = H adj(H) = det(H) 1."""
+    matrices = transform._psi_matrices
+
+    def wrong(*args):
+        result = matrices(*args)
+        result[matrix][idx] = result[matrix][idx] + args[-1]
+        return result
+
+    monkeypatch.setattr(transform, "_psi_matrices", wrong)
+    the_proof_fails(r"adj\(H\) is not det\(H\)")
 
 
 # psi sends e_ij into the span of the e_kl with k <= i and l >= j
@@ -166,21 +231,20 @@ PSI_CELLS = [(idx, cell) for idx in basis_indices(3)
 
 @pytest.mark.parametrize("idx, cell", PSI_CELLS)
 def test_a_wrong_psi_cell_fails_the_proof(idx, cell, monkeypatch):
-    columns = transform._psi_columns
+    """Every cell of det(H) psi, side 0 of the conjugation, is proved: the
+    corner of H added to any one of them fails the proof."""
+    conjugation = transform._psi_conjugation
+    idxs = basis_indices(3)
 
-    def wrong(*args):
-        result = columns(*args)
-        one = args[-1]
-        result[idx] = result[idx] + UTMatrix(3, {cell: one})
+    def wrong(h, adj):
+        result = conjugation(h, adj)
+        column = result[0][idxs.index(idx)]
+        column[:] = [(p, v + h[1, 1] if idxs[p] == cell else v)
+                     for p, v in column]
         return result
 
-    monkeypatch.setattr(transform, "_psi_columns", wrong)
-    transform._psi_certificate.cache_clear()
-    try:
-        with pytest.raises(ValueError, match="psi"):
-            transform._psi_certificate()
-    finally:
-        transform._psi_certificate.cache_clear()
+    monkeypatch.setattr(transform, "_psi_conjugation", wrong)
+    the_proof_fails("psi")
 
 
 @pytest.mark.parametrize("side", [0, 1])
@@ -189,18 +253,13 @@ def test_a_wrong_conjugation_by_h_fails_the_proof(side, monkeypatch):
     (side 1): one extra entry in either fails it."""
     conjugation = transform._psi_conjugation
 
-    def wrong(*args):
-        result = list(conjugation(*args))
-        result[side][4] = result[side][4] + [(0, args[-1])]
+    def wrong(h, adj):
+        result = list(conjugation(h, adj))
+        result[side][4] = result[side][4] + [(0, h[1, 1])]
         return tuple(result)
 
     monkeypatch.setattr(transform, "_psi_conjugation", wrong)
-    transform._psi_certificate.cache_clear()
-    try:
-        with pytest.raises(ValueError, match="conjugation by H"):
-            transform._psi_certificate()
-    finally:
-        transform._psi_certificate.cache_clear()
+    the_proof_fails("conjugation by H")
 
 
 def test_theta_is_one_shared_certified_involution():
@@ -285,11 +344,12 @@ def residual_entries(values, scale):
 @given(rational_operators(), NONZERO, RATIOS, RATIOS, NONZERO, RATIOS)
 def test_int_conjugation_equals_the_operator_path(op, a, b, c, d, e):
     terms, D = _cleared(op)
-    for phi, cleared in ((build_psi(AutoParams(a, b, c, d, e)),
-                          transform._cleared_psi(a, b, c, d, e)),
-                         (theta13(), transform._cleared_theta(3))):
-        scale = D * cleared[2]
-        conj = transform._conjugated_terms(terms, cleared)
+    cleared = transform._cleared_psi(a, b, c, d, e)
+    flip = transform._flip_slots(3)
+    for phi, conj, scale in (
+            (build_psi(AutoParams(a, b, c, d, e)),
+             transform._conjugated_terms(terms, cleared), D * cleared[2] ** 2),
+            (theta13(), sorted((flip[x], v) for x, v in terms), D)):
         oracle = conjugate_operator(op, phi)
         entries = {IDXS.index(src) * 6 + IDXS.index(pos): value
                    for src, image in oracle.columns.items()
@@ -313,14 +373,18 @@ def trial_draws(rng):
 @example(Fraction(-2, 3), Fraction(0), Fraction(0), Fraction(3, 4), Fraction(0))
 @example(Fraction(1), Fraction(1, 2), Fraction(0), Fraction(-1), Fraction(-3, 4))
 def test_the_int_psi_is_build_psi_times_its_scale(a, b, c, d, e):
-    """The cleared columns of psi and of its inverse are L^3 a d times
-    ``build_psi``'s, entry by entry, L the lcm of the parameters'
-    denominators, and the scale is the square of that factor."""
+    """The cleared columns of psi and of its inverse are L^3 a d times the
+    reference table's, entry by entry, L the lcm of the parameters'
+    denominators, and that factor is what ``_cleared_psi`` returns; a
+    conjugation by them is cleared by its square."""
     factor = math.lcm(*(x.denominator for x in (a, b, c, d, e))) ** 3 * a * d
-    columns, inverse, scale = transform._cleared_psi(a, b, c, d, e)
-    psi = build_psi(AutoParams(a, b, c, d, e))
-    assert scale == factor * factor
-    for side, oracle in ((columns, psi.columns), (inverse, psi.inverse_columns())):
+    columns, inverse, got = transform._cleared_psi(a, b, c, d, e)
+    assert got == factor and type(got) is int
+    one = Fraction(1)
+    psi = psi_columns(a, b, c, d, e, 1 / d, one)
+    psi_inverse = psi_columns(1 / a, -b / d, (b * e / d - c) / a, 1 / d,
+                              -e / (a * d), d, one)
+    for side, oracle in ((columns, psi), (inverse, psi_inverse)):
         assert len(side) == len(IDXS)
         for pairs, idx in zip(side, IDXS):
             assert all(type(v) is int for _, v in pairs)
@@ -335,7 +399,7 @@ def test_closure_trial_checks_each_residual_on_its_own_coordinates(op, seed):
     k, params = trial_draws(replay := random.Random(seed))
     psi, D = build_psi(params), _cleared(op)[1]
     psi_scale = transform._cleared_psi(params.alpha, params.beta, params.gamma,
-                                       params.delta, params.epsilon)[2]
+                                       params.delta, params.epsilon)[2] ** 2
     oracles = [(scale_operator(op, k), D * abs(k.numerator)),
                (conjugate_operator(op, psi), D * psi_scale),
                (conjugate_operator(op, theta13()), D)]
@@ -380,6 +444,15 @@ def test_closure_trial_fails_r13_and_refuses_a_weight():
     weighted = Operator(3, SPECIALIZED["R5"].columns, weight=1)
     with pytest.raises(ValueError, match="weight zero"):
         transform.closure_trial(weighted, random.Random(0))
+
+
+def test_closure_trial_refuses_an_operator_outside_u3():
+    """psi is U_3's: a Rota-Baxter operator of U_2 gets no trial, not a
+    reported failure."""
+    op = Operator.from_images({"e12": "e11"}, n=2)
+    assert rb_residual(op).is_zero()
+    with pytest.raises(ValueError, match="specific to U_3"):
+        transform.closure_trial(op, random.Random(0))
 
 
 AB = VarTable(["a", "b"])
@@ -877,7 +950,7 @@ def reference_generators(source, target, allow_scaling):
     var = table.var
     one = MultiPoly.const(table, 1)
     k = var("k_scale") if allow_scaling else one
-    psi_cols = transform._psi_columns(
+    psi_cols = psi_columns(
         var("alpha"), var("beta"), var("gamma"), var("delta"), var("epsilon"),
         var("u_aux") * var("alpha") * k, one)
 
