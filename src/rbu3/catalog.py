@@ -1,12 +1,15 @@
 """The weight-zero classification data for U_3 and its certification.
 
-Forty families R1..R40 are shipped as parametric operators exactly as
-displayed in the classification table; ``build_catalog`` certifies each one
-by computing its residual identically in the parameters.  The case driver
-replays the computational core: it regenerates the polynomial system of a
-case ansatz, computes a Groebner basis, certifies the quoted quadratic
-relations as ideal members, and substitutes the claimed solution families
-back into the unsimplified system.
+The paper's table is transcribed once, as the package's data files:
+``data/catalog.json`` holds the forty families R1..R40 as parametric
+operators exactly as displayed, and ``data/cases/*.json`` the case ansaetze of
+sections 4-7.  Each file is parsed once per process, and every entry or
+preset handed out is a new object.  ``build_catalog`` certifies each family
+by computing its residual identically in the parameters, so an edited file is
+checked, not trusted.  The case driver replays the computational core: it
+regenerates the polynomial system of a case ansatz, computes a Groebner
+basis, certifies the quoted quadratic relations as ideal members, and
+substitutes the claimed solution families back into the unsimplified system.
 
 Two shipped entries carry known defects of the source table, kept verbatim
 for transparency (see the README):
@@ -21,15 +24,17 @@ for transparency (see the README):
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
+from importlib.resources import files
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .matrices import UTMatrix, basis_indices, basis_name
-from .operators import (Ansatz, Operator, bvar_name, check_lemma3, failure_json,
+from .matrices import UTMatrix, basis_name
+from .operators import (Ansatz, Operator, check_lemma3, failure_json,
                         generate_system, rb_residual)
 from .poly import add_terms, write_json
 from .groebner import (GroebnerBasis, Limits, ResourceLimitExceeded,
@@ -52,78 +57,6 @@ __all__ = [
     "verify_all",
     "export_data",
 ]
-
-KAPPA_SIDE = "kappa != -1"
-
-# id -> (params, side conditions, provenance, images)
-_CATALOG_DEFS = {
-    "R1": (("c11_12", "c11_13", "c22_12", "c22_13", "c33_12", "c33_13",
-            "c23_12", "c23_13"), (), "sec2-example; sec4.1",
-           {"e11": "c11_12*e12 + c11_13*e13",
-            "e22": "c22_12*e12 + c22_13*e13",
-            "e33": "c33_12*e12 + c33_13*e13",
-            "e23": "c23_12*e12 + c23_13*e13"}),
-    "R2": (("c11_13", "c12_13", "c22_13", "c23_13", "c33_13"), (),
-           "sec2-example; sec4.1",
-           {"e11": "c11_13*e13", "e12": "c12_13*e13", "e22": "c22_13*e13",
-            "e23": "c23_13*e13", "e33": "c33_13*e13"}),
-    "R3": ((), (), "sec4.2", {"e12": "-e11", "e13": "e23"}),
-    "R4": ((), (), "sec4.2", {"e12": "e11", "e22": "-e23", "e33": "e23"}),
-    "R5": ((), (), "sec4.2", {"e12": "e11"}),
-    "R6": ((), (), "sec4.2", {"e13": "e11"}),
-    "R7": ((), (), "sec4.3", {"e13": "e12", "e23": "e22"}),
-    "R8": ((), (), "sec4.3", {"e23": "e22"}),
-    "R9": ((), (), "sec4.3", {"e11": "-e13", "e33": "e13", "e23": "e22"}),
-    "R10": ((), (), "sec4.4", {"e13": "e11 + e22"}),
-    "R11": ((), (), "sec4.4", {"e23": "e11 + e22"}),
-    "R12": ((), (), "sec4.4",
-            {"e23": "e11 + e22", "e11": "e12", "e22": "-e12"}),
-    "R13": ((), (), "sec4.4",
-            {"e13": "e12", "e23": "e11 + e22", "e11": "e13", "e22": "-e13"}),
-    "R14": ((), (), "sec4.4", {"e13": "e12", "e23": "e11 + e22"}),
-    "R15": ((), (), "sec4.5", {"e13": "-e23", "e12": "e11 + e33"}),
-    "R16": ((), (), "sec4.5",
-            {"e13": "-e23", "e12": "e11 + e33", "e11": "-e23", "e33": "e23"}),
-    "R17": ((), (), "sec4.5", {"e12": "e11 + e33"}),
-    "R18": ((), (), "sec4.5",
-            {"e12": "e11 + e33", "e11": "-e13", "e33": "e13"}),
-    "R19": ((), (), "sec4.6", {"e12": "e22", "e13": "e11 + e22"}),
-    "R20": ((), (), "sec4.6", {"e12": "e11", "e23": "e11 + e22"}),
-    "R21": ((), (), "sec4.6", {"e13": "e11", "e23": "e22"}),
-    "R22": ((), (), "sec4.7", {"e12": "e11 + e33", "e13": "e33"}),
-    "R23": ((), (), "sec4.7", {"e12": "e11", "e23": "e33"}),
-    "R24": ((), (), "sec4.7", {"e13": "e11", "e23": "e11 + e33"}),
-    "R25": ((), (), "sec5", {"e11": "e12", "e23": "e11 + e22"}),
-    "R26": (("kappa",), (KAPPA_SIDE,), "sec5",
-            {"e11": "kappa*e12", "e22": "e12", "e23": "e11 + e22"}),
-    "R27": ((), (), "sec5", {"e11": "e12", "e23": "e33"}),
-    "R28": (("kappa",), (KAPPA_SIDE,), "sec5",
-            {"e11": "kappa*e12", "e22": "e12", "e23": "e33"}),
-    "R29": ((), (), "sec5",
-            {"e33": "e12", "e13": "-e12", "e23": "e11 + e33"}),
-    "R30": ((), (), "sec5",
-            {"e11": "e12", "e33": "e12", "e13": "e12", "e23": "e22"}),
-    "R31": (("kappa",), (KAPPA_SIDE,), "sec6",
-            {"e11": "e13", "e33": "kappa*e13", "e23": "e11 + e33"}),
-    "R32": (("kappa",), (KAPPA_SIDE,), "sec6",
-            {"e11": "kappa*e13", "e33": "e13", "e23": "e11 + e33"}),
-    "R33": ((), (), "sec6", {"e11": "e13", "e23": "e22"}),
-    "R34": (("kappa",), (KAPPA_SIDE,), "sec6",
-            {"e11": "kappa*e13", "e23": "e22", "e33": "e13"}),
-    "R35": (("kappa",), (KAPPA_SIDE,), "sec6",
-            {"e11": "kappa*e13", "e33": "e13", "e23": "e22"}),
-    "R36": (("kappa",), (KAPPA_SIDE,), "sec6",
-            {"e11": "e13", "e33": "kappa*e13", "e12": "e22"}),
-    "R37": (("kappa",), (KAPPA_SIDE,), "sec6",
-            {"e11": "kappa*e13", "e33": "e13", "e12": "e22"}),
-    "R38": (("kappa",), (KAPPA_SIDE,), "sec6",
-            {"e11": "e13", "e33": "kappa*e13", "e12": "e11 + e33"}),
-    "R39": (("kappa",), (KAPPA_SIDE,), "sec6",
-            {"e11": "kappa*e13", "e33": "e13", "e12": "e11 + e33"}),
-    "R40": (("b", "f"), ("b, f free",), "sec7",
-            {"e12": "e13", "e11": "e12 + b*e13 + e23",
-             "e22": "f*e13 + e23", "e33": "-b*e13 - f*e13"}),
-}
 
 # The families with R^2 != 0, in catalog order.  The source's quoted list is
 # {R13, R29, R31, R32, R38, R39, R40}; it omits R25 and R26, which certify and
@@ -171,8 +104,24 @@ class CatalogEntry:
         return data
 
 
+@cache
+def _shipped(*parts: str):
+    """The package's data file ``data/<parts...>``, parsed once per process.
+    Callers copy what they hand out, so the parse is never mutated."""
+    path = files("rbu3") / "data"
+    for part in parts:
+        path = path / part
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+@cache
+def _families() -> dict:
+    """Family id -> its record in catalog.json, in catalog order."""
+    return {data["id"]: data for data in _shipped("catalog.json")["entries"]}
+
+
 def catalog_ids() -> list:
-    return list(_CATALOG_DEFS)
+    return list(_families())
 
 
 def build_catalog(strict: bool = True) -> list:
@@ -182,7 +131,7 @@ def build_catalog(strict: bool = True) -> list:
     residual aborts the build with :class:`CatalogError`.  The reporting
     paths use ``strict=False`` and read the per-entry certification flags.
     """
-    entries = [_build_entry(eid) for eid in _CATALOG_DEFS]
+    entries = [_build_entry(eid) for eid in catalog_ids()]
     failures = [(e.id, e.first_failure) for e in entries if not e.residual_zero]
     if strict and failures:
         raise CatalogError(failures)
@@ -191,9 +140,10 @@ def build_catalog(strict: bool = True) -> list:
 
 def _build_entry(eid: str) -> CatalogEntry:
     """One family, with its symbolic residual's verdict recorded."""
-    params, side, prov, images = _CATALOG_DEFS[eid]
-    op = Operator.from_images(images, n=3, params=params)
-    entry = CatalogEntry(eid, tuple(params), tuple(side), prov, op)
+    data = _families()[eid]
+    op = Operator.from_json(data)
+    entry = CatalogEntry(eid, tuple(data["params"]),
+                         tuple(data["side_conditions"]), data["provenance"], op)
     residual = rb_residual(op)
     entry.residual_zero = residual.is_zero()
     if not entry.residual_zero:
@@ -203,7 +153,7 @@ def _build_entry(eid: str) -> CatalogEntry:
 
 def get_entry(eid: str) -> CatalogEntry:
     """The family ``eid``, built and certified on its own."""
-    if eid not in _CATALOG_DEFS:
+    if eid not in _families():
         raise KeyError(f"unknown family id {eid!r}")
     return _build_entry(eid)
 
@@ -240,299 +190,31 @@ class CaseSpec:
         return {"schema": 1, **asdict(self)}
 
 
-def _cross(lefts, rights):
-    return tuple((l, r) for l in lefts for r in rights)
+# the order in which presets are listed; their file names sort otherwise
+_CASE_PRESETS = ("sec4.1", "sec4.2", "sec4.3", "sec5", "sec5-reduced",
+                 "sec5-sub2.1", "sec6", "sec7", "sec7-reduced")
 
 
-def _sec41() -> CaseSpec:
-    ansatz = Ansatz(3).fix_unit_image("0")
-    for name in ("e11", "e12", "e13", "e22", "e23", "e33"):
-        ansatz.restrict_span(name, ["e12", "e13", "e23"])
-    aliases = {"a": "b_12_13", "b": "b_12_23", "c": "b_23_12", "d": "b_23_13",
-               "e": "b_22_12", "f": "b_22_13", "g": "b_22_23",
-               "h": "b_33_12", "i": "b_33_13", "j": "b_33_23"}
-    relations = tuple((v,) for v in
-                      ("b_13_12", "b_13_13", "b_13_23", "b_12_12", "b_23_23"))
-    relations += _cross(("c", "e", "h"), ("a",))
-    relations += _cross(("c", "d", "e", "h"), ("b", "g", "j"))
-    solutions = (
-        CaseSolution("im-in-L(e12,e13)", ("c", "d", "e", "f", "h", "i"),
-                     {"e22": "e*e12 + f*e13", "e23": "c*e12 + d*e13",
-                      "e33": "h*e12 + i*e13",
-                      "e11": "-e*e12 - h*e12 - f*e13 - i*e13"},
-                     ("R1",)),
-        CaseSolution("im-in-L(e13)", ("a", "d", "f", "i"),
-                     {"e12": "a*e13", "e23": "d*e13", "e22": "f*e13",
-                      "e33": "i*e13", "e11": "-f*e13 - i*e13"},
-                     ("R2",)),
-        CaseSolution("im-in-L(e13,e23)", ("a", "b", "f", "g", "i", "j"),
-                     {"e12": "a*e13 + b*e23", "e22": "f*e13 + g*e23",
-                      "e33": "i*e13 + j*e23",
-                      "e11": "-f*e13 - i*e13 - g*e23 - j*e23"},
-                     ("R1",)),
-    )
-    return CaseSpec("sec4.1", "R(1) = 0, image nilpotent (15 unknowns)",
-                    tuple(ansatz.constraints), aliases, relations, solutions)
-
-
-def _sec42() -> CaseSpec:
-    constraints = Ansatz(3).fix_unit_image("0").fix_image("e11", "0").constraints
-    constraints += [
-        "b_12_22", "b_12_33", "b_12_12 + b_33_11",
-        "b_13_22", "b_13_33", "b_13_13 - b_33_11", "b_13_12 - b_23_11",
-        "b_23_22", "b_23_23", "b_23_33",
-        "b_33_22", "b_33_33",
-    ]
-    aliases = {"a": "b_33_11", "b": "b_33_12", "c": "b_33_13", "d": "b_33_23",
-               "e": "b_12_11", "f": "b_12_13", "g": "b_12_23",
-               "h": "b_13_12", "i": "b_23_12", "j": "b_23_13",
-               "k": "b_13_11", "l": "b_13_23"}
-    relations = _cross(("d", "g", "l"), ("a", "b", "h", "i", "j", "k"))
-    solutions = (
-        CaseSolution("opposite-corner-branch", ("e", "g"),
-                     {"e12": "e*e11 + g*e23", "e13": "-e*e23"},
-                     ("R3",)),
-        CaseSolution("split-diagonal-branch", ("e", "f", "d"),
-                     {"e12": "e*e11 + f*e13", "e33": "d*e23",
-                      "e22": "-d*e23"},
-                     ("R4",)),
-        CaseSolution("single-corner-branch", ("e", "f"),
-                     {"e12": "e*e11 + f*e13"},
-                     ("R5",)),
-        CaseSolution("rank-one-row-branch", ("s", "t"),
-                     {"e12": "s*e11 + s*t*e12 - s^2*t*e13",
-                      "e13": "e11 + t*e12 - s*t*e13",
-                      "e23": "t*e11 + t^2*e12 - s*t^2*e13",
-                      "e33": "-s*t*e11 - s*t^2*e12 + s^2*t^2*e13",
-                      "e22": "s*t*e11 + s*t^2*e12 - s^2*t^2*e13"},
-                     ("R6",)),
-    )
-    return CaseSpec("sec4.2", "R(1) = 0, semisimple part spanned by e11 "
-                              "(12 unknowns)",
-                    tuple(constraints), aliases, relations, solutions)
-
-
-def _sec43() -> CaseSpec:
-    constraints = Ansatz(3).fix_unit_image("0").fix_image("e22", "0").constraints
-    constraints += [
-        "b_12_11", "b_12_12", "b_12_33",
-        "b_13_11", "b_13_13", "b_13_22", "b_13_33",
-        "b_23_11", "b_23_23", "b_23_33",
-        "b_33_11", "b_33_22", "b_33_33",
-    ]
-    aliases = {"a": "b_33_12", "b": "b_33_13", "c": "b_33_23",
-               "d": "b_12_13", "e": "b_12_22", "f": "b_12_23",
-               "h": "b_23_22", "i": "b_23_12", "j": "b_23_13",
-               "k": "b_13_12", "l": "b_13_23"}
-    relations = _cross(("a", "h", "i", "k"), ("c", "d", "e", "f", "l"))
-    solutions = (
-        CaseSolution("matched-pair-branch", ("a", "k"),
-                     {"e13": "k*e12", "e23": "k*e22",
-                      "e11": "-a*e12", "e33": "a*e12"},
-                     ("R7",)),
-        CaseSolution("middle-image-branch", ("b", "i", "h"),
-                     {"e23": "i*e12 + h*e22",
-                      "e11": "-b*e13", "e33": "b*e13"},
-                     ("R8", "R9")),
-    )
-    return CaseSpec("sec4.3", "R(1) = 0, semisimple part spanned by e22 "
-                              "(11 unknowns)",
-                    tuple(constraints), aliases, relations, solutions)
-
-
-_SEC5_ALIASES = {"a": "b_22_12", "b": "b_22_13", "c": "b_33_12", "d": "b_33_13",
-                 "f": "b_23_11", "g": "b_23_12", "h": "b_23_13",
-                 "i": "b_23_22", "j": "b_23_33"}
-
-_SEC5_SOLUTIONS = (
-    CaseSolution("j-zero-branch", ("a", "f", "h"),
-                 {"e11": "e12 - a*e12", "e22": "a*e12",
-                  "e23": "f*e11 + h*e13 + f*e22"},
-                 ("R25", "R26")),
-    CaseSolution("f-zero-branch", ("a", "h", "j"),
-                 {"e11": "e12 - a*e12", "e22": "a*e12",
-                  "e23": "h*e13 + j*e33"},
-                 ("R27", "R28")),
-    CaseSolution("f-equals-j-branch", ("c", "f"),
-                 {"e11": "e12 - c*e12", "e33": "c*e12", "e13": "-f*e12",
-                  "e23": "f*e11 + f*e33"},
-                 ("R29",)),
-    CaseSolution("i-invertible-branch", ("c", "i"),
-                 {"e11": "e12 - c*e12", "e33": "c*e12", "e13": "i*e12",
-                  "e23": "i*e22"},
-                 ("R30",)),
-    CaseSolution("im-in-L(e12,e13)", ("a", "b", "c", "d", "g", "h"),
-                 {"e11": "e12 - a*e12 - c*e12 - b*e13 - d*e13",
-                  "e22": "a*e12 + b*e13", "e33": "c*e12 + d*e13",
-                  "e23": "g*e12 + h*e13"},
-                 ("R1",)),
-)
-
-_SEC5_QUADS = _cross(("f", "j"), ("b", "d", "g"))
-
-
-def _sec5() -> CaseSpec:
-    constraints = Ansatz(3).fix_unit_image("e12").constraints
-    relations = tuple((bvar_name((1, 2), dst),) for dst in basis_indices(3))
-    relations += tuple((v,) for v in
-                       ("b_22_11", "b_22_22", "b_22_23", "b_22_33",
-                        "b_33_11", "b_33_22", "b_33_23", "b_33_33",
-                        "b_13_11", "b_13_13", "b_13_22", "b_13_23", "b_13_33",
-                        "b_13_12 - b_23_22 + b_23_11", "b_23_23"))
-    relations += _SEC5_QUADS
-    return CaseSpec("sec5", "R(1) = e12 (full 30-unknown system)",
-                    tuple(constraints), _SEC5_ALIASES, relations,
-                    _SEC5_SOLUTIONS)
-
-
-def _sec5_reduced_constraints() -> list:
-    ansatz = (Ansatz(3).fix_unit_image("e12").fix_image("e12", "0")
-              .restrict_span("e22", ["e12", "e13"])
-              .restrict_span("e33", ["e12", "e13"])
-              .restrict_span("e13", ["e12"]))
-    return ansatz.constraints + ["b_13_12 - b_23_22 + b_23_11", "b_23_23"]
-
-
-def _sec5_reduced() -> CaseSpec:
-    return CaseSpec("sec5-reduced",
-                    "R(1) = e12 after the stated linear reductions (9 unknowns)",
-                    tuple(_sec5_reduced_constraints()), _SEC5_ALIASES,
-                    _SEC5_QUADS, _SEC5_SOLUTIONS)
-
-
-def _sec5_sub21() -> CaseSpec:
-    constraints = _sec5_reduced_constraints() + ["b_23_11", "b_23_33"]
-    relations = tuple((letter,) for letter in ("a", "b", "d", "g", "h"))
-    return CaseSpec("sec5-sub2.1",
-                    "R(1) = e12, f = j = 0, with i forced invertible",
-                    tuple(constraints), _SEC5_ALIASES, relations,
-                    (_SEC5_SOLUTIONS[3],), localize="i")
-
-
-_SEC6_ALIASES = {"a": "b_22_11", "b": "b_22_12", "c": "b_22_13",
-                 "d": "b_22_22", "e": "b_22_23", "f": "b_33_11",
-                 "g": "b_33_12", "h": "b_33_13", "i": "b_33_22",
-                 "j": "b_33_23", "p": "b_12_11", "r": "b_12_13",
-                 "s": "b_12_22", "t": "b_12_23", "k": "b_23_11",
-                 "l": "b_23_12", "m": "b_23_13", "n": "b_23_22"}
-
-
-def _sec6() -> CaseSpec:
-    constraints = Ansatz(3).fix_unit_image("e13").fix_image("e13", "0").constraints
-    constraints += [
-        "b_22_33 - b_22_11",
-        "b_33_33 - b_33_11",
-        "b_12_33 - b_12_11",
-        "b_23_33 - b_23_11",
-        "b_12_12 - b_22_11 + b_22_22 - b_33_11 + b_33_22",
-        "b_23_23 - b_33_22 + b_33_11",
-    ]
-    relations = _cross(("f", "i", "g", "k", "l", "n"),
-                       ("a + f", "d + i", "e + j", "p", "r", "s", "t"))
-    solutions = (
-        CaseSolution("im-in-L(e12,e13)", ("b", "c", "g", "h", "l", "m"),
-                     {"e22": "b*e12 + c*e13", "e33": "g*e12 + h*e13",
-                      "e23": "l*e12 + m*e13",
-                      "e11": "e13 - b*e12 - g*e12 - c*e13 - h*e13"},
-                     ("R1",)),
-        CaseSolution("im-in-L(e13)", ("c", "h", "r", "m"),
-                     {"e11": "e13 - c*e13 - h*e13", "e22": "c*e13",
-                      "e33": "h*e13", "e12": "r*e13", "e23": "m*e13"},
-                     ("R2",)),
-        CaseSolution("e22-image-branch", ("h", "l", "n"),
-                     {"e11": "e13 - h*e13", "e33": "h*e13",
-                      "e23": "l*e12 + n*e22"},
-                     ("R33", "R34", "R35")),
-        CaseSolution("im-in-L(e13,e23)", ("c", "e", "h", "j", "r", "t"),
-                     {"e11": "e13 - c*e13 - h*e13 - e*e23 - j*e23",
-                      "e22": "c*e13 + e*e23", "e33": "h*e13 + j*e23",
-                      "e12": "r*e13 + t*e23"},
-                     ("R1",)),
-    )
-    return CaseSpec("sec6",
-                    "R(1) = e13 after the stated linear reductions (18 unknowns)",
-                    tuple(constraints), _SEC6_ALIASES, relations, solutions)
-
-
-_SEC7_SOLUTIONS = (
-    CaseSolution("lower-branch", ("b", "f"),
-                 {"e12": "1/2*e13", "e11": "e12 + b*e13 + 1/2*e23",
-                  "e22": "f*e13 + 1/2*e23", "e33": "-b*e13 - f*e13"},
-                 ("R40",)),
-    CaseSolution("upper-branch", ("b", "f"),
-                 {"e23": "1/2*e13", "e33": "e23 + b*e13 + 1/2*e12",
-                  "e22": "f*e13 + 1/2*e12", "e11": "-b*e13 - f*e13"},
-                 ("R40",)),
-)
-
-_SEC7_UNIT_SQUARE = (
-    ("2*b_12_11 + 2*b_23_11",),
-    ("2*b_12_12 + 2*b_23_12",),
-    ("2*b_12_13 + 2*b_23_13 - 1",),
-    ("2*b_12_22 + 2*b_23_22",),
-    ("2*b_12_23 + 2*b_23_23",),
-    ("2*b_12_33 + 2*b_23_33",),
-)
-
-# The source table prints the linear relation with the opposite sign
-# (b_11_12 - b_33_23 + 1).  That variant cannot vanish on this case's
-# solution set: the flip antiautomorphism stabilizes the case and swaps
-# b_11_12 with b_33_23, and the displayed solution itself has
-# b_11_12 = 1, b_33_23 = 0.  The symmetric form below is the one that
-# certifies; tests/test_cases.py checks both variants explicitly.
-_SEC7_HEADLINE = (
-    ("b_11_12 + b_33_23 - 1",),
-    ("b_33_23^2 - b_33_23",),
-)
-
-_SEC7_PRINTED_LINEAR = "b_11_12 - b_33_23 + 1"
-
-
-def _sec7() -> CaseSpec:
-    constraints = Ansatz(3).fix_unit_image("e12 + e23").constraints
-    return CaseSpec("sec7", "R(1) = e12 + e23 (full 30-unknown system)",
-                    tuple(constraints), {},
-                    _SEC7_UNIT_SQUARE + _SEC7_HEADLINE, _SEC7_SOLUTIONS,
-                    notes="the linear relation is certified in the "
-                          "flip-symmetric orientation; the printed variant "
-                          "b_11_12 - b_33_23 + 1 provably does not vanish "
-                          "on the solution set")
-
-
-def _sec7_reduced() -> CaseSpec:
-    constraints = Ansatz(3).fix_unit_image("e12 + e23").constraints
-    constraints += [r[0] for r in _SEC7_UNIT_SQUARE]
-    return CaseSpec("sec7-reduced",
-                    "R(1) = e12 + e23 with the unit-square reduction imposed "
-                    "(24 unknowns)",
-                    tuple(constraints), {}, _SEC7_HEADLINE, _SEC7_SOLUTIONS,
-                    notes="the imposed linear relations are certified against "
-                          "the full case by unit_square_certificate('sec7')")
-
-
-_CASE_BUILDERS = {
-    "sec4.1": _sec41,
-    "sec4.2": _sec42,
-    "sec4.3": _sec43,
-    "sec5": _sec5,
-    "sec5-reduced": _sec5_reduced,
-    "sec5-sub2.1": _sec5_sub21,
-    "sec6": _sec6,
-    "sec7": _sec7,
-    "sec7-reduced": _sec7_reduced,
-}
+def _case_file(name: str) -> str:
+    return f"{name.replace('.', '_')}.json"
 
 
 def case_preset_names() -> list:
-    return list(_CASE_BUILDERS)
+    return list(_CASE_PRESETS)
 
 
 def case_preset(name: str) -> CaseSpec:
-    builder = _CASE_BUILDERS.get(name)
-    if builder is None:
+    """A new ``CaseSpec`` of the preset ``name``, read from its data file."""
+    if name not in _CASE_PRESETS:
         raise KeyError(f"unknown case preset {name!r}; "
-                       f"presets: {', '.join(_CASE_BUILDERS)}")
-    return builder()
+                       f"presets: {', '.join(_CASE_PRESETS)}")
+    data = _shipped("cases", _case_file(name))
+    solutions = tuple(CaseSolution(s["name"], tuple(s["params"]), dict(s["images"]),
+                                   tuple(s["resolves_to"]))
+                      for s in data["solutions"])
+    return CaseSpec(data["name"], data["title"], tuple(data["constraints"]),
+                    dict(data["aliases"]), tuple(map(tuple, data["relations"])),
+                    solutions, data["localize"], data["notes"])
 
 
 @dataclass
@@ -714,19 +396,22 @@ def _certify_membership(factors, text, claim, gb, limits) -> MembershipResult:
 def unit_square_certificate(case_name: str = "sec7") -> bool:
     """Certify the unit-square linear relations as explicit ideal members.
 
-    Summing the residual cells over all diagonal basis pairs gives
-    R(1)^2 - 2 R(R(1)) as an explicit rational combination of the case
+    The claims are the constraints that ``sec7-reduced`` imposes beyond
+    ``sec7``'s.  Summing the residual cells over all diagonal basis pairs
+    gives R(1)^2 - 2 R(R(1)) as an explicit rational combination of the case
     generators; with R(1) = e12 + e23 its components are exactly the claimed
     relations 2(R(e12) + R(e23)) = e13, so membership holds by construction.
     """
+    full = case_preset("sec7").constraints
+    claims = [c for c in case_preset("sec7-reduced").constraints if c not in full]
     spec = case_preset(case_name)
     _, shape = generate_system(spec.ansatz())
     residual = rb_residual(shape.operator).entries
     total = add_terms({}, ((pos, value) for ((u, v), pos), value in residual.items()
                            if u[0] == u[1] and v[0] == v[1]))
     # each claim is, up to sign, one component of the sum
-    return all(-shape.expand(factors[0], spec.aliases) in total.values()
-               for factors in _SEC7_UNIT_SQUARE)
+    return bool(claims) and all(-shape.expand(claim, spec.aliases) in total.values()
+                                for claim in claims)
 
 
 # -- whole-catalog verification ---------------------------------------------------
@@ -859,7 +544,7 @@ def verify_all(samples: int = 0, families: Sequence[str] | None = None,
         raise ValueError(f"samples must be at least 0, not {samples}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
-    wanted = list(_CATALOG_DEFS)
+    wanted = catalog_ids()
     if families is not None:
         families = set(families)
         if not families:
@@ -883,7 +568,8 @@ def verify_all(samples: int = 0, families: Sequence[str] | None = None,
 
 
 def export_data(root) -> list:
-    """Write catalog.json, the case presets, and sample operator files."""
+    """Write catalog.json, the case presets, and sample operator files: the
+    package's data files, round-tripped through what was loaded from them."""
     root = Path(root)
     written = []
     root.mkdir(parents=True, exist_ok=True)
@@ -894,7 +580,7 @@ def export_data(root) -> list:
     cases_dir = root / "cases"
     cases_dir.mkdir(exist_ok=True)
     for name in case_preset_names():
-        path = cases_dir / f"{name.replace('.', '_')}.json"
+        path = cases_dir / _case_file(name)
         write_json(path, case_preset(name).to_json())
         written.append(path)
     ops_dir = root / "operators"

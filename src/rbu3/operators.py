@@ -65,6 +65,8 @@ class Operator:
 
     def __init__(self, n: int, columns: Mapping[BasisIndex, UTMatrix] | None = None,
                  weight=Fraction(0)):
+        if n < 1:
+            raise ValueError("algebra size must be at least 1")
         self.n = n
         try:
             self.weight = as_fraction(weight)
@@ -357,9 +359,9 @@ class Ansatz:
     """Linear shape constraints for a symbolic operator.
 
     ``constraints`` are linear polynomial strings over the ``b_ij_kl``
-    unknowns (constant terms allowed), each required to vanish.  The helper
-    constructors below cover the usual shapes: fixing a whole image, fixing
-    R(1), or restricting an image to a span of basis elements.
+    unknowns (the ``e_kl`` coordinate of ``R(e_ij)``; constant terms
+    allowed), each required to vanish.  The case presets' data files and
+    ansatz files list them as such strings.
     """
 
     n: int = 3
@@ -375,34 +377,6 @@ class Ansatz:
     def all_bvars(self) -> list:
         idxs = basis_indices(self.n)
         return [bvar_name(s, d) for s in idxs for d in idxs]
-
-    def fix_image(self, name: str, matrix_text: str) -> "Ansatz":
-        """Constrain R(e_name) to the given rational matrix."""
-        idx = name_to_index(name, self.n)
-        target = parse_matrix(matrix_text, self.n)
-        for dst in basis_indices(self.n):
-            value = target.entries.get(dst, Fraction(0))
-            self.constraints.append(f"{bvar_name(idx, dst)} - {value}"
-                                    if value else bvar_name(idx, dst))
-        return self
-
-    def fix_unit_image(self, matrix_text: str) -> "Ansatz":
-        """Constrain R(1) = R(e11) + ... + R(enn) to the given matrix."""
-        target = parse_matrix(matrix_text, self.n)
-        for dst in basis_indices(self.n):
-            terms = " + ".join(bvar_name((i, i), dst) for i in range(1, self.n + 1))
-            value = target.entries.get(dst, Fraction(0))
-            self.constraints.append(f"{terms} - {value}" if value else terms)
-        return self
-
-    def restrict_span(self, name: str, allowed: Sequence[str]) -> "Ansatz":
-        """Force R(e_name) into the span of the listed basis elements."""
-        idx = name_to_index(name, self.n)
-        allowed_idx = {name_to_index(a, self.n) for a in allowed}
-        for dst in basis_indices(self.n):
-            if dst not in allowed_idx:
-                self.constraints.append(bvar_name(idx, dst))
-        return self
 
 
 @dataclass

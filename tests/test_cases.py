@@ -13,8 +13,10 @@ from rbu3.catalog import (case_preset, case_preset_names, run_case,
 from rbu3.groebner import (GroebnerBasis, Limits, PolySystem, buchberger,
                            normal_form)
 from rbu3.matrices import basis_indices
-from rbu3.operators import Ansatz, bvar_name, generate_system, rb_residual
+from rbu3.operators import bvar_name, generate_system, rb_residual
 from rbu3.poly import MultiPoly, VarTable
+
+from reference import ShapeAnsatz, preset_shapes
 
 FAST = Limits(max_pairs=100000, deadline=240.0)
 
@@ -35,6 +37,13 @@ GB_COUNTERS = {
 }
 
 REF_CASES = pathlib.Path(__file__).parent.parent / "perfbench" / "ref" / "cases.json"
+
+# The source table prints sec7's linear relation with the opposite sign.
+# That variant cannot vanish on the case's solution set: the flip
+# antiautomorphism stabilizes the case and swaps b_11_12 with b_33_23, and
+# the displayed solution itself has b_11_12 = 1, b_33_23 = 0.  The preset
+# carries the symmetric form, the one that certifies.
+SEC7_PRINTED_LINEAR = "b_11_12 - b_33_23 + 1"
 
 
 def gb_counters(stats):
@@ -165,11 +174,10 @@ def test_sec7_printed_linear_variant_provably_fails():
     orientation: b_11_12 - b_33_23 + 1 does not vanish on the case's
     solution set (the flip swaps b_11_12 and b_33_23, and the displayed
     solution has b_11_12 = 1, b_33_23 = 0).  The symmetric form does."""
-    from rbu3.catalog import _SEC7_PRINTED_LINEAR
     spec = case_preset("sec7")
     system, shape = generate_system(spec.ansatz())
     gb = buchberger(system, FAST)
-    printed = shape.expand(_SEC7_PRINTED_LINEAR)
+    printed = shape.expand(SEC7_PRINTED_LINEAR)
     corrected = shape.expand("b_11_12 + b_33_23 - 1")
     # corrected form: some power falls into the ideal
     assert normal_form(corrected * corrected, gb.basis, system.order).is_zero()
@@ -191,10 +199,31 @@ def test_sec7_unit_square_certificate():
 
 
 def test_unit_square_certificate_refuses_a_perturbed_claim(monkeypatch):
-    claims = list(catalog._SEC7_UNIT_SQUARE)
-    claims[2] = ("2*b_12_13 + 2*b_23_13 - 2",)
-    monkeypatch.setattr(catalog, "_SEC7_UNIT_SQUARE", tuple(claims))
+    """The claims are what sec7-reduced imposes beyond sec7; one claim's
+    constant changed makes the certificate fail."""
+    loaded = catalog.case_preset
+
+    def perturbed(name):
+        spec = loaded(name)
+        if name != "sec7-reduced":
+            return spec
+        constraints = list(spec.constraints)
+        index = constraints.index("2*b_12_13 + 2*b_23_13 - 1")
+        constraints[index] = "2*b_12_13 + 2*b_23_13 - 2"
+        return replace(spec, constraints=tuple(constraints))
+
+    monkeypatch.setattr(catalog, "case_preset", perturbed)
     assert not unit_square_certificate("sec7")
+
+
+@pytest.mark.parametrize("name", case_preset_names())
+def test_preset_shape_is_the_reference_derivation(name):
+    """Each shipped preset's constraints and relations equal those derived
+    from its section's ansatz description in ``tests/reference.py``."""
+    spec = case_preset(name)
+    constraints, relations = preset_shapes()[name]
+    assert spec.constraints == constraints
+    assert spec.relations == relations
 
 
 def test_solutions_are_certified_families():
@@ -297,7 +326,7 @@ def test_extra_branch_of_the_pm_e13_family_is_empty():
     R(e23) = e11 + e22 + s e12 admits no solution with R(e22) != 0: every
     coordinate of R(e22) lies in the case ideal.  (This refutes the branch
     that the shipped R13 display was copied from.)"""
-    ansatz = Ansatz(3).fix_unit_image("0")
+    ansatz = ShapeAnsatz(3).fix_unit_image("0")
     ansatz.fix_image("e33", "0")
     ansatz.fix_image("e12", "0")
     ansatz.fix_image("e13", "e12")
@@ -383,7 +412,7 @@ def test_solution_checks_on_a_spec_with_a_fractional_constraint():
     """Beside R(e12) in the span of e11, e12, e13 with 2 b_12_11 = 1 and
     every other image zero: one solution breaks only that constraint, and
     one meets every constraint but not the identity."""
-    ansatz = Ansatz(3, constraints=["2*b_12_11 - 1"])
+    ansatz = ShapeAnsatz(3, constraints=["2*b_12_11 - 1"])
     ansatz.restrict_span("e12", ["e11", "e12", "e13"])
     for name in ("e11", "e13", "e22", "e23", "e33"):
         ansatz.fix_image(name, "0")

@@ -1,13 +1,15 @@
 """The family catalog: certification, indices, dimensions, verification report."""
 
+import pathlib
 import random
 from fractions import Fraction
+from importlib.resources import files
 
 import pytest
 
 from rbu3 import catalog
 from rbu3.catalog import (CatalogError, EXPECTED_R2_NONZERO, build_catalog,
-                          catalog_ids, export_data, verify_all)
+                          case_preset, catalog_ids, export_data, verify_all)
 from rbu3.matrices import UTMatrix, parse_matrix
 from rbu3.operators import Operator, rb_residual
 
@@ -242,15 +244,42 @@ def test_unit_column_consistency():
 
 
 def test_export_matches_shipped_data(tmp_path):
-    import pathlib
+    """``export-data`` writes back, byte for byte, the package's data files,
+    read here through ``importlib.resources``."""
     written = export_data(tmp_path)
-    shipped = pathlib.Path(__file__).resolve().parent.parent / "data"
+    assert len(written) == 12
     for path in written:
         rel = pathlib.Path(path).relative_to(tmp_path)
-        with open(path) as fh:
-            fresh = fh.read()
-        with open(shipped / rel) as fh:
-            assert fh.read() == fresh, f"stale shipped file: {rel}"
+        shipped = files("rbu3") / "data"
+        for part in rel.parts:
+            shipped = shipped / part
+        fresh = pathlib.Path(path).read_text(encoding="utf-8")
+        assert shipped.read_text(encoding="utf-8") == fresh, f"stale shipped file: {rel}"
+
+
+def test_returned_entries_and_presets_are_new_objects():
+    """Mutating what the loader returned leaves the next call's result
+    unchanged: the parsed files are cached, the values handed out are not."""
+    spec = case_preset("sec5")
+    before = spec.to_json()  # a deep copy
+    spec.aliases["a"] = "b_11_11"
+    spec.solutions[0].images["e11"] = "e33"
+    assert case_preset("sec5").to_json() == before
+    entry = catalog.get_entry("R26")
+    before = entry.operator.to_json()
+    entry.operator.columns[(1, 1)] = UTMatrix.basis(3, 1, 1)
+    del entry.operator.columns[(2, 2)]
+    assert catalog.get_entry("R26").operator.to_json() == before
+    assert before["images"].keys() == {"e11", "e22", "e23"}
+
+
+def test_r34_and_r35_are_the_same_family_as_transcribed():
+    """A defect of the table as transcribed: R34 and R35 have the same
+    images and the same side condition, so one of them is not the paper's
+    form.  R35's true form is open, and the data is left as it is."""
+    r34, r35 = catalog.get_entry("R34"), catalog.get_entry("R35")
+    assert r34.operator == r35.operator
+    assert r34.side_conditions == r35.side_conditions == ("kappa != -1",)
 
 
 def test_verify_all_rb_index_agrees_with_direct_powers():

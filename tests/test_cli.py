@@ -13,7 +13,7 @@ from rbu3.catalog import build_catalog, verify_all
 from rbu3.operators import Operator
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-DATA = ROOT / "data"
+DATA = ROOT / "src" / "rbu3" / "data"
 
 
 def test_python_dash_m_runs_the_cli():
@@ -397,6 +397,17 @@ def test_rb_index_rejects_cap_below_one(tmp_path, capsys):
         _rejected_with_nothing_written(
             ["rb-index", str(DATA / "operators" / "r40.json"), "--cap", cap],
             tmp_path, capsys, f"cap must be at least 1, not {cap}")
+
+
+def test_an_algebra_size_below_one_exits_2_with_no_verdict(tmp_path, capsys):
+    for n in (-2, 0):
+        path = tmp_path / f"size{n}.json"
+        path.write_text(json.dumps({"n": n, "weight": "0", "params": [],
+                                    "images": {}}))
+        for command in (["check"], ["rb-index"], ["conjugate", "--theta"]):
+            argv = [command[0], str(path), *command[1:]]
+            _rejected_with_nothing_written(argv, tmp_path, capsys,
+                                           "algebra size must be at least 1")
 
 
 def test_gb_rejects_elim_without_the_elim_order(tmp_path, capsys):

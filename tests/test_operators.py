@@ -15,7 +15,7 @@ from rbu3.operators import (Ansatz, ContradictoryAnsatz, Operator, bvar_name,
 from rbu3.poly import MultiPoly, VarTable, as_fraction, grevlex
 from rbu3.transform import AutoParams, Witness
 
-from reference import leading
+from reference import ShapeAnsatz, leading
 
 
 def e(i, j):
@@ -95,7 +95,7 @@ def test_operator_json_round_trip(tmp_path):
 
 
 def test_generate_system_fixed_rb_operator_is_empty():
-    ansatz = Ansatz(3)
+    ansatz = ShapeAnsatz(3)
     for name, text in (("e11", "0"), ("e12", "e11"), ("e13", "0"),
                        ("e22", "0"), ("e23", "0"), ("e33", "0")):
         ansatz.fix_image(name, text)
@@ -105,7 +105,7 @@ def test_generate_system_fixed_rb_operator_is_empty():
 
 
 def test_generate_system_fixed_non_rb_operator_is_inconsistent():
-    ansatz = Ansatz(3)
+    ansatz = ShapeAnsatz(3)
     for (i, j) in basis_indices(3):
         ansatz.fix_image(f"e{i}{j}", f"e{i}{j}")  # the identity map
     system, _ = generate_system(ansatz)
@@ -113,7 +113,7 @@ def test_generate_system_fixed_non_rb_operator_is_inconsistent():
 
 
 def test_generate_system_nilpotent_image_case_has_15_unknowns():
-    ansatz = Ansatz(3).fix_unit_image("0")
+    ansatz = ShapeAnsatz(3).fix_unit_image("0")
     for name in ("e11", "e12", "e13", "e22", "e23", "e33"):
         ansatz.restrict_span(name, ["e12", "e13", "e23"])
     system, _ = generate_system(ansatz)
@@ -123,7 +123,7 @@ def test_generate_system_nilpotent_image_case_has_15_unknowns():
 
 def test_generate_system_r1_e12_e23_contains_the_branch_quadratic():
     # fully symbolic apart from R(1) = e12 + e23
-    system, shape = generate_system(Ansatz(3).fix_unit_image("e12 + e23"))
+    system, shape = generate_system(ShapeAnsatz(3).fix_unit_image("e12 + e23"))
     assert len(system.table) == 30
     from rbu3.groebner import buchberger, normal_form
     gb = buchberger(system)
@@ -172,7 +172,7 @@ def random_ansatz(rng, n, weight):
     consistent."""
     names = [basis_name(idx) for idx in basis_indices(n)]
     while True:
-        ansatz = Ansatz(n, weight)
+        ansatz = ShapeAnsatz(n, weight)
         for name in names:  # at most three unknowns per image
             ansatz.restrict_span(name, rng.sample(names, rng.randint(1, 3)))
         fixed = rng.choice(names)
@@ -206,7 +206,7 @@ def test_random_ansatz_generators_match_the_symbolic_route(n, weight):
 def test_a_constant_residual_entry_gives_the_unit_ideal(weight):
     # R(e11) = 2 e11: the residual at (e11, e11) is the nonzero constant
     # (4 - 8 - 2 lambda) e11, beside quadratic entries in the free images
-    ansatz = Ansatz(3, weight).fix_image("e11", "2*e11")
+    ansatz = ShapeAnsatz(3, weight).fix_image("e11", "2*e11")
     for name in ("e12", "e22"):
         ansatz.restrict_span(name, ["e12", "e22"])
     system = assert_generators_match_the_symbolic_route(ansatz)
