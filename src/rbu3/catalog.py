@@ -28,7 +28,7 @@ import json
 import random
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, partial, reduce
 from importlib.resources import files
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 from .matrices import UTMatrix, basis_name
 from .operators import (Ansatz, Operator, check_lemma3, failure_json,
                         generate_system, rb_residual)
-from .poly import add_terms, write_json
+from .poly import add_terms
 from .groebner import (GroebnerBasis, Limits, ResourceLimitExceeded,
                        autoreduce, buchberger)
 from .transform import closure_trial
@@ -97,21 +97,16 @@ class CatalogEntry:
                       for name in self.params}
         return self.operator.substitute_params(values)
 
-    def to_json(self) -> dict:
-        data = self.operator.to_json()
-        data.update({"id": self.id, "provenance": self.provenance,
-                     "side_conditions": list(self.side_conditions)})
-        return data
+
+def _data(*parts: str):
+    """The package's data file ``data/<parts...>``, joined one segment at a time."""
+    return reduce(lambda path, part: path / part, parts, files("rbu3") / "data")
 
 
 @cache
 def _shipped(*parts: str):
-    """The package's data file ``data/<parts...>``, parsed once per process.
-    Callers copy what they hand out, so the parse is never mutated."""
-    path = files("rbu3") / "data"
-    for part in parts:
-        path = path / part
-    return json.loads(path.read_text(encoding="utf-8"))
+    """``_data(*parts)``, parsed once; callers copy what they hand out."""
+    return json.loads(_data(*parts).read_text(encoding="utf-8"))
 
 
 @cache
@@ -185,9 +180,6 @@ class CaseSpec:
 
     def ansatz(self) -> Ansatz:
         return Ansatz(3, Fraction(0), list(self.constraints))
-
-    def to_json(self) -> dict:
-        return {"schema": 1, **asdict(self)}
 
 
 # the order in which presets are listed; their file names sort otherwise
@@ -393,8 +385,8 @@ def _certify_membership(factors, text, claim, gb, limits) -> MembershipResult:
     return MembershipResult(factors, text, None, False, "undecided")
 
 
-def unit_square_certificate(case_name: str = "sec7") -> bool:
-    """Certify the unit-square linear relations as explicit ideal members.
+def unit_square_certificate() -> bool:
+    """Certify the unit-square linear relations of sec7 as explicit ideal members.
 
     The claims are the constraints that ``sec7-reduced`` imposes beyond
     ``sec7``'s.  Summing the residual cells over all diagonal basis pairs
@@ -402,9 +394,8 @@ def unit_square_certificate(case_name: str = "sec7") -> bool:
     generators; with R(1) = e12 + e23 its components are exactly the claimed
     relations 2(R(e12) + R(e23)) = e13, so membership holds by construction.
     """
-    full = case_preset("sec7").constraints
-    claims = [c for c in case_preset("sec7-reduced").constraints if c not in full]
-    spec = case_preset(case_name)
+    spec = case_preset("sec7")
+    claims = set(case_preset("sec7-reduced").constraints) - set(spec.constraints)
     _, shape = generate_system(spec.ansatz())
     residual = rb_residual(shape.operator).entries
     total = add_terms({}, ((pos, value) for ((u, v), pos), value in residual.items()
@@ -568,26 +559,12 @@ def verify_all(samples: int = 0, families: Sequence[str] | None = None,
 
 
 def export_data(root) -> list:
-    """Write catalog.json, the case presets, and sample operator files: the
-    package's data files, round-tripped through what was loaded from them."""
-    root = Path(root)
+    """Copy the package's data files into ``root``, byte for byte."""
     written = []
-    root.mkdir(parents=True, exist_ok=True)
-    catalog_path = root / "catalog.json"
-    entries = build_catalog(strict=False)
-    write_json(catalog_path, {"schema": 1, "entries": [e.to_json() for e in entries]})
-    written.append(catalog_path)
-    cases_dir = root / "cases"
-    cases_dir.mkdir(exist_ok=True)
-    for name in case_preset_names():
-        path = cases_dir / _case_file(name)
-        write_json(path, case_preset(name).to_json())
+    for parts in (("catalog.json",), *(("cases", _case_file(n)) for n in _CASE_PRESETS),
+                  ("operators", "r5.json"), ("operators", "r40.json")):
+        path = Path(root).joinpath(*parts)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(_data(*parts).read_bytes())
         written.append(path)
-    ops_dir = root / "operators"
-    ops_dir.mkdir(exist_ok=True)
-    for entry in entries:
-        if entry.id in ("R5", "R40"):
-            path = ops_dir / f"{entry.id.lower()}.json"
-            entry.operator.save(path)
-            written.append(path)
     return written

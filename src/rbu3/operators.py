@@ -30,8 +30,7 @@ from typing import Mapping, Sequence
 from .matrices import (BasisIndex, UTMatrix, basis_indices, basis_name, combine,
                        generic_rank, name_to_index, parse_matrix, rref,
                        solve_exact, vanishing_power)
-from .poly import (MultiPoly, VarTable, as_fraction, grevlex, read_json,
-                   write_json)
+from .poly import MultiPoly, VarTable, as_fraction, grevlex, read_json
 from .groebner import PolySystem
 
 __all__ = [
@@ -86,11 +85,6 @@ class Operator:
         self.columns = cols
 
     # -- construction -------------------------------------------------------
-
-    @staticmethod
-    def identity(n: int = 3, weight=Fraction(0)) -> "Operator":
-        return Operator(n, {idx: UTMatrix.basis(n, *idx) for idx in basis_indices(n)},
-                        weight)
 
     @staticmethod
     def from_images(images: Mapping[str, str], n: int = 3,
@@ -189,13 +183,17 @@ class Operator:
 
     @staticmethod
     def from_json(data: dict) -> "Operator":
-        return Operator.from_images(data.get("images", {}),
-                                    n=int(data.get("n", 3)),
-                                    params=tuple(data.get("params", ())),
-                                    weight=data.get("weight", "0"))
-
-    def save(self, path):
-        write_json(path, self.to_json())
+        """A field of the wrong JSON type raises ValueError, a float weight TypeError."""
+        n, weight = data.get("n", 3), data.get("weight", "0")
+        params, images = data.get("params", []), data.get("images", {})
+        strings = lambda values: all(type(s) is str for s in values)
+        for key, ok in (
+                ("n", type(n) is int), ("weight", type(weight) in (int, float, str)),
+                ("params", type(params) is list and strings(params)),
+                ("images", type(images) is dict and strings(images.values()))):
+            if not ok:
+                raise ValueError(f"bad operator {key} {data[key]!r}")
+        return Operator.from_images(images, n, params, weight)
 
     @staticmethod
     def load(path) -> "Operator":

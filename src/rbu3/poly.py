@@ -53,10 +53,10 @@ class ParseError(ValueError):
 def as_fraction(value) -> Fraction:
     """``value`` (an int, a ``Fraction`` or a string such as ``"-3/4"``) as
     an exact rational, the one reader of the rationals a caller gives: a
-    float raises ``TypeError``, a zero denominator ``ValueError``."""
+    float or a bool raises ``TypeError``, a zero denominator ``ValueError``."""
     if isinstance(value, Fraction):
         return value
-    if not isinstance(value, (int, str)):
+    if not isinstance(value, (int, str)) or isinstance(value, bool):
         raise TypeError(f"cannot interpret {value!r} as an exact rational")
     try:
         return Fraction(value)

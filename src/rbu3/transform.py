@@ -6,10 +6,10 @@ along the antidiagonal.  Conjugating an operator by either kind preserves the
 Rota-Baxter identity and the weight, which is what makes canonical forms
 meaningful.
 
-Canonicalization routines return a self-certifying :class:`Witness`: a
-composition of maps (applied left to right) plus a scalar, such that the
-witness action reproduces the claimed normal form exactly.  The constructor
-re-checks that claim and refuses to hand back a broken witness.
+Canonicalization routines return a :class:`Witness`: maps applied left to
+right, then a scalar, whose action gives the claimed normal form exactly.
+``Witness`` itself checks nothing: ``_certified`` checks each canonical form's
+witness, and the conjugation search replays each witness it finds.
 """
 
 from __future__ import annotations
@@ -358,15 +358,20 @@ class Witness:
 
     @staticmethod
     def from_json(data) -> "Witness":
+        maps, scalar = data.get("maps", []), as_fraction(data.get("scalar", "1"))
+        for key, ok in (("maps", type(maps) is list), ("scalar", scalar != 0)):
+            if not ok:
+                raise ValueError(f"bad witness {key} {data[key]!r}")
         steps = []
-        for item in data.get("maps", ()):
+        for item in maps:
             if item == "theta13":
                 steps.append(ThetaStep())
-            elif isinstance(item, dict) and "psi" in item:
+            elif (type(item) is dict and type(item.get("psi")) is dict
+                  and item["psi"].keys() <= {f.name for f in fields(AutoParams)}):
                 steps.append(PsiStep(AutoParams.from_json(item["psi"])))
             else:
                 raise ValueError(f"bad witness step {item!r}")
-        return Witness(tuple(steps), as_fraction(data.get("scalar", "1")))
+        return Witness(tuple(steps), scalar)
 
 
 # -- canonical forms --------------------------------------------------------------

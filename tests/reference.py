@@ -5,7 +5,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from rbu3.matrices import UTMatrix, basis_indices, name_to_index, parse_matrix
-from rbu3.operators import Ansatz, bvar_name
+from rbu3.operators import Ansatz, Operator, bvar_name
+
+
+def identity(n=3):
+    """The identity map of U_n as an operator of weight zero."""
+    return Operator(n, {idx: UTMatrix.basis(n, *idx) for idx in basis_indices(n)})
 
 
 def leading(p, order):

@@ -234,7 +234,7 @@ def test_criterion_7_case_replay(name, fallback):
         report, ok = _case_certified(fallback)
         used_fallback = True
         if name == "sec7":
-            ok = ok and unit_square_certificate("sec7")
+            ok = ok and unit_square_certificate()
     elapsed = time.monotonic() - start
     _report(7, ok and elapsed < 600,
             f"{name}{' via ' + fallback if used_fallback else ''}: "

@@ -188,7 +188,7 @@ def test_sec7_printed_linear_variant_provably_fails():
 
 
 def test_sec7_unit_square_certificate():
-    assert unit_square_certificate("sec7")
+    assert unit_square_certificate()
     # the six diagonal sums are all nonzero components, one per claim
     _, shape = generate_system(case_preset("sec7").ansatz())
     total = {}
@@ -213,7 +213,7 @@ def test_unit_square_certificate_refuses_a_perturbed_claim(monkeypatch):
         return replace(spec, constraints=tuple(constraints))
 
     monkeypatch.setattr(catalog, "case_preset", perturbed)
-    assert not unit_square_certificate("sec7")
+    assert not unit_square_certificate()
 
 
 @pytest.mark.parametrize("name", case_preset_names())

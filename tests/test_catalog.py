@@ -2,6 +2,7 @@
 
 import pathlib
 import random
+from dataclasses import asdict
 from fractions import Fraction
 from importlib.resources import files
 
@@ -12,6 +13,8 @@ from rbu3.catalog import (CatalogError, EXPECTED_R2_NONZERO, build_catalog,
                           case_preset, catalog_ids, export_data, verify_all)
 from rbu3.matrices import UTMatrix, parse_matrix
 from rbu3.operators import Operator, rb_residual
+
+from reference import identity
 
 ENTRIES = build_catalog(strict=False)
 BY_ID = {e.id: e for e in ENTRIES}
@@ -130,11 +133,11 @@ def test_power_index_composes_at_most_the_dimension(monkeypatch):
     assert [chain.power_vanish_index(cap=cap) for cap in (1, 5, 6)] == \
         [None, None, 6]
     monkeypatch.setattr(Operator, "compose", counted)
-    for op, index in ((Operator.identity(3), None), (chain, 6)):
+    for op, index in ((identity(3), None), (chain, 6)):
         calls.clear()
         assert op.power_vanish_index(cap=10**9) == index
     with pytest.raises(ValueError):
-        Operator.identity(3).power_vanish_index(cap=0)
+        identity(3).power_vanish_index(cap=0)
 
 
 def test_verify_report_fields():
@@ -243,9 +246,13 @@ def test_unit_column_consistency():
         assert entry.operator.unit_image() == total
 
 
-def test_export_matches_shipped_data(tmp_path):
-    """``export-data`` writes back, byte for byte, the package's data files,
-    read here through ``importlib.resources``."""
+def test_export_matches_shipped_data(tmp_path, monkeypatch):
+    """``export-data`` copies, byte for byte, the package's data files, read
+    here through ``importlib.resources``; it builds and parses no family."""
+    def refuse(*args):
+        raise AssertionError("export built a family")
+    monkeypatch.setattr(catalog, "_build_entry", refuse)
+    monkeypatch.setattr(Operator, "from_json", refuse)
     written = export_data(tmp_path)
     assert len(written) == 12
     for path in written:
@@ -253,18 +260,18 @@ def test_export_matches_shipped_data(tmp_path):
         shipped = files("rbu3") / "data"
         for part in rel.parts:
             shipped = shipped / part
-        fresh = pathlib.Path(path).read_text(encoding="utf-8")
-        assert shipped.read_text(encoding="utf-8") == fresh, f"stale shipped file: {rel}"
+        fresh = pathlib.Path(path).read_bytes()
+        assert shipped.read_bytes() == fresh, f"export changed {rel}"
 
 
 def test_returned_entries_and_presets_are_new_objects():
     """Mutating what the loader returned leaves the next call's result
     unchanged: the parsed files are cached, the values handed out are not."""
     spec = case_preset("sec5")
-    before = spec.to_json()  # a deep copy
+    before = asdict(spec)  # a deep copy
     spec.aliases["a"] = "b_11_11"
     spec.solutions[0].images["e11"] = "e33"
-    assert case_preset("sec5").to_json() == before
+    assert asdict(case_preset("sec5")) == before
     entry = catalog.get_entry("R26")
     before = entry.operator.to_json()
     entry.operator.columns[(1, 1)] = UTMatrix.basis(3, 1, 1)

@@ -11,6 +11,7 @@ import pytest
 from rbu3 import cli
 from rbu3.catalog import build_catalog, verify_all
 from rbu3.operators import Operator
+from rbu3.poly import write_json
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "src" / "rbu3" / "data"
@@ -51,7 +52,8 @@ def test_check_shipped_operator(capsys):
 
 def test_check_projection_at_weight_minus_one(tmp_path, capsys):
     path = tmp_path / "diagonal.json"
-    Operator.from_images({"e11": "e11", "e22": "e22", "e33": "e33"}).save(path)
+    diagonal = Operator.from_images({"e11": "e11", "e22": "e22", "e33": "e33"})
+    write_json(path, diagonal.to_json())
     assert cli.main(["check", str(path), "--weight", "-1"]) == 0
     assert "RB weight -1: YES" in capsys.readouterr().out
     assert cli.main(["check", str(path)]) == 1
@@ -164,7 +166,7 @@ def test_json_reports_are_deterministic(tmp_path, capsys):
         files = []
         for name in (source, target):
             files.append(str(tmp_path / f"{name}.json"))
-            families[name].save(files[-1])
+            write_json(files[-1], families[name].to_json())
         for path in paths:
             cli.main(["find-conj", *files, "--allow-theta", "--json", str(path)])
         assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -256,7 +258,8 @@ def test_system_commands_refuse_an_operator_file(capsys):
 
 def test_check_reports_the_first_failure(tmp_path, capsys):
     path = tmp_path / "diagonal.json"
-    Operator.from_images({"e11": "e11", "e22": "e22", "e33": "e33"}).save(path)
+    diagonal = Operator.from_images({"e11": "e11", "e22": "e22", "e33": "e33"})
+    write_json(path, diagonal.to_json())
     out_path = tmp_path / "check.json"
     assert cli.main(["check", str(path), "--json", str(out_path)]) == 1
     assert capsys.readouterr().out == (
@@ -474,3 +477,25 @@ def test_undefined_or_inexact_rationals_exit_2_with_one_error_line(tmp_path, cap
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.err == message + "\n" and captured.out == "", argv
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("images", {"e11": 3}, "bad operator images {'e11': 3}"),
+    ("images", ["e11"], "bad operator images ['e11']"),
+    ("weight", True, "bad operator weight True"),
+    ("n", True, "bad operator n True"),
+    ("params", "kappa", "bad operator params 'kappa'"),
+])
+def test_operator_file_fields_of_the_wrong_type_exit_2(tmp_path, capsys, field,
+                                                        value, message):
+    """A field of the wrong JSON type is refused with one error line, no
+    traceback and no verdict, for every command that reads an operator."""
+    data = json.loads((DATA / "operators" / "r40.json").read_text())
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(data, **{field: value})))
+    for argv in (["check", str(path)], ["rb-index", str(path)],
+                 ["conjugate", str(path), "--theta"],
+                 ["find-conj", str(path), str(path)]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == "", argv

@@ -12,10 +12,10 @@ from rbu3.matrices import (UTMatrix, basis_indices, basis_name, exact_rank,
 from rbu3.operators import (Ansatz, ContradictoryAnsatz, Operator, bvar_name,
                             check_lemma3, generate_system, rb_residual,
                             scale_operator, unit_in_image)
-from rbu3.poly import MultiPoly, VarTable, as_fraction, grevlex
+from rbu3.poly import MultiPoly, VarTable, as_fraction, grevlex, write_json
 from rbu3.transform import AutoParams, Witness
 
-from reference import ShapeAnsatz, leading
+from reference import ShapeAnsatz, identity, leading
 
 
 def e(i, j):
@@ -49,7 +49,7 @@ def test_residual_of_zero_operator():
 
 
 def test_identity_map_is_not_rota_baxter():
-    residual = rb_residual(Operator.identity(3))
+    residual = rb_residual(identity(3))
     pair, pos, value = residual.first_nonzero()
     assert pair == ((1, 1), (1, 1)) and pos == (1, 1) and value == Fraction(-1)
 
@@ -86,7 +86,7 @@ def test_scale_operator():
 
 def test_operator_json_round_trip(tmp_path):
     path = tmp_path / "op.json"
-    R40.save(path)
+    write_json(path, R40.to_json())
     loaded = Operator.load(path)
     assert loaded == R40 and loaded.params() == ("b", "f")
 
@@ -514,6 +514,14 @@ def test_every_reader_of_a_rational_refuses_a_float(build):
         build()
 
 
+def test_a_bool_is_not_an_exact_rational():
+    for value in (True, False):
+        with pytest.raises(TypeError):
+            as_fraction(value)
+    with pytest.raises(TypeError):
+        AutoParams(beta=True)
+
+
 def test_exact_rationals_are_read_alike_and_zero_denominators_refused():
     assert as_fraction(3) == as_fraction("3") == Fraction(3)
     assert as_fraction("-1/10") == Fraction(-1, 10)
@@ -541,6 +549,6 @@ def test_power_vanish_index_at_its_cap(monkeypatch):
     assert (R5.power_vanish_index(cap=2), len(calls)) == (2, 1)
     calls.clear()
     # not nilpotent: R^2, R^3 and R^4 are taken, none above the cap
-    assert (Operator.identity(3).power_vanish_index(cap=4), len(calls)) == (None, 3)
+    assert (identity(3).power_vanish_index(cap=4), len(calls)) == (None, 3)
     with pytest.raises(ValueError, match="cap must be at least 1, not 0"):
         R5.power_vanish_index(cap=0)

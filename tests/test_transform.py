@@ -859,6 +859,19 @@ def test_witness_json_round_trip():
     assert again == w
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"maps": [{"psi": {"zeta": "1"}}]}, "bad witness step {'psi': {'zeta': '1'}}"),
+    ({"maps": [{"psi": "1"}]}, "bad witness step {'psi': '1'}"),
+    ({"maps": ["theta13", "theta"]}, "bad witness step 'theta'"),
+    ({"maps": "theta13"}, "bad witness maps 'theta13'"),
+    ({"maps": [], "scalar": "0"}, "bad witness scalar '0'"),
+])
+def test_witness_from_json_refuses_a_bad_step_or_scalar(data, message):
+    with pytest.raises(ValueError) as info:
+        Witness.from_json(data)
+    assert str(info.value) == message
+
+
 # -- rational roots: the Fraction evaluation --------------------------------------
 
 
