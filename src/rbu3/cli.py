@@ -16,7 +16,8 @@ from dataclasses import asdict, fields
 from .matrices import parse_matrix
 from .operators import (Ansatz, Operator, check_lemma3, failure_json,
                         generate_system, rb_residual)
-from .poly import MonomialOrder, ParseError, parse_poly, read_json, write_json
+from .poly import (MonomialOrder, ParseError, check_fields, parse_poly, read_json,
+                   strings, write_json)
 from .groebner import (Limits, PolySystem, ResourceLimitExceeded, buchberger)
 from .transform import (AutoParams, PsiStep, ThetaStep, Witness,
                         canonicalize_idempotent, canonicalize_nilpotent,
@@ -62,8 +63,12 @@ def cmd_system(args):
         ansatz = cat.case_preset(args.preset).ansatz()
     else:
         data = read_json(args.ansatz, "constraints")
-        ansatz = Ansatz(int(data.get("n", 3)), data.get("weight", "0"),
-                        list(data["constraints"]))
+        n, weight = data.get("n", 3), data.get("weight", "0")
+        constraints = data["constraints"]
+        check_fields("ansatz", data, (
+            ("n", type(n) is int), ("weight", type(weight) in (int, str)),
+            ("constraints", type(constraints) is list and strings(constraints))))
+        ansatz = Ansatz(n, weight, constraints)
     system, _ = generate_system(ansatz)
     print(f"{len(system.table)} variables, {len(system.gens)} generators")
     return EXIT_OK, system.to_json()

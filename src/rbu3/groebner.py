@@ -64,7 +64,8 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .poly import (MonomialOrder, MultiPoly, VarTable, add_terms, as_int,
-                   grevlex, elimination, parse_poly, read_json)
+                   check_fields, grevlex, elimination, parse_poly, read_json,
+                   strings)
 
 __all__ = [
     "PolySystem",
@@ -177,6 +178,10 @@ class PolySystem:
 
     @staticmethod
     def from_json(data: dict) -> "PolySystem":
+        """A field of the wrong JSON type raises ValueError."""
+        check_fields("system", data, (
+            (key, type(data[key]) is list and strings(data[key]))
+            for key in ("vars", "gens")))
         table = VarTable(data["vars"])
         order = MonomialOrder.from_json(data.get("order", "grevlex"))
         gens = tuple(parse_poly(t, table) for t in data["gens"])

@@ -24,13 +24,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import groupby
-from math import gcd, lcm
+from math import lcm
 from typing import Mapping, Sequence
 
 from .matrices import (BasisIndex, UTMatrix, basis_indices, basis_name, combine,
                        generic_rank, name_to_index, parse_matrix, rref,
                        solve_exact, vanishing_power)
-from .poly import MultiPoly, VarTable, as_fraction, grevlex, read_json
+from .poly import (MultiPoly, VarTable, as_fraction, check_fields,
+                   distinct_monic, grevlex, read_json, strings)
 from .groebner import PolySystem
 
 __all__ = [
@@ -186,13 +187,10 @@ class Operator:
         """A field of the wrong JSON type raises ValueError, a float weight TypeError."""
         n, weight = data.get("n", 3), data.get("weight", "0")
         params, images = data.get("params", []), data.get("images", {})
-        strings = lambda values: all(type(s) is str for s in values)
-        for key, ok in (
-                ("n", type(n) is int), ("weight", type(weight) in (int, float, str)),
-                ("params", type(params) is list and strings(params)),
-                ("images", type(images) is dict and strings(images.values()))):
-            if not ok:
-                raise ValueError(f"bad operator {key} {data[key]!r}")
+        check_fields("operator", data, (
+            ("n", type(n) is int), ("weight", type(weight) in (int, float, str)),
+            ("params", type(params) is list and strings(params)),
+            ("images", type(images) is dict and strings(images.values()))))
         return Operator.from_images(images, n, params, weight)
 
     @staticmethod
@@ -491,10 +489,9 @@ def generate_system(ansatz: Ansatz) -> tuple:
     free unknowns, kept as int coefficients over one denominator D.  The
     residual's quadratic form (``_residual_form``, the one ``rb_residual``
     evaluates) is evaluated on those forms with int products, each residual
-    entry a map from monomial rank (descending grevlex) to an int.  An
-    entry's leading term is its first, so dividing it by the gcd of its
-    coefficients, signed as its lead, gives the form that dedupes it; only
-    the distinct forms are made monic ``MultiPoly`` values.
+    entry a map from monomial rank (descending grevlex) to an int, so its
+    leading term is its first: ``poly.distinct_monic`` dedupes the entries
+    by their primitive int forms and makes only the distinct ones monic.
     """
     constraints, free_table, forms, D = _solve_linear_constraints(ansatz)
     n = ansatz.n
@@ -538,19 +535,13 @@ def generate_system(ansatz: Ansatz) -> tuple:
                 items, base = (plus, t * size) if t >= 0 else (minus, ~t * size)
                 for r, c in items:
                     acc[base + r] = acc.get(base + r, 0) + c
-    gens = {}  # normalised int form -> None, in residual order
-    for _, entry in groupby(sorted(item for item in acc.items() if item[1]),
-                            key=lambda item: item[0] // size):
-        entry = [(key % size, c) for key, c in entry]
-        g = gcd(0, *(c for _, c in entry))
-        g = g if entry[0][1] > 0 else -g
-        gens[tuple((r, c // g) for r, c in entry)] = None
     # a nonzero constant component means no specialization satisfies
     # the identity: the system degenerates to the unit ideal
-    polys = tuple(MultiPoly._of(free_table, {monos[r]: Fraction(c, form[0][1])
-                                             for r, c in form})
-                  for form in gens)
-    return PolySystem(free_table, polys, grevlex()), solution
+    entries = ([(monos[key % size], c) for key, c in entry] for _, entry in groupby(
+        sorted(item for item in acc.items() if item[1]),
+        key=lambda item: item[0] // size))
+    return PolySystem(free_table, distinct_monic(free_table, entries),
+                      grevlex()), solution
 
 
 # -- unital-algebra checks -----------------------------------------------------

@@ -17,6 +17,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import add, neg
 from typing import Iterable, Mapping
 
@@ -32,6 +33,7 @@ __all__ = [
     "add_terms",
     "as_fraction",
     "as_int",
+    "distinct_monic",
     "format_terms",
     "parse_terms",
     "parse_poly",
@@ -442,6 +444,21 @@ class MultiPoly:
         return f"MultiPoly({self.to_str()!r})"
 
 
+def distinct_monic(table: VarTable, entries) -> tuple:
+    """The distinct polynomials among ``entries`` up to a nonzero scalar, in
+    first appearance, each made monic.  An entry is a list of ``(monomial,
+    int)`` pairs with its leading term first; divided by the gcd of its
+    coefficients, signed as its lead, it is the primitive form that dedupes
+    it, and only the distinct forms are built."""
+    forms = {}
+    for entry in entries:
+        g = gcd(0, *(c for _, c in entry))
+        g = g if entry[0][1] > 0 else -g
+        forms[tuple((m, c // g) for m, c in entry)] = None
+    return tuple(MultiPoly._of(table, {m: Fraction(c, form[0][1]) for m, c in form})
+                 for form in forms)
+
+
 def format_terms(pieces) -> str:
     """Join ``(coefficient, text)`` pieces into a sum-of-terms literal.
 
@@ -601,6 +618,19 @@ def write_json(path, data) -> None:
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def strings(values) -> bool:
+    """Whether every value read from a JSON file is a string."""
+    return all(type(s) is str for s in values)
+
+
+def check_fields(kind: str, data: dict, checks) -> None:
+    """Refuse a field of the wrong JSON type: at the first failed ``(field,
+    ok)`` of ``checks``, raise ``ValueError("bad <kind> <field> <value>")``."""
+    for key, ok in checks:
+        if not ok:
+            raise ValueError(f"bad {kind} {key} {data[key]!r}")
 
 
 def read_json(path, *keys) -> dict:

@@ -23,8 +23,8 @@ from typing import Mapping
 
 from .matrices import UTMatrix, basis_indices, combine
 from .operators import Operator, _cleared, _residual_values, scale_operator
-from .poly import (MultiPoly, VarTable, add_terms, as_fraction, as_int, lex,
-                   mono_mul)
+from .poly import (MultiPoly, VarTable, add_terms, as_fraction, as_int,
+                   distinct_monic, lex, mono_mul)
 from .groebner import Limits, PolySystem, buchberger, normal_form
 
 __all__ = [
@@ -491,8 +491,10 @@ class ConjugationSearch:
     operators of different weights, which no conjugation relates).
 
     A ``disjoint`` answer's ``certificate`` holds one proof per searched
-    variant, in variant order: a :class:`UnitCertificate`, or the
-    ``GroebnerBasis`` ``[1]`` of a system without a one-term unit generator.
+    variant, in variant order: a :class:`UnitCertificate` of a raw
+    generator, or the ``GroebnerBasis`` ``[1]`` of a system without a
+    one-term unit generator, whose ``system`` is the normalized one
+    (``find_conjugation``).
     Each unit certificate is rechecked once per process, when it is first
     built, and may be shared with other searches that meet its generator.
     """
@@ -514,7 +516,8 @@ def _rational_roots(coeffs):
 
     Candidates are ``s/q`` in lowest terms with s dividing the constant and q
     the leading coefficient of the integer polynomial f; each is tested in
-    integers as ``q^n f(s/q) = 0``, for f of degree n.
+    integers as ``q^n f(s/q) = 0``, for f of degree n.  For n < 2 there is
+    no divisor walk: a linear f = a1 x + a0 has the one root -a0/a1.
     """
     if not coeffs:
         return []
@@ -530,6 +533,8 @@ def _rational_roots(coeffs):
     an = abs(ints[n])
     if a0 == 0 or an == 0:
         return roots
+    if n < 2:  # a nonzero constant has no root, and a linear f one
+        return sorted(roots + [Fraction(-ints[0], ints[1])] if n else roots)
     # highest degree first, zeros included, for Horner's rule
     dense = [ints.get(d, 0) for d in range(n, -1, -1)]
     for s in _divisors(a0):
@@ -563,7 +568,8 @@ def _search_points(polys, table, idx, assignment, budget, check_limits):
     free one takes the plain ``_TRIAL_VALUES`` first, then values that make
     a later pure-power relation rationally solvable: for each binomial
     ``c*y^m + d*x`` of the remaining polynomials, with x this variable and
-    y one assigned later, x = -(c/d)*s^m for each trial value s.
+    y one assigned later, x = -(c/d)*s^m for each trial value s.  A value
+    is substituted only into the polynomials in which the variable occurs.
     ``check_limits()`` runs before each candidate is tried.
     """
     if budget[0] <= 0:
@@ -602,12 +608,14 @@ def _search_points(polys, table, idx, assignment, budget, check_limits):
                 if len(powers) == 1 and not any(y[idx:]):
                     lifted += [-c / d * s ** powers[0] for s in _TRIAL_VALUES]
         candidates = list(dict.fromkeys(_TRIAL_VALUES + tuple(lifted)))
+    occurs = [any(mono[idx] for mono in p.terms) for p in rest]
     for value in candidates:
         budget[0] -= 1
         if budget[0] <= 0:
             return
         check_limits()
-        substituted = [p.substitute({name: value}) for p in rest]
+        substituted = [p.substitute({name: value}) if o else p
+                       for p, o in zip(rest, occurs)]
         assignment[name] = value
         yield from _search_points(substituted, table, idx - 1, assignment,
                                   budget, check_limits)
@@ -651,6 +659,15 @@ def find_conjugation(source: Operator, target: Operator,
     last, as in summing the matrices; the generator tuple, and so the
     Groebner run, does not depend on how the sums are stored.
 
+    The system is built on ints: scaling both operators by one common
+    denominator D makes each generator after the relation D times the
+    rational one.  The monomial rule reads these raw generators; then each
+    is divided by its largest monomial in u, k, alpha and delta (invertible
+    modulo the relation) and by its coefficients' gcd, signed as its lex
+    lead, and ``buchberger`` gets the distinct forms made monic.  The ideal,
+    so the reduced basis and the witness, stays; a ``disjoint`` Groebner
+    certificate holds the normalized system.
+
     Operators of different weights are answered ``none`` before any system
     is built, since conjugation preserves the weight.  At a nonzero weight
     lambda the scale is fixed to k = 1, whatever ``allow_scaling`` says:
@@ -669,7 +686,13 @@ def find_conjugation(source: Operator, target: Operator,
     # read once: the flip permutes the basis with unit coefficients, so
     # conjugating the target by it relabels each image key and each cell
     params = VarTable(dict.fromkeys(source.params() + target.params()))
-    src, tgt = _image_terms(source, params), _image_terms(target, params)
+    src, d_src = _image_terms(source, params)
+    tgt, d_tgt = _image_terms(target, params)
+    if d_src != 1 or d_tgt != 1:  # each coefficient times D is an int
+        D = lcm(d_src, d_tgt)
+        src, tgt = ({idx: [(cell, [(r, (c * D).numerator) for r, c in pairs])
+                           for cell, pairs in cells] for idx, cells in images.items()}
+                    for images in (src, tgt))
     variants = [((), tgt)]
     if allow_theta:
         flip = _flip(3)
@@ -698,15 +721,16 @@ def _search_psi(allow_scaling: bool):
     a search multiplies their coefficients with the operators' rational
     coefficients term by term, in the term order kept here, and builds no
     polynomial products of its own (``find_conjugation`` states the
-    ordering rule).  They and ``_image_terms`` hold integral coefficients
-    as ints (``as_int``), so most of those products are int products.
+    ordering rule).  Their coefficients are ints, as are the operators'
+    once scaled by D, so every one of those products is an int product.
 
     Returns ``(table, columns, k, relation, t)``.  ``table`` holds only the
     unknowns of ``_SEARCH_VARS`` (without ``k_scale`` when scaling is off).
     ``columns`` is psi read by ``_image_terms`` over ``table``: the cells
     of psi(e_idx) in order, each with its terms.  ``k`` is the exponent
-    vector of the scale (all zero when scaling is off), ``relation`` is
-    t - 1, t = ``u * alpha * delta * k``, and ``t`` its exponent vector.
+    vector of the scale (all zero when scaling is off), ``relation`` is the
+    int term map of t - 1, t = ``u * alpha * delta * k``, and ``t`` its
+    exponent vector.
     As u k is 1/(alpha delta) modulo the relation, each cell is the lex
     normal form of u k adj(H) e_ij H (``_psi_conjugation``) modulo it.
     """
@@ -726,25 +750,31 @@ def _search_psi(allow_scaling: bool):
     psi = {idx: UTMatrix._filtered(3, {
         idxs[p]: normal_form(v * uk, [relation], lex())
         for p, v in pairs}) for idx, pairs in zip(idxs, side)}
-    columns = _image_terms(Operator(3, psi), table)
+    columns, _ = _image_terms(Operator(3, psi), table)
     (k_mono,), (t_mono,) = k.terms, t.terms
+    relation = {m: as_int(c) for m, c in relation.terms.items()}
     return table, columns, k_mono, relation, t_mono
 
 
-def _image_terms(op: Operator, params: VarTable) -> dict:
+def _image_terms(op: Operator, params: VarTable) -> tuple:
     """Each image entry of ``op``, read once as ``(parameter monomial,
-    coefficient)`` pairs over ``params``: ``{idx: [(cell, pairs)]}``, with
-    no key for a zero image.
+    coefficient)`` pairs over ``params``: ``({idx: [(cell, pairs)]}, D)``,
+    with no key for a zero image, and D the lcm of the coefficients'
+    denominators, gathered in the same loop; integral ones are ints.
 
     A parametric entry's exponents move to their slots here, where a
     ``retable`` would build one polynomial per entry and search."""
     zero = (0,) * len(params)
-    images = {}
+    images, den = {}, 1
     for idx, image in op.columns.items():
         cells = []
         for cell, value in image.entries.items():
             if not isinstance(value, MultiPoly):
-                cells.append((cell, ((zero, as_int(value)),)))
+                if value.denominator == 1:
+                    value = value.numerator
+                else:
+                    den = lcm(den, value.denominator)
+                cells.append((cell, ((zero, value),)))
                 continue
             slots = [params.index[name] for name in value.table.names]
             pairs = []
@@ -752,10 +782,14 @@ def _image_terms(op: Operator, params: VarTable) -> dict:
                 lifted = list(zero)
                 for slot, e in zip(slots, mono):
                     lifted[slot] += e
-                pairs.append((tuple(lifted), as_int(coeff)))
+                if coeff.denominator == 1:
+                    coeff = coeff.numerator
+                else:
+                    den = lcm(den, coeff.denominator)
+                pairs.append((tuple(lifted), coeff))
             cells.append((cell, pairs))
         images[idx] = cells
-    return images
+    return images, den
 
 
 def _accumulate(cells: dict, cell, products) -> None:
@@ -773,7 +807,7 @@ def _search_generators(src, tgt, allow_scaling):
     generator per cell and parameter monomial.  Each is yielded as its term
     map ``{unknown monomial: coefficient}`` over ``_search_psi``'s table."""
     _, psi, k, relation, _ = _search_psi(allow_scaling)
-    yield relation.terms
+    yield relation
     for idx in basis_indices(3):
         # terms are keyed (unknown monomial, parameter monomial)
         lhs = {}  # R psi(e_idx) = sum over psi's cells p of psi_p * R(e_p)
@@ -822,10 +856,19 @@ def _unit_certificate(mono, coeff: Fraction, allow_scaling: bool):
     geometric = {tuple(i * a for a in t_mono): -1 for i in range(power)}
     certificate = UnitCertificate((
         (MultiPoly(table, quotient), MultiPoly(table, {mono: coeff})),
-        (MultiPoly(table, geometric), relation)))
+        (MultiPoly(table, geometric), MultiPoly(table, relation))))
     if not certificate.check():
         raise AssertionError("unit certificate failed its recheck")
     return certificate
+
+
+def _unit_free(terms: dict, units: list) -> list:
+    """An int generator over the largest monomial in the ``units`` slots
+    that divides it, as ``(monomial, int)`` pairs in descending lex order:
+    those unknowns are invertible modulo the relation."""
+    low = {i: min(m[i] for m in terms) for i in units}
+    return sorted(((tuple(e - low.get(i, 0) for i, e in enumerate(m)), c)
+                   for m, c in terms.items()), reverse=True)
 
 
 def _psi_only_search(source, target, tail, generators, allow_scaling, limits):
@@ -834,7 +877,8 @@ def _psi_only_search(source, target, tail, generators, allow_scaling, limits):
     ``tail`` (the same condition, as the flip is an involution), and each
     point is replayed once, as the full witness against ``target``.  Only a
     system without a one-term unit generator (the monomial rule) reaches
-    ``buchberger``."""
+    ``buchberger``, as its distinct unit-free primitive forms
+    (``find_conjugation``)."""
     table, _, _, _, t_mono = _search_psi(allow_scaling)
     gens = []
     for terms in generators:
@@ -844,11 +888,9 @@ def _psi_only_search(source, target, tail, generators, allow_scaling, limits):
                 return ConjugationSearch("disjoint", certificate=(
                     _unit_certificate(mono, Fraction(coeff), allow_scaling),))
         gens.append(terms)
-    unique = {}  # the first of equal term maps, before any polynomial is built
-    for terms in gens:
-        unique.setdefault(frozenset(terms.items()), terms)
-    system = PolySystem(table, tuple(MultiPoly(table, g)
-                                     for g in unique.values()), lex())
+    units = [i for i, a in enumerate(t_mono) if a]
+    system = PolySystem(table, distinct_monic(
+        table, (_unit_free(terms, units) for terms in gens)), lex())
     gb = buchberger(system, limits)
     if len(gb.basis) == 1 and gb.basis[0].is_constant():
         return ConjugationSearch("disjoint", certificate=(gb,))

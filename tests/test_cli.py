@@ -499,3 +499,120 @@ def test_operator_file_fields_of_the_wrong_type_exit_2(tmp_path, capsys, field,
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == "", argv
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n", True, "bad ansatz n True"),
+    ("n", "3", "bad ansatz n '3'"),
+    ("weight", True, "bad ansatz weight True"),
+    ("weight", ["0"], "bad ansatz weight ['0']"),
+    ("constraints", [3], "bad ansatz constraints [3]"),
+    ("constraints", "b_11_11", "bad ansatz constraints 'b_11_11'"),
+])
+def test_ansatz_file_fields_of_the_wrong_type_exit_2(tmp_path, capsys, field,
+                                                      value, message):
+    data = {"n": 3, "weight": "0", "constraints": ["b_11_11"]}
+    path = tmp_path / "ansatz.json"
+    path.write_text(json.dumps(dict(data, **{field: value})))
+    _rejected_with_nothing_written(["system", "--ansatz", str(path)], tmp_path,
+                                   capsys, message)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("gens", [3], "bad system gens [3]"),
+    ("gens", "b_22_12", "bad system gens 'b_22_12'"),
+    ("vars", "abc", "bad system vars 'abc'"),
+    ("vars", [1], "bad system vars [1]"),
+])
+def test_system_file_fields_of_the_wrong_type_exit_2(tmp_path, capsys, field,
+                                                     value, message):
+    """For both commands that read a system file."""
+    data = json.loads(pathlib.Path(_system_file(tmp_path, capsys)).read_text())
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(data, **{field: value})))
+    for argv in (["gb", str(path)], ["member", str(path), "b_22_12"]):
+        _rejected_with_nothing_written(argv, tmp_path, capsys, message)
+
+# -- pinned find-conj reports ---------------------------------------------------
+
+# (source family, parameter values, planted psi (alpha, beta, gamma, delta,
+# epsilon), the flip, the scalar, whether the search may scale): the target
+# is the source under that witness, and the search runs with the flip allowed
+PLANTED_SEARCHES = {
+    "R31-kappa-flip": ("R31", {"kappa": "-3/2"}, ("5/2", 3, -1, "-2/3", 4),
+                       True, "-7/4", True),
+    "R31-parametric": ("R31", {}, (2, -1, 3, "1/3", -2), False, 5, True),
+    "R20": ("R20", {}, (-3, 2, 4, "-1/2", 3), False, "-2/3", True),
+    "R23-flip": ("R23", {}, ("1/3", 1, 1, 3, 4), True, -1, True),
+    "R40-flip": ("R40", {}, ("-3/4", 2, -5, 6, 1), True, "9/2", True),
+    "R5-unscaled": ("R5", {}, (3, -2, 1, "-1/2", 5), False, 1, False),
+    "R34-unscaled-flip": ("R34", {}, (-2, 1, 0, "3/5", -4), True, 1, False),
+}
+
+
+def pinned_searches():
+    """name -> (source, target, extra find-conj arguments): the certified
+    pairs the search answers ``found``, and the planted targets."""
+    from fractions import Fraction
+    from rbu3.transform import AutoParams, PsiStep, ThetaStep, Witness
+    families = {e.id: e.operator for e in build_catalog(strict=False)}
+    searches = {}
+    for pair in ("R15|R16", "R22|R24", "R31|R39", "R32|R38", "R34|R35",
+                 "R34|R36", "R35|R36"):
+        a, b = pair.split("|")
+        searches[pair] = (families[a], families[b], [])
+    for name, (family, values, params, flip, scalar, scaled) in (
+            PLANTED_SEARCHES.items()):
+        source = families[family]
+        if values:
+            source = source.substitute_params(
+                {k: Fraction(v) for k, v in values.items()})
+        witness = Witness((PsiStep(AutoParams(*map(Fraction, params))),)
+                          + (ThetaStep(),) * flip, Fraction(scalar))
+        searches[name] = (source, witness.transform_operator(source),
+                          [] if scaled else ["--no-scaling"])
+    return searches
+
+
+def psi(*values):
+    """A witness step's JSON: psi at (alpha, beta, gamma, delta, epsilon)."""
+    return {"psi": dict(zip(("alpha", "beta", "gamma", "delta", "epsilon"),
+                            values))}
+
+
+# name -> (witness maps, scalar) of each ``found`` report
+PINNED_WITNESSES = {
+    "R15|R16": ([psi("1", "0", "1", "1", "1")], "1"),
+    "R22|R24": ([psi("1", "0", "0", "1", "0"), "theta13"], "1"),
+    "R31|R39": ([psi("1", "0", "1", "1", "0"), "theta13"], "1"),
+    "R32|R38": ([psi("1", "0", "1", "1", "0"), "theta13"], "1"),
+    "R34|R35": ([psi("1", "0", "1", "1", "0")], "1"),
+    "R34|R36": ([psi("1", "0", "1", "1", "0"), "theta13"], "1"),
+    "R35|R36": ([psi("1", "0", "1", "1", "0"), "theta13"], "1"),
+    "R31-kappa-flip": ([psi("1", "12/25", "1", "-8/75", "8/5"), "theta13"],
+                       "-35/8"),
+    "R31-parametric": ([psi("1", "-1/4", "1", "1/12", "-1")], "10"),
+    "R20": ([psi("-3/4", "1", "1", "-1/4", "3/4")], "-1/3"),
+    "R23-flip": ([psi("3", "4", "3", "-1/3", "-1")], "3"),
+    "R40-flip": ([psi("-3/4", "1", "1", "6", "-11"), "theta13"], "9/2"),
+    "R5-unscaled": ([psi("1", "-2", "1", "-1/2", "11/6")], "1"),
+    "R34-unscaled-flip": ([psi("-2", "1", "1", "3/5", "-4"), "theta13"], "1"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_WITNESSES))
+def test_find_conj_reports_are_pinned(name, tmp_path, capsys):
+    """The status and the witness a search reports, byte for byte: another
+    valid witness would also replay, so only this pins which one is found."""
+    source, target, extra = pinned_searches()[name]
+    files = [str(tmp_path / "source.json"), str(tmp_path / "target.json")]
+    write_json(files[0], source.to_json())
+    write_json(files[1], target.to_json())
+    out_path = tmp_path / "report.json"
+    assert cli.main(["find-conj", *files, "--allow-theta", *extra,
+                     "--json", str(out_path)]) == 0
+    maps, scalar = PINNED_WITNESSES[name]
+    expected = {"schema": 1, "status": "found",
+                "witness": {"maps": maps, "scalar": scalar}}
+    assert out_path.read_text() == json.dumps(expected, indent=2,
+                                              sort_keys=True) + "\n"

@@ -185,7 +185,7 @@ def test_the_search_psi_is_the_reference_table(allow_scaling):
     k = var("k_scale") if allow_scaling else one
     psi = psi_columns(var("alpha"), var("beta"), var("gamma"), var("delta"),
                       var("epsilon"), var("u_aux") * var("alpha") * k, one)
-    expected = transform._image_terms(Operator(3, psi), table)
+    expected, _ = transform._image_terms(Operator(3, psi), table)
     assert list(columns.items()) == list(expected.items())
 
 
@@ -525,8 +525,9 @@ def test_the_search_flips_the_target_by_relabelling_its_terms(op):
         assert find_conjugation(source, op).status == "none"
     params = VarTable(dict.fromkeys(source.params() + op.params()))
     (_, plain, _), (_, flipped, _) = builds
-    assert plain == transform._image_terms(op, params)
-    expected = transform._image_terms(conjugate_operator(op, theta13()), params)
+    D = common_denominator(source, op)
+    assert plain == image_terms(op, params, D)
+    expected = image_terms(conjugate_operator(op, theta13()), params, D)
     assert flipped == expected
 
 
@@ -937,8 +938,25 @@ def root_problems(draw):
 @example({1: Fraction(6), 0: Fraction(-4)})  # non-unit content, root 2/3
 @example({4: Fraction(3, 2), 2: Fraction(-3, 2)})  # roots -1, 0, 1
 @example({3: Fraction(2), 0: Fraction(0)})  # a zero coefficient kept
+# linear: the one root -a0/a1, and the zero root alone or beside it
+@example({1: Fraction(7), 0: Fraction(21, 2)})  # root -3/2
+@example({1: Fraction(-1)})  # root 0
+@example({1: Fraction(-3, 5), 0: Fraction(0)})  # root 0, a zero constant kept
+@example({2: Fraction(4), 1: Fraction(-6)})  # roots 0 and 3/2
 def test_rational_roots_match_the_fraction_evaluation(coeffs):
     assert transform._rational_roots(coeffs) == fraction_rational_roots(coeffs)
+
+
+def test_a_linear_polynomial_walks_no_divisors(monkeypatch):
+    monkeypatch.setattr(transform, "_divisors", None)
+    for coeffs, roots in (
+            ({1: Fraction(6), 0: Fraction(-4)}, [Fraction(2, 3)]),
+            ({1: Fraction(-1)}, [0]),
+            ({3: Fraction(2)}, [0]),
+            ({2: Fraction(4), 1: Fraction(-6)}, [0, Fraction(3, 2)]),
+            # past the cap on listed divisors
+            ({1: Fraction(3), 0: Fraction(-10**12 - 39)}, [Fraction(10**12 + 39, 3)])):
+        assert transform._rational_roots(coeffs) == roots
 
 
 # -- the search's generators against the matrix-product construction ----------
@@ -992,14 +1010,60 @@ def reference_generators(source, target, allow_scaling):
     return tuple(dict.fromkeys(g.retable(unknown_table) for g in gens))
 
 
+def common_denominator(*ops):
+    """The lcm of the denominators of every coefficient of the operators."""
+    return math.lcm(1, *(
+        c.denominator for op in ops for image in op.columns.values()
+        for v in image.entries.values()
+        for c in (v.terms.values() if isinstance(v, MultiPoly) else (v,))))
+
+
+def image_terms(op, params, D):
+    """``_image_terms`` of ``op`` times ``D``, every coefficient an int;
+    the denominators it reports clear the operator's."""
+    images, den = transform._image_terms(op, params)
+    assert D % den == 0 and den == common_denominator(op)
+    if D == 1:  # passed on as read
+        return images
+    scaled = {idx: [(cell, [(r, c * D) for r, c in pairs]) for cell, pairs in cells]
+              for idx, cells in images.items()}
+    assert all(c.denominator == 1 for cells in scaled.values()
+               for _, pairs in cells for _, c in pairs)
+    return {idx: [(cell, [(r, int(c)) for r, c in pairs]) for cell, pairs in cells]
+            for idx, cells in scaled.items()}
+
+
 def builder_args(source, target, adjusted, allow_scaling):
     """The arguments ``find_conjugation`` gives ``_search_generators`` for
     the system of ``source`` against ``adjusted``, ``target`` or its flip:
-    both operators' image terms over the parameters of source and target."""
+    both operators' image terms over the parameters of source and target,
+    times the common denominator of both."""
     params = VarTable(tuple(source.params()) + tuple(
         p for p in target.params() if p not in source.params()))
-    return (transform._image_terms(source, params),
-            transform._image_terms(adjusted, params), allow_scaling)
+    D = common_denominator(source, target)
+    return (image_terms(source, params, D), image_terms(adjusted, params, D),
+            allow_scaling)
+
+
+INVERTIBLE = {"u_aux", "k_scale", "alpha", "delta"}
+
+
+def normalized(gens):
+    """The system ``buchberger`` receives for the raw generators ``gens``:
+    each over the largest monomial in u, k, alpha and delta that divides
+    it, made monic with its terms in descending lex order, the first of
+    equal ones kept."""
+    out = []
+    for g in gens:
+        names = g.table.names
+        low = [min(m[i] for m in g.terms) if names[i] in INVERTIBLE else 0
+               for i in range(len(names))]
+        terms = sorted(((tuple(a - b for a, b in zip(m, low)), c)
+                        for m, c in g.terms.items()), reverse=True)
+        monic = MultiPoly(g.table, {m: c / terms[0][1] for m, c in terms})
+        if monic not in out:
+            out.append(monic)
+    return out
 
 
 def built_system(source, adjusted, allow_scaling=True):
@@ -1086,14 +1150,19 @@ def test_search_generators_match_the_matrix_product_construction(name, monkeypat
     assert len(builds) == searched
     # the second search, when there is one, is against the flipped target
     targets = [target, conjugate_operator(target, theta13())]
+    D = common_denominator(source, target)
     for i, (args, adjusted) in enumerate(zip(builds, targets)):
         assert args == builder_args(source, target, adjusted, allow_scaling)
+        assert all(type(c) is int for images in args[:2] for cells in images.values()
+                   for _, pairs in cells for _, c in pairs)
         gens = built_system(source, adjusted, allow_scaling).gens
-        expected = reference_generators(source, adjusted, allow_scaling)
+        # the relation, then D times each generator of the rational system
+        relation, *rest = reference_generators(source, adjusted, allow_scaling)
+        expected = (relation, *(g * D for g in rest))
         assert gens == expected
         assert as_terms(gens) == as_terms(expected)
         if i in systems:  # the search ran the full system
-            assert as_terms(systems[i].gens) == as_terms(expected)
+            assert as_terms(systems[i].gens) == as_terms(normalized(expected))
 
 
 FOUND_PAIRS = {"R15|R16", "R22|R24", "R31|R39", "R32|R38", "R34|R35",
@@ -1263,10 +1332,11 @@ def test_found_witness_with_the_flip_is_replayed_once(monkeypatch):
 
 
 def test_searched_systems_keep_the_polynomial_dedupe(monkeypatch):
-    """The search dedupes term maps before building polynomials; on the
-    pairs that reach ``buchberger`` (found and unit systems) and on planted
-    targets, each system is the one deduped as polynomials, in order and
-    with every term order, and duplicates do occur."""
+    """The search dedupes the generators' unit-free primitive forms before
+    building polynomials; on the pairs that reach ``buchberger`` (found and
+    unit systems) and on planted targets, each system is the normalized one
+    deduped as polynomials, in order and with every term order, and
+    duplicates do occur."""
     fam = certified_families()
     pairs = [(fam[a], fam[b]) for a, b in (
         pair.split("|") for pair in sorted(FOUND_PAIRS) + [
@@ -1297,8 +1367,155 @@ def test_searched_systems_keep_the_polynomial_dedupe(monkeypatch):
         find_conjugation(source, target)
         targets = [target, conjugate_operator(target, theta13())]
         for i, system in systems:
-            expected = built_system(source, targets[i]).gens
+            expected = normalized(built_system(source, targets[i]).gens)
             assert as_terms(system.gens) == as_terms(expected)
             searched += 1
             dropped += len(builds[i]) - len(expected)
     assert searched >= len(pairs) and dropped > 0
+
+
+# -- the normalized search system ----------------------------------------------
+
+
+@st.composite
+def planted_searches(draw):
+    """A specialized certified family, its image under a drawn psi, maybe
+    the flip, and a scale (1 when the search may not scale), and whether
+    the search may scale."""
+    source = SPECIALIZED[draw(st.sampled_from(sorted(certified_families())))]
+    allow_scaling = draw(st.booleans())
+    steps = (PsiStep(AutoParams(draw(NONZERO), draw(RATIOS), draw(RATIOS),
+                                draw(NONZERO), draw(RATIOS))),)
+    steps += (ThetaStep(),) * draw(st.booleans())
+    scalar = draw(NONZERO) if allow_scaling else Fraction(1)
+    return source, Witness(steps, scalar).transform_operator(source), allow_scaling
+
+
+def searched_systems(source, target, allow_scaling=True):
+    """Each raw generator list the search builds and the system it hands
+    ``buchberger`` for it, as ``[(raw, system)]``."""
+    builds, systems = [], []
+    real_builder = transform._search_generators
+    real_buchberger = transform.buchberger
+
+    def spy(*args):
+        builds.append(list(real_builder(*args)))
+        return iter(builds[-1])
+
+    def buchberger_spy(system, limits=None):
+        systems.append((builds[-1], system))
+        return real_buchberger(system, limits)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transform, "_search_generators", spy)
+        patch.setattr(transform, "buchberger", buchberger_spy)
+        find_conjugation(source, target, allow_scaling=allow_scaling)
+    table = transform._search_psi(allow_scaling)[0]
+    return [([MultiPoly(table, t) for t in raw], system) for raw, system in systems]
+
+
+def unit_multiple(raw, form):
+    """Whether ``raw`` is ``form`` times a monomial in u, k, alpha and delta
+    and a nonzero int."""
+    lead, form_lead = max(raw.terms), max(form.terms)
+    mono = tuple(a - b for a, b in zip(lead, form_lead))
+    c = raw.terms[lead] / form.terms[form_lead]
+    names = raw.table.names
+    return (c.denominator == 1 and min(mono) >= 0
+            and all(names[i] in INVERTIBLE for i, e in enumerate(mono) if e)
+            and form * MultiPoly(raw.table, {mono: c}) == raw)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(planted_searches())
+def test_the_normalized_system_has_the_raw_systems_basis(search):
+    """Each normalized generator is its raw one over a unit monomial and an
+    int, and the normalized system has the raw system's reduced basis."""
+    systems = searched_systems(*search)
+    assert systems  # a planted target has a witness, so no monomial rule
+    for raw, system in systems:
+        assert all(any(unit_multiple(g, form) for form in system.gens) for g in raw)
+        assert all(any(unit_multiple(g, form) for g in raw) for form in system.gens)
+        assert len(system.gens) <= len(raw)
+        raw_system = PolySystem(system.table, tuple(dict.fromkeys(raw)), lex())
+        assert groebner.buchberger(raw_system).basis == \
+            groebner.buchberger(system).basis
+
+
+@pytest.mark.parametrize("pair", ["R7|R30", "R10|R19", "R15|R29", "R16|R29"])
+def test_the_raw_system_of_a_groebner_disjoint_pair_is_the_unit_ideal(pair):
+    """The pairs that Groebner settles ``disjoint``: the certificate holds
+    the normalized system, and the raw one has the basis [1] too."""
+    fam = certified_families()
+    source, target = (fam[name] for name in pair.split("|"))
+    result = find_conjugation(source, target)
+    assert result.status == "disjoint"
+    flipped = conjugate_operator(target, theta13())
+    bases = 0
+    for c, adjusted in zip(result.certificate, (target, flipped)):
+        if isinstance(c, UnitCertificate):
+            continue
+        raw = built_system(source, adjusted)
+        assert as_terms(c.system.gens) == as_terms(normalized(raw.gens))
+        assert [str(g) for g in c.basis] == ["1"]
+        assert [str(g) for g in groebner.buchberger(raw).basis] == ["1"]
+        bases += 1
+    assert bases >= 1
+
+
+def reference_search_points(polys, table, idx, assignment, budget):
+    """``_search_points`` substituting each value into every polynomial,
+    with no limits."""
+    if budget[0] <= 0:
+        return
+    if idx < 0:
+        if all(p.is_zero() for p in polys):
+            yield dict(assignment)
+        return
+    name = table.names[idx]
+    polys = [p for p in polys if not p.is_zero()]
+    if any(not p.variables() for p in polys):
+        return
+    univariate = [p for p in polys if p.variables() == {name}]
+    rest = [p for p in polys if p.variables() != {name}]
+    if univariate:
+        smallest = min(univariate, key=lambda p: p.total_degree())
+        coeffs = {}
+        for mono, c in smallest.terms.items():
+            coeffs[mono[idx]] = coeffs.get(mono[idx], 0) + c
+        candidates = [r for r in fraction_rational_roots(coeffs)
+                      if all(p.substitute({name: r}).is_zero() for p in univariate)]
+    else:
+        x = tuple(int(i == idx) for i in range(len(table)))
+        lifted = []
+        for p in rest:
+            if len(p.terms) == 2 and x in p.terms:
+                (y, c), (_, d) = sorted(p.terms.items(), key=lambda t: t[0] == x)
+                powers = [e for e in y[:idx] if e]
+                if len(powers) == 1 and not any(y[idx:]):
+                    lifted += [-c / d * s ** powers[0] for s in transform._TRIAL_VALUES]
+        candidates = list(dict.fromkeys(transform._TRIAL_VALUES + tuple(lifted)))
+    for value in candidates:
+        budget[0] -= 1
+        if budget[0] <= 0:
+            return
+        assignment[name] = value
+        yield from reference_search_points(
+            [p.substitute({name: value}) for p in rest], table, idx - 1,
+            assignment, budget)
+        del assignment[name]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(planted_searches())
+def test_search_points_match_substituting_into_every_polynomial(search):
+    source, target, allow_scaling = search
+    table = transform._search_psi(allow_scaling)[0]
+    for _, system in searched_systems(source, target, allow_scaling):
+        basis = list(groebner.buchberger(system).basis)
+        start = len(table) - 1
+        got = list(transform._search_points(basis, table, start, {},
+                                            [transform._BUDGET], lambda: None))
+        expected = list(reference_search_points(basis, table, start, {},
+                                                [transform._BUDGET]))
+        assert got == expected and got
