@@ -36,7 +36,6 @@ from typing import Mapping, Sequence
 from .matrices import UTMatrix, basis_name
 from .operators import (Ansatz, Operator, check_lemma3, failure_json,
                         generate_system, rb_residual)
-from .poly import add_terms
 from .groebner import (GroebnerBasis, Limits, ResourceLimitExceeded,
                        autoreduce, buchberger)
 from .transform import closure_trial
@@ -53,7 +52,6 @@ __all__ = [
     "case_preset",
     "case_preset_names",
     "run_case",
-    "unit_square_certificate",
     "verify_all",
     "export_data",
 ]
@@ -126,16 +124,18 @@ def build_catalog(strict: bool = True) -> list:
     residual aborts the build with :class:`CatalogError`.  The reporting
     paths use ``strict=False`` and read the per-entry certification flags.
     """
-    entries = [_build_entry(eid) for eid in catalog_ids()]
+    entries = [get_entry(eid) for eid in catalog_ids()]
     failures = [(e.id, e.first_failure) for e in entries if not e.residual_zero]
     if strict and failures:
         raise CatalogError(failures)
     return entries
 
 
-def _build_entry(eid: str) -> CatalogEntry:
-    """One family, with its symbolic residual's verdict recorded."""
-    data = _families()[eid]
+def get_entry(eid: str) -> CatalogEntry:
+    """The family ``eid``, with its symbolic residual's verdict recorded."""
+    data = _families().get(eid)
+    if data is None:
+        raise KeyError(f"unknown family id {eid!r}")
     op = Operator.from_json(data)
     entry = CatalogEntry(eid, tuple(data["params"]),
                          tuple(data["side_conditions"]), data["provenance"], op)
@@ -144,13 +144,6 @@ def _build_entry(eid: str) -> CatalogEntry:
     if not entry.residual_zero:
         entry.first_failure = residual.first_nonzero()
     return entry
-
-
-def get_entry(eid: str) -> CatalogEntry:
-    """The family ``eid``, built and certified on its own."""
-    if eid not in _families():
-        raise KeyError(f"unknown family id {eid!r}")
-    return _build_entry(eid)
 
 
 # -- case driver ---------------------------------------------------------------
@@ -163,8 +156,8 @@ class CaseSolution:
     images: dict           # basis name -> matrix literal over the params
     resolves_to: tuple
 
-    def operator(self, weight=Fraction(0)) -> Operator:
-        return Operator.from_images(self.images, 3, self.params, weight)
+    def operator(self) -> Operator:
+        return Operator.from_images(self.images, 3, self.params)
 
 
 @dataclass
@@ -305,8 +298,7 @@ def run_case(spec: CaseSpec, limits: Limits | None = None) -> CaseReport:
     the system was built from, and by their residual.
     """
     limits = (limits or Limits(max_pairs=200000, deadline=600.0)).start()
-    ansatz = spec.ansatz()
-    system, shape = generate_system(ansatz)
+    system, shape = generate_system(spec.ansatz())
     work_system = system
     if spec.localize:
         q = shape.expand(spec.localize, spec.aliases)
@@ -338,7 +330,7 @@ def run_case(spec: CaseSpec, limits: Limits | None = None) -> CaseReport:
 
     solution_results = []
     for solution in spec.solutions:
-        op = solution.operator(ansatz.weight)
+        op = solution.operator()
         ok_ansatz = shape.satisfied_by(op)
         # the generators are the residual's components under the constraints
         ok_system = ok_ansatz and rb_residual(op).is_zero()
@@ -383,26 +375,6 @@ def _certify_membership(factors, text, claim, gb, limits) -> MembershipResult:
     except ResourceLimitExceeded:
         pass
     return MembershipResult(factors, text, None, False, "undecided")
-
-
-def unit_square_certificate() -> bool:
-    """Certify the unit-square linear relations of sec7 as explicit ideal members.
-
-    The claims are the constraints that ``sec7-reduced`` imposes beyond
-    ``sec7``'s.  Summing the residual cells over all diagonal basis pairs
-    gives R(1)^2 - 2 R(R(1)) as an explicit rational combination of the case
-    generators; with R(1) = e12 + e23 its components are exactly the claimed
-    relations 2(R(e12) + R(e23)) = e13, so membership holds by construction.
-    """
-    spec = case_preset("sec7")
-    claims = set(case_preset("sec7-reduced").constraints) - set(spec.constraints)
-    _, shape = generate_system(spec.ansatz())
-    residual = rb_residual(shape.operator).entries
-    total = add_terms({}, ((pos, value) for ((u, v), pos), value in residual.items()
-                           if u[0] == u[1] and v[0] == v[1]))
-    # each claim is, up to sign, one component of the sum
-    return bool(claims) and all(-shape.expand(claim, spec.aliases) in total.values()
-                                for claim in claims)
 
 
 # -- whole-catalog verification ---------------------------------------------------
@@ -488,7 +460,7 @@ class VerifyReport:
 
 def _entry_report_by_id(eid: str, samples: int, seed: int) -> EntryReport:
     """The report of family ``eid``, which is built and certified here."""
-    entry = _build_entry(eid)
+    entry = get_entry(eid)
     op = entry.operator
     lemma = check_lemma3(op)
     r1 = op.unit_image()

@@ -343,10 +343,9 @@ class _Packing:
             terms = {m: as_int(c * inv) for m, c in terms.items()}
         if lc == 1:
             tail = [(m, -as_int(c)) for m, c in terms.items() if m != lead]
-        else:  # an int lead divides an int coefficient without a Fraction
-            inv, whole = Fraction(-1) / lc, type(lc) is int
-            tail = [(m, -(c // lc) if whole and type(c) is int and not c % lc
-                     else as_int(c * inv)) for m, c in terms.items() if m != lead]
+        else:
+            inv = Fraction(-1) / lc
+            tail = [(m, as_int(c * inv)) for m, c in terms.items() if m != lead]
         marks = ((lead | self.marks) - self.ones) & self.marks
         return (lead, lead & self.low, tail, terms, marks & -marks)
 

@@ -183,8 +183,9 @@ class MonomialOrder:
     def from_json(data) -> "MonomialOrder":
         if isinstance(data, str):
             return MonomialOrder(data)
-        if isinstance(data, dict) and "elim" in data:
-            return MonomialOrder("elim", int(data["elim"]))
+        # ``type() is int`` refuses a bool block size, which isinstance lets by
+        if isinstance(data, dict) and type(data.get("elim")) is int:
+            return MonomialOrder("elim", data["elim"])
         raise ValueError(f"bad monomial order spec {data!r}")
 
 

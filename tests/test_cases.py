@@ -8,8 +8,7 @@ from fractions import Fraction
 import pytest
 
 from rbu3 import catalog
-from rbu3.catalog import (case_preset, case_preset_names, run_case,
-                          unit_square_certificate)
+from rbu3.catalog import case_preset, case_preset_names, run_case
 from rbu3.groebner import (GroebnerBasis, Limits, PolySystem, buchberger,
                            normal_form)
 from rbu3.matrices import basis_indices
@@ -187,33 +186,27 @@ def test_sec7_printed_linear_variant_provably_fails():
     assert not (len(loc_gb.basis) == 1 and loc_gb.basis[0].is_constant())
 
 
-def test_sec7_unit_square_certificate():
-    assert unit_square_certificate()
-    # the six diagonal sums are all nonzero components, one per claim
-    _, shape = generate_system(case_preset("sec7").ansatz())
-    total = {}
-    for ((u, v), pos), value in rb_residual(shape.operator).entries.items():
-        if u[0] == u[1] and v[0] == v[1]:
-            total[pos] = total[pos] + value if pos in total else value
-    assert len(total) == 6 and all(total.values())
-
-
-def test_unit_square_certificate_refuses_a_perturbed_claim(monkeypatch):
-    """The claims are what sec7-reduced imposes beyond sec7; one claim's
-    constant changed makes the certificate fail."""
-    loaded = catalog.case_preset
-
-    def perturbed(name):
-        spec = loaded(name)
-        if name != "sec7-reduced":
-            return spec
-        constraints = list(spec.constraints)
-        index = constraints.index("2*b_12_13 + 2*b_23_13 - 1")
-        constraints[index] = "2*b_12_13 + 2*b_23_13 - 2"
-        return replace(spec, constraints=tuple(constraints))
-
-    monkeypatch.setattr(catalog, "case_preset", perturbed)
-    assert not unit_square_certificate()
+@pytest.mark.parametrize("reduced", ["sec5-reduced", "sec7-reduced"])
+def test_a_reduced_preset_imposes_relations_its_full_preset_certifies(reduced):
+    """Each constraint a reduced preset adds is a quoted relation of its full
+    preset, and the full preset's run certifies it as an ideal member; one
+    constant changed would make it no relation at all."""
+    spec = case_preset(reduced.removesuffix("-reduced"))
+    claims = set(case_preset(reduced).constraints) - set(spec.constraints)
+    assert claims and all((claim,) in spec.relations for claim in claims)
+    member = {m.factors: m.member for m in run_case(spec, FAST).memberships}
+    assert all(member[(claim,)] is True for claim in claims)
+    if spec.name == "sec7":
+        # without a Groebner basis: the residual summed over the diagonal
+        # basis pairs is R(1)^2 - 2 R(R(1)), and with R(1) = e12 + e23 its six
+        # nonzero components are the claims, each up to sign
+        _, shape = generate_system(spec.ansatz())
+        total = {}
+        for ((u, v), pos), value in rb_residual(shape.operator).entries.items():
+            if u[0] == u[1] and v[0] == v[1]:
+                total[pos] = total[pos] + value if pos in total else value
+        assert len(total) == len(claims) == 6 and all(total.values())
+        assert all(-shape.expand(claim) in total.values() for claim in claims)
 
 
 @pytest.mark.parametrize("name", case_preset_names())

@@ -251,7 +251,7 @@ def test_export_matches_shipped_data(tmp_path, monkeypatch):
     here through ``importlib.resources``; it builds and parses no family."""
     def refuse(*args):
         raise AssertionError("export built a family")
-    monkeypatch.setattr(catalog, "_build_entry", refuse)
+    monkeypatch.setattr(catalog, "get_entry", refuse)
     monkeypatch.setattr(Operator, "from_json", refuse)
     written = export_data(tmp_path)
     assert len(written) == 12

@@ -523,6 +523,11 @@ def test_ansatz_file_fields_of_the_wrong_type_exit_2(tmp_path, capsys, field,
     ("gens", "b_22_12", "bad system gens 'b_22_12'"),
     ("vars", "abc", "bad system vars 'abc'"),
     ("vars", [1], "bad system vars [1]"),
+    # an elimination block size must be an int, not a bool or a string
+    ("order", {"elim": True}, "bad monomial order spec {'elim': True}"),
+    ("order", {"elim": "2"}, "bad monomial order spec {'elim': '2'}"),
+    ("order", {"elim": None}, "bad monomial order spec {'elim': None}"),
+    ("order", {"elim": [1]}, "bad monomial order spec {'elim': [1]}"),
 ])
 def test_system_file_fields_of_the_wrong_type_exit_2(tmp_path, capsys, field,
                                                      value, message):
