@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cache, partial, reduce
 from importlib.resources import files
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .matrices import UTMatrix, basis_name
 from .operators import (Ansatz, Operator, check_lemma3, failure_json,
@@ -84,16 +84,13 @@ class CatalogEntry:
     residual_zero: bool = False
     first_failure: object = None
 
-    def specialize(self, values: Mapping[str, Fraction] | None = None,
-                   rng: random.Random | None = None) -> Operator:
-        """A rational instance of the family (random values when unspecified)."""
+    def specialize(self, rng: random.Random) -> Operator:
+        """A rational instance of the family, its parameters drawn from ``rng``."""
         if not self.params:
             return self.operator
-        if values is None:
-            rng = rng or random.Random(0)
-            values = {name: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                      for name in self.params}
-        return self.operator.substitute_params(values)
+        return self.operator.substitute_params({
+            name: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            for name in self.params})
 
 
 def _data(*parts: str):
@@ -472,7 +469,7 @@ def _entry_report_by_id(eid: str, samples: int, seed: int) -> EntryReport:
         id=entry.id, params=entry.params, side_conditions=entry.side_conditions,
         provenance=entry.provenance, residual_zero=entry.residual_zero,
         first_failure=entry.first_failure, power_vanish_index=k,
-        r2_nonzero=k is not None and k > 2,
+        r2_nonzero=k is None or k > 2,
         image_dim=op.image_dimension(),
         unit_not_in_image=lemma.unit_not_in_image,
         kernel_check=lemma.kernel_contains_image,
@@ -484,7 +481,7 @@ def _entry_report_by_id(eid: str, samples: int, seed: int) -> EntryReport:
         rng = random.Random((seed, entry.id).__repr__())
         failures = 0
         for _ in range(samples):
-            instance = entry.specialize(rng=rng)
+            instance = entry.specialize(rng)
             if not closure_trial(instance, rng):
                 failures += 1
         report.closure_trials = samples

@@ -387,7 +387,6 @@ class AnsatzSolution:
     n: int
     table: VarTable            # free variables, in canonical b-order
     expressions: dict          # b-name -> MultiPoly over `table`
-    operator: Operator         # the symbolic operator with those entries
     constraints: list
     _rings: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
@@ -498,22 +497,15 @@ def generate_system(ansatz: Ansatz) -> tuple:
     idxs = basis_indices(n)
     d, free = len(idxs), len(free_table)
     rank, monos = _quadratic_monomials(free)
-    expressions, cols = {}, {}
+    expressions = {}
     for k, form in enumerate(forms):  # slot k is bvar k: src-major, basis order
-        src, dst = idxs[k // d], idxs[k % d]
-        value = MultiPoly._of(free_table, {monos[rank[s][free]]: Fraction(c, D)
-                                           for s, c in form})
-        expressions[bvar_name(src, dst)] = value
-        if value:
-            cols.setdefault(src, {})[dst] = value
-    op = Operator(n, {src: UTMatrix(n, entries) for src, entries in cols.items()},
-                  ansatz.weight)
-    solution = AnsatzSolution(n, free_table, expressions, op, constraints)
+        expressions[bvar_name(idxs[k // d], idxs[k % d])] = MultiPoly._of(
+            free_table, {monos[rank[s][free]]: Fraction(c, D) for s, c in form})
+    solution = AnsatzSolution(n, free_table, expressions, constraints)
 
     _, quad, _ = _residual_form(n)
     terms = [(x, form) for x, form in enumerate(forms) if form]
-    if op.weight:  # slot d^2 is lambda, a constant form
-        weight = op.weight
+    if weight := ansatz.weight:  # slot d^2 is lambda, a constant form
         terms.append((d * d, [(free, weight.numerator * (D // weight.denominator))]))
     size = len(monos)
     acc = {}  # target * size + monomial rank -> int coefficient

@@ -24,7 +24,7 @@ from typing import Mapping
 from .matrices import UTMatrix, basis_indices, combine
 from .operators import Operator, _cleared, _residual_values, scale_operator
 from .poly import (MultiPoly, VarTable, add_terms, as_fraction, as_int,
-                   distinct_monic, lex, mono_mul)
+                   check_fields, distinct_monic, lex, mono_mul)
 from .groebner import Limits, PolySystem, buchberger, normal_form
 
 __all__ = [
@@ -63,10 +63,6 @@ class AutoParams:
 
     def to_json(self):
         return {f.name: str(getattr(self, f.name)) for f in fields(self)}
-
-    @staticmethod
-    def from_json(data) -> "AutoParams":
-        return AutoParams(**data)
 
 
 class AlgebraMap:
@@ -359,16 +355,15 @@ class Witness:
     @staticmethod
     def from_json(data) -> "Witness":
         maps, scalar = data.get("maps", []), as_fraction(data.get("scalar", "1"))
-        for key, ok in (("maps", type(maps) is list), ("scalar", scalar != 0)):
-            if not ok:
-                raise ValueError(f"bad witness {key} {data[key]!r}")
+        check_fields("witness", data, (("maps", type(maps) is list),
+                                       ("scalar", scalar != 0)))
         steps = []
         for item in maps:
             if item == "theta13":
                 steps.append(ThetaStep())
             elif (type(item) is dict and type(item.get("psi")) is dict
                   and item["psi"].keys() <= {f.name for f in fields(AutoParams)}):
-                steps.append(PsiStep(AutoParams.from_json(item["psi"])))
+                steps.append(PsiStep(AutoParams(**item["psi"])))
             else:
                 raise ValueError(f"bad witness step {item!r}")
         return Witness(tuple(steps), scalar)
@@ -398,6 +393,14 @@ def _certified(x: UTMatrix, result: CanonicalForm) -> CanonicalForm:
     return result
 
 
+def _through_theta(x: UTMatrix, canonicalize) -> CanonicalForm:
+    """The form of ``x`` as that of its flip: Theta, then the flip's witness.
+    Theta is an involution, so this witness sends ``x`` to the same form."""
+    inner = canonicalize(theta13().apply(x))
+    witness = Witness((ThetaStep(), *inner.witness.steps), inner.witness.scalar)
+    return _certified(x, CanonicalForm(inner.label, inner.form, witness))
+
+
 def canonicalize_nilpotent(nil: UTMatrix) -> CanonicalForm:
     """Send a strictly upper-triangular element of U_3 to its orbit form.
 
@@ -415,9 +418,8 @@ def canonicalize_nilpotent(nil: UTMatrix) -> CanonicalForm:
     elif a and not c:
         steps = (PsiStep(AutoParams(delta=a, epsilon=b)),)
         result = CanonicalForm("e12", UTMatrix.basis(3, 1, 2), Witness(steps))
-    elif c and not a:
-        steps = (ThetaStep(), PsiStep(AutoParams(delta=c, epsilon=b)))
-        result = CanonicalForm("e12", UTMatrix.basis(3, 1, 2), Witness(steps))
+    elif c and not a:  # the flip of a e12 + b e13
+        return _through_theta(nil, canonicalize_nilpotent)
     elif not a and not c:
         steps = (PsiStep(AutoParams(alpha=b)),)
         result = CanonicalForm("e13", UTMatrix.basis(3, 1, 3), Witness(steps))
@@ -441,37 +443,26 @@ def canonicalize_idempotent(idem: UTMatrix) -> CanonicalForm:
     if rank not in (1, 2):
         raise ValueError("rank must be 1 or 2")
     diag = [idem.entry(i, i) for i in (1, 2, 3)]
+    if diag in ([0, 0, 1], [0, 1, 1]):  # the flips of the e11 and e11+e22 cases
+        return _through_theta(idem, canonicalize_idempotent)
     e = lambda i, j: UTMatrix.basis(3, i, j)
     if rank == 1:
         if diag[0]:
             steps = (PsiStep(AutoParams(beta=idem.entry(1, 2),
                                         gamma=idem.entry(1, 3))),)
             result = CanonicalForm("e11", e(1, 1), Witness(steps))
-        elif diag[1]:
+        else:
             steps = (PsiStep(AutoParams(beta=-idem.entry(1, 2),
                                         epsilon=idem.entry(2, 3))),)
             result = CanonicalForm("e22", e(2, 2), Witness(steps))
-        else:
-            # flip: the e33 case lands back on the e11 case
-            steps = (ThetaStep(),
-                     PsiStep(AutoParams(beta=idem.entry(2, 3),
-                                        gamma=idem.entry(1, 3))))
-            result = CanonicalForm("e11", e(1, 1), Witness(steps))
+    elif diag[1]:
+        steps = (PsiStep(AutoParams(gamma=idem.entry(1, 3),
+                                    epsilon=idem.entry(2, 3))),)
+        result = CanonicalForm("e11+e22", e(1, 1) + e(2, 2), Witness(steps))
     else:
-        if diag[0] and diag[1]:
-            steps = (PsiStep(AutoParams(gamma=idem.entry(1, 3),
-                                        epsilon=idem.entry(2, 3))),)
-            result = CanonicalForm("e11+e22", e(1, 1) + e(2, 2), Witness(steps))
-        elif diag[0] and diag[2]:
-            steps = (PsiStep(AutoParams(beta=idem.entry(1, 2),
-                                        epsilon=-idem.entry(2, 3))),)
-            result = CanonicalForm("e11+e33", e(1, 1) + e(3, 3), Witness(steps))
-        else:
-            # a22 = a33 = 1: flip to the a11 = a22 case
-            steps = (ThetaStep(),
-                     PsiStep(AutoParams(gamma=idem.entry(1, 3),
-                                        epsilon=idem.entry(1, 2))))
-            result = CanonicalForm("e11+e22", e(1, 1) + e(2, 2), Witness(steps))
+        steps = (PsiStep(AutoParams(beta=idem.entry(1, 2),
+                                    epsilon=-idem.entry(2, 3))),)
+        result = CanonicalForm("e11+e33", e(1, 1) + e(3, 3), Witness(steps))
     return _certified(idem, result)
 
 

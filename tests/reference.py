@@ -13,6 +13,16 @@ def identity(n=3):
     return Operator(n, {idx: UTMatrix.basis(n, *idx) for idx in basis_indices(n)})
 
 
+def symbolic_operator(shape, weight):
+    """The symbolic operator of a solved ansatz ``shape`` (an
+    ``AnsatzSolution``), of the given weight: the e_kl entry of R(e_ij) is
+    the expression of b_ij_kl over the free unknowns."""
+    idxs = basis_indices(shape.n)
+    return Operator(shape.n, {src: UTMatrix(shape.n, {
+        dst: shape.expressions[bvar_name(src, dst)] for dst in idxs})
+        for src in idxs}, weight)
+
+
 def leading(p, order):
     """The maximal (monomial, coefficient) pair of ``p`` under ``order``.
 

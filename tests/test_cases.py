@@ -15,7 +15,7 @@ from rbu3.matrices import basis_indices
 from rbu3.operators import bvar_name, generate_system, rb_residual
 from rbu3.poly import MultiPoly, VarTable
 
-from reference import ShapeAnsatz, preset_shapes
+from reference import ShapeAnsatz, preset_shapes, symbolic_operator
 
 FAST = Limits(max_pairs=100000, deadline=240.0)
 
@@ -200,9 +200,11 @@ def test_a_reduced_preset_imposes_relations_its_full_preset_certifies(reduced):
         # without a Groebner basis: the residual summed over the diagonal
         # basis pairs is R(1)^2 - 2 R(R(1)), and with R(1) = e12 + e23 its six
         # nonzero components are the claims, each up to sign
-        _, shape = generate_system(spec.ansatz())
+        ansatz = spec.ansatz()
+        _, shape = generate_system(ansatz)
+        op = symbolic_operator(shape, ansatz.weight)
         total = {}
-        for ((u, v), pos), value in rb_residual(shape.operator).entries.items():
+        for ((u, v), pos), value in rb_residual(op).entries.items():
             if u[0] == u[1] and v[0] == v[1]:
                 total[pos] = total[pos] + value if pos in total else value
         assert len(total) == len(claims) == 6 and all(total.values())
@@ -440,9 +442,11 @@ def test_generators_are_the_residual_components(name):
     """Each generator is a multiple of a nonzero residual component of the
     constrained ansatz operator, and each such component a multiple of a
     generator: the equivalence behind checking solutions by the residual."""
-    system, shape = generate_system(case_preset(name).ansatz())
+    ansatz = case_preset(name).ansatz()
+    system, shape = generate_system(ansatz)
     components = []
-    for value in rb_residual(shape.operator).entries.values():
+    op = symbolic_operator(shape, ansatz.weight)
+    for value in rb_residual(op).entries.values():
         if not isinstance(value, MultiPoly):
             value = MultiPoly.const(system.table, value)
         if not value.is_zero():

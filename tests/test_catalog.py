@@ -59,13 +59,14 @@ def test_entry_r3_matches_display():
 
 def test_parameter_specialization_keeps_residual_zero():
     entry = BY_ID["R26"]
-    op = entry.specialize({"kappa": Fraction(0)})
+    op = entry.operator.substitute_params({"kappa": Fraction(0)})
     assert op.image((1, 1)).is_zero()
     assert rb_residual(op).is_zero()
 
 
 def test_r40_specialization_at_origin():
-    op = BY_ID["R40"].specialize({"b": Fraction(0), "f": Fraction(0)})
+    op = BY_ID["R40"].operator.substitute_params({"b": Fraction(0),
+                                                  "f": Fraction(0)})
     assert rb_residual(op).is_zero()
     assert op.image((1, 1)) == parse_matrix("e12 + e23")
 
@@ -300,3 +301,16 @@ def test_verify_all_rb_index_agrees_with_direct_powers():
 def test_verify_all_on_one_family_reports_its_square():
     report = verify_all(families=["R25"])
     assert report.r2_nonzero == ("R25",) and report.rb_index == 3
+
+
+def test_a_family_with_no_vanishing_power_has_a_nonzero_square(monkeypatch):
+    """R = (e11 -> e11) has R^k(e11) = e11 for every k: no power vanishes,
+    so its square does not either."""
+    families = dict(catalog._families())
+    families["RX"] = {"id": "RX", "images": {"e11": "e11"}, "n": 3,
+                      "params": [], "provenance": "test", "schema": 1,
+                      "side_conditions": [], "weight": "0"}
+    monkeypatch.setattr(catalog, "_families", lambda: families)
+    report = verify_all(families=["RX"])
+    assert report.entries[0].power_vanish_index is None
+    assert report.entries[0].r2_nonzero and report.r2_nonzero == ("RX",)

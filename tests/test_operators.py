@@ -15,7 +15,7 @@ from rbu3.operators import (Ansatz, ContradictoryAnsatz, Operator, bvar_name,
 from rbu3.poly import MultiPoly, VarTable, as_fraction, grevlex, write_json
 from rbu3.transform import AutoParams, Witness
 
-from reference import ShapeAnsatz, identity, leading
+from reference import ShapeAnsatz, identity, leading, symbolic_operator
 
 
 def e(i, j):
@@ -101,7 +101,7 @@ def test_generate_system_fixed_rb_operator_is_empty():
         ansatz.fix_image(name, text)
     system, shape = generate_system(ansatz)
     assert len(system.table) == 0 and len(system.gens) == 0
-    assert shape.operator == R5
+    assert symbolic_operator(shape, ansatz.weight) == R5
 
 
 def test_generate_system_fixed_non_rb_operator_is_inconsistent():
@@ -137,12 +137,12 @@ def test_contradictory_ansatz():
         generate_system(ansatz)
 
 
-def symbolic_generators(shape):
+def symbolic_generators(shape, weight):
     """The symbolic route, the oracle for the int build: the ansatz
     operator's ``MultiPoly`` residual entries, each divided by its grevlex
     leading coefficient, deduplicated in order."""
     gens = []
-    for value in rb_residual(shape.operator).entries.values():
+    for value in rb_residual(symbolic_operator(shape, weight)).entries.values():
         if not isinstance(value, MultiPoly):
             value = MultiPoly.const(shape.table, value)
         gens.append(value * (1 / leading(value, grevlex())[1]))
@@ -152,7 +152,7 @@ def symbolic_generators(shape):
 def assert_generators_match_the_symbolic_route(ansatz):
     system, shape = generate_system(ansatz)
     # the same generators in the same order, every coefficient a Fraction
-    assert system.gens == symbolic_generators(shape)
+    assert system.gens == symbolic_generators(shape, ansatz.weight)
     assert all(type(c) is Fraction for g in system.gens for c in g.terms.values())
     return system
 
@@ -497,18 +497,18 @@ def test_a_float_weight_is_refused_and_exact_weights_are_kept():
 
 @pytest.mark.parametrize("build", [
     lambda: AutoParams(alpha=0.1),
-    lambda: AutoParams.from_json({"alpha": "2", "beta": 0.1}),
+    lambda: Witness.from_json({"maps": [{"psi": {"alpha": "2", "beta": 0.1}}]}),
     lambda: scale_operator(R5, 0.1),
-    lambda: get_entry("R26").specialize({"kappa": 0.1}),
+    lambda: get_entry("R26").operator.substitute_params({"kappa": 0.1}),
     lambda: R40.substitute_params({"b": 1, "f": 0.1}),
     lambda: MultiPoly(VarTable(["t"]), {(1,): 0.1}),
     lambda: MultiPoly(VarTable(["t"]), {(1,): 0.0}),
     lambda: Operator(3, {(1, 2): e(1, 1)}, 0.1),
     lambda: Operator.from_json(dict(R5.to_json(), weight=0.1)),
     lambda: Witness.from_json({"maps": [], "scalar": 0.1}),
-], ids=["AutoParams", "AutoParams.from_json", "scale_operator", "specialize",
-        "substitute_params", "MultiPoly", "MultiPoly-zero", "Operator",
-        "Operator.from_json", "Witness.from_json"])
+], ids=["AutoParams", "Witness.from_json-psi", "scale_operator",
+        "family-substitute_params", "substitute_params", "MultiPoly",
+        "MultiPoly-zero", "Operator", "Operator.from_json", "Witness.from_json"])
 def test_every_reader_of_a_rational_refuses_a_float(build):
     with pytest.raises(TypeError):
         build()
@@ -526,8 +526,9 @@ def test_exact_rationals_are_read_alike_and_zero_denominators_refused():
     assert as_fraction(3) == as_fraction("3") == Fraction(3)
     assert as_fraction("-1/10") == Fraction(-1, 10)
     assert AutoParams(alpha="1/10", beta=2).alpha == Fraction(1, 10)
-    assert (get_entry("R26").specialize({"kappa": "1/2"})
-            == get_entry("R26").specialize({"kappa": Fraction(1, 2)}))
+    r26 = get_entry("R26").operator
+    assert (r26.substitute_params({"kappa": "1/2"})
+            == r26.substitute_params({"kappa": Fraction(1, 2)}))
     assert scale_operator(R5, "2") == scale_operator(R5, 2)
     for build in (lambda: as_fraction("1/0"), lambda: AutoParams(beta="1/0"),
                   lambda: Operator(3, weight="1/0")):

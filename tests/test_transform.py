@@ -639,6 +639,38 @@ def test_canonicalize_idempotent_rank_two():
     assert cf.label == "e11+e22"
 
 
+# The flipped cases, as their hand derivation has them: an input, from two
+# rationals p and q != 0; its canonicalizer and form; and the psi that follows
+# theta13 in its witness.
+FLIPPED_CASES = {
+    "q e23 + p e13": (lambda p, q: UTMatrix(3, {(2, 3): q, (1, 3): p}),
+                      canonicalize_nilpotent, "e12",
+                      lambda p, q: AutoParams(delta=q, epsilon=p)),
+    "e33 + p e13 + q e23": (
+        lambda p, q: UTMatrix(3, {(3, 3): 1, (1, 3): p, (2, 3): q}),
+        canonicalize_idempotent, "e11",
+        lambda p, q: AutoParams(beta=q, gamma=p)),
+    "e22 + e33 + q e12 + p e13": (
+        lambda p, q: UTMatrix(3, {(2, 2): 1, (3, 3): 1, (1, 2): q, (1, 3): p}),
+        canonicalize_idempotent, "e11+e22",
+        lambda p, q: AutoParams(gamma=p, epsilon=q)),
+}
+
+
+@pytest.mark.parametrize("case", FLIPPED_CASES)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(p=st.fractions(-9, 9, max_denominator=4),
+       q=st.fractions(-9, 9, max_denominator=4).filter(bool))
+def test_flipped_canonical_forms_keep_the_hand_derived_witness(case, p, q):
+    """An input whose form is reached through theta13 gets the witness its
+    hand derivation gives: theta13, then that psi."""
+    build, canonicalize, label, oracle = FLIPPED_CASES[case]
+    cf = canonicalize(build(p, q))
+    assert cf.label == label
+    assert cf.witness.to_json() == {
+        "maps": ["theta13", {"psi": oracle(p, q).to_json()}], "scalar": "1"}
+
+
 def test_canonicalize_idempotent_rejects_bad_input():
     with pytest.raises(ValueError):
         canonicalize_idempotent(e(1, 2))
