@@ -81,8 +81,8 @@ class CatalogEntry:
     side_conditions: tuple
     provenance: str
     operator: Operator
-    residual_zero: bool = False
-    first_failure: object = None
+    residual_zero: bool
+    first_failure: object   # the residual's first nonzero cell, or None
 
     def specialize(self, rng: random.Random) -> Operator:
         """A rational instance of the family, its parameters drawn from ``rng``."""
@@ -134,13 +134,10 @@ def get_entry(eid: str) -> CatalogEntry:
     if data is None:
         raise KeyError(f"unknown family id {eid!r}")
     op = Operator.from_json(data)
-    entry = CatalogEntry(eid, tuple(data["params"]),
-                         tuple(data["side_conditions"]), data["provenance"], op)
     residual = rb_residual(op)
-    entry.residual_zero = residual.is_zero()
-    if not entry.residual_zero:
-        entry.first_failure = residual.first_nonzero()
-    return entry
+    return CatalogEntry(eid, tuple(data["params"]), tuple(data["side_conditions"]),
+                        data["provenance"], op, residual.is_zero(),
+                        residual.first_nonzero())
 
 
 # -- case driver ---------------------------------------------------------------
@@ -393,8 +390,8 @@ class EntryReport:
     unit_power_identity: bool
     unit_image_nilpotent: bool
     unit_column_consistent: bool
-    closure_trials: int = 0
-    closure_failures: int = 0
+    closure_trials: int
+    closure_failures: int
 
     def all_pass(self) -> bool:
         return (self.residual_zero and self.unit_not_in_image
@@ -416,7 +413,7 @@ class EntryReport:
 @dataclass
 class VerifyReport:
     entries: list
-    rb_index: int
+    rb_index: int | None   # None: some family has no vanishing power
     r2_nonzero: tuple
     samples: int
 
@@ -450,7 +447,8 @@ class VerifyReport:
                 f"{'yes' if e.unit_not_in_image else 'NO':<7} {lemmas:<7} "
                 f"{closure:<8} {e.provenance}")
         ok = sum(1 for e in self.entries if e.all_pass())
-        lines.append(f"{ok}/{len(self.entries)} OK, rb-index {self.rb_index}, "
+        lines.append(f"{ok}/{len(self.entries)} OK, rb-index "
+                     f"{'none' if self.rb_index is None else self.rb_index}, "
                      f"R^2 != 0: {', '.join(self.r2_nonzero)}")
         return "\n".join(lines)
 
@@ -461,11 +459,14 @@ def _entry_report_by_id(eid: str, samples: int, seed: int) -> EntryReport:
     op = entry.operator
     lemma = check_lemma3(op)
     r1 = op.unit_image()
-    unit_sum = UTMatrix.zero(3)
-    for i in (1, 2, 3):
-        unit_sum = unit_sum + op.image((i, i))
+    unit_sum = sum((op.image((i, i)) for i in (1, 2, 3)), UTMatrix.zero(3))
     k = op.power_vanish_index(cap=8)
-    report = EntryReport(
+    # each sample draws its instance, then its trial, from the one rng
+    trials = samples if entry.residual_zero else 0
+    rng = random.Random((seed, entry.id).__repr__())
+    failures = sum(not closure_trial(entry.specialize(rng), rng)
+                   for _ in range(trials))
+    return EntryReport(
         id=entry.id, params=entry.params, side_conditions=entry.side_conditions,
         provenance=entry.provenance, residual_zero=entry.residual_zero,
         first_failure=entry.first_failure, power_vanish_index=k,
@@ -476,17 +477,8 @@ def _entry_report_by_id(eid: str, samples: int, seed: int) -> EntryReport:
         unit_power_identity=lemma.unit_power_identity,
         unit_image_nilpotent=(r1.nilpotency_degree() is not None),
         unit_column_consistent=(r1 == unit_sum),
+        closure_trials=trials, closure_failures=failures,
     )
-    if samples and entry.residual_zero:
-        rng = random.Random((seed, entry.id).__repr__())
-        failures = 0
-        for _ in range(samples):
-            instance = entry.specialize(rng)
-            if not closure_trial(instance, rng):
-                failures += 1
-        report.closure_trials = samples
-        report.closure_failures = failures
-    return report
 
 
 def verify_all(samples: int = 0, families: Sequence[str] | None = None,
@@ -520,7 +512,8 @@ def verify_all(samples: int = 0, families: Sequence[str] | None = None,
             reports = list(pool.map(report, wanted))
     else:
         reports = [report(eid) for eid in wanted]
-    return VerifyReport(reports, max(r.power_vanish_index or 0 for r in reports),
+    indices = [r.power_vanish_index for r in reports]
+    return VerifyReport(reports, None if None in indices else max(indices),
                         tuple(r.id for r in reports if r.r2_nonzero), samples)
 
 

@@ -155,11 +155,9 @@ def cmd_find_conj(args):
 def cmd_rb_index(args):
     op = Operator.load(args.file)
     k = op.power_vanish_index(cap=args.cap)
-    if k is None:
-        print(f"no vanishing power up to cap {args.cap}")
-        return EXIT_CHECK_FAILED, None
-    print(f"least k with R^k = 0: {k}")
-    return EXIT_OK, {"schema": 1, "power_vanish_index": k}
+    print(f"least k with R^k = 0: {k}" if k
+          else f"no vanishing power up to cap {args.cap}")
+    return EXIT_OK if k else EXIT_CHECK_FAILED, {"schema": 1, "power_vanish_index": k}
 
 
 def cmd_case(args):

@@ -148,8 +148,6 @@ class UTMatrix:
 
     def __mul__(self, other: "UTMatrix") -> "UTMatrix":
         """Exact product via e_ij * e_kl = delta_jk * e_il."""
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            return self.scale(other)
         self._check(other)
         return UTMatrix._filtered(self.n, add_terms({}, (
             ((i, l), x * y) for (i, j), x in self.entries.items()

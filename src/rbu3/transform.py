@@ -508,10 +508,9 @@ def _rational_roots(coeffs):
     Candidates are ``s/q`` in lowest terms with s dividing the constant and q
     the leading coefficient of the integer polynomial f; each is tested in
     integers as ``q^n f(s/q) = 0``, for f of degree n.  For n < 2 there is
-    no divisor walk: a linear f = a1 x + a0 has the one root -a0/a1.
+    no divisor walk: a linear f = a1 x + a0 has the one root -a0/a1.  The top
+    coefficient is nonzero: the caller reads it off a nonzero polynomial.
     """
-    if not coeffs:
-        return []
     dens = lcm(1, *(c.denominator for c in coeffs.values()))
     ints = {d: int(c * dens) for d, c in coeffs.items()}
     low = min(d for d, c in ints.items() if c)
@@ -520,10 +519,7 @@ def _rational_roots(coeffs):
         roots.append(Fraction(0))
         ints = {d - low: c for d, c in ints.items() if c}
     n = max(ints)
-    a0 = abs(ints.get(0, 0))
-    an = abs(ints[n])
-    if a0 == 0 or an == 0:
-        return roots
+    a0, an = abs(ints[0]), abs(ints[n])
     if n < 2:  # a nonzero constant has no root, and a linear f one
         return sorted(roots + [Fraction(-ints[0], ints[1])] if n else roots)
     # highest degree first, zeros included, for Horner's rule
@@ -561,13 +557,12 @@ def _search_points(polys, table, idx, assignment, budget, check_limits):
     ``c*y^m + d*x`` of the remaining polynomials, with x this variable and
     y one assigned later, x = -(c/d)*s^m for each trial value s.  A value
     is substituted only into the polynomials in which the variable occurs.
-    ``check_limits()`` runs before each candidate is tried.
+    ``check_limits()`` runs before each candidate is tried.  A level
+    recurses only after a decrement that left ``budget[0]`` at 1 or more, and
+    drops its variable from all it passes down: ``polys`` is empty at idx -1.
     """
-    if budget[0] <= 0:
-        return
     if idx < 0:
-        if all(p.is_zero() for p in polys):
-            yield dict(assignment)
+        yield dict(assignment)
         return
     name = table.names[idx]
     univariate = []

@@ -186,6 +186,38 @@ def test_sec7_printed_linear_variant_provably_fails():
     assert not (len(loc_gb.basis) == 1 and loc_gb.basis[0].is_constant())
 
 
+def test_a_relation_false_on_the_solution_set_fails_the_case():
+    """a = b_12_13 is R(e12)'s e13 entry, which sec4.1's solution
+    im-in-L(e13) leaves free: the relation a does not vanish on the
+    solution set, so the localization over the full basis refutes it."""
+    spec = replace(case_preset("sec4.1"), relations=(("a",),))
+    (solution,) = [s for s in spec.solutions if s.name == "im-in-L(e13)"]
+    assert str(solution.operator().image((1, 2)).entry(1, 3)) == "a"
+    report = run_case(spec, FAST)
+    (member,) = report.memberships
+    assert (member.member, member.vacuous, member.certified_by) == \
+        (False, False, "localization")
+    assert report.gb_reduced and all(s.passed() for s in report.solutions)
+    assert not report.all_pass()
+    text = report.to_text()
+    assert "  member a: FAIL\n" in text and text.endswith("  all: FAIL")
+
+
+def test_a_relation_the_constraints_force_is_vacuous():
+    """sec4.1's constraints set b_11_11 to 0, so the relation b_11_11 is
+    zero before any basis is consulted: imposed by the ansatz."""
+    spec = replace(case_preset("sec4.1"), relations=(("b_11_11",),))
+    report = run_case(spec, FAST)
+    (member,) = report.memberships
+    assert (member.member, member.vacuous, member.certified_by) == \
+        (True, True, "ansatz")
+    assert report.all_pass()
+    assert "  member b_11_11: PASS (imposed by ansatz)\n" in report.to_text()
+    assert report.to_json()["memberships"] == [{
+        "claim": "b_11_11", "member": True, "vacuous": True,
+        "certified_by": "ansatz"}]
+
+
 @pytest.mark.parametrize("reduced", ["sec5-reduced", "sec7-reduced"])
 def test_a_reduced_preset_imposes_relations_its_full_preset_certifies(reduced):
     """Each constraint a reduced preset adds is a quoted relation of its full

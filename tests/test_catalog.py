@@ -303,14 +303,28 @@ def test_verify_all_on_one_family_reports_its_square():
     assert report.r2_nonzero == ("R25",) and report.rb_index == 3
 
 
-def test_a_family_with_no_vanishing_power_has_a_nonzero_square(monkeypatch):
-    """R = (e11 -> e11) has R^k(e11) = e11 for every k: no power vanishes,
-    so its square does not either."""
+@pytest.fixture
+def rx_family(monkeypatch):
+    """The catalog with one more family, RX = (e11 -> e11): R^k(e11) = e11
+    for every k, so no power of it vanishes."""
     families = dict(catalog._families())
     families["RX"] = {"id": "RX", "images": {"e11": "e11"}, "n": 3,
                       "params": [], "provenance": "test", "schema": 1,
                       "side_conditions": [], "weight": "0"}
     monkeypatch.setattr(catalog, "_families", lambda: families)
+
+
+def test_a_family_with_no_vanishing_power_has_a_nonzero_square(rx_family):
+    """No power of RX vanishes, so its square does not either."""
     report = verify_all(families=["RX"])
     assert report.entries[0].power_vanish_index is None
     assert report.entries[0].r2_nonzero and report.r2_nonzero == ("RX",)
+
+
+def test_a_family_with_no_vanishing_power_leaves_no_rb_index(rx_family):
+    """Beside R25 (index 3), RX is not nilpotent: the reports give no index,
+    where a count of RX as 0 would have left 3."""
+    report = verify_all(families=["R25", "RX"])
+    assert report.rb_index is None and report.to_json()["rb_index"] is None
+    assert "rb-index none," in report.to_text()
+    assert verify_all(families=["R25"]).rb_index == 3

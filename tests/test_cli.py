@@ -152,6 +152,25 @@ def test_rb_index_command(capsys):
     assert code == 0 and "R^k = 0: 3" in out
 
 
+def test_rb_index_writes_a_null_index_when_no_power_vanishes(tmp_path, capsys):
+    """R5^2 = 0 is past cap 1: the failed check still writes its report, so
+    a stale file from an earlier run is not read as current."""
+    path = tmp_path / "rbi.json"
+    path.write_text('{"schema": 1, "power_vanish_index": 2}\n')
+    code = cli.main(["rb-index", str(DATA / "operators" / "r5.json"),
+                     "--cap", "1", "--json", str(path)])
+    assert code == 1 and "no vanishing power up to cap 1" in capsys.readouterr().out
+    assert json.loads(path.read_text()) == {"schema": 1, "power_vanish_index": None}
+
+
+def test_export_data_prints_each_written_path(tmp_path, capsys):
+    code = cli.main(["export-data", str(tmp_path / "out")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0 and len(lines) == 12
+    assert sorted(lines) == sorted(str(p) for p in (tmp_path / "out").rglob("*.json"))
+    assert lines[0] == str(tmp_path / "out" / "catalog.json")
+
+
 def test_json_reports_are_deterministic(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:

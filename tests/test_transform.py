@@ -777,6 +777,23 @@ def test_the_back_substitution_reads_the_deadline(fake_clock, monkeypatch):
     assert stop.value.partial == list(basis)
 
 
+def test_an_exhausted_candidate_budget_answers_none(monkeypatch):
+    """A planted target that the search finds, searched again with a budget
+    of one candidate per back-substitution: the first decrement empties it,
+    so no point is replayed, and the answer is ``none`` with no witness,
+    an incomplete search and not a disjoint one."""
+    source = certified_families()["R31"].substitute_params({"kappa": Fraction(2, 3)})
+    psi = AutoParams(alpha=Fraction(3, 2), beta=Fraction(1), gamma=Fraction(-2),
+                     delta=Fraction(-5, 4), epsilon=Fraction(3))
+    target = Witness((PsiStep(psi),)).transform_operator(source)
+    found = find_conjugation(source, target)
+    assert found.status == "found"
+    assert found.witness.transform_operator(source) == target
+    monkeypatch.setattr(transform, "_BUDGET", 1)
+    search = find_conjugation(source, target)
+    assert (search.status, search.witness, search.certificate) == ("none", None, None)
+
+
 def test_a_tampered_unit_certificate_fails_its_recheck():
     r6 = Operator.from_images({"e13": "e11"})
     (certificate,) = find_conjugation(R5, r6, allow_theta=False).certificate
