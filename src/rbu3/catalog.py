@@ -443,7 +443,7 @@ class VerifyReport:
                         else f"{e.closure_failures} FAIL"))
             lines.append(
                 f"{e.id:<5} {'zero' if e.residual_zero else 'NONZERO':<9} "
-                f"{str(e.power_vanish_index):<6} {e.image_dim:<4} "
+                f"{e.power_vanish_index or 'none'!s:<6} {e.image_dim:<4} "
                 f"{'yes' if e.unit_not_in_image else 'NO':<7} {lemmas:<7} "
                 f"{closure:<8} {e.provenance}")
         ok = sum(1 for e in self.entries if e.all_pass())

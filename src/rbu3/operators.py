@@ -276,7 +276,7 @@ def rb_residual(op: Operator) -> RBResidual:
 
     It evaluates the quadratic form built once per n (``_residual_form``)
     over the pairs of nonzero entries only, each product made once.  It runs
-    on the entries of D R and D lambda (``_cleared``), and each residual
+    on the entries of D R (``_cleared``) and D lambda, and each residual
     entry is divided by D^2 at the end.  The sorted targets give the entries
     in ``RBResidual`` order.
     """
@@ -284,8 +284,9 @@ def rb_residual(op: Operator) -> RBResidual:
     d = len(idxs)
     _, _, pairs = _residual_form(op.n)
     terms, D = _cleared(op)
+    terms += [(d * d, (op.weight * D).numerator)] if op.weight else []  # slot d^2
     entries = {}
-    for t, value in sorted(_residual_values(op.n, terms).items()):
+    for t, value in sorted(_residual_values(op.n, sorted(terms)).items()):
         if value:
             cell, pos = divmod(t, d)
             entries[pairs[cell], idxs[pos]] = (
@@ -295,21 +296,18 @@ def rb_residual(op: Operator) -> RBResidual:
 
 
 def _cleared(op: Operator) -> tuple:
-    """The entries of D R and D lambda as ``(slot, value)`` pairs sorted by
-    the slots of ``_residual_form``, and D, the lcm of the denominators of
-    the rational entries and of the weight: rationals become ints,
-    polynomial entries are scaled by D."""
+    """The entries of D R as ``(slot, value)`` pairs on the slots of
+    ``_residual_form``, in the operator's entry order, and D, the lcm of the
+    denominators of the rational entries and of the weight: rationals become
+    ints, polynomial entries are scaled by D."""
     slot, _, _ = _residual_form(op.n)
     slots = [(slot[src, pos], x) for src, image in op.columns.items()
              for pos, x in image.entries.items()]
     # an int first, so the argument tuple is not resized onto a longer free list
     D = lcm(op.weight.denominator, *(
         x.denominator for _, x in slots if not isinstance(x, MultiPoly)))
-    if op.weight:
-        slots.append((len(slot), op.weight))  # slot d^2, after the entries
-    return sorted((x, v * D if D != 1 else v) if isinstance(v, MultiPoly)
-                  else (x, v.numerator * (D // v.denominator))
-                  for x, v in slots), D
+    return [(x, v * D if D != 1 else v) if isinstance(v, MultiPoly)
+            else (x, v.numerator * (D // v.denominator)) for x, v in slots], D
 
 
 def _residual_values(n: int, terms) -> dict:

@@ -22,7 +22,7 @@ from math import gcd, isqrt, lcm
 from typing import Mapping
 
 from .matrices import UTMatrix, basis_indices, combine
-from .operators import Operator, _cleared, _residual_values, scale_operator
+from .operators import Operator, _cleared, _residual_values
 from .poly import (MultiPoly, VarTable, add_terms, as_fraction, as_int,
                    check_fields, distinct_monic, lex, mono_mul)
 from .groebner import Limits, PolySystem, buchberger, normal_form
@@ -234,21 +234,15 @@ def _flip_slots(n: int) -> list:
     return [flip[x // d] * d + flip[x % d] for x in range(d * d)]
 
 
-def _flipped(op: Operator) -> Operator:
-    """``conjugate_operator(op, theta13(n))`` as the relabel it is."""
-    flip = _flip(op.n)
-    return Operator(op.n, {idx: UTMatrix._filtered(op.n, {
-        flip[cell]: v for cell, v in op.columns[f].entries.items()})
-        for idx, f in flip.items() if f in op.columns}, op.weight)
-
-
 def _conjugated_terms(terms: list, cleared: tuple) -> list:
     """phi^{-1} . R . phi on int coordinates: ``terms`` are D R cleared by
-    ``operators._cleared``, R of weight zero, and ``cleared`` is phi and
-    its inverse as int columns (``(position, int)`` pairs), each F times
-    the rational one, and their factor F; the result is D F^2 phi^{-1} R phi
-    cleared alike.  Column s is phi^{-1}(R(phi(e_s))), two sparse int
-    products.
+    ``operators._cleared``, and ``cleared`` is phi and its inverse as int
+    columns (``(position, int)`` pairs), each F times the rational one, and
+    their factor F; the result is D F^2 phi^{-1} R phi cleared alike.
+    Column s is phi^{-1}(R(phi(e_s))), two sparse int products summed as
+    ``combine`` sums them, where a unit coefficient multiplies nothing: each
+    column's entries come in ``conjugate_operator``'s order, and in its
+    types once divided by D F^2.
     """
     columns, inverse = cleared[:2]
     d = len(columns)
@@ -257,13 +251,11 @@ def _conjugated_terms(terms: list, cleared: tuple) -> list:
         images[x // d].append((x % d, v))
     out = []
     for s, column in enumerate(columns):
-        for table in (images, inverse):
-            acc = {}
-            for q, a in column:
-                for p, v in table[q]:
-                    acc[p] = acc.get(p, 0) + a * v
-            column = [item for item in acc.items() if item[1]]
-        out.extend((s * d + r, c) for r, c in sorted(column))
+        image = add_terms({}, ((p, v if a == 1 else a * v)
+                               for q, a in column for p, v in images[q]))
+        column = add_terms({}, ((p, a if v == 1 else a * v)
+                                for q, a in image.items() for p, v in inverse[q]))
+        out.extend((s * d + r, c) for r, c in column.items())
     return out
 
 
@@ -277,14 +269,14 @@ def closure_trial(op: Operator, rng: random.Random) -> bool:
     k = _nonzero_fraction(rng, 9, 7)
     if op.weight:
         raise ValueError("scaling preserves the identity only at weight zero")
-    terms, _ = _cleared(op)
+    terms = sorted(_cleared(op)[0])
     rb = lambda cleared: not any(_residual_values(op.n, cleared).values())
     scale = k.denominator if k.numerator > 0 else -k.denominator
     if not rb([(x, v * scale) for x, v in terms]):
         return False
     a, b, c = _nonzero_fraction(rng, 6, 4), rng.randint(-5, 5), rng.randint(-5, 5)
     d, e = _nonzero_fraction(rng, 6, 4), rng.randint(-5, 5)
-    if not rb(_conjugated_terms(terms, _cleared_psi(a, b, c, d, e))):
+    if not rb(sorted(_conjugated_terms(terms, _cleared_psi(a, b, c, d, e)))):
         return False
     flip = _flip_slots(3)
     return rb(sorted((flip[x], v) for x, v in terms))
@@ -335,13 +327,33 @@ class Witness:
     scalar: Fraction = Fraction(1)
 
     def transform_operator(self, op: Operator) -> Operator:
-        result = op
+        """The steps on D R, cleared once as in ``closure_trial``: the flip
+        relabels its slots in order, psi is ``_conjugated_terms`` and
+        multiplies D by its factor squared, and D and k divide at the end.
+        psi is U_3's, and k != 1 keeps the identity at weight zero only."""
+        k = as_fraction(self.scalar)
+        if op.n != 3 and any(isinstance(s, PsiStep) for s in self.steps):
+            raise ValueError("incompatible operands")
+        if k != 1 and (op.weight or not k):
+            raise ValueError("scaling preserves the identity only at weight "
+                             "zero" if k else "scaling factor must be nonzero")
+        terms, scale = _cleared(op)
         for step in self.steps:
-            result = (_flipped(result) if isinstance(step, ThetaStep)
-                      else conjugate_operator(result, step.map()))
-        if self.scalar != 1:
-            result = scale_operator(result, self.scalar)
-        return result
+            if isinstance(step, ThetaStep):
+                flip = _flip_slots(op.n)
+                terms = [(flip[x], v) for x, v in terms]
+            else:
+                p = step.params
+                cleared = _cleared_psi(p.alpha, p.beta, p.gamma, p.delta, p.epsilon)
+                terms = _conjugated_terms(terms, cleared)
+                scale *= cleared[2] ** 2
+        inv, idxs = Fraction(k.denominator, scale * k.numerator), basis_indices(op.n)
+        columns = [{} for _ in idxs]
+        for x, v in terms:  # a polynomial is not multiplied by 1
+            columns[x // len(idxs)][idxs[x % len(idxs)]] = (
+                v if inv == 1 and isinstance(v, MultiPoly) else v * inv)
+        return Operator(op.n, {idx: UTMatrix._filtered(op.n, column) for idx, column
+                               in zip(idxs, columns) if column}, op.weight)
 
     def act_element(self, x: UTMatrix) -> UTMatrix:
         for step in self.steps:
@@ -548,59 +560,78 @@ def _divisors(value):
     return sorted(set(small + [value // d for d in small]))
 
 
+def _primitive(terms: dict) -> dict:
+    """A term map's primitive int form: its nonzero terms times the lcm of
+    their denominators, over the gcd of the products."""
+    den = lcm(1, *(c.denominator for c in terms.values()))
+    ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items() if c}
+    g = gcd(0, *ints.values())
+    return {m: c // g for m, c in ints.items()}
+
+
+def _substituted(terms: dict, idx: int, value: Fraction) -> dict:
+    """The primitive form of q^n p(s/q), for ``terms`` p, n its degree in
+    variable ``idx`` and ``value`` s/q: a nonzero multiple of p at that
+    value, as an int term map."""
+    s, q = value.numerator, value.denominator
+    top = max(m[idx] for m in terms)
+    out = {}
+    for m, c in terms.items():
+        e, m = m[idx], m[:idx] + (0,) + m[idx + 1:]
+        out[m] = out.get(m, 0) + c * s ** e * q ** (top - e)
+    return _primitive(out)
+
+
 def _search_points(polys, table, idx, assignment, budget, check_limits):
     """Back-substitute over the variables from last to first; yields dicts.
 
-    A variable with a univariate polynomial takes its rational roots.  A
-    free one takes the plain ``_TRIAL_VALUES`` first, then values that make
-    a later pure-power relation rationally solvable: for each binomial
-    ``c*y^m + d*x`` of the remaining polynomials, with x this variable and
-    y one assigned later, x = -(c/d)*s^m for each trial value s.  A value
-    is substituted only into the polynomials in which the variable occurs.
-    ``check_limits()`` runs before each candidate is tried.  A level
-    recurses only after a decrement that left ``budget[0]`` at 1 or more, and
-    drops its variable from all it passes down: ``polys`` is empty at idx -1.
+    ``polys`` are primitive int term maps (``_primitive``), kept so by each
+    substitution (``_substituted``): a nonzero multiple of a rational
+    polynomial, with its support and its roots.  A variable with a
+    univariate polynomial takes its rational roots.  A free one takes the
+    plain ``_TRIAL_VALUES`` first, then values that make a later pure-power
+    relation rationally solvable: for each binomial ``c*y^m + d*x`` of the
+    remaining polynomials, with x this variable and y one assigned later,
+    x = -(c/d)*s^m for each trial value s.  A value is substituted only
+    into the polynomials in which the variable occurs.  ``check_limits()``
+    runs before each candidate is tried.  A level recurses only after a
+    decrement that left ``budget[0]`` at 1 or more, and drops its variable
+    from all it passes down: ``polys`` is empty at idx -1.
     """
     if idx < 0:
         yield dict(assignment)
         return
     name = table.names[idx]
-    univariate = []
-    rest = []
+    univariate, rest = [], []
     for p in polys:
-        if p.is_zero():
+        if not p:
             continue
-        vars_here = p.variables()
+        vars_here = {i for m in p for i, e in enumerate(m) if e}
         if not vars_here:
             return  # nonzero constant: dead branch
-        if vars_here == {name}:
-            univariate.append(p)
-        else:
-            rest.append(p)
+        (univariate if vars_here == {idx} else rest).append(p)
     if univariate:
-        smallest = min(univariate, key=lambda p: p.total_degree())
-        coeffs = add_terms({}, ((mono[idx], coeff)
-                                for mono, coeff in smallest.terms.items()))
-        candidates = [r for r in _rational_roots(coeffs)
-                      if all(p.substitute({name: r}).is_zero()
-                             for p in univariate)]
+        smallest = min(univariate, key=lambda p: max(m[idx] for m in p))
+        roots = _rational_roots({m[idx]: c for m, c in smallest.items()})
+        candidates = [r for r in roots
+                      if not any(_substituted(p, idx, r) for p in univariate)]
     else:
         x = tuple(int(i == idx) for i in range(len(table)))
         lifted = []
         for p in rest:
-            if len(p.terms) == 2 and x in p.terms:
-                (y, c), (_, d) = sorted(p.terms.items(), key=lambda t: t[0] == x)
+            if len(p) == 2 and x in p:
+                (y, c), (_, d) = sorted(p.items(), key=lambda t: t[0] == x)
                 powers = [e for e in y[:idx] if e]
                 if len(powers) == 1 and not any(y[idx:]):
-                    lifted += [-c / d * s ** powers[0] for s in _TRIAL_VALUES]
+                    lifted += [Fraction(-c, d) * s ** powers[0] for s in _TRIAL_VALUES]
         candidates = list(dict.fromkeys(_TRIAL_VALUES + tuple(lifted)))
-    occurs = [any(mono[idx] for mono in p.terms) for p in rest]
+    occurs = [any(m[idx] for m in p) for p in rest]
     for value in candidates:
         budget[0] -= 1
         if budget[0] <= 0:
             return
         check_limits()
-        substituted = [p.substitute({name: value}) if o else p
+        substituted = [_substituted(p, idx, value) if o else p
                        for p, o in zip(rest, occurs)]
         assignment[name] = value
         yield from _search_points(substituted, table, idx - 1, assignment,
@@ -882,8 +913,8 @@ def _psi_only_search(source, target, tail, generators, allow_scaling, limits):
         return ConjugationSearch("disjoint", certificate=(gb,))
     # a finished run kept within max_pairs: only the deadline can stop here
     check = lambda: limits.check(gb.stats, lambda: list(gb.basis))
-    for point in _search_points(list(gb.basis), table, len(table) - 1, {},
-                                [_BUDGET], check):
+    for point in _search_points([_primitive(p.terms) for p in gb.basis], table,
+                                len(table) - 1, {}, [_BUDGET], check):
         # the point zeroes u alpha delta k - 1, so alpha, delta and k are nonzero
         params = AutoParams(**{f.name: point[f.name] for f in fields(AutoParams)})
         witness = Witness((PsiStep(params),) + tail,

@@ -321,6 +321,13 @@ def test_a_family_with_no_vanishing_power_has_a_nonzero_square(rx_family):
     assert report.entries[0].r2_nonzero and report.r2_nonzero == ("RX",)
 
 
+def test_a_family_with_no_vanishing_power_prints_none(rx_family):
+    """RX's R^k=0 column says none, as the summary line's rb-index does."""
+    text = verify_all(families=["RX"]).to_text()
+    assert text.splitlines()[2].split()[:3] == ["RX", "NONZERO", "none"]
+    assert "rb-index none," in text and "None" not in text
+
+
 def test_a_family_with_no_vanishing_power_leaves_no_rb_index(rx_family):
     """Beside R25 (index 3), RX is not nilpotent: the reports give no index,
     where a count of RX as 0 would have left 3."""

@@ -129,6 +129,47 @@ def test_conjugate_flip(tmp_path, capsys):
     assert data["images"] == {"e23": "e33"}
 
 
+# the reports of ``conjugate`` below, byte for byte, as the composition of
+# ``conjugate_operator`` and ``scale_operator`` wrote them
+CONJUGATED = {"r5": """\
+{
+  "images": {
+    "e22": "2/5*e23 + 2/5*e33",
+    "e23": "2/5*e23 + 2/5*e33",
+    "e33": "-2/5*e23 - 2/5*e33"
+  },
+  "n": 3,
+  "params": [],
+  "schema": 1,
+  "weight": "0"
+}
+""", "r40": """\
+{
+  "images": {
+    "e11": "-1/2*b*e13 - 1/2*f*e13",
+    "e22": "1/5*e12 + 1/2*f*e13",
+    "e23": "1/5*e13",
+    "e33": "1/5*e12 + 1/2*b*e13 - 17/30*e13 + 5/2*e23"
+  },
+  "n": 3,
+  "params": [
+    "b",
+    "f"
+  ],
+  "schema": 1,
+  "weight": "0"
+}
+"""}
+
+
+@pytest.mark.parametrize("name", ["r5", "r40"])
+def test_conjugate_reports_the_flip_then_psi_byte_for_byte(name, capsys):
+    code = cli.main(["conjugate", str(DATA / "operators" / f"{name}.json"),
+                     "--theta", "--alpha", "2", "--beta=-1/3", "--delta", "5",
+                     "--epsilon", "2", "--json", "-"])
+    assert code == 0 and capsys.readouterr().out == CONJUGATED[name]
+
+
 def test_find_conj_found_and_disjoint(tmp_path, capsys):
     r5 = DATA / "operators" / "r5.json"
     code = cli.main(["find-conj", str(r5), str(r5)])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rbu3 import groebner, transform
-from rbu3.catalog import build_catalog
+from rbu3.catalog import build_catalog, catalog_ids, get_entry
 from rbu3.matrices import UTMatrix, basis_indices, parse_matrix, rref
 from rbu3.operators import (Operator, _cleared, _residual_values, rb_residual,
                             scale_operator)
@@ -348,7 +348,7 @@ def test_int_conjugation_equals_the_operator_path(op, a, b, c, d, e):
     flip = transform._flip_slots(3)
     for phi, conj, scale in (
             (build_psi(AutoParams(a, b, c, d, e)),
-             transform._conjugated_terms(terms, cleared), D * cleared[2] ** 2),
+             sorted(transform._conjugated_terms(terms, cleared)), D * cleared[2] ** 2),
             (theta13(), sorted((flip[x], v) for x, v in terms), D)):
         oracle = conjugate_operator(op, phi)
         entries = {IDXS.index(src) * 6 + IDXS.index(pos): value
@@ -506,6 +506,80 @@ def test_a_witness_flips_by_relabelling(op, weight):
     items = lambda o: [(idx, [(cell, type(v)) for cell, v in image.entries.items()])
                        for idx, image in o.columns.items()]
     assert items(flipped) == items(expected)
+
+
+def composed(op, witness):
+    """A witness's action as a composition of operator maps: conjugation by
+    each step's ``AlgebraMap``, then ``scale_operator``."""
+    for step in witness.steps:
+        phi = theta13(op.n) if isinstance(step, ThetaStep) else build_psi(step.params)
+        op = conjugate_operator(op, phi)
+    return op if witness.scalar == 1 else scale_operator(op, witness.scalar)
+
+
+def same_operator(got, expected):
+    """Equal, with the same weight and parameters, and each column's entries
+    and entry types in the same order."""
+    items = lambda o: [(idx, [(cell, value, type(value))
+                              for cell, value in image.entries.items()])
+                       for idx, image in sorted(o.columns.items())]
+    return (got == expected and got.weight == expected.weight
+            and got.params() == expected.params() and items(got) == items(expected))
+
+
+WITNESS_STEPS = st.lists(st.just(ThetaStep()) | st.builds(
+    lambda *params: PsiStep(AutoParams(*params)),
+    NONZERO, RATIOS, RATIOS, NONZERO, RATIOS), max_size=3)
+
+
+@pytest.mark.parametrize("family", catalog_ids())
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(steps=WITNESS_STEPS, scalar=st.just(Fraction(1)) | NONZERO)
+def test_a_witness_replays_each_family_as_the_composition(family, steps, scalar):
+    """On the int slots, a witness gives the composition's operator for
+    every catalog family, parametric ones included."""
+    op = get_entry(family).operator
+    witness = Witness(tuple(steps), scalar)
+    assert same_operator(witness.transform_operator(op), composed(op, witness))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(operators(), st.sampled_from([0, Fraction(1, 2), -3]), WITNESS_STEPS,
+       st.just(Fraction(1)) | NONZERO)
+def test_a_witness_replays_as_the_composition(op, weight, steps, scalar):
+    """Rational and parametric operators at weights 0, 1/2 and -3: k != 1
+    keeps the identity at weight zero only."""
+    op = Operator(3, op.columns, weight)
+    witness = Witness(tuple(steps), scalar if not weight else Fraction(1))
+    assert same_operator(witness.transform_operator(op), composed(op, witness))
+
+
+@pytest.mark.parametrize("n, steps, scalar, weight", [
+    (2, (PsiStep(AutoParams(2)),), 1, 0),  # psi is U_3's
+    (2, (ThetaStep(), PsiStep(AutoParams(2))), 1, 0),
+    (3, (PsiStep(AutoParams(2)),), Fraction(3), Fraction(1, 2)),
+    (3, (ThetaStep(),), Fraction(-1), -3),
+    (3, (), Fraction(0), 0)])
+def test_a_witness_raises_as_the_composition(n, steps, scalar, weight):
+    op = Operator(n, {(1, 1): e(1, 2) if n == 3 else UTMatrix.basis(2, 1, 2)},
+                  weight)
+    witness = Witness(steps, scalar)
+    with pytest.raises(ValueError) as expected:
+        composed(op, witness)
+    with pytest.raises(ValueError) as got:
+        witness.transform_operator(op)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_a_flip_witness_outside_u3_is_the_flip_conjugation(n):
+    table = VarTable(["a"])
+    op = Operator(n, {(1, 1): UTMatrix(n, {(1, n): Fraction(2, 3), (2, 2): table.var("a")}),
+                      (1, 2): UTMatrix(n, {(2, n): Fraction(-5)}),
+                      (n, n): UTMatrix(n, {(1, 1): table.var("a") + 1})}, Fraction(1, 2))
+    got = Witness((ThetaStep(),)).transform_operator(op)
+    assert same_operator(got, conjugate_operator(op, theta13(n)))
+    assert Witness((ThetaStep(), ThetaStep())).transform_operator(op) == op
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -1555,16 +1629,31 @@ def reference_search_points(polys, table, idx, assignment, budget):
         del assignment[name]
 
 
+def planted_search(family, params, theta, scalar):
+    """One draw of ``planted_searches``, with scaling allowed."""
+    steps = (PsiStep(AutoParams(*params)),) + (ThetaStep(),) * theta
+    source = SPECIALIZED[family]
+    return source, Witness(steps, scalar).transform_operator(source), True
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(planted_searches())
+# a free variable lifted through a binomial, and a branch that meets a
+# nonzero constant
+@example(planted_search("R3", (-2, Fraction(-1, 2), Fraction(-1, 2), -4, -1),
+                        False, Fraction(-4)))
+@example(planted_search("R23", (Fraction(-1, 3), 1, -1, 1, 1), True, Fraction(-2)))
 def test_search_points_match_substituting_into_every_polynomial(search):
     source, target, allow_scaling = search
     table = transform._search_psi(allow_scaling)[0]
     for _, system in searched_systems(source, target, allow_scaling):
         basis = list(groebner.buchberger(system).basis)
         start = len(table) - 1
-        got = list(transform._search_points(basis, table, start, {},
-                                            [transform._BUDGET], lambda: None))
+        budget, reference_budget = [transform._BUDGET], [transform._BUDGET]
+        got = list(transform._search_points(
+            [transform._primitive(p.terms) for p in basis], table, start, {},
+            budget, lambda: None))
         expected = list(reference_search_points(basis, table, start, {},
-                                                [transform._BUDGET]))
+                                                reference_budget))
         assert got == expected and got
+        assert budget == reference_budget
