@@ -20,7 +20,6 @@ from .poly import (MultiPoly, ParseError, VarTable, add_terms, format_terms,
 
 __all__ = [
     "BasisIndex",
-    "IncompatibleOperands",
     "UTMatrix",
     "basis_indices",
     "basis_name",
@@ -35,10 +34,6 @@ __all__ = [
 ]
 
 BasisIndex = tuple  # (row, col) with 1 <= row <= col <= n
-
-
-class IncompatibleOperands(ValueError):
-    pass
 
 
 def basis_indices(n: int) -> list:
@@ -124,7 +119,7 @@ class UTMatrix:
 
     def _check(self, other: "UTMatrix"):
         if not isinstance(other, UTMatrix) or self.n != other.n:
-            raise IncompatibleOperands("incompatible operands")
+            raise ValueError("incompatible operands")
 
     def __add__(self, other: "UTMatrix") -> "UTMatrix":
         self._check(other)

@@ -363,6 +363,8 @@ class Ansatz:
     constraints: list = field(default_factory=list)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("algebra size must be at least 1")
         try:
             self.weight = as_fraction(self.weight)
         except (TypeError, ValueError) as exc:

@@ -636,12 +636,13 @@ def check_fields(kind: str, data: dict, checks) -> None:
 
 def read_json(path, *keys) -> dict:
     """Read the JSON object in ``path``, which must have each of ``keys``:
-    a file of another kind, or a float anywhere in it, is refused with a
-    ``ValueError`` (rationals are written as strings)."""
+    a file of another kind, or a float anywhere in it (NaN and Infinity
+    included), is refused with a ``ValueError`` (rationals are written as
+    strings)."""
     def refuse(text):
         raise ValueError(f"{path}: {text} is a float; write it as a string")
     with open(path) as fh:
-        data = json.load(fh, parse_float=refuse)
+        data = json.load(fh, parse_float=refuse, parse_constant=refuse)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: not a JSON object")
     missing = [key for key in keys if key not in data]

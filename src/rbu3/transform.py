@@ -73,9 +73,7 @@ class AlgebraMap:
     instance is holding a certificate: phi(e_ij) phi(e_kl) (in the other
     order for an antiautomorphism) must be phi(e_ij e_kl) on all basis
     pairs, and the inverse columns must send each phi(e_idx) back to e_idx,
-    which makes them the two-sided inverse; else ``ValueError``.  The maps
-    of :func:`build_psi` are built by ``_proved`` without a check, because
-    one symbolic proof for the whole family (``_psi_certificate``) does.
+    which makes them the two-sided inverse; else ``ValueError``.
     """
 
     __slots__ = ("n", "kind", "columns", "_inverse")
@@ -97,14 +95,6 @@ class AlgebraMap:
         for idx, column in columns.items():
             if self.inverse_apply(column) - UTMatrix.basis(n, *idx):
                 raise ValueError("map is not invertible by its inverse columns")
-
-    @staticmethod
-    def _proved(n: int, kind: str, columns: dict, inverse: dict) -> "AlgebraMap":
-        """A map whose columns and inverse, both keyed in basis order, are
-        certified by its caller: no check."""
-        phi = AlgebraMap.__new__(AlgebraMap)
-        phi.n, phi.kind, phi.columns, phi._inverse = n, kind, columns, inverse
-        return phi
 
     def apply(self, x: UTMatrix) -> UTMatrix:
         return combine(self.columns, x.entries, self.n)
@@ -128,12 +118,12 @@ def build_psi(params: AutoParams) -> AlgebraMap:
 
     and its inverse X -> H X H^{-1} is psi at (1/a, -b/d, (b e/d - c)/a,
     1/d, -e/(a d)).  Both are the int columns of ``_cleared_psi`` over their
-    factor, proved once for all parameters by ``_psi_certificate``.
+    factor, and the map's constructor checks them like any other.
     """
     columns, inverse, factor = _cleared_psi(
         params.alpha, params.beta, params.gamma, params.delta, params.epsilon)
     idxs = basis_indices(3)
-    return AlgebraMap._proved(3, "automorphism", *(
+    return AlgebraMap(3, "automorphism", *(
         {idx: UTMatrix._filtered(3, {idxs[p]: Fraction(v, factor)
                                      for p, v in pairs})
          for idx, pairs in zip(idxs, side)} for side in (columns, inverse)))
@@ -297,18 +287,12 @@ def _nonzero_fraction(rng: random.Random, num: int, den: int) -> Fraction:
 class PsiStep:
     params: AutoParams
 
-    def map(self) -> AlgebraMap:
-        return build_psi(self.params)
-
     def to_json(self):
         return {"psi": self.params.to_json()}
 
 
 @dataclass(frozen=True)
 class ThetaStep:
-    def map(self) -> AlgebraMap:
-        return theta13()
-
     def to_json(self):
         return "theta13"
 
@@ -357,7 +341,8 @@ class Witness:
 
     def act_element(self, x: UTMatrix) -> UTMatrix:
         for step in self.steps:
-            x = step.map().inverse_apply(x)
+            phi = theta13() if isinstance(step, ThetaStep) else build_psi(step.params)
+            x = phi.inverse_apply(x)
         return x
 
     def to_json(self):
@@ -743,11 +728,11 @@ def _search_psi(allow_scaling: bool):
 
     Returns ``(table, columns, k, relation, t)``.  ``table`` holds only the
     unknowns of ``_SEARCH_VARS`` (without ``k_scale`` when scaling is off).
-    ``columns`` is psi read by ``_image_terms`` over ``table``: the cells
-    of psi(e_idx) in order, each with its terms.  ``k`` is the exponent
-    vector of the scale (all zero when scaling is off), ``relation`` is the
-    int term map of t - 1, t = ``u * alpha * delta * k``, and ``t`` its
-    exponent vector.
+    ``columns`` is psi in the shape ``_image_terms`` gives an operator:
+    the nonzero cells of psi(e_idx) in order, each with its ``(monomial,
+    int)`` terms over ``table``.  ``k`` is the exponent vector of the scale
+    (all zero when scaling is off), ``relation`` is the int term map of
+    t - 1, t = ``u * alpha * delta * k``, and ``t`` its exponent vector.
     As u k is 1/(alpha delta) modulo the relation, each cell is the lex
     normal form of u k adj(H) e_ij H (``_psi_conjugation``) modulo it.
     """
@@ -764,10 +749,10 @@ def _search_psi(allow_scaling: bool):
     side, _ = _psi_conjugation(*_psi_matrices(*map(var, (
         "alpha", "beta", "gamma", "delta", "epsilon")), one))
     idxs = basis_indices(3)
-    psi = {idx: UTMatrix._filtered(3, {
-        idxs[p]: normal_form(v * uk, [relation], lex())
-        for p, v in pairs}) for idx, pairs in zip(idxs, side)}
-    columns, _ = _image_terms(Operator(3, psi), table)
+    columns = {idx: [(idxs[p], [(m, as_int(c)) for m, c in cell.terms.items()])
+                     for p, v in pairs
+                     if (cell := normal_form(v * uk, [relation], lex()))]
+               for idx, pairs in zip(idxs, side)}
     (k_mono,), (t_mono,) = k.terms, t.terms
     relation = {m: as_int(c) for m, c in relation.terms.items()}
     return table, columns, k_mono, relation, t_mono

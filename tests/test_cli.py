@@ -471,6 +471,11 @@ def test_an_algebra_size_below_one_exits_2_with_no_verdict(tmp_path, capsys):
             argv = [command[0], str(path), *command[1:]]
             _rejected_with_nothing_written(argv, tmp_path, capsys,
                                            "algebra size must be at least 1")
+        ansatz = tmp_path / f"ansatz{n}.json"
+        ansatz.write_text(json.dumps({"n": n, "constraints": []}))
+        _rejected_with_nothing_written(["system", "--ansatz", str(ansatz)],
+                                       tmp_path, capsys,
+                                       "algebra size must be at least 1")
 
 
 def test_gb_rejects_elim_without_the_elim_order(tmp_path, capsys):
@@ -523,6 +528,11 @@ def test_undefined_or_inexact_rationals_exit_2_with_one_error_line(tmp_path, cap
     inexact.write_text(json.dumps(dict(data, weight=0.1)))
     ansatz = tmp_path / "ansatz.json"
     ansatz.write_text('{"constraints": ["b_11_11"], "weight": 0.5}')
+    # JSON's NaN and infinities are floats too, in a field read or not
+    nan = tmp_path / "nan.json"
+    nan.write_text(json.dumps(dict(data, weight=float("nan"))))
+    unused = tmp_path / "unused.json"
+    unused.write_text(json.dumps(dict(data, x=float("inf"))))
     zero = "error: '1/0' has a zero denominator"
     for argv, message in (
             (["canonicalize", "1/0*e12"], "parse error: expected a nonzero "
@@ -533,7 +543,11 @@ def test_undefined_or_inexact_rationals_exit_2_with_one_error_line(tmp_path, cap
             (["check", str(inexact)],
              f"error: {inexact}: 0.1 is a float; write it as a string"),
             (["system", "--ansatz", str(ansatz)],
-             f"error: {ansatz}: 0.5 is a float; write it as a string")):
+             f"error: {ansatz}: 0.5 is a float; write it as a string"),
+            (["check", str(nan)],
+             f"error: {nan}: NaN is a float; write it as a string"),
+            (["check", str(unused)],
+             f"error: {unused}: Infinity is a float; write it as a string")):
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.err == message + "\n" and captured.out == "", argv

@@ -199,6 +199,25 @@ def test_psi_is_proved_before_it_is_handed_out():
     assert transform._psi_certificate.cache_info().misses == 1
 
 
+@pytest.mark.parametrize("tamper, match", [
+    # psi's columns with the inverse columns of psi at beta + 1
+    (lambda cleared, wrong: (cleared[0], wrong[1], cleared[2]),
+     "not invertible by its inverse columns"),
+    # e11's column doubled: its square is then twice its image
+    (lambda cleared, wrong: ([[(p, 2 * v) for p, v in cleared[0][0]],
+                              *cleared[0][1:]], *cleared[1:]),
+     r"not \(anti\)multiplicative"),
+], ids=["inverse", "columns"])
+def test_build_psi_is_checked_by_its_constructor(tamper, match, monkeypatch):
+    """Every psi map passes ``AlgebraMap``'s product and inverse check when
+    built, so wrong int columns from ``_cleared_psi`` are refused."""
+    real = transform._cleared_psi
+    monkeypatch.setattr(transform, "_cleared_psi", lambda a, b, c, d, e: tamper(
+        real(a, b, c, d, e), real(a, b + 1, c, d, e)))
+    with pytest.raises(ValueError, match=match):
+        build_psi(AutoParams(alpha=2, beta=1, gamma=3, delta=5, epsilon=-1))
+
+
 def the_proof_fails(match):
     transform._psi_certificate.cache_clear()
     try:
